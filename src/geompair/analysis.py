@@ -18,7 +18,7 @@ from functools import lru_cache
 from .cminus_codec import limit_row, signature_length_row
 from .basecodes import QuasiUniformSpec, golomb_length
 from .families import CodeFamily
-from .fringe2 import top_code_params, top_code_table
+from .fringe2 import TopCode, top_code_params
 
 LOG2E = math.log2(math.e)
 
@@ -184,7 +184,7 @@ class CkLengthModel:
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self._top = top_code_table(k)
+        self._top = TopCode(k)
         self.quad_majorant_from = max(top_code_params(k).M + 3, 4)
 
     def row_total(self, s: int) -> int:
@@ -195,18 +195,8 @@ class CkLengthModel:
         # top parts, grouped by residue of i
         for a in range(min(k, s + 1)):
             count = (s - a) // k + 1
-            total += self._top[(a, (s - a) % k)].length * count
+            total += self._top.codeword(a, (s - a) % k)[1] * count
         return total
-
-
-def length_model(family: CodeFamily):
-    if family.kind == "ck":
-        return CkLengthModel(family.k)
-    if family.kind == "cminus":
-        return CminusLengthModel(family.k)
-    if family.kind == "limit":
-        return LimitLengthModel()
-    return GolombPairLengthModel(family.k)
 
 
 def avg_len_by_series(model, q: float, eps: float = 1e-9) -> float:
@@ -392,14 +382,43 @@ def _best_family_direct(q: float) -> CodeFamily:
     return best
 
 
+def _winner_chain(f0: CodeFamily, f1: CodeFamily) -> list[CodeFamily]:
+    """Families that may win between neighbouring grid winners f0 and f1.
+
+    Between ck k0 and ck k1 each intermediate ck k can win on an interval
+    narrower than the grid step; any other change of winner is direct.
+    """
+    if f0.kind == f1.kind == "ck" and f1.k > f0.k + 1:
+        return [CodeFamily("ck", k) for k in range(f0.k, f1.k + 1)]
+    return [f0, f1]
+
+
+def _crossover_between(f0: CodeFamily, f1: CodeFamily, q0: float, q1: float) -> float:
+    """Where f0 and f1 cross on [q0, q1]; the midpoint if they do not."""
+    try:
+        return crossover(
+            lambda q: family_avg_len(f0, q, _SELECT_SERIES_EPS),
+            lambda q: family_avg_len(f1, q, _SELECT_SERIES_EPS),
+            q0,
+            q1,
+            1e-6,
+        )
+    except NoSignChange:
+        return 0.5 * (q0 + q1)
+
+
 @lru_cache(maxsize=1)
 def _selection_thresholds() -> tuple[list[float], list[CodeFamily]]:
     """Precomputed selection table on the mean axis.
 
     Scans a q grid, finds where the winning family changes, refines each
-    boundary by bisecting the two neighbours' average-length difference,
+    boundary by bisecting neighbouring winners' average-length difference,
     and stores the boundaries as sample means (q / (1 - q)).  Bucket i
-    holds the best family for means below ``bounds[i]``.
+    holds the best family for means below ``bounds[i]``.  Where the
+    winner jumps over ck parameters between two grid points, the lower
+    envelope of the whole chain is bisected: a family whose crossover
+    with its successor does not lie above its own lower boundary never
+    wins and is dropped.
     """
     grid = [0.02 + 0.0025 * i for i in range(int((0.985 - 0.02) / 0.0025) + 1)]
     winners = [_best_family_direct(q) for q in grid]
@@ -408,18 +427,18 @@ def _selection_thresholds() -> tuple[list[float], list[CodeFamily]]:
     for (q0, f0), (q1, f1) in zip(zip(grid, winners), zip(grid[1:], winners[1:])):
         if f1 == f0:
             continue
-        try:
-            q_star = crossover(
-                lambda q: family_avg_len(f0, q, _SELECT_SERIES_EPS),
-                lambda q: family_avg_len(f1, q, _SELECT_SERIES_EPS),
-                q0,
-                q1,
-                1e-6,
-            )
-        except NoSignChange:
-            q_star = 0.5 * (q0 + q1)
-        bounds.append(q_star / (1.0 - q_star))
-        fams.append(f1)
+        local_bounds: list[float] = []
+        local_fams = [f0]
+        for fam in _winner_chain(f0, f1)[1:]:
+            q_star = _crossover_between(local_fams[-1], fam, q0, q1)
+            while local_bounds and q_star <= local_bounds[-1]:
+                local_fams.pop()
+                local_bounds.pop()
+                q_star = _crossover_between(local_fams[-1], fam, q0, q1)
+            local_bounds.append(q_star)
+            local_fams.append(fam)
+        bounds += [q / (1.0 - q) for q in local_bounds]
+        fams += local_fams[1:]
     return bounds, fams
 
 

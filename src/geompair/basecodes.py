@@ -27,10 +27,16 @@ def unary_encode(n: int) -> Codeword:
 
 def read_unary(reader: BitReader) -> int:
     """Count of ones before the terminating zero."""
-    n = 0
-    while reader.read_bit():
-        n += 1
-    return n
+    return reader.read_unary()
+
+
+def quasi_uniform_shape(n: int) -> tuple[int, int]:
+    """``(m, short_count)`` of the quasi-uniform code on N symbols:
+    m = ceil(log2 N) (0 for N = 1) and short_count = 2^m - N."""
+    if n < 1:
+        raise ValueError("alphabet size must be >= 1")
+    m = (n - 1).bit_length()
+    return m, (1 << m) - n
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,7 @@ class QuasiUniformSpec:
 
     @classmethod
     def for_size(cls, n: int) -> "QuasiUniformSpec":
-        if n < 1:
-            raise ValueError("alphabet size must be >= 1")
-        m = (n - 1).bit_length()  # ceil(log2 n), with m = 0 for n = 1
-        return cls(n, m, (1 << m) - n)
+        return cls(n, *quasi_uniform_shape(n))
 
     def length_of(self, rank: int) -> int:
         if not 0 <= rank < self.n:
@@ -60,48 +63,62 @@ class QuasiUniformSpec:
         return self.m - 1 if rank < self.short_count else self.m
 
 
-def quasi_uniform_encode(n: int, rank: int) -> Codeword:
-    """Canonical quasi-uniform codeword for ``rank`` in an N-symbol alphabet.
+def quasi_uniform_codeword(n: int, rank: int) -> tuple[int, int]:
+    """Canonical quasi-uniform codeword for ``rank`` in an N-symbol alphabet,
+    as ``(value, length)``.
 
-    Ranks below ``short_count`` get their (m-1)-bit binary value; rank
-    r >= short_count gets the m-bit value r + short_count.  The resulting
-    codewords are numerically increasing and prefix-free with Kraft sum
-    exactly 1.
+    With m = ceil(log2 N) and short_count = 2^m - N, ranks below
+    short_count get their (m-1)-bit binary value; rank r >= short_count
+    gets the m-bit value r + short_count.  The resulting codewords are
+    numerically increasing and prefix-free with Kraft sum exactly 1.
     """
-    spec = QuasiUniformSpec.for_size(n)
+    m, short_count = quasi_uniform_shape(n)
     if not 0 <= rank < n:
         raise RankOutOfRange(f"rank {rank} outside [0, {n})")
-    if rank < spec.short_count:
-        return Codeword(rank, spec.m - 1)
-    return Codeword(rank + spec.short_count, spec.m)
+    if rank < short_count:
+        return rank, m - 1
+    return rank + short_count, m
+
+
+def quasi_uniform_encode(n: int, rank: int) -> Codeword:
+    """:func:`quasi_uniform_codeword` as a :class:`Codeword`."""
+    return Codeword(*quasi_uniform_codeword(n, rank))
 
 
 def quasi_uniform_decode(n: int, reader: BitReader) -> int:
     """Inverse of :func:`quasi_uniform_encode`, consuming exactly one codeword."""
-    spec = QuasiUniformSpec.for_size(n)
-    if spec.m == 0:
+    m, short_count = quasi_uniform_shape(n)
+    if m == 0:
         return 0
-    value = reader.read_bits(spec.m - 1) if spec.m > 1 else 0
-    if value < spec.short_count:
+    value = reader.read_bits(m - 1)
+    if value < short_count:
         return value
-    value = (value << 1) | reader.read_bit()
-    return value - spec.short_count
+    return ((value << 1) | reader.read_bit()) - short_count
 
 
-def golomb_encode(k: int, i: int) -> Codeword:
-    """Golomb codeword of order k: quasi-uniform k-remainder, then unary quotient."""
+def golomb_codeword(k: int, i: int) -> tuple[int, int]:
+    """Golomb codeword of order k as ``(value, length)``: quasi-uniform
+    k-remainder, then the quotient in unary."""
     if k < 1:
         raise ValueError("Golomb order must be >= 1")
     if i < 0:
         raise ValueError("Golomb argument must be >= 0")
-    return quasi_uniform_encode(k, i % k) + unary_encode(i // k)
+    quot, rem = divmod(i, k)
+    value, length = quasi_uniform_codeword(k, rem)
+    # appending quot ones and a zero to value
+    return ((value + 1) << (quot + 1)) - 2, length + quot + 1
+
+
+def golomb_encode(k: int, i: int) -> Codeword:
+    """:func:`golomb_codeword` as a :class:`Codeword`."""
+    return Codeword(*golomb_codeword(k, i))
 
 
 def golomb_decode(k: int, reader: BitReader) -> int:
     if k < 1:
         raise ValueError("Golomb order must be >= 1")
     rem = quasi_uniform_decode(k, reader)
-    return k * read_unary(reader) + rem
+    return k * reader.read_unary() + rem
 
 
 def golomb_length(k: int, i: int) -> int:
@@ -132,7 +149,34 @@ def canonical_codewords(lengths: list[int]) -> list[Codeword]:
     return out
 
 
-class GolombPairCodec:
+class PairCodec:
+    """Encode paths shared by every pair codec.
+
+    A codec implements ``codeword(pair) -> (value, length)``, its single
+    encoder, and ``decode(reader)``; the public encoders below wrap
+    ``codeword``.
+    """
+
+    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def encode(self, pair: tuple[int, int]) -> Codeword:
+        return Codeword(*self.codeword(pair))
+
+    def encode_to(self, writer: BitWriter, pair: tuple[int, int]) -> None:
+        writer.write(*self.codeword(pair))
+
+    def encode_many(self, pairs) -> tuple[bytes, int]:
+        """Zero-padded stream of all pairs' codewords and its payload bit count."""
+        writer = BitWriter()
+        write = writer.write
+        codeword = self.codeword
+        for pair in pairs:
+            write(*codeword(pair))
+        return writer.getvalue(), writer.bits_written
+
+
+class GolombPairCodec(PairCodec):
     """Pair codec applying the order-k Golomb code to each component."""
 
     def __init__(self, k: int) -> None:
@@ -140,12 +184,11 @@ class GolombPairCodec:
             raise ValueError("Golomb order must be >= 1")
         self.k = k
 
-    def encode(self, pair: tuple[int, int]) -> Codeword:
+    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
         i, j = pair
-        return golomb_encode(self.k, i) + golomb_encode(self.k, j)
-
-    def encode_to(self, writer: BitWriter, pair: tuple[int, int]) -> None:
-        writer.write_codeword(self.encode(pair))
+        value_i, length_i = golomb_codeword(self.k, i)
+        value_j, length_j = golomb_codeword(self.k, j)
+        return (value_i << length_j) | value_j, length_i + length_j
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return golomb_decode(self.k, reader), golomb_decode(self.k, reader)

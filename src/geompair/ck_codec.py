@@ -2,74 +2,50 @@
 
 A pair (i, j) is sent as the top codeword for (i mod k, j mod k)
 followed by the unary codes of i // k and j // k, in that order on the
-wire.  The top code is the canonical fringe-<=2 code computed in
-:mod:`geompair.fringe2`; for k = 1 it is void and the codec degenerates
-to two unary codes, for k = 2 to the uniform 2-bit code on 4 symbols.
+wire.  The top code is the canonical fringe-<=2 code of
+:class:`geompair.fringe2.TopCode`; for k = 1 it is void and the codec
+degenerates to two unary codes, for k = 2 to the uniform 2-bit code on
+4 symbols.
 """
 
 from __future__ import annotations
 
-from .basecodes import read_unary, unary_encode
-from .bitio import BitReader, BitWriter, Codeword
-from .fringe2 import top_code_lengths, top_code_symbols, top_code_table
+from .basecodes import PairCodec
+from .bitio import BitReader
+from .fringe2 import TopCode
 
 
-class CkCodec:
-    """Immutable pair codec for parameter k; shareable across streams."""
+class CkCodec(PairCodec):
+    """Immutable pair codec for parameter k; shareable across streams.
+
+    Its state is O(k), so building it is cheap for any k.
+    """
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._table = top_code_table(k)
-        self._symbols = top_code_symbols(k)
-        # canonical decode blocks (length, first_value, first_rank, count),
-        # one per occupied level, in increasing length order
-        lengths = top_code_lengths(k)
-        blocks = []
-        value = 0
-        cur_len = lengths[0]
-        rank = 0
-        while rank < len(lengths):
-            run = rank
-            while run < len(lengths) and lengths[run] == lengths[rank]:
-                run += 1
-            count = run - rank
-            value <<= lengths[rank] - cur_len
-            cur_len = lengths[rank]
-            blocks.append((cur_len, value, rank, count))
-            value += count
-            rank = run
-        self._blocks = blocks
+        self._top = TopCode(k)
 
-    def encode(self, pair: tuple[int, int]) -> Codeword:
+    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
         i, j = pair
         if i < 0 or j < 0:
             raise ValueError("pair components must be >= 0")
-        top = self._table[(i % self.k, j % self.k)]
-        return top + unary_encode(i // self.k) + unary_encode(j // self.k)
-
-    def encode_to(self, writer: BitWriter, pair: tuple[int, int]) -> None:
-        writer.write_codeword(self.encode(pair))
+        u, a = divmod(i, self.k)
+        v, b = divmod(j, self.k)
+        value, length = self._top.codeword(a, b)
+        # append u ones and a zero, then v ones and a zero
+        value = ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2
+        return value, length + u + v + 2
 
     def length_of(self, pair: tuple[int, int]) -> int:
         i, j = pair
-        top = self._table[(i % self.k, j % self.k)]
-        return top.length + 2 + i // self.k + j // self.k
-
-    def _decode_top(self, reader: BitReader) -> tuple[int, int]:
-        length = self._blocks[0][0]
-        window = reader.read_bits(length)
-        for blk_len, blk_value, blk_rank, blk_count in self._blocks:
-            while length < blk_len:
-                window = (window << 1) | reader.read_bit()
-                length += 1
-            if window - blk_value < blk_count:
-                return self._symbols[blk_rank + (window - blk_value)]
-        raise AssertionError("complete code cannot fail to decode")
+        u, a = divmod(i, self.k)
+        v, b = divmod(j, self.k)
+        return self._top.codeword(a, b)[1] + u + v + 2
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
-        a, b = self._decode_top(reader)
-        u = read_unary(reader)
-        v = read_unary(reader)
+        a, b = self._top.decode(reader)
+        u = reader.read_unary()
+        v = reader.read_unary()
         return a + self.k * u, b + self.k * v

@@ -16,7 +16,7 @@ import struct
 import sys
 
 from . import analysis
-from .bitio import BitReader, BitWriter, StreamExhausted
+from .bitio import BitReader, StreamExhausted
 from .cminus_codec import signature_length_row
 from .families import FAMILY_BYTES, FAMILY_FROM_BYTE, CodeFamily, InvalidFamilyParam, make_codec
 from .fringe2 import top_code_params
@@ -57,10 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not ASCII text: {exc}") from exc
 
 
 def _read_binary(path: str) -> bytes:
@@ -87,11 +90,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    values = []
-    for offset, token in enumerate(text.split()):
-        if not token.isdigit():
-            raise ParseError(f"token {token!r} at position {offset} is not a nonnegative integer")
-        values.append(int(token))
+    tokens = text.split()
+    if not "".join(tokens).isdecimal():  # not isdigit, which passes superscripts int() rejects
+        for offset, token in enumerate(tokens):
+            if not token.isdecimal():
+                raise ParseError(f"token {token!r} at position {offset} is not a nonnegative integer")
+    values = list(map(int, tokens))
     if len(values) % 2:
         raise OddSymbolCount(f"{len(values)} integers do not form pairs")
     return list(zip(values[0::2], values[1::2]))
@@ -106,22 +110,14 @@ def cmd_encode(args) -> int:
     family = _family_from_args(args)
     codec = make_codec(family)
     pairs = _parse_pairs(_read_text(args.input))
-    writer = BitWriter()
-    for pair in pairs:
-        before = writer.bits_written
-        codec.encode_to(writer, pair)
-        if args.verbose:
+    payload, nbits = codec.encode_many(pairs)
+    if args.verbose:
+        for pair in pairs:
             cw = codec.encode(pair)
-            print(
-                f"pair {pair} -> {cw.bits()} ({writer.bits_written - before} bits)",
-                file=sys.stderr,
-            )
+            print(f"pair {pair} -> {cw.bits()} ({cw.length} bits)", file=sys.stderr)
     header = HEADER.pack(MAGIC, VERSION, FAMILY_BYTES[family.kind], family.k, len(pairs))
-    _write_binary(args.out, header + writer.getvalue())
-    print(
-        f"encoded {len(pairs)} pairs, {writer.bits_written} payload bits",
-        file=sys.stderr,
-    )
+    _write_binary(args.out, header + payload)
+    print(f"encoded {len(pairs)} pairs, {nbits} payload bits", file=sys.stderr)
     return 0
 
 
@@ -140,13 +136,19 @@ def cmd_decode(args) -> int:
         family = CodeFamily(FAMILY_FROM_BYTE[family_byte], k)
     except InvalidFamilyParam as exc:
         raise DataError(str(exc)) from exc
+    payload = blob[HEADER.size :]
+    if count > 8 * len(payload):  # every codeword is at least one bit
+        raise DataError(
+            f"header claims {count} pairs, but the {len(payload)} payload bytes "
+            f"hold at most {8 * len(payload)} codewords"
+        )
     codec = make_codec(family)
-    reader = BitReader(blob[HEADER.size :])
+    reader = BitReader(payload)
     lines = []
     try:
         for _ in range(count):
             i, j = codec.decode(reader)
-            lines.append(f"{i} {j}")
+            lines.append(f"{i} {j}\n")
     except StreamExhausted as exc:
         raise DataError(f"bitstream truncated: {exc}") from exc
     if reader.bits_remaining >= 8:
@@ -154,7 +156,7 @@ def cmd_decode(args) -> int:
     pad = reader.bits_remaining
     if pad and reader.read_bits(pad) != 0:
         raise TrailingGarbage("nonzero padding bits")
-    _write_text(args.out, "".join(line + "\n" for line in lines))
+    _write_text(args.out, "".join(lines))
     return 0
 
 

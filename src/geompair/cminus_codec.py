@@ -24,8 +24,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .basecodes import quasi_uniform_decode, quasi_uniform_encode
-from .bitio import BitReader, BitWriter, Codeword
+from .basecodes import PairCodec, quasi_uniform_codeword, quasi_uniform_shape
+from .bitio import BitReader, Codeword
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def signature_length_row(k: int, s: int) -> SignatureLengthRow:
     return row
 
 
-class CminusCodec:
+class CminusCodec(PairCodec):
     """Canonical pair codec for parameter k >= 2.
 
     Keeps a per-signature allocation table (first canonical value of the
@@ -127,18 +127,15 @@ class CminusCodec:
                 self._rows.append((row.lam, row.n_short, row.n_long, *firsts))
         return self._rows[s]
 
-    def encode(self, pair: tuple[int, int]) -> Codeword:
+    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
         i, j = pair
         if i < 0 or j < 0:
             raise ValueError("pair components must be >= 0")
         s = i + j
         lam, n_short, _, first_short, first_long = self._row(s)
         if i < n_short:
-            return Codeword(first_short + i, lam)
-        return Codeword(first_long + (i - n_short), lam + 1)
-
-    def encode_to(self, writer: BitWriter, pair: tuple[int, int]) -> None:
-        writer.write_codeword(self.encode(pair))
+            return first_short + i, lam
+        return first_long + (i - n_short), lam + 1
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         # Walks the canonical blocks tracking rel = window value minus the
@@ -194,52 +191,78 @@ def limit_row(s: int) -> SignatureLengthRow:
     return SignatureLengthRow(s, lam, (1 << t) - 1 - r, 2 * r + 1)
 
 
-def limit_encode(pair: tuple[int, int]) -> Codeword:
-    """Limit codeword: all-ones descent to the signature's block, then
-    the rank inside a quasi-uniform code on s + 2 symbols.
+def _limit_run(s: int) -> int:
+    """Ones that lead to signature s's block: (t-1)(s+1) + 2r + 1 for
+    s = 2^t - 1 + r, 0 <= r < 2^t (zero for s = 0)."""
+    t = (s + 1).bit_length() - 1
+    r = s + 1 - (1 << t)
+    return (t - 1) * (s + 1) + 2 * r + 1
 
-    The descent length for s = 2^t - 1 + r is (t-1)(s+1) + 2r + 1 ones
-    (zero ones for s = 0); rank i takes the i-th of the s + 2 canonical
-    quasi-uniform codewords, the all-ones one staying reserved as the
-    root of the next signature's block.
+
+def limit_codeword(pair: tuple[int, int]) -> tuple[int, int]:
+    """Limit codeword as ``(value, length)``: all-ones descent to the
+    signature's block, then the rank inside a quasi-uniform code on s + 2
+    symbols.
+
+    The descent is :func:`_limit_run` ones; rank i takes the i-th of the
+    s + 2 canonical quasi-uniform codewords, the all-ones one staying
+    reserved as the root of the next signature's block.
     """
     i, j = pair
     if i < 0 or j < 0:
         raise ValueError("pair components must be >= 0")
     s = i + j
-    t = (s + 1).bit_length() - 1
-    r = s + 1 - (1 << t)
-    run = (t - 1) * (s + 1) + 2 * r + 1
-    return Codeword((1 << run) - 1, run) + quasi_uniform_encode(s + 2, i)
+    run = _limit_run(s)
+    value, length = quasi_uniform_codeword(s + 2, i)
+    return (((1 << run) - 1) << length) | value, run + length
+
+
+def limit_encode(pair: tuple[int, int]) -> Codeword:
+    """:func:`limit_codeword` as a :class:`Codeword`."""
+    return Codeword(*limit_codeword(pair))
 
 
 def limit_decode(reader: BitReader) -> tuple[int, int]:
     """Inverse of :func:`limit_encode`.
 
-    Descends the chain of quasi-uniform blocks: at signature s the
-    decoded rank either identifies a pair (rank <= s) or is the reserved
-    all-ones rank s + 1, meaning the codeword belongs to a deeper
-    signature.  This consumes exactly one codeword; a truncated stream
+    Only the reserved rank of a block is all ones, so the run of ones
+    that opens a codeword is the descent to signature s plus fewer than
+    m = ceil(log2(s + 2)) leading ones of the block codeword, and the
+    descent to s + 1 is exactly m ones longer.  A binary search on the
+    descent length therefore finds s from the run; the ones past the
+    descent and the zero that ended the run are the block codeword's
+    first bits.  This consumes exactly one codeword; a truncated stream
     raises StreamExhausted.
     """
-    s = 0
-    while True:
-        rank = quasi_uniform_decode(s + 2, reader)
-        if rank <= s:
-            return rank, s - rank
-        s += 1
+    ones = reader.read_unary()
+    lo, hi = 0, ones  # the descent to s is at least s ones long
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if _limit_run(mid) <= ones:
+            lo = mid
+        else:
+            hi = mid - 1
+    s = lo
+    m, short_count = quasi_uniform_shape(s + 2)
+    known = ones - _limit_run(s) + 1  # block codeword bits read so far
+    value = (1 << known) - 2
+    if known < m:  # the first m - 1 bits tell a short codeword from a long one
+        rest = m - 1 - known
+        value = (value << rest) | reader.read_bits(rest)
+        if value < short_count:
+            return value, s - value
+        value = (value << 1) | reader.read_bit()
+    rank = value - short_count
+    return rank, s - rank
 
 
-class LimitCodec:
+class LimitCodec(PairCodec):
     """Stateless pair codec facade for the limit code."""
 
     k = 0
 
-    def encode(self, pair: tuple[int, int]) -> Codeword:
-        return limit_encode(pair)
-
-    def encode_to(self, writer: BitWriter, pair: tuple[int, int]) -> None:
-        writer.write_codeword(limit_encode(pair))
+    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
+        return limit_codeword(pair)
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return limit_decode(reader)

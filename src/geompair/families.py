@@ -45,9 +45,9 @@ class CodeFamily:
         return self.kind if self.kind == "limit" else f"{self.kind} k={self.k}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # bounded: k comes from container headers
 def make_codec(family: CodeFamily):
-    """Pair codec (encode / encode_to / decode) for the family.
+    """Pair codec (encode / encode_to / encode_many / decode) for the family.
 
     Codecs are cached and safe to share: CkCodec and the stateless codecs
     are immutable, and CminusCodec mutates only its internal allocation

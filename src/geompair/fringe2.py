@@ -17,12 +17,12 @@ a relative tolerance of 1e-12 for sign decisions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .basecodes import canonical_codewords
 from .bitio import Codeword
 
 SIGN_RTOL = 1e-12
@@ -341,6 +341,67 @@ def top_source_weights(k: int) -> WeightedSource:
     return WeightedSource(ws)
 
 
+class TopCode:
+    """The canonical optimal code of the k x k top source, from ranks.
+
+    Symbols rank by signature t = a + b, ties by a (the order of
+    :func:`top_code_symbols`), so rank(a, b) is the start of signature t
+    plus the offset of a within it: one O(k) list of signature starts
+    replaces a k^2 table.  Ranks fill the levels M-1, M, M+1 of the
+    optimal profile in order, and each level's codewords are consecutive
+    values from that level's canonical first value.
+    """
+
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.k = k
+        self._starts: list[int] = []  # first rank of each signature t
+        self._base: list[int] = []  # rank(a, t - a) = _base[t] + a
+        rank = 0
+        for t in range(2 * k - 1):
+            lo = max(0, t - k + 1)
+            self._starts.append(rank)
+            self._base.append(rank - lo)
+            rank += min(t, k - 1) - lo + 1
+        prof = top_code_params(k).profile
+        # (length, first value, first rank, count) of each occupied level
+        self._levels: list[tuple[int, int, int, int]] = []
+        value = rank = 0
+        length = prof.M - 1
+        for depth, count in zip((prof.M - 1, prof.M, prof.M + 1), prof.leaves):
+            value <<= depth - length
+            length = depth
+            if count:
+                self._levels.append((depth, value, rank, count))
+            value += count
+            rank += count
+
+    def codeword(self, a: int, b: int) -> tuple[int, int]:
+        """Codeword of the residue pair (a, b) as ``(value, length)``."""
+        rank = self._base[a + b] + a
+        for length, first_value, first_rank, count in self._levels:
+            if rank < first_rank + count:
+                return first_value + rank - first_rank, length
+        raise IndexError(f"pair ({a}, {b}) outside [0, {self.k})^2")
+
+    def decode(self, reader) -> tuple[int, int]:
+        """Read one top codeword; return its residue pair."""
+        levels = self._levels
+        length = levels[0][0]
+        window = reader.read_bits(length)
+        for blk_len, first_value, first_rank, count in levels:
+            while length < blk_len:
+                window = (window << 1) | reader.read_bit()
+                length += 1
+            if window - first_value < count:
+                rank = first_rank + window - first_value
+                t = bisect.bisect_right(self._starts, rank) - 1
+                a = rank - self._base[t]
+                return a, t - a
+        raise AssertionError("complete code cannot fail to decode")
+
+
 def top_code_symbols(k: int) -> list[tuple[int, int]]:
     """Pairs of [0, k)^2 ordered by signature, ties by lexicographic (i, j)."""
     return sorted(
@@ -349,18 +410,10 @@ def top_code_symbols(k: int) -> list[tuple[int, int]]:
     )
 
 
-def top_code_lengths(k: int) -> list[int]:
-    """Codeword length per symbol of :func:`top_code_symbols`, nondecreasing."""
-    prof = top_code_params(k).profile
-    lengths: list[int] = []
-    for depth, count in zip((prof.M - 1, prof.M, prof.M + 1), prof.leaves):
-        lengths.extend([depth] * count)
-    return lengths
-
-
-@lru_cache(maxsize=None)
 def top_code_table(k: int) -> dict[tuple[int, int], Codeword]:
-    """Canonical codeword for every pair of the k x k top source."""
-    symbols = top_code_symbols(k)
-    codewords = canonical_codewords(top_code_lengths(k))
-    return dict(zip(symbols, codewords))
+    """Canonical codeword for every pair of the k x k top source.
+
+    Builds k^2 entries; the codecs use :class:`TopCode` directly.
+    """
+    top = TopCode(k)
+    return {(a, b): Codeword(*top.codeword(a, b)) for a, b in top_code_symbols(k)}

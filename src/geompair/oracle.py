@@ -7,16 +7,21 @@ weight.  An exact Huffman run on this finite source gives a near-optimal
 average length (the tail perturbs it by roughly eps times the tail
 depth) and a code tree whose shallow region is structurally faithful,
 which the two-level and gap checks exploit.
+
+numpy is imported inside the functions that use it, so importing the
+package or its command line does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analysis import _check_q
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SourceTooLarge(Exception):
@@ -58,6 +63,8 @@ def build_truncated_source(
     q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP
 ) -> TruncatedSource:
     """Smallest truncation whose tail mass fraction is below eps."""
+    import numpy as np
+
     _check_q(q)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
@@ -86,6 +93,8 @@ def huffman_lengths(weights) -> np.ndarray:
     the leaf queue is preferred (FIFO within each queue), making the
     result deterministic.  A single symbol gets length 0.
     """
+    import numpy as np
+
     w = np.asarray(weights, dtype=np.float64)
     n = len(w)
     if n == 0:
@@ -140,6 +149,8 @@ class OracleCode:
 
 
 def truncated_huffman(q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP) -> OracleCode:
+    import numpy as np
+
     src = build_truncated_source(q, eps, cap)
     lengths = huffman_lengths(src.weights)
     avg = float((1.0 - q) ** 2 * np.dot(src.weights, lengths))

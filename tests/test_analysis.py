@@ -189,3 +189,20 @@ def test_adaptive_select_examples():
     with pytest.raises(ValueError):
         adaptive_select(-0.5)
     assert adaptive_select(0.0).kind == "limit"
+
+
+def test_adaptive_select_matches_direct_minimum():
+    # log-spaced means over the tabulated range q in [0.02, 0.985], dense
+    # enough to land inside the narrow intervals where an intermediate
+    # ck k wins between two points of the selector's q grid
+    lo, hi = math.log(0.02 / 0.98), math.log(0.985 / 0.015)
+    n = 2400
+    for i in range(n):
+        mean = math.exp(lo + (hi - lo) * (i + 0.5) / n)
+        q = mean / (1.0 + mean)
+        chosen = adaptive_select(mean)
+        best = analysis._best_family_direct(q)
+        excess = analysis.family_avg_len(chosen, q, 1e-10) - analysis.family_avg_len(best, q, 1e-10)
+        assert excess <= 1e-6, (mean, chosen.label(), best.label(), excess)
+    # the defect case: ck k=20 wins only between two grid points
+    assert adaptive_select(28.3) == analysis.CodeFamily("ck", 20)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,3 +132,69 @@ def test_writer_rejects_bad_values():
         w.write(4, 2)
     with pytest.raises(ValueError):
         w.write(1, -1)
+
+
+def _bit_string(data):
+    return "".join(format(b, "08b") for b in data)
+
+
+def test_writer_flushes_past_threshold_and_stays_usable():
+    rng = random.Random(5)
+    writes = [(rng.getrandbits(n), n) for n in (rng.choice((1, 3, 7, 64, 300)) for _ in range(400))]
+    w = BitWriter()
+    expected = ""
+    for i, (value, length) in enumerate(writes):
+        w.write(value, length)
+        expected += format(value, f"0{length}b")
+        if i % 97 == 0:  # a mid-stream getvalue must not disturb later writes
+            assert _bit_string(w.getvalue())[: len(expected)] == expected
+    assert w.bits_written == len(expected) > 8192
+    assert _bit_string(w.getvalue()) == expected + "0" * (-len(expected) % 8)
+
+
+def test_reader_across_windows(monkeypatch):
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", 9)  # smallest legal window
+    rng = random.Random(9)
+    runs = [rng.choice((0, 1, 5, 71, 200)) for _ in range(60)]
+    w = BitWriter()
+    ops = []
+    for run in runs:
+        w.write((1 << (run + 1)) - 2, run + 1)  # run ones then a zero
+        width = rng.randint(0, 64)
+        value = rng.getrandbits(width)
+        w.write(value, width)
+        w.write(1, 1)
+        ops.append((run, width, value))
+    r = BitReader(w.getvalue())
+    for run, width, value in ops:
+        assert r.read_unary() == run
+        assert r.read_bits(width) == value
+        assert r.read_bit() == 1
+    assert r.bits_consumed == w.bits_written
+
+
+def test_unary_exhaustion_across_windows_leaves_reader_usable(monkeypatch):
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", 9)
+    data = bytes([0b10111111]) + b"\xff" * 40
+    r = BitReader(data)
+    assert r.read_unary() == 1
+    assert r.read_bit() == 1
+    with pytest.raises(StreamExhausted):
+        r.read_unary()  # the run of ones reaches the end of the data
+    assert r.bits_consumed == 3
+    assert r.read_bits(5) == 0b11111
+    assert r.read_bits(64) == (1 << 64) - 1
+
+
+@pytest.mark.parametrize("skip", [0, 3, 60])
+def test_unary_run_ending_at_every_offset_near_window_edges(monkeypatch, skip):
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", 9)  # 72-bit windows
+    for run in range(0, 230):
+        w = BitWriter()
+        w.write(0, skip)
+        w.write((1 << (run + 1)) - 2, run + 1)
+        w.write(0b101, 3)
+        r = BitReader(w.getvalue())
+        r.read_bits(skip)
+        assert r.read_unary() == run
+        assert r.read_bits(3) == 0b101

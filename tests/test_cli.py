@@ -1,7 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import geompair
 from geompair.cli import HEADER, MAGIC, main
 
 
@@ -68,6 +74,24 @@ def test_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "encode", str(src), "--family", "ck", "--k", "1")
     assert code == 2
     assert "'x'" in err
+
+
+def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_bytes("1 é".encode("utf-8"))
+    code, _, err = run(capsys, "encode", str(src), "--family", "ck", "--k", "1")
+    assert code == 2
+    assert "not ASCII" in err
+
+
+def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    import io
+
+    # '²' passes str.isdigit but int() rejects it
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 \u00b2"))
+    code, _, err = run(capsys, "encode", "-", "--family", "ck", "--k", "1")
+    assert code == 2
+    assert "position 1" in err
 
 
 def test_bad_magic(tmp_path, capsys):
@@ -185,3 +209,49 @@ def test_crossover_command(capsys):
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["encode", "--family", "bogus"]) == 1
+
+
+def _container(payload, count, family=1, k=3):
+    return HEADER.pack(MAGIC, 1, family, k, count) + payload
+
+
+def test_count_beyond_payload_bits_rejected(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("2 1 0 0")
+    enc = tmp_path / "enc.bin"
+    run(capsys, "encode", str(src), "--family", "ck", "--k", "3", "--out", str(enc))
+    payload = enc.read_bytes()[HEADER.size:]
+    count = 8 * len(payload) + 1
+    enc.write_bytes(_container(payload, count))
+    code, out, err = run(capsys, "decode", str(enc))
+    assert code == 2
+    assert out == ""
+    assert str(count) in err and f"{len(payload)} payload bytes" in err
+
+
+def test_huge_ck_parameter_rejected_promptly(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_container(bytes(2), 1, family=1, k=65535))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decode", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "truncated" in err
+    assert time.perf_counter() - start < 5.0
+
+
+def _run_child(*args):
+    src = str(Path(geompair.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    child = _run_child("-c", "import sys, geompair.cli; print('numpy' in sys.modules)")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
+    child = _run_child("-m", "geompair.cli", "oracle", "--q", "0.5")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("4.000000 ±")

@@ -133,6 +133,18 @@ def test_limit_roundtrip():
     assert [limit_decode(r) for _ in pairs] == pairs
 
 
+def test_limit_decode_every_pair_of_a_signature():
+    # every block position, at signatures on both sides of each power of two
+    sigs = list(range(300)) + [s + d for s in (511, 1023, 4095) for d in (-1, 0, 1)]
+    pairs = [(i, s - i) for s in sigs for i in range(s + 1)]
+    w = BitWriter()
+    for p in pairs:
+        w.write_codeword(limit_encode(p))
+    r = BitReader(w.getvalue())
+    assert [limit_decode(r) for _ in pairs] == pairs
+    assert r.bits_consumed == w.bits_written
+
+
 def test_limit_decode_exhaustion():
     w = BitWriter()
     w.write_codeword(limit_encode((40, 40)))
