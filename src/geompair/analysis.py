@@ -15,7 +15,7 @@ import bisect
 import math
 from functools import lru_cache
 
-from .cminus_codec import limit_row, signature_length_row
+from .cminus_codec import limit_row, signature_row
 from .basecodes import QuasiUniformSpec, golomb_length
 from .families import CodeFamily
 from .fringe2 import TopCode, top_code_params
@@ -141,12 +141,14 @@ class CminusLengthModel:
     """Per-signature lengths of the order-k code for q = 2^(-k)."""
 
     def __init__(self, k: int) -> None:
+        if k < 2:
+            raise ValueError("k must be >= 2")
         self.k = k
         self.quad_majorant_from = max(k, 4)
 
     def row_total(self, s: int) -> int:
-        row = signature_length_row(self.k, s)
-        return row.lam * row.n_short + (row.lam + 1) * row.n_long
+        lam, n_short, n_long, _ = signature_row(self.k, s)
+        return lam * n_short + (lam + 1) * n_long
 
 
 class LimitLengthModel:

@@ -183,8 +183,12 @@ class BitReader:
 
     def read_unary(self) -> int:
         """Count of one bits before the next zero bit; consumes both."""
-        start = self._base + self._pos
-        zero = self._bits.find("0", self._pos)
+        pos = self._pos
+        zero = self._bits.find("0", pos)
+        if zero >= 0:
+            self._pos = zero + 1
+            return zero - pos
+        start = self._base + pos
         while zero < 0:
             end = self._base + self._nbits
             if end >= self._total:

@@ -146,11 +146,15 @@ def cmd_decode(args) -> int:
     reader = BitReader(payload)
     lines = []
     try:
-        for _ in range(count):
+        for index in range(count):
+            start = reader.bits_consumed
             i, j = codec.decode(reader)
             lines.append(f"{i} {j}\n")
     except StreamExhausted as exc:
-        raise DataError(f"bitstream truncated: {exc}") from exc
+        raise DataError(
+            f"bitstream truncated in pair {index} (0-based), "
+            f"which starts at payload bit {start}: {exc}"
+        ) from exc
     if reader.bits_remaining >= 8:
         raise TrailingGarbage(f"{reader.bits_remaining} bits beyond final pair")
     pad = reader.bits_remaining

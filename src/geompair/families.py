@@ -49,9 +49,9 @@ class CodeFamily:
 def make_codec(family: CodeFamily):
     """Pair codec (encode / encode_to / encode_many / decode) for the family.
 
-    Codecs are cached and safe to share: CkCodec and the stateless codecs
-    are immutable, and CminusCodec mutates only its internal allocation
-    cache.
+    Codecs are cached and safe to share: none of them changes after
+    construction, and each holds state that does not grow with the pairs
+    it codes.
     """
     if family.kind == "ck":
         return CkCodec(family.k)

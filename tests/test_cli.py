@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,47 @@ def test_huge_ck_parameter_rejected_promptly(tmp_path, capsys):
     assert out == ""
     assert "truncated" in err
     assert time.perf_counter() - start < 5.0
+
+
+HOSTILE_PAYLOADS = {
+    # a run of ones that never ends: no cminus codeword is all ones
+    "endless-run": (b"\xff" * 65536, "truncated"),
+    # one codeword of a signature near 2^18, then 112 stray bits
+    "deep-codeword": (b"\xff" * 65535 + b"\xfe" + bytes(16), "beyond final pair"),
+}
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("kind", HOSTILE_PAYLOADS)
+def test_hostile_cminus_container_rejected_in_bounded_time_and_memory(tmp_path, capsys, k, kind):
+    payload, message = HOSTILE_PAYLOADS[kind]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_container(payload, 1, family=2, k=k))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "decode", str(bad))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert elapsed < 2.0
+    assert peak < 20 * 2**20
+
+
+def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("2 1 0 0 5 3")  # ck k=1 codewords of 5, 2 and 10 bits
+    enc = tmp_path / "enc.bin"
+    run(capsys, "encode", str(src), "--family", "ck", "--k", "1", "--out", str(enc))
+    enc.write_bytes(enc.read_bytes()[:-1])  # 16 of the 17 payload bits
+    code, out, err = run(capsys, "decode", str(enc))
+    assert code == 2
+    assert out == ""
+    assert "bitstream truncated in pair 2 (0-based), which starts at payload bit 7" in err
 
 
 def _run_child(*args):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -110,6 +111,40 @@ def test_lengths_follow_rows():
         if row.n_long:
             expected[row.lam + 1] = row.n_long
         assert lens == expected
+
+
+def test_codeword_of_a_deep_signature_keeps_no_state():
+    # the codec once allocated every signature up to s, each row holding
+    # two s-bit values: about 100 MB for s = 20000
+    codec = CminusCodec(2)
+    before = dict(vars(codec))
+    tracemalloc.start()
+    try:
+        value, length = codec.codeword((0, 20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vars(codec) == before
+    assert all(vars(codec)[name] is state for name, state in before.items())
+    assert peak < 2**20
+    row = signature_length_row(2, 20000)
+    assert row.n_short > 0  # rank 0 is short
+    assert length == row.lam
+    reader = BitReader(value.to_bytes(length // 8, "big"))
+    assert codec.decode(reader) == (0, 20000)
+
+
+@pytest.mark.parametrize("k", [2, 4, 11, 20])
+def test_decode_of_a_long_run_reencodes_to_its_bits(k):
+    # a run of about 2^19 ones reaches signatures far past the codec's memo,
+    # in the periodic regime for k <= 11 and in the initial one for k = 20
+    data = b"\xff" * 65535 + b"\xfe" + bytes([0x5A]) * 16
+    codec = CminusCodec(k)
+    reader = BitReader(data)
+    pair = codec.decode(reader)
+    value, length = codec.codeword(pair)
+    assert length == reader.bits_consumed
+    assert value == int.from_bytes(data, "big") >> (8 * len(data) - length)
 
 
 # --- limit code ---
