@@ -255,19 +255,29 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _family_from_name(name: str) -> CodeFamily:
+    """``limit``, or a family kind followed by its order (``ck3``, ``cminus2``, ``golomb5``)."""
+    if name == "limit":
+        return CodeFamily("limit")
+    kind = name.rstrip("0123456789")
+    if kind not in ("ck", "cminus", "golomb") or kind == name:
+        raise DataError(f"unknown model {name!r}: use limit, ck<k>, cminus<k> or golomb<k>")
+    return CodeFamily(kind, int(name[len(kind):]))
+
+
 def cmd_crossover(args) -> int:
-    families = {
-        "limit": lambda q: analysis.avg_len_limit_closed(q),
-        "ck1": lambda q: analysis.avg_len_ck(q, 1),
-        "ck2": lambda q: analysis.avg_len_ck(q, 2),
-    }
+    if not 0.0 < args.q_lo < args.q_hi < 1.0:
+        raise DataError("need 0 < q-lo < q-hi < 1")
+    if args.tol <= 0:
+        raise DataError("tol must be positive")
+    family_a = _family_from_name(args.model_a)
+    family_b = _family_from_name(args.model_b)
     try:
-        model_a = families[args.model_a]
-        model_b = families[args.model_b]
-    except KeyError as exc:
-        raise DataError(f"unknown model {exc.args[0]!r}") from exc
-    try:
-        q_star = analysis.crossover(model_a, model_b, args.q_lo, args.q_hi, args.tol)
+        q_star = analysis.crossover(
+            lambda q: analysis.family_avg_len(family_a, q),
+            lambda q: analysis.family_avg_len(family_b, q),
+            args.q_lo, args.q_hi, args.tol,
+        )
     except analysis.NoSignChange as exc:
         raise DataError(str(exc)) from exc
     print(f"{q_star:.5f}")
@@ -328,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(func=cmd_oracle)
 
     crs = sub.add_parser("crossover", help="bisect two families' average lengths")
-    crs.add_argument("--model-a", default="limit")
-    crs.add_argument("--model-b", default="ck1")
+    crs.add_argument("--model-a", default="limit", help="limit, ck<k>, cminus<k> or golomb<k>")
+    crs.add_argument("--model-b", default="ck1", help="limit, ck<k>, cminus<k> or golomb<k>")
     crs.add_argument("--q-lo", type=float, default=0.25)
     crs.add_argument("--q-hi", type=float, default=0.45)
     crs.add_argument("--tol", type=float, default=1e-6)

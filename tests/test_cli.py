@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import geompair
+from geompair import analysis
 from geompair.cli import HEADER, MAGIC, main
+from geompair.families import CodeFamily
 
 
 def run(capsys, *argv):
@@ -207,6 +209,36 @@ def test_crossover_command(capsys):
     assert out.strip() == "0.33715"
 
 
+def test_crossover_takes_any_family(capsys):
+    # cminus k=2 against ck k=1 was outside the command's original three models
+    code, out, _ = run(capsys, "crossover", "--model-a", "cminus2", "--model-b", "ck1",
+                       "--q-lo", "0.25", "--q-hi", "0.45")
+    assert code == 0
+    want = analysis.crossover(
+        lambda q: analysis.family_avg_len(CodeFamily("cminus", 2), q),
+        lambda q: analysis.family_avg_len(CodeFamily("ck", 1), q),
+        0.25, 0.45, 1e-6,
+    )
+    assert out.strip() == f"{want:.5f}"
+    code, out, _ = run(capsys, "crossover", "--model-a", "golomb1", "--model-b", "golomb2",
+                       "--q-lo", "0.5", "--q-hi", "0.7")
+    assert code == 0
+    assert out.strip() == "0.61803"  # the golden-ratio boundary of the Golomb orders
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--model-a", "bogus"], ["--model-b", "ck"], ["--model-a", "limit2"],
+     ["--model-a", "ck0"], ["--model-b", "cminus1"], ["--model-a", "ck\u00b2"],
+     ["--q-hi", "1.5"], ["--q-lo", "0.4", "--q-hi", "0.3"], ["--tol", "0"]],
+)
+def test_crossover_rejects_bad_models_and_ranges(capsys, argv):
+    code, out, err = run(capsys, "crossover", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("geompair: ")
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["encode", "--family", "bogus"]) == 1
@@ -297,3 +329,23 @@ def test_cli_import_leaves_numpy_unloaded():
     child = _run_child("-m", "geompair.cli", "oracle", "--q", "0.5")
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith("4.000000 ±")
+
+
+def test_oracle_paths_leave_numpy_unloaded():
+    child = _run_child("-c", (
+        "import sys\n"
+        "from geompair.cli import main\n"
+        "main(['oracle', '--q', '0.95'])\n"
+        "main(['sweep', '--q-lo', '0.9', '--q-hi', '0.95', '--with-oracle', '--out', '-'])\n"
+        "from geompair.oracle import oracle_optimal_avg_len\n"
+        "print(oracle_optimal_avg_len(0.98, 1e-9))\n"
+        "print('numpy' in sys.modules)\n"
+    ))
+    assert child.returncode == 0, child.stderr
+    oracle_line, *sweep_lines, value_line, numpy_line = child.stdout.splitlines()
+    assert [line.split(",")[0] for line in sweep_lines[1:]] == ["0.900000", "0.950000"]
+    assert all(line.split(",")[2] for line in sweep_lines[1:])  # the oracle column
+    assert oracle_line == "11.484262 ± 3.20e-08"  # as printed by the per-symbol oracle
+    est, unc = map(float, value_line.strip("()").split(", "))
+    assert abs(est - 14.172894635551545) <= 1e-12 * est and unc == 3.2e-08
+    assert numpy_line == "False"

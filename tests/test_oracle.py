@@ -1,3 +1,13 @@
+"""The truncated-Huffman oracle.
+
+``ref_huffman_lengths`` and ``ref_truncated_source`` are the package's
+original oracle: a per-symbol two-queue loop over numpy arrays, and the
+per-symbol source it ran on.  They are kept here as the reference for
+the run-length core, which must build the same code.
+"""
+
+import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -12,6 +22,7 @@ from geompair.oracle import (
     EmptySource,
     SourceTooLarge,
     TAIL,
+    DEFAULT_SYMBOL_CAP,
     build_truncated_source,
     gap_bound,
     huffman_lengths,
@@ -144,3 +155,142 @@ def test_max_gap_synthetic():
     by_sig = {0: [1], 1: [4, 5], 2: [5, 6]}
     assert max_gap(by_sig, 2) == 0
     assert max_gap({0: [1], 1: [2], 2: [6]}, 2) == 3
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the original per-symbol oracle
+# ---------------------------------------------------------------------------
+
+
+def ref_huffman_lengths(weights):
+    w = np.asarray(weights, dtype=np.float64)
+    n = len(w)
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
+    asc = w[::-1]  # leaf queue, lightest first
+    merged = np.empty(n - 1, dtype=np.float64)
+    parent = np.full(2 * n - 1, -1, dtype=np.int64)  # leaves 0..n-1 ascending
+    li = 0
+    mhead = 0
+    mtail = 0
+    for node in range(n - 1):
+        children = []
+        for _ in range(2):
+            take_leaf = li < n and (
+                mhead >= mtail or asc[li] <= merged[mhead]
+            )
+            if take_leaf:
+                children.append(li)
+                li += 1
+            else:
+                children.append(n + mhead)
+                mhead += 1
+        merged[mtail] = sum(
+            asc[c] if c < n else merged[c - n] for c in children
+        )
+        for c in children:
+            parent[c] = n + node
+        mtail += 1
+    depth = np.zeros(2 * n - 1, dtype=np.int64)
+    for node in range(2 * n - 3, -1, -1):  # parents are created after children
+        depth[node] = depth[parent[node]] + 1
+    return depth[:n][::-1].copy()  # back to non-increasing weight order
+
+
+def ref_truncated_source(q, eps):
+    """(weights, signatures) of the original per-symbol source."""
+    s_max = build_truncated_source(q, eps).s_max
+    sigs = np.repeat(np.arange(s_max + 1), np.arange(1, s_max + 2))
+    weights = q ** sigs.astype(np.float64)
+    tail = tail_fraction(q, s_max) / (1.0 - q) ** 2
+    pos = int(np.searchsorted(-weights, -tail, side="right"))
+    return np.insert(weights, pos, tail), np.insert(sigs, pos, TAIL)
+
+
+def _random_weight_vectors(count):
+    rng = np.random.default_rng(2024)
+    for trial in range(count):
+        n = int(rng.integers(1, 300))
+        kind = trial % 4
+        if kind == 0:  # few distinct integers: long runs, many ties with sums
+            w = rng.integers(1, int(rng.integers(2, 40)), size=n).astype(float)
+        elif kind == 1:  # dyadic weights: merged sums tie with leaves
+            w = 2.0 ** -rng.integers(0, 12, size=n).astype(float)
+        elif kind == 2:  # continuous weights with a few repeats
+            w = rng.random(n) + 1e-3
+            w[rng.integers(0, n, size=n // 4)] = w[0]
+        else:  # geometric runs, as in the pair source
+            q = float(rng.uniform(0.05, 0.95))
+            w = q ** rng.integers(0, 30, size=n).astype(float)
+        yield np.sort(w)[::-1]
+
+
+def test_huffman_lengths_match_reference_on_random_vectors():
+    for w in _random_weight_vectors(1200):
+        assert np.array_equal(huffman_lengths(w), ref_huffman_lengths(w)), w.tolist()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0], [3.0] * 7, [1.0] * 16, [0.4, 0.3, 0.2, 0.1],
+     [4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]],
+)
+def test_huffman_lengths_match_reference_on_small_instances(weights):
+    assert np.array_equal(huffman_lengths(weights), ref_huffman_lengths(weights))
+
+
+def test_huffman_lengths_are_non_decreasing():
+    for w in _random_weight_vectors(200):
+        assert np.all(np.diff(huffman_lengths(w)) >= 0)
+
+
+@pytest.mark.parametrize(
+    "q", [0.05, 0.1, 0.25, 0.3, 0.5, 2 ** -0.5, 0.75, 0.8, 0.9, 0.95]
+)
+def test_truncated_huffman_matches_reference(q):
+    eps = 1e-9
+    weights, sigs = ref_truncated_source(q, eps)
+    lengths = ref_huffman_lengths(weights)
+    ref_by_sig = {}
+    for sig, ln in zip(sigs.tolist(), lengths.tolist()):
+        ref_by_sig.setdefault(sig, []).append(ln)
+    ref_tail_depth = int(lengths[sigs == TAIL][0])
+    ref_avg = float((1.0 - q) ** 2 * np.dot(weights, lengths))
+
+    code = truncated_huffman(q, eps)
+    assert code.lengths_by_signature.keys() == ref_by_sig.keys()
+    for sig, lens in ref_by_sig.items():
+        assert Counter(code.lengths_by_signature[sig]) == Counter(lens), sig
+    assert code.tail_depth == ref_tail_depth
+    assert code.uncertainty == eps * (ref_tail_depth + 2)
+    assert math.isclose(code.avg_len_pair, ref_avg, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_per_symbol_views_align_with_runs():
+    code = truncated_huffman(0.8, 1e-6)
+    src = code.source
+    n = sum(c for _, _, c in src.runs)
+    assert len(src.weights) == len(src.signatures) == len(code.lengths) == n
+    assert float((1.0 - 0.8) ** 2 * np.dot(src.weights, code.lengths)) == pytest.approx(
+        code.avg_len_pair, rel=1e-12
+    )
+    for sig, lens in code.lengths_by_signature.items():
+        assert sorted(code.lengths[src.signatures == sig].tolist()) == lens
+
+
+def test_symbol_cap_counts_symbols_not_runs():
+    # q = 0.98 at eps = 1e-9 truncates at S = 1184: 702 706 symbols in 1186 runs
+    with pytest.raises(SourceTooLarge):
+        build_truncated_source(0.98, 1e-9, cap=700_000)
+    src = build_truncated_source(0.98, 1e-9, cap=DEFAULT_SYMBOL_CAP)
+    assert src.s_max == 1184
+    assert len(src.runs) == src.s_max + 2
+
+
+def test_oracle_at_q98_is_fast():
+    start = time.perf_counter()
+    est, unc = oracle_optimal_avg_len(0.98, 1e-9)
+    assert time.perf_counter() - start < 2.0  # the per-symbol loop took about 2.5 s
+    # the per-symbol oracle's value; only the summation order differs
+    assert math.isclose(est, 14.172894635551545, rel_tol=1e-12)
+    assert unc == 3.2e-08
