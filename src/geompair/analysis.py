@@ -11,12 +11,10 @@ signature with a certified geometric tail bound.
 
 from __future__ import annotations
 
-import bisect
 import math
-from functools import lru_cache
 
 from .cminus_codec import limit_row, signature_row
-from .basecodes import QuasiUniformSpec, golomb_length
+from .basecodes import golomb_length, quasi_uniform_shape
 from .families import CodeFamily
 from .fringe2 import TopCode, top_code_params
 
@@ -112,11 +110,17 @@ def avg_len_limit_closed(q: float) -> float:
 
 
 def golomb_pair_avg_len(q: float, k: int) -> float:
-    """Average pair length of the order-k Golomb code applied per symbol."""
+    """Average pair length of the order-k Golomb code applied per symbol.
+
+    The remainder of a symbol is truncated-geometric on [0, k); the
+    quasi-uniform code gives its first ``short`` ranks m - 1 bits and the
+    rest m bits, so its average is m - (1 - q^short) / (1 - q^k).
+    """
     _check_q(q)
-    spec = QuasiUniformSpec.for_size(k)
-    resid = sum(spec.length_of(r) * q**r for r in range(k)) * (1 - q) / (1 - q**k)
-    per_symbol = resid + 1.0 + q**k / (1.0 - q**k)
+    m, short = quasi_uniform_shape(k)
+    qk = q**k
+    resid = m - (1.0 - q**short) / (1.0 - qk)
+    per_symbol = resid + 1.0 + qk / (1.0 - qk)
     return 2.0 * per_symbol
 
 
@@ -124,11 +128,21 @@ def best_golomb_order(q: float) -> int:
     """Smallest k with q^k + q^(k+1) <= 1; the order-k Golomb code is the
     best Golomb code for this q (interval boundaries inclusive on the
     right, with a 1e-12 slack so that algebraic boundary points such as
-    q = (sqrt 5 - 1)/2 land in the lower-order interval)."""
+    q = (sqrt 5 - 1)/2 land in the lower-order interval).
+
+    The bound solved in logarithms gives k to within rounding; the
+    predicate itself then settles it in a step or two, for any q.
+    """
     _check_q(q)
-    k = 1
-    while q**k + q ** (k + 1) > 1.0 + 1e-12:
+
+    def too_small(k: int) -> bool:
+        return q**k + q ** (k + 1) > 1.0 + 1e-12
+
+    k = max(1, math.ceil((math.log1p(1e-12) - math.log1p(q)) / math.log(q)))
+    while too_small(k):
         k += 1
+    while k > 1 and not too_small(k - 1):
+        k -= 1
     return k
 
 
@@ -330,7 +344,8 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
     """Bisect for the q where the two average-length curves cross.
 
     ``avg_a`` and ``avg_b`` map q to bits per pair; their difference must
-    change sign exactly once on [q_lo, q_hi].
+    change sign exactly once on [q_lo, q_hi].  A zero at one end is that
+    crossing; zeros at both ends are not a single crossing.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -339,6 +354,8 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
         return avg_a(q) - avg_b(q)
 
     fa, fb = f(q_lo), f(q_hi)
+    if fa == 0.0 and fb == 0.0:
+        raise NoSignChange(f"the curves are equal at both ends of [{q_lo}, {q_hi}]")
     if fa == 0.0:
         return q_lo
     if fb == 0.0:
@@ -384,79 +401,15 @@ def _best_family_direct(q: float) -> CodeFamily:
     return best
 
 
-def _winner_chain(f0: CodeFamily, f1: CodeFamily) -> list[CodeFamily]:
-    """Families that may win between neighbouring grid winners f0 and f1.
-
-    Between ck k0 and ck k1 each intermediate ck k can win on an interval
-    narrower than the grid step; any other change of winner is direct.
-    """
-    if f0.kind == f1.kind == "ck" and f1.k > f0.k + 1:
-        return [CodeFamily("ck", k) for k in range(f0.k, f1.k + 1)]
-    return [f0, f1]
-
-
-def _crossover_between(f0: CodeFamily, f1: CodeFamily, q0: float, q1: float) -> float:
-    """Where f0 and f1 cross on [q0, q1]; the midpoint if they do not."""
-    try:
-        return crossover(
-            lambda q: family_avg_len(f0, q, _SELECT_SERIES_EPS),
-            lambda q: family_avg_len(f1, q, _SELECT_SERIES_EPS),
-            q0,
-            q1,
-            1e-6,
-        )
-    except NoSignChange:
-        return 0.5 * (q0 + q1)
-
-
-@lru_cache(maxsize=1)
-def _selection_thresholds() -> tuple[list[float], list[CodeFamily]]:
-    """Precomputed selection table on the mean axis.
-
-    Scans a q grid, finds where the winning family changes, refines each
-    boundary by bisecting neighbouring winners' average-length difference,
-    and stores the boundaries as sample means (q / (1 - q)).  Bucket i
-    holds the best family for means below ``bounds[i]``.  Where the
-    winner jumps over ck parameters between two grid points, the lower
-    envelope of the whole chain is bisected: a family whose crossover
-    with its successor does not lie above its own lower boundary never
-    wins and is dropped.
-    """
-    grid = [0.02 + 0.0025 * i for i in range(int((0.985 - 0.02) / 0.0025) + 1)]
-    winners = [_best_family_direct(q) for q in grid]
-    bounds: list[float] = []
-    fams: list[CodeFamily] = [winners[0]]
-    for (q0, f0), (q1, f1) in zip(zip(grid, winners), zip(grid[1:], winners[1:])):
-        if f1 == f0:
-            continue
-        local_bounds: list[float] = []
-        local_fams = [f0]
-        for fam in _winner_chain(f0, f1)[1:]:
-            q_star = _crossover_between(local_fams[-1], fam, q0, q1)
-            while local_bounds and q_star <= local_bounds[-1]:
-                local_fams.pop()
-                local_bounds.pop()
-                q_star = _crossover_between(local_fams[-1], fam, q0, q1)
-            local_bounds.append(q_star)
-            local_fams.append(fam)
-        bounds += [q / (1.0 - q) for q in local_bounds]
-        fams += local_fams[1:]
-    return bounds, fams
-
-
 def adaptive_select(mean: float) -> CodeFamily:
     """Family minimizing the pair average at the plug-in estimate
     q = mean / (1 + mean) of the geometric parameter.
 
-    Uses the precomputed mean-axis thresholds where they apply and falls
-    back to a direct scan outside the tabulated range.
+    One exact scan of the candidate families at that q, for every mean;
+    mean 0 selects the limit code.
     """
     if mean < 0:
         raise ValueError("mean must be >= 0")
     if mean == 0:
         return CodeFamily("limit")
-    qhat = mean / (1.0 + mean)
-    if 0.02 <= qhat <= 0.985:
-        bounds, fams = _selection_thresholds()
-        return fams[bisect.bisect_left(bounds, mean)]
-    return _best_family_direct(qhat)
+    return _best_family_direct(mean / (1.0 + mean))

@@ -218,10 +218,10 @@ def cmd_sweep(args) -> int:
             analysis.golomb_pair_avg_len(q, k)
             for k in _golomb_orders_near(q)
         )
-        ck = min(analysis.avg_len_ck(q, k) for k in range(1, 65))
+        ck = min(analysis.avg_len_ck(q, k) for k in range(1, analysis._SELECT_CK_MAX + 1))
         cminus = min(
             analysis.avg_len_by_series(analysis.CminusLengthModel(k), q, args.eps)
-            for k in range(2, 11)
+            for k in range(2, analysis._SELECT_CMINUS_MAX + 1)
         )
         limit = analysis.avg_len_limit_closed(q)
         opt = ""
@@ -272,6 +272,10 @@ def cmd_crossover(args) -> int:
         raise DataError("tol must be positive")
     family_a = _family_from_name(args.model_a)
     family_b = _family_from_name(args.model_b)
+    if family_a == family_b:
+        raise DataError(
+            f"model-a and model-b are both {family_a.label()}: one family does not cross itself"
+        )
     try:
         q_star = analysis.crossover(
             lambda q: analysis.family_avg_len(family_a, q),

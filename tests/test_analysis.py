@@ -3,6 +3,7 @@ import math
 import pytest
 
 from geompair import analysis
+from geompair.basecodes import QuasiUniformSpec
 from geompair.analysis import (
     CkLengthModel,
     CminusLengthModel,
@@ -92,6 +93,77 @@ def test_best_golomb_order(q, k):
     assert best_golomb_order(q) == k
 
 
+def _best_golomb_order_loop(q):
+    # the original linear search, kept as the reference for the closed form
+    k = 1
+    while q**k + q ** (k + 1) > 1.0 + 1e-12:
+        k += 1
+    return k
+
+
+def _golomb_pair_avg_len_sum(q, k):
+    # the original remainder sum over range(k), kept as the reference
+    spec = QuasiUniformSpec.for_size(k)
+    resid = sum(spec.length_of(r) * q**r for r in range(k)) * (1 - q) / (1 - q**k)
+    return 2.0 * (resid + 1.0 + q**k / (1.0 - q**k))
+
+
+def _golomb_boundary(k):
+    # the largest float q at which the reference predicate still picks
+    # order k (or less); the next float up picks k + 1
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid**k + mid ** (k + 1) <= 1.0 + 1e-12:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _golomb_reference_grid():
+    qs = [i / 1000 for i in range(1, 1000)]
+    # 1 - q log-spaced down to 7e-6, where the best order is about 1e5
+    qs += [1.0 - 10 ** (-3 - 2.15 * i / 40) for i in range(41)]
+    for k in list(range(1, 260)) + [621, 637, 1000, 10_000]:
+        b = _golomb_boundary(k)
+        qs += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0), b - 1e-12, b + 1e-12]
+    qs += [0.5, 0.7, GOLDEN, 0.618035, 0.9]  # the test_best_golomb_order cases
+    return qs
+
+
+def test_best_golomb_order_matches_linear_search():
+    qs = _golomb_reference_grid()
+    assert max(_best_golomb_order_loop(q) for q in qs) >= 90_000
+    for q in qs:
+        assert best_golomb_order(q) == _best_golomb_order_loop(q), q
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99, 0.999])
+def test_golomb_pair_closed_form_matches_remainder_sum(q):
+    for k in range(1, 300):
+        want = _golomb_pair_avg_len_sum(q, k)
+        assert abs(golomb_pair_avg_len(q, k) - want) <= 1e-13 * want, k
+
+
+def test_golomb_pair_closed_form_matches_remainder_sum_at_large_orders():
+    for q in (1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 7e-6):
+        best = best_golomb_order(q)
+        for k in (best - 1, best, best + 1, 99_999):
+            want = _golomb_pair_avg_len_sum(q, k)
+            assert abs(golomb_pair_avg_len(q, k) - want) <= 1e-11 * want, (q, k)
+
+
+def test_best_golomb_order_is_bounded_near_one():
+    # a linear search would take about 0.69 * mean steps here
+    for mean in (1e6, 1e9, 1e12, 1e15):
+        q = mean / (1.0 + mean)
+        k = best_golomb_order(q)
+        assert q**k + q ** (k + 1) <= 1.0 + 1e-12 < q ** (k - 1) + q**k
+        assert abs(k / (mean * math.log(2.0)) - 1.0) < 1e-3
+        assert math.isfinite(golomb_pair_avg_len(q, k))
+
+
 def test_golomb_interval_endpoints_via_root_finding():
     # endpoint of the first interval solves q + q^2 = 1; bisect it and
     # compare with the closed form
@@ -164,6 +236,18 @@ def test_crossover_requires_sign_change():
         crossover(lambda q: 1.0, lambda q: 2.0, 0.2, 0.4, 1e-5)
 
 
+def test_crossover_rejects_curves_equal_at_both_ends():
+    with pytest.raises(NoSignChange):
+        crossover(lambda q: avg_len_ck(q, 3), lambda q: avg_len_ck(q, 3), 0.25, 0.45, 1e-6)
+    with pytest.raises(NoSignChange):
+        crossover(lambda q: 1.0, lambda q: 1.0, 0.2, 0.4, 1e-5)
+
+
+def test_crossover_zero_at_one_end_returns_that_end():
+    assert crossover(lambda q: q, lambda q: 0.3, 0.3, 0.5, 1e-6) == 0.3
+    assert crossover(lambda q: q, lambda q: 0.5, 0.3, 0.5, 1e-6) == 0.5
+
+
 def test_limit_vs_unary_pair_ordering_flips_at_crossover():
     assert avg_len_limit_closed(0.33) < avg_len_ck(0.33, 1)
     assert avg_len_limit_closed(0.34) > avg_len_ck(0.34, 1)
@@ -206,3 +290,50 @@ def test_adaptive_select_matches_direct_minimum():
         assert excess <= 1e-6, (mean, chosen.label(), best.label(), excess)
     # the defect case: ck k=20 wins only between two grid points
     assert adaptive_select(28.3) == analysis.CodeFamily("ck", 20)
+
+
+def _brute_force_best(q, eps=1e-10):
+    """Minimum over an explicit family list, independent of ``_candidates``."""
+    fams = [analysis.CodeFamily("ck", k) for k in range(1, 65)]
+    fams += [analysis.CodeFamily("cminus", k) for k in range(2, 11)]
+    fams.append(analysis.CodeFamily("limit"))
+    best = _best_golomb_order_loop(q)
+    fams += [analysis.CodeFamily("golomb", k) for k in range(max(1, best - 1), best + 2)]
+    return min(analysis.family_avg_len(f, q, eps) for f in fams)
+
+
+def _ck_crossover_means(k, offsets=(-1e-7, -1e-8, 1e-8, 1e-7)):
+    q_star = crossover(
+        lambda q: avg_len_ck(q, k), lambda q: avg_len_ck(q, k + 1),
+        2 ** (-1 / k), 2 ** (-1 / (k + 1)), 1e-13,
+    )
+    return [(q_star + d) / (1.0 - q_star - d) for d in offsets]
+
+
+def test_adaptive_select_matches_brute_force_minimum():
+    means = [1e-6, 1e-3, 0.01, 0.015, 0.0203]  # q-hat below 0.02
+    means += [70.0, 100.0, 300.0, 999.0]  # q-hat above 0.985
+    means += [0.1, 0.3, 0.5, 1.0, 3.0, 28.3]
+    for k in (1, 2, 5, 10, 19, 20, 33, 63):
+        means += _ck_crossover_means(k)
+    for mean in means:
+        q = mean / (1.0 + mean)
+        chosen = adaptive_select(mean)
+        excess = analysis.family_avg_len(chosen, q, 1e-10) - _brute_force_best(q)
+        # the selector sums cminus series to within its own 1e-8
+        assert excess <= 1e-8, (mean, chosen.label(), excess)
+
+
+def test_adaptive_select_evaluates_each_candidate_once(monkeypatch):
+    calls = []
+    family_avg_len = analysis.family_avg_len
+
+    def counting(family, q, eps=1e-9):
+        calls.append(family)
+        return family_avg_len(family, q, eps)
+
+    monkeypatch.setattr(analysis, "family_avg_len", counting)
+    for mean in (0.01, 0.5, 1.0, 28.3, 1e4, 1e12):
+        calls.clear()
+        adaptive_select(mean)
+        assert 0 < len(calls) <= len(analysis._candidates(mean / (1.0 + mean))), mean

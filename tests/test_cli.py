@@ -183,6 +183,12 @@ def test_sweep_csv(capsys):
     assert abs(float(fields[2])) < 1e-5
 
 
+def test_sweep_default_csv_is_golden(capsys):
+    code, out, _ = run(capsys, "sweep")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "sweep_default.csv").read_text()
+
+
 def test_sweep_oracle_column_empty_without_flag(capsys):
     code, out, _ = run(capsys, "sweep", "--q-lo", "0.3", "--q-hi", "0.3", "--step", "0.1")
     assert code == 0
@@ -193,6 +199,15 @@ def test_select(capsys):
     code, out, _ = run(capsys, "select", "--mean", "1.0")
     assert code == 0
     assert out.strip() == "ck k=1"
+
+
+def test_select_huge_mean_is_prompt():
+    # the Golomb order here is about 6.9e11: a search linear in it takes hours
+    start = time.perf_counter()
+    child = _run_child("-m", "geompair.cli", "select", "--mean", "1e12")
+    assert time.perf_counter() - start < 5.0
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("golomb k=")
 
 
 def test_oracle_command(capsys):
@@ -224,6 +239,13 @@ def test_crossover_takes_any_family(capsys):
                        "--q-lo", "0.5", "--q-hi", "0.7")
     assert code == 0
     assert out.strip() == "0.61803"  # the golden-ratio boundary of the Golomb orders
+
+
+def test_crossover_same_family_twice_exits_2(capsys):
+    code, out, err = run(capsys, "crossover", "--model-a", "ck3", "--model-b", "ck3")
+    assert code == 2
+    assert out == ""
+    assert "both ck k=3" in err
 
 
 @pytest.mark.parametrize(
