@@ -32,23 +32,39 @@ from .fringe2 import (
     top_code_table,
     WeightedSource,
 )
-from .analysis import (
-    adaptive_select,
-    asymptotic_redundancy,
-    avg_len_by_series,
-    avg_len_ck,
-    avg_len_limit_closed,
-    best_golomb_order,
-    crossover,
-    entropy_per_symbol,
-)
-from .oracle import (
-    build_truncated_source,
-    huffman_lengths,
-    max_gap,
-    oracle_optimal_avg_len,
-    two_level_check,
-)
+
+# The analysis and oracle names load their modules on first use (PEP 562),
+# so that the codec path (``geompair encode`` / ``decode``) imports neither.
+_LAZY = {
+    "adaptive_select": "analysis",
+    "asymptotic_redundancy": "analysis",
+    "avg_len_by_series": "analysis",
+    "avg_len_ck": "analysis",
+    "avg_len_limit_closed": "analysis",
+    "best_golomb_order": "analysis",
+    "crossover": "analysis",
+    "entropy_per_symbol": "analysis",
+    "build_truncated_source": "oracle",
+    "huffman_lengths": "oracle",
+    "max_gap": "oracle",
+    "oracle_optimal_avg_len": "oracle",
+    "two_level_check": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

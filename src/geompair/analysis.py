@@ -29,6 +29,10 @@ class NoConvergence(Exception):
     """A series cannot converge for the given parameter."""
 
 
+class MeanOutOfRange(ValueError):
+    """Sample mean that gives no plug-in estimate q in [0, 1)."""
+
+
 class NoSignChange(Exception):
     """Bisection bracket does not straddle a sign change."""
 
@@ -408,8 +412,13 @@ def adaptive_select(mean: float) -> CodeFamily:
     One exact scan of the candidate families at that q, for every mean;
     mean 0 selects the limit code.
     """
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
+    if not 0 <= mean < math.inf:  # also rejects nan
+        raise MeanOutOfRange(f"mean must be finite and >= 0, got {mean}")
     if mean == 0:
         return CodeFamily("limit")
-    return _best_family_direct(mean / (1.0 + mean))
+    q = mean / (1.0 + mean)
+    if q >= 1.0:
+        raise MeanOutOfRange(
+            f"mean {mean} is too large: its estimate q = mean / (1 + mean) rounds to 1"
+        )
+    return _best_family_direct(q)

@@ -9,9 +9,9 @@ quasi-uniform code for N = k, then the quotient in unary.  Ranks here are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .bitio import BitReader, BitWriter, Codeword
+from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword, StreamExhausted
 
 
 class RankOutOfRange(ValueError):
@@ -39,8 +39,7 @@ def quasi_uniform_shape(n: int) -> tuple[int, int]:
     return m, (1 << m) - n
 
 
-@dataclass(frozen=True)
-class QuasiUniformSpec:
+class QuasiUniformSpec(namedtuple("QuasiUniformSpec", "n m short_count")):
     """Shape of the quasi-uniform code for an alphabet of N symbols.
 
     ``short_count`` ranks get ``m - 1`` bits, the rest ``m`` bits, where
@@ -49,9 +48,7 @@ class QuasiUniformSpec:
     codeword).
     """
 
-    n: int
-    m: int
-    short_count: int
+    __slots__ = ()
 
     @classmethod
     def for_size(cls, n: int) -> "QuasiUniformSpec":
@@ -149,12 +146,24 @@ def canonical_codewords(lengths: list[int]) -> list[Codeword]:
     return out
 
 
+class LeavesWindow(Exception):
+    """A batch decoder met a codeword that its reader's window does not hold
+    whole; the pair is decoded again by the per-pair path."""
+
+
 class PairCodec:
     """Encode paths shared by every pair codec.
 
     A codec implements ``codeword(pair) -> (value, length)``, its single
     encoder, and ``decode(reader)``; the public encoders below wrap
-    ``codeword``.
+    ``codeword``.  The concrete codecs override ``encode_many`` with a
+    loop that inlines their code and emits the same bits, and add
+    ``decode_many(reader, count)``: the next ``count`` pairs' components,
+    flat (``[i0, j0, i1, j1, ...]``), exactly as a loop of ``decode``
+    calls would return them and leaving the reader at the same bit.  If
+    the stream ends first, the :class:`StreamExhausted` carries the index
+    of the pair that ran off the end in ``pair`` and its start bit in
+    ``start``.
     """
 
     def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
@@ -175,6 +184,39 @@ class PairCodec:
             write(*codeword(pair))
         return writer.getvalue(), writer.bits_written
 
+    def decode_at(self, reader: BitReader, pos: int, index: int) -> tuple[int, int]:
+        """Pair ``index`` by the per-pair ``decode``, from window position
+        ``pos``: the batch decoders' path for a codeword that leaves the
+        window, where the reader refills it."""
+        reader.seek_window(pos)
+        start = reader.bits_consumed
+        try:
+            return self.decode(reader)
+        except StreamExhausted as exc:
+            exc.pair, exc.start = index, start
+            raise
+
+
+def decode_unary_pairs(codec: PairCodec, reader: BitReader, count: int) -> list[int]:
+    """``decode_many`` of two bare unary codes per pair (ck and Golomb k = 1)."""
+    bits, pos, _ = reader.window()
+    find = bits.find
+    out: list[int] = []
+    append = out.append
+    for index in range(count):
+        zero_i = find("0", pos)
+        zero_j = find("0", zero_i + 1) if zero_i >= 0 else -1
+        if zero_j >= 0:
+            append(zero_i - pos)
+            append(zero_j - zero_i - 1)
+            pos = zero_j + 1
+            continue
+        out += codec.decode_at(reader, pos, index)
+        bits, pos, _ = reader.window()
+        find = bits.find
+    reader.seek_window(pos)
+    return out
+
 
 class GolombPairCodec(PairCodec):
     """Pair codec applying the order-k Golomb code to each component."""
@@ -192,3 +234,85 @@ class GolombPairCodec(PairCodec):
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return golomb_decode(self.k, reader), golomb_decode(self.k, reader)
+
+    def encode_many(self, pairs) -> tuple[bytes, int]:
+        k = self.k
+        m, short_count = quasi_uniform_shape(k)
+        writer = BitWriter()
+        flush = writer.flush
+        acc = nacc = 0
+        for i, j in pairs:
+            if i < 0 or j < 0:
+                raise ValueError("Golomb argument must be >= 0")
+            quot_i, rem_i = divmod(i, k)
+            quot_j, rem_j = divmod(j, k)
+            # quasi-uniform remainder, then the quotient's ones and zero
+            if rem_i < short_count:
+                value_i, length_i = rem_i, m - 1
+            else:
+                value_i, length_i = rem_i + short_count, m
+            if rem_j < short_count:
+                value_j, length_j = rem_j, m - 1
+            else:
+                value_j, length_j = rem_j + short_count, m
+            value_i = ((value_i + 1) << (quot_i + 1)) - 2
+            value_j = ((value_j + 1) << (quot_j + 1)) - 2
+            length_j += quot_j + 1
+            value = (value_i << length_j) | value_j
+            length = length_i + quot_i + 1 + length_j
+            if value >> length:
+                raise ValueError(f"value {value} does not fit in {length} bits")
+            acc = (acc << length) | value
+            nacc += length
+            if nacc >= FLUSH_BITS:
+                acc, nacc = flush(acc, nacc)
+        writer.write(acc, nacc)
+        return writer.getvalue(), writer.bits_written
+
+    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+        k = self.k
+        m, short_count = quasi_uniform_shape(k)
+        if m == 0:
+            return decode_unary_pairs(self, reader, count)
+        bits, pos, nbits = reader.window()
+        find = bits.find
+        out: list[int] = []
+        append = out.append
+        for index in range(count):
+            try:
+                # each remainder from an m-bit window, which the unary zero
+                # after it keeps inside the codeword: its first m - 1 bits
+                # tell a short remainder codeword from a long one
+                end = pos + m
+                if end > nbits:
+                    raise LeavesWindow
+                window = int(bits[pos:end], 2)
+                if window >> 1 < short_count:
+                    rem_i, end = window >> 1, end - 1
+                else:
+                    rem_i = window - short_count
+                zero_i = find("0", end)
+                if zero_i < 0:
+                    raise LeavesWindow
+                quot_i = zero_i - end
+                end = zero_i + 1 + m
+                if end > nbits:
+                    raise LeavesWindow
+                window = int(bits[zero_i + 1 : end], 2)
+                if window >> 1 < short_count:
+                    rem_j, end = window >> 1, end - 1
+                else:
+                    rem_j = window - short_count
+                zero_j = find("0", end)
+                if zero_j < 0:
+                    raise LeavesWindow
+            except LeavesWindow:
+                out += self.decode_at(reader, pos, index)
+                bits, pos, nbits = reader.window()
+                find = bits.find
+                continue
+            append(k * quot_i + rem_i)
+            append(k * (zero_j - end) + rem_j)
+            pos = zero_j + 1
+        reader.seek_window(pos)
+        return out

@@ -10,14 +10,19 @@ byte of a finalized stream is padded with zero bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class StreamExhausted(Exception):
-    """A read required more bits than the stream holds."""
+    """A read required more bits than the stream holds.
+
+    When a codec's ``decode_many`` raises it, ``pair`` is the 0-based index
+    of the pair that ran off the end and ``start`` the stream bit where that
+    pair starts; both are None for a single read.
+    """
+
+    pair = None
+    start = None
 
 
-@dataclass(frozen=True)
 class Codeword:
     """A finite bit string: the low ``length`` bits of ``value``, MSB first.
 
@@ -26,18 +31,35 @@ class Codeword:
     arbitrarily large int, so a single Codeword can carry logically
     unbounded codewords; fixed-width transports can split it into
     fragments of at most 64 bits and concatenation restores it.
+    Codewords are immutable, compare and hash by ``(value, length)``.
     """
 
-    value: int
-    length: int
+    __slots__ = ("value", "length")
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, value: int, length: int) -> None:
+        if length < 0:
             raise ValueError("codeword length must be >= 0")
-        if self.value < 0 or self.value >> self.length:
-            raise ValueError(
-                f"value {self.value} does not fit in {self.length} bits"
-            )
+        if value < 0 or value >> length:
+            raise ValueError(f"value {value} does not fit in {length} bits")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", length)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Codeword is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Codeword is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Codeword:
+            return NotImplemented
+        return self.value == other.value and self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.length))
+
+    def __repr__(self) -> str:
+        return f"Codeword(value={self.value!r}, length={self.length!r})"
 
     def __add__(self, other: "Codeword") -> "Codeword":
         """Concatenation: bits of ``self`` followed by bits of ``other``."""
@@ -69,7 +91,7 @@ class Codeword:
 # pending bits gathered before the writer flushes them to its buffer: a
 # larger accumulator makes every shift dearer, a smaller one flushes more
 # often (chosen by timing encode_many over thresholds 8 to 16384)
-_FLUSH_BITS = 2048
+FLUSH_BITS = 2048
 
 
 class BitWriter:
@@ -78,7 +100,7 @@ class BitWriter:
     def __init__(self) -> None:
         self._buf = bytearray()
         self._acc = 0  # pending bits not yet flushed to _buf, MSB-first
-        self._nacc = 0  # count of pending bits, below _FLUSH_BITS between calls
+        self._nacc = 0  # count of pending bits, below FLUSH_BITS between calls
 
     @property
     def bits_written(self) -> int:
@@ -89,7 +111,7 @@ class BitWriter:
         """Append the low ``length`` bits of ``value``, MSB first.
 
         ``length`` may be arbitrarily large; whole bytes are flushed to the
-        buffer once at least ``_FLUSH_BITS`` bits are pending.
+        buffer once at least ``FLUSH_BITS`` bits are pending.
         """
         if length < 0:
             raise ValueError("length must be >= 0")
@@ -97,13 +119,23 @@ class BitWriter:
             raise ValueError(f"value {value} does not fit in {length} bits")
         acc = (self._acc << length) | value
         nacc = self._nacc + length
-        if nacc >= _FLUSH_BITS:
-            rem = nacc & 7
-            self._buf += (acc >> rem).to_bytes(nacc >> 3, "big")
-            acc &= (1 << rem) - 1
-            nacc = rem
+        if nacc >= FLUSH_BITS:
+            acc, nacc = self.flush(acc, nacc)
         self._acc = acc
         self._nacc = nacc
+
+    def flush(self, acc: int, nacc: int) -> tuple[int, int]:
+        """Append the whole bytes of ``acc``, ``nacc`` bits MSB-first, to the
+        buffer and return the leftover ``(acc, nacc)``, under 8 bits.
+
+        ``acc`` must hold every bit written since the last flush, as in
+        :meth:`write`.  The batch encoders start from a fresh writer, gather
+        bits in a local accumulator, flush it here once it reaches
+        ``FLUSH_BITS`` bits and :meth:`write` the rest at the end.
+        """
+        rem = nacc & 7
+        self._buf += (acc >> rem).to_bytes(nacc >> 3, "big")
+        return acc & ((1 << rem) - 1), rem
 
     def write_codeword(self, cw: Codeword) -> None:
         self.write(cw.value, cw.length)
@@ -155,6 +187,16 @@ class BitReader:
     @property
     def bits_consumed(self) -> int:
         return self._base + self._pos
+
+    def window(self) -> tuple[str, int, int]:
+        """``(bits, pos, nbits)``: the window string, the read position in
+        it and its length.  A batch decoder scans ``bits`` itself and hands
+        its position back with :meth:`seek_window`."""
+        return self._bits, self._pos, self._nbits
+
+    def seek_window(self, pos: int) -> None:
+        """Move the read position to ``pos`` within the current window."""
+        self._pos = pos
 
     @property
     def bits_remaining(self) -> int:

@@ -10,8 +10,10 @@ degenerates to two unary codes, for k = 2 to the uniform 2-bit code on
 
 from __future__ import annotations
 
-from .basecodes import PairCodec
-from .bitio import BitReader
+from bisect import bisect_right
+
+from .basecodes import PairCodec, decode_unary_pairs
+from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import TopCode
 
 
@@ -49,3 +51,76 @@ class CkCodec(PairCodec):
         u = reader.read_unary()
         v = reader.read_unary()
         return a + self.k * u, b + self.k * v
+
+    def encode_many(self, pairs) -> tuple[bytes, int]:
+        k = self.k
+        base = self._top.base
+        (rank_1, offset_1, length_1), (rank_2, offset_2, length_2), (_, offset_3, length_3) = (
+            self._top.encode_levels
+        )
+        writer = BitWriter()
+        flush = writer.flush
+        acc = nacc = 0
+        for i, j in pairs:
+            if i < 0 or j < 0:
+                raise ValueError("pair components must be >= 0")
+            u, a = divmod(i, k)
+            v, b = divmod(j, k)
+            rank = base[a + b] + a
+            if rank < rank_1:
+                value, length = rank + offset_1, length_1
+            elif rank < rank_2:
+                value, length = rank + offset_2, length_2
+            else:
+                value, length = rank + offset_3, length_3
+            # append u ones and a zero, then v ones and a zero
+            value = ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2
+            length += u + v + 2
+            if value >> length:
+                raise ValueError(f"value {value} does not fit in {length} bits")
+            acc = (acc << length) | value
+            nacc += length
+            if nacc >= FLUSH_BITS:
+                acc, nacc = flush(acc, nacc)
+        writer.write(acc, nacc)
+        return writer.getvalue(), writer.bits_written
+
+    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+        k = self.k
+        if k == 1:  # the void top code
+            return decode_unary_pairs(self, reader, count)
+        top = self._top
+        starts, base, width = top.starts, top.base, top.window_bits
+        (limit_1, shift_1, offset_1, length_1), (limit_2, shift_2, offset_2, length_2), (
+            _, shift_3, offset_3, length_3) = top.decode_levels
+        bits, pos, nbits = reader.window()
+        find = bits.find
+        out: list[int] = []
+        append = out.append
+        for index in range(count):
+            # the top codeword's level from a left-justified window of the
+            # longest length; the two unary zeros after a shorter codeword
+            # keep that window inside the pair's codeword
+            end = pos + width
+            if end <= nbits:
+                window = int(bits[pos:end], 2)
+                if window < limit_1:
+                    rank, end = (window >> shift_1) + offset_1, pos + length_1
+                elif window < limit_2:
+                    rank, end = (window >> shift_2) + offset_2, pos + length_2
+                else:
+                    rank, end = (window >> shift_3) + offset_3, pos + length_3
+                zero_u = find("0", end)
+                zero_v = find("0", zero_u + 1) if zero_u >= 0 else -1
+                if zero_v >= 0:
+                    t = bisect_right(starts, rank) - 1
+                    a = rank - base[t]
+                    append(a + k * (zero_u - end))
+                    append(t - a + k * (zero_v - zero_u - 1))
+                    pos = zero_v + 1
+                    continue
+            out += self.decode_at(reader, pos, index)
+            bits, pos, nbits = reader.window()
+            find = bits.find
+        reader.seek_window(pos)
+        return out

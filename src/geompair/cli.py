@@ -15,12 +15,13 @@ import argparse
 import struct
 import sys
 
-from . import analysis
 from .bitio import BitReader, StreamExhausted
 from .cminus_codec import signature_length_row
 from .families import FAMILY_BYTES, FAMILY_FROM_BYTE, CodeFamily, InvalidFamilyParam, make_codec
 from .fringe2 import top_code_params
-from .oracle import DEFAULT_SYMBOL_CAP, SourceTooLarge, oracle_optimal_avg_len
+
+# The analysis and oracle modules are imported by the commands that use
+# them, so that ``encode`` and ``decode`` load only the codecs.
 
 MAGIC = b"TDGD"
 VERSION = 1
@@ -89,7 +90,8 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
+def _parse_values(text: str) -> list[int]:
+    """The integers of codec input, flat: ``[i0, j0, i1, j1, ...]``."""
     tokens = text.split()
     if not "".join(tokens).isdecimal():  # not isdigit, which passes superscripts int() rejects
         for offset, token in enumerate(tokens):
@@ -98,7 +100,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     values = list(map(int, tokens))
     if len(values) % 2:
         raise OddSymbolCount(f"{len(values)} integers do not form pairs")
-    return list(zip(values[0::2], values[1::2]))
+    return values
 
 
 def _family_from_args(args) -> CodeFamily:
@@ -109,15 +111,17 @@ def _family_from_args(args) -> CodeFamily:
 def cmd_encode(args) -> int:
     family = _family_from_args(args)
     codec = make_codec(family)
-    pairs = _parse_pairs(_read_text(args.input))
-    payload, nbits = codec.encode_many(pairs)
+    values = _parse_values(_read_text(args.input))
+    count = len(values) // 2
+    components = iter(values)
+    payload, nbits = codec.encode_many(zip(components, components))
     if args.verbose:
-        for pair in pairs:
+        for pair in zip(values[0::2], values[1::2]):
             cw = codec.encode(pair)
             print(f"pair {pair} -> {cw.bits()} ({cw.length} bits)", file=sys.stderr)
-    header = HEADER.pack(MAGIC, VERSION, FAMILY_BYTES[family.kind], family.k, len(pairs))
+    header = HEADER.pack(MAGIC, VERSION, FAMILY_BYTES[family.kind], family.k, count)
     _write_binary(args.out, header + payload)
-    print(f"encoded {len(pairs)} pairs, {nbits} payload bits", file=sys.stderr)
+    print(f"encoded {count} pairs, {nbits} payload bits", file=sys.stderr)
     return 0
 
 
@@ -144,23 +148,20 @@ def cmd_decode(args) -> int:
         )
     codec = make_codec(family)
     reader = BitReader(payload)
-    lines = []
     try:
-        for index in range(count):
-            start = reader.bits_consumed
-            i, j = codec.decode(reader)
-            lines.append(f"{i} {j}\n")
+        values = tuple(codec.decode_many(reader, count))
     except StreamExhausted as exc:
         raise DataError(
-            f"bitstream truncated in pair {index} (0-based), "
-            f"which starts at payload bit {start}: {exc}"
+            f"bitstream truncated in pair {exc.pair} (0-based), "
+            f"which starts at payload bit {exc.start}: {exc}"
         ) from exc
-    if reader.bits_remaining >= 8:
-        raise TrailingGarbage(f"{reader.bits_remaining} bits beyond final pair")
+    end = reader.bits_consumed
     pad = reader.bits_remaining
+    if pad >= 8:
+        raise TrailingGarbage(f"{pad} bits beyond final pair, starting at payload bit {end}")
     if pad and reader.read_bits(pad) != 0:
-        raise TrailingGarbage("nonzero padding bits")
-    _write_text(args.out, "".join(lines))
+        raise TrailingGarbage(f"nonzero padding bits, starting at payload bit {end}")
+    _write_text(args.out, "%d %d\n" * count % values)
     return 0
 
 
@@ -207,6 +208,9 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from . import analysis
+    from .oracle import oracle_optimal_avg_len
+
     if not (0.0 < args.q_lo <= args.q_hi < 1.0):
         raise DataError("need 0 < q-lo <= q-hi < 1")
     if args.step <= 0:
@@ -214,9 +218,10 @@ def cmd_sweep(args) -> int:
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     for q in _grid(args.q_lo, args.q_hi, args.step):
         ent = analysis.entropy_per_symbol(q)
+        best = analysis.best_golomb_order(q)
         golomb = min(
             analysis.golomb_pair_avg_len(q, k)
-            for k in _golomb_orders_near(q)
+            for k in sorted({max(1, best - 1), best, best + 1})
         )
         ck = min(analysis.avg_len_ck(q, k) for k in range(1, analysis._SELECT_CK_MAX + 1))
         cminus = min(
@@ -239,16 +244,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _golomb_orders_near(q: float) -> list[int]:
-    best = analysis.best_golomb_order(q)
-    return sorted({max(1, best - 1), best, best + 1})
-
-
 def cmd_oracle(args) -> int:
+    from .oracle import DEFAULT_SYMBOL_CAP, SourceTooLarge, oracle_optimal_avg_len
+
     if not 0.0 < args.q <= ORACLE_Q_CAP:
         raise DataError(f"oracle runs are capped at q <= {ORACLE_Q_CAP}")
+    cap = DEFAULT_SYMBOL_CAP if args.cap is None else args.cap
     try:
-        est, unc = oracle_optimal_avg_len(args.q, args.eps, args.cap)
+        est, unc = oracle_optimal_avg_len(args.q, args.eps, cap)
     except SourceTooLarge as exc:
         raise DataError(str(exc)) from exc
     print(f"{est:.6f} ± {unc:.2e}")
@@ -266,6 +269,8 @@ def _family_from_name(name: str) -> CodeFamily:
 
 
 def cmd_crossover(args) -> int:
+    from . import analysis
+
     if not 0.0 < args.q_lo < args.q_hi < 1.0:
         raise DataError("need 0 < q-lo < q-hi < 1")
     if args.tol <= 0:
@@ -289,9 +294,12 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_select(args) -> int:
-    if args.mean < 0:
-        raise DataError("mean must be >= 0")
-    fam = analysis.adaptive_select(args.mean)
+    from . import analysis
+
+    try:
+        fam = analysis.adaptive_select(args.mean)
+    except analysis.MeanOutOfRange as exc:
+        raise DataError(str(exc)) from exc
     print(fam.label())
     return 0
 
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="truncated-Huffman optimal-length estimate")
     orc.add_argument("--q", type=float, required=True)
     orc.add_argument("--eps", type=float, default=1e-9)
-    orc.add_argument("--cap", type=int, default=DEFAULT_SYMBOL_CAP)
+    orc.add_argument("--cap", type=int, default=None, help="symbol cap (default: the oracle's)")
     orc.set_defaults(func=cmd_oracle)
 
     crs = sub.add_parser("crossover", help="bisect two families' average lengths")
@@ -364,10 +372,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (DataError, InvalidFamilyParam, analysis.QOutOfRange) as exc:
+    except (DataError, InvalidFamilyParam, OSError) as exc:
         print(f"geompair: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except ValueError as exc:
+        from .analysis import QOutOfRange  # only the analysis commands raise it
+
+        if not isinstance(exc, QOutOfRange):
+            raise
         print(f"geompair: {exc}", file=sys.stderr)
         return 2
 

@@ -23,20 +23,16 @@ code on the initial regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .basecodes import PairCodec, quasi_uniform_codeword, quasi_uniform_shape
-from .bitio import BitReader, Codeword
+from .basecodes import LeavesWindow, PairCodec, quasi_uniform_codeword, quasi_uniform_shape
+from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword
 
 
-@dataclass(frozen=True)
-class SignatureLengthRow:
+class SignatureLengthRow(namedtuple("SignatureLengthRow", "s lam n_short n_long")):
     """Length distribution of one signature: counts at Lambda and Lambda+1."""
 
-    s: int
-    lam: int
-    n_short: int
-    n_long: int
+    __slots__ = ()
 
     def total_pairs(self) -> int:
         return self.n_short + self.n_long
@@ -201,6 +197,106 @@ class CminusCodec(PairCodec):
         i = n_short + rel
         return i, s - i
 
+    def encode_many(self, pairs) -> tuple[bytes, int]:
+        k = self.k
+        rows = self._rows
+        writer = BitWriter()
+        flush = writer.flush
+        acc = nacc = 0
+        for i, j in pairs:
+            if i < 0 or j < 0:
+                raise ValueError("pair components must be >= 0")
+            s = i + j
+            if s < _MEMO_SIGNATURES:
+                lam, n_short, _, deficit = rows[s]
+            else:
+                lam, n_short, _, deficit = signature_row(k, s)
+            first_short = (1 << lam) - deficit
+            if i < n_short:
+                value, length = first_short + i, lam
+            else:
+                value, length = ((first_short + n_short) << 1) + (i - n_short), lam + 1
+            if value >> length:
+                raise ValueError(f"value {value} does not fit in {length} bits")
+            acc = (acc << length) | value
+            nacc += length
+            if nacc >= FLUSH_BITS:
+                acc, nacc = flush(acc, nacc)
+        writer.write(acc, nacc)
+        return writer.getvalue(), writer.bits_written
+
+    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+        # decode's steps on the window string; each read takes one bit more
+        # than decode's, the bit that tells a short codeword from a long one
+        # (past a short codeword it is the next codeword's, or past the
+        # stream's end, where the pair goes to decode)
+        k = self.k
+        rows = self._rows
+        run_signature = self._run_signature
+        runs = len(run_signature)
+        bits, pos, nbits = reader.window()
+        find = bits.find
+        out: list[int] = []
+        append = out.append
+        for index in range(count):
+            try:
+                zero = find("0", pos)
+                if zero < 0:
+                    raise LeavesWindow
+                u = zero - pos
+                if u < runs:
+                    s = run_signature[u]
+                    lam, n_short, n_long, deficit = rows[s]
+                else:
+                    s = _lowest_signature(k, u)
+                    lam, n_short, n_long, deficit = signature_row(k, s)
+                end = zero + 1
+                i = None
+                if u == lam:
+                    rel = (deficit - 1 - n_short) << 1
+                else:
+                    need = lam - u - 1
+                    end += need + 1
+                    if end > nbits:
+                        raise LeavesWindow
+                    window = int(bits[zero + 1 : end], 2)
+                    rel = deficit - (2 << need) + (window >> 1)
+                    if rel < n_short:
+                        i, end = rel, end - 1
+                    else:
+                        rel = ((rel - n_short) << 1) | (window & 1)
+                if i is None:
+                    while rel >= n_long:
+                        rel -= n_long
+                        length = lam + 1
+                        s += 1
+                        if s < _MEMO_SIGNATURES:
+                            lam, n_short, n_long, _ = rows[s]
+                        else:
+                            lam, n_short, n_long, _ = signature_row(k, s)
+                        step = lam - length
+                        start, end = end, end + step + 1
+                        if end > nbits:
+                            raise LeavesWindow
+                        window = int(bits[start:end], 2)
+                        rel = (rel << step) | (window >> 1)
+                        if rel < n_short:
+                            i, end = rel, end - 1
+                            break
+                        rel = ((rel - n_short) << 1) | (window & 1)
+                    else:
+                        i = n_short + rel
+            except LeavesWindow:
+                out += self.decode_at(reader, pos, index)
+                bits, pos, nbits = reader.window()
+                find = bits.find
+                continue
+            append(i)
+            append(s - i)
+            pos = end
+        reader.seek_window(pos)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Limit code
@@ -296,3 +392,82 @@ class LimitCodec(PairCodec):
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return limit_decode(reader)
+
+    def encode_many(self, pairs) -> tuple[bytes, int]:
+        writer = BitWriter()
+        flush = writer.flush
+        acc = nacc = 0
+        for i, j in pairs:
+            if i < 0 or j < 0:
+                raise ValueError("pair components must be >= 0")
+            s = i + j
+            # s = 2^t - 1 + r: the descent's ones, then rank i of the
+            # quasi-uniform code on s + 2 symbols, m = t + 1
+            t = (s + 1).bit_length() - 1
+            r = s + 1 - (1 << t)
+            run = (t - 1) * (s + 1) + 2 * r + 1
+            short_count = (2 << t) - s - 2
+            if i < short_count:
+                value, length = i, t
+            else:
+                value, length = i + short_count, t + 1
+            value |= ((1 << run) - 1) << length
+            length += run
+            if value >> length:
+                raise ValueError(f"value {value} does not fit in {length} bits")
+            acc = (acc << length) | value
+            nacc += length
+            if nacc >= FLUSH_BITS:
+                acc, nacc = flush(acc, nacc)
+        writer.write(acc, nacc)
+        return writer.getvalue(), writer.bits_written
+
+    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+        # limit_decode's steps on the window string; the block read takes
+        # one bit more, as in CminusCodec.decode_many
+        bits, pos, nbits = reader.window()
+        find = bits.find
+        out: list[int] = []
+        append = out.append
+        for index in range(count):
+            try:
+                zero = find("0", pos)
+                if zero < 0:
+                    raise LeavesWindow
+                ones = zero - pos
+                lo, hi = 0, ones
+                while lo < hi:
+                    mid = (lo + hi + 1) >> 1
+                    if _limit_run(mid) <= ones:
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                s = lo
+                m = (s + 1).bit_length()
+                short_count = (1 << m) - s - 2
+                known = ones - _limit_run(s) + 1
+                value = (1 << known) - 2
+                end = zero + 1
+                if known >= m:
+                    i = value - short_count
+                else:
+                    rest = m - 1 - known
+                    end += rest + 1
+                    if end > nbits:
+                        raise LeavesWindow
+                    window = int(bits[zero + 1 : end], 2)
+                    value = (value << rest) | (window >> 1)
+                    if value < short_count:
+                        i, end = value, end - 1
+                    else:
+                        i = ((value << 1) | (window & 1)) - short_count
+            except LeavesWindow:
+                out += self.decode_at(reader, pos, index)
+                bits, pos, nbits = reader.window()
+                find = bits.find
+                continue
+            append(i)
+            append(s - i)
+            pos = end
+        reader.seek_window(pos)
+        return out

@@ -8,7 +8,7 @@ q = 2^(-k)), ``limit`` (the k -> infinity limit of cminus), or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .basecodes import GolombPairCodec
@@ -26,20 +26,25 @@ class InvalidFamilyParam(ValueError):
     """Family/parameter combination outside its valid domain."""
 
 
-@dataclass(frozen=True)
-class CodeFamily:
-    kind: str
-    k: int = 0
+class CodeFamily(namedtuple("CodeFamily", "kind k")):
+    """One concrete pair code: a family kind and its parameter k."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
-            raise InvalidFamilyParam(f"unknown family {self.kind!r}")
-        lo = {"ck": 1, "cminus": 2, "limit": 0, "golomb": 1}[self.kind]
-        if self.kind == "limit":
-            if self.k != 0:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, k: int = 0) -> "CodeFamily":
+        if kind not in FAMILY_KINDS:
+            raise InvalidFamilyParam(f"unknown family {kind!r}")
+        lo = {"ck": 1, "cminus": 2, "limit": 0, "golomb": 1}[kind]
+        if kind == "limit":
+            if k != 0:
                 raise InvalidFamilyParam("limit family takes no parameter (k = 0)")
-        elif self.k < lo:
-            raise InvalidFamilyParam(f"{self.kind} requires k >= {lo}, got {self.k}")
+        elif k < lo:
+            raise InvalidFamilyParam(f"{kind} requires k >= {lo}, got {k}")
+        return super().__new__(cls, kind, k)
+
+    @classmethod
+    def _make(cls, iterable) -> "CodeFamily":  # so that _replace checks too
+        return cls(*iterable)
 
     def label(self) -> str:
         return self.kind if self.kind == "limit" else f"{self.kind} k={self.k}"
@@ -47,7 +52,8 @@ class CodeFamily:
 
 @lru_cache(maxsize=32)  # bounded: k comes from container headers
 def make_codec(family: CodeFamily):
-    """Pair codec (encode / encode_to / encode_many / decode) for the family.
+    """Pair codec (encode / encode_to / encode_many / decode / decode_many)
+    for the family.
 
     Codecs are cached and safe to share: none of them changes after
     construction, and each holds state that does not grow with the pairs

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .bitio import Codeword
@@ -50,6 +49,8 @@ class WeightedSource:
         self.weights = tuple(ws)
         self.n = len(ws)
         # exact arithmetic is available when no weight is a float
+        from fractions import Fraction
+
         self.exact = all(isinstance(w, (int, Fraction)) for w in ws)
 
     def is_four_uniform(self) -> bool:
@@ -59,15 +60,11 @@ class WeightedSource:
         return sum(self.weights)
 
 
-@dataclass(frozen=True)
-class CompactProfile:
-    """Leaf counts (n_{M-1}, n_M, n_{M+1}) of a fringe-<=2 tree."""
+class CompactProfile(namedtuple("CompactProfile", "sigma c m M leaves")):
+    """Leaf counts ``leaves`` = (n_{M-1}, n_M, n_{M+1}) of a fringe-<=2
+    tree, with m = ceil(log2 N) and M = m - sigma."""
 
-    sigma: int
-    c: int
-    m: int  # ceil(log2 N)
-    M: int  # m - sigma
-    leaves: tuple[int, int, int]
+    __slots__ = ()
 
     @property
     def n_upper(self) -> int:
@@ -244,6 +241,8 @@ def profile_average_length(src: WeightedSource, sigma: int, c: int):
             idx += 1
     total = src.total()
     if src.exact:
+        from fractions import Fraction
+
         return Fraction(cost, total) if isinstance(total, int) else cost / total
     return cost / total
 
@@ -253,21 +252,16 @@ def profile_average_length(src: WeightedSource, sigma: int, c: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopCodeParams:
-    """Closed-form optimal-tree parameters for the k x k top source."""
+class TopCodeParams(
+    namedtuple("TopCodeParams", "k q m big_q M sigma j r delta_j c profile")
+):
+    """Closed-form optimal-tree parameters for the k x k top source.
 
-    k: int
-    q: float
-    m: int
-    big_q: int  # k^2 - ceil(k(k-1)/4), number of "heavy half" symbols
-    M: int
-    sigma: int
-    j: int
-    r: int
-    delta_j: int
-    c: int
-    profile: CompactProfile
+    ``big_q`` = k^2 - ceil(k(k-1)/4) is the number of "heavy half"
+    symbols; ``profile`` is the optimal tree's :class:`CompactProfile`.
+    """
+
+    __slots__ = ()
 
 
 def _delta_poly(k: int, big_m: int, x: int) -> int:
@@ -356,13 +350,13 @@ class TopCode:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._starts: list[int] = []  # first rank of each signature t
-        self._base: list[int] = []  # rank(a, t - a) = _base[t] + a
+        self.starts: list[int] = []  # first rank of each signature t
+        self.base: list[int] = []  # rank(a, t - a) = base[t] + a
         rank = 0
         for t in range(2 * k - 1):
             lo = max(0, t - k + 1)
-            self._starts.append(rank)
-            self._base.append(rank - lo)
+            self.starts.append(rank)
+            self.base.append(rank - lo)
             rank += min(t, k - 1) - lo + 1
         prof = top_code_params(k).profile
         # (length, first value, first rank, count) of each occupied level
@@ -376,10 +370,27 @@ class TopCode:
                 self._levels.append((depth, value, rank, count))
             value += count
             rank += count
+        # The levels padded at the front to exactly three, for the batch
+        # coders' unrolled level tests; a padding level has limit 0 and is
+        # never taken.  For encoding, (rank limit, value - rank, length).
+        # For canonical decoding from a left-justified window of the longest
+        # length (Moffat & Turpin, IEEE Trans. Comm. 1997), (window limit,
+        # shift to the level's length, rank - value, length).
+        levels = [(0, 0, 0, 0)] * (3 - len(self._levels)) + self._levels
+        self.window_bits = longest = self._levels[-1][0]
+        self.encode_levels = tuple(
+            (first_rank + count, first_value - first_rank, length)
+            for length, first_value, first_rank, count in levels
+        )
+        self.decode_levels = tuple(
+            ((first_value + count) << (longest - length), longest - length,
+             first_rank - first_value, length)
+            for length, first_value, first_rank, count in levels
+        )
 
     def codeword(self, a: int, b: int) -> tuple[int, int]:
         """Codeword of the residue pair (a, b) as ``(value, length)``."""
-        rank = self._base[a + b] + a
+        rank = self.base[a + b] + a
         for length, first_value, first_rank, count in self._levels:
             if rank < first_rank + count:
                 return first_value + rank - first_rank, length
@@ -396,8 +407,8 @@ class TopCode:
                 length += 1
             if window - first_value < count:
                 rank = first_rank + window - first_value
-                t = bisect.bisect_right(self._starts, rank) - 1
-                a = rank - self._base[t]
+                t = bisect.bisect_right(self.starts, rank) - 1
+                a = rank - self.base[t]
                 return a, t - a
         raise AssertionError("complete code cannot fail to decode")
 

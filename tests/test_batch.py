@@ -1,0 +1,187 @@
+"""The batch coders against the per-pair ones.
+
+``decode_many`` must return exactly what a loop of ``decode`` calls
+returns, leave the reader at the same bit, and run off the end of a
+stream at the same pair and start bit; ``encode_many`` must emit the bytes
+of the generic ``PairCodec.encode_many``, which writes one ``codeword``
+at a time.  Small ``BitReader`` windows make codewords straddle window
+ends, where the batch decoders hand the pair to ``decode``.
+"""
+
+import random
+
+import pytest
+
+from geompair.basecodes import PairCodec
+from geompair.bitio import BitReader, StreamExhausted
+from geompair.cli import HEADER, MAGIC, main
+from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
+
+FAMILIES = (
+    [CodeFamily("ck", k) for k in (1, 2, 3, 16, 255, 256)]
+    + [CodeFamily("cminus", k) for k in (2, 3, 4, 10)]
+    + [CodeFamily("limit")]
+    + [CodeFamily("golomb", k) for k in (1, 3, 7)]
+)
+
+
+def design_q(family):
+    if family.kind in ("ck", "golomb"):
+        return 2 ** (-1 / family.k)
+    if family.kind == "cminus":
+        return 2.0 ** -family.k
+    return 0.2
+
+
+def geometric_pairs(family, n, seed):
+    rng = random.Random(f"{seed}-{family.kind}-{family.k}")
+    q = design_q(family)
+
+    def geometric():
+        n = 0
+        while rng.random() < q:
+            n += 1
+        return n
+
+    return [(geometric(), geometric()) for _ in range(n)]
+
+
+def extreme_pairs(family):
+    """Zero pairs and signatures near 512 and 4096, in both orders."""
+    pairs = [(0, 0)]
+    for s in (511, 512, 513, 4095, 4096, 4097):
+        pairs += [(0, s), (s, 0), (s // 2, s - s // 2), (s - 1, 1)]
+    return pairs + [(0, 0)]
+
+
+def random_bytes(seed, n):
+    """Bytes with runs of ones and of zeros as well as random bits."""
+    rng = random.Random(seed)
+    return bytes(
+        rng.choice((0xFF, 0xFE, 0x7F, 0x00)) if rng.random() < 0.3 else rng.getrandbits(8)
+        for _ in range(n)
+    )
+
+
+def per_pair(codec, data, count):
+    """The components, the end position and the exhaustion point of a loop
+    of ``decode`` calls: (flat, bits_consumed, None) or (flat, None,
+    (pair, start bit, message))."""
+    reader = BitReader(data)
+    flat = []
+    for index in range(count):
+        start = reader.bits_consumed
+        try:
+            flat += codec.decode(reader)
+        except StreamExhausted as exc:
+            return flat, None, (index, start, str(exc))
+    return flat, reader.bits_consumed, None
+
+
+def batch(codec, data, count):
+    reader = BitReader(data)
+    try:
+        flat = codec.decode_many(reader, count)
+    except StreamExhausted as exc:
+        return None, None, (exc.pair, exc.start, str(exc))
+    return flat, reader.bits_consumed, None
+
+
+def assert_same_decode(codec, data, count):
+    want = per_pair(codec, data, count)
+    got = batch(codec, data, count)
+    if want[2] is None:
+        assert got == want
+    else:
+        assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_decode_many_matches_decode_on_encoded_streams(family):
+    codec = make_codec(family)
+    for pairs in (geometric_pairs(family, 500, "stream"), extreme_pairs(family)):
+        data, nbits = codec.encode_many(pairs)
+        reader = BitReader(data)
+        assert codec.decode_many(reader, len(pairs)) == [x for pair in pairs for x in pair]
+        assert reader.bits_consumed == nbits
+        for count in (0, 1, len(pairs) // 2, len(pairs), len(pairs) + 1, 8 * len(data)):
+            assert_same_decode(codec, data, count)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_decode_many_matches_decode_on_arbitrary_bytes(family):
+    codec = make_codec(family)
+    for seed in range(6):
+        data = random_bytes(f"{family.label()}-{seed}", 200 + 50 * seed)
+        assert_same_decode(codec, data, 8 * len(data))
+        assert_same_decode(codec, data, seed * 7)
+
+
+@pytest.mark.parametrize("window", range(9, 17))
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_decode_many_matches_decode_across_small_windows(monkeypatch, family, window):
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", window)
+    codec = make_codec(family)
+    pairs = geometric_pairs(family, 120, window) + extreme_pairs(family)[:5]
+    data, _ = codec.encode_many(pairs)
+    assert_same_decode(codec, data, len(pairs))
+    assert_same_decode(codec, data[: len(data) * 2 // 3], len(pairs))
+    arbitrary = random_bytes(f"{family.label()}-w{window}", 120)
+    assert_same_decode(codec, arbitrary, 8 * len(arbitrary))
+
+
+ENCODE_FAMILIES = FAMILIES + [CodeFamily("golomb", 2)]
+
+
+@pytest.mark.parametrize("family", ENCODE_FAMILIES, ids=CodeFamily.label)
+def test_encode_many_matches_generic_path(family):
+    codec = make_codec(family)
+    rng = random.Random(family.label())
+    cases = [
+        [],
+        geometric_pairs(family, 3000, "encode"),  # crosses the flush threshold
+        extreme_pairs(family),
+        [(0, 20000), (20000, 0), (0, 0), (12345, 6789)],
+        [(rng.randrange(600), rng.randrange(600)) for _ in range(200)],
+    ]
+    for pairs in cases:
+        assert codec.encode_many(pairs) == PairCodec.encode_many(codec, pairs)
+        # any iterable of pairs, e.g. the CLI's zip over the flat integers
+        assert codec.encode_many(iter(pairs)) == PairCodec.encode_many(codec, pairs)
+
+
+# ---------------------------------------------------------------------------
+# CLI truncation messages
+# ---------------------------------------------------------------------------
+
+
+def truncation_message(family, payload, count):
+    """The CLI's error for a truncated payload, rebuilt from a loop of
+    ``decode`` calls: the pair that runs off the end and its start bit."""
+    _, _, (index, start, message) = per_pair(make_codec(family), payload, count)
+    return (
+        f"geompair: bitstream truncated in pair {index} (0-based), "
+        f"which starts at payload bit {start}: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family",
+    [CodeFamily("ck", 1), CodeFamily("ck", 3), CodeFamily("ck", 16), CodeFamily("cminus", 2),
+     CodeFamily("limit"), CodeFamily("golomb", 3)],
+    ids=CodeFamily.label,
+)
+def test_truncation_at_every_byte_names_the_same_pair_and_bit(tmp_path, capsys, family):
+    pairs = geometric_pairs(family, 300, "truncate")
+    payload, _ = make_codec(family).encode_many(pairs)
+    path = tmp_path / "cut.bin"
+    header = HEADER.pack(MAGIC, 1, FAMILY_BYTES[family.kind], family.k, len(pairs))
+    for cut in range(len(payload)):
+        path.write_bytes(header + payload[:cut])
+        assert main(["decode", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if 8 * cut < len(pairs):  # the bound on the pair count rejects it first
+            assert "header claims 300 pairs" in err
+        else:
+            assert err == truncation_message(family, payload[:cut], len(pairs))

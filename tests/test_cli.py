@@ -119,6 +119,31 @@ def test_trailing_garbage(tmp_path, capsys):
     assert code == 2
 
 
+def test_trailing_bytes_name_their_payload_bit(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("2 1 0 0 5 3")  # ck k=1 codewords of 5, 2 and 10 bits
+    enc = tmp_path / "enc.bin"
+    run(capsys, "encode", str(src), "--family", "ck", "--k", "1", "--out", str(enc))
+    enc.write_bytes(enc.read_bytes() + b"\x00")  # 7 padding bits and a stray byte
+    code, out, err = run(capsys, "decode", str(enc))
+    assert code == 2
+    assert out == ""
+    assert err == "geompair: 15 bits beyond final pair, starting at payload bit 17\n"
+
+
+def test_nonzero_padding_names_its_payload_bit(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("2 1 0 0 5 3")
+    enc = tmp_path / "enc.bin"
+    run(capsys, "encode", str(src), "--family", "ck", "--k", "1", "--out", str(enc))
+    blob = enc.read_bytes()
+    enc.write_bytes(blob[:-1] + bytes([blob[-1] | 1]))
+    code, out, err = run(capsys, "decode", str(enc))
+    assert code == 2
+    assert out == ""
+    assert err == "geompair: nonzero padding bits, starting at payload bit 17\n"
+
+
 def test_invalid_family_param(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("1 2")
@@ -199,6 +224,22 @@ def test_select(capsys):
     code, out, _ = run(capsys, "select", "--mean", "1.0")
     assert code == 0
     assert out.strip() == "ck k=1"
+
+
+@pytest.mark.parametrize("mean", ["nan", "inf", "1e16"])
+def test_select_rejects_means_without_an_estimate(capsys, mean):
+    code, out, err = run(capsys, "select", "--mean", mean)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("geompair: mean ")
+    assert "q=" not in err  # the message is about the mean the user gave
+
+
+def test_select_negative_mean_exits_2(capsys):
+    code, out, err = run(capsys, "select", "--mean", "-1")
+    assert code == 2
+    assert out == ""
+    assert "mean must be finite and >= 0" in err
 
 
 def test_select_huge_mean_is_prompt():
@@ -324,6 +365,28 @@ def test_hostile_cminus_container_rejected_in_bounded_time_and_memory(tmp_path, 
     assert peak < 20 * 2**20
 
 
+@pytest.mark.parametrize("family, k", [(1, 1), (1, 3), (1, 256), (2, 2), (2, 4)])
+@pytest.mark.parametrize("count", [1, 8 * 65536])
+def test_hostile_all_ones_container_rejected_in_bounded_time_and_memory(tmp_path, capsys,
+                                                                        family, k, count):
+    # every pair of these codes ends in a zero, so all ones run off the end
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_container(b"\xff" * 65536, count, family=family, k=k))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "decode", str(bad))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "truncated in pair 0 (0-based), which starts at payload bit 0" in err
+    assert elapsed < 2.0
+    assert peak < 20 * 2**20
+
+
 def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("2 1 0 0 5 3")  # ck k=1 codewords of 5, 2 and 10 bits
@@ -371,3 +434,31 @@ def test_oracle_paths_leave_numpy_unloaded():
     est, unc = map(float, value_line.strip("()").split(", "))
     assert abs(est - 14.172894635551545) <= 1e-12 * est and unc == 3.2e-08
     assert numpy_line == "False"
+
+
+def test_codec_path_leaves_analysis_and_records_machinery_unloaded(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text("4 1 0 0 9 2\n")
+    enc, dec = str(tmp_path / "enc.bin"), str(tmp_path / "dec.txt")
+    unloaded = ("dataclasses", "fractions", "geompair.analysis", "geompair.oracle")
+    child = _run_child("-c", (
+        "import sys\n"
+        "import geompair.cli\n"
+        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+        f"geompair.cli.main(['encode', {str(src)!r}, '--family', 'ck', '--k', '3', '--out', {enc!r}])\n"
+        f"geompair.cli.main(['decode', {enc!r}, '--out', {dec!r}])\n"
+        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+        "from geompair import adaptive_select, oracle_optimal_avg_len, WeightedSource\n"
+        "print(adaptive_select(1.0).label(), oracle_optimal_avg_len(0.5, 1e-9)[0] > 3.99)\n"
+        "print(WeightedSource([4, 2, 1]).exact)\n"
+    ))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[]", "[]", "ck k=1 True", "True"]
+    assert (tmp_path / "dec.txt").read_text() == "4 1\n0 0\n9 2\n"
+
+
+def test_lazy_package_names():
+    assert geompair.adaptive_select is analysis.adaptive_select
+    assert "oracle_optimal_avg_len" in dir(geompair)
+    with pytest.raises(AttributeError):
+        geompair.no_such_name  # noqa: B018

@@ -1,0 +1,71 @@
+"""Golden outputs of the CLI commands.
+
+The files under ``tests/data/cli/`` were written by the CLI before the
+batch coders replaced the per-pair loops; every command must keep
+printing them byte for byte.  ``pairs200.txt`` is a fixed input of 200
+pairs near the design points of several families, with a few extreme
+ones; its container for each family is ``<family>.bin``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from geompair.cli import main
+
+DATA = Path(__file__).parent / "data" / "cli"
+
+CONTAINERS = {
+    "ck3": ["--family", "ck", "--k", "3"],
+    "ck16": ["--family", "ck", "--k", "16"],
+    "cminus2": ["--family", "cminus", "--k", "2"],
+    "limit": ["--family", "limit"],
+    "golomb3": ["--family", "golomb", "--k", "3"],
+}
+
+SELECT_MEANS = ["0.01", "0.3", "1.0", "4.0", "25.0", "1000.0"]
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out, err
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_encode_container_is_golden(tmp_path, capsys, name):
+    out_path = tmp_path / f"{name}.bin"
+    _, err = run(capsys, "encode", str(DATA / "pairs200.txt"), *CONTAINERS[name], "--out", str(out_path))
+    golden = (DATA / f"{name}.bin").read_bytes()
+    assert out_path.read_bytes() == golden
+    assert err.startswith("encoded 200 pairs, ")
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_decode_text_is_golden(capsys, name):
+    out, err = run(capsys, "decode", str(DATA / f"{name}.bin"))
+    assert out == (DATA / "pairs200.txt").read_text()
+    assert err == ""
+
+
+def test_params_is_golden(capsys):
+    assert run(capsys, "params")[0] == (DATA / "params.txt").read_text()
+
+
+def test_lengths_is_golden(capsys):
+    out, _ = run(capsys, "lengths", "--k", "3", "--s-max", "40")
+    assert out == (DATA / "lengths_k3_s40.txt").read_text()
+
+
+def test_select_is_golden(capsys):
+    out = "".join(f"{mean} {run(capsys, 'select', '--mean', mean)[0]}" for mean in SELECT_MEANS)
+    assert out == (DATA / "select.txt").read_text()
+
+
+def test_crossover_is_golden(capsys):
+    assert run(capsys, "crossover")[0] == (DATA / "crossover.txt").read_text()
+
+
+def test_oracle_is_golden(capsys):
+    assert run(capsys, "oracle", "--q", "0.5")[0] == (DATA / "oracle_q05.txt").read_text()

@@ -265,6 +265,31 @@ def test_emitted_length_equals_modelled_length(family):
         assert codec.codeword(pair)[1] == modelled_length(family, pair), pair
 
 
+# far pairs: signatures of 20000, codewords of thousands of bits
+FAR_PAIRS = [(0, 20000), (20000, 0), (0, 0), (12345, 6789), (1, 4096), (4096, 1)]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_encode_many_override_matches_reference(family):
+    codec = make_codec(family)
+    assert type(codec).encode_many is not PairCodec.encode_many
+    # 1000 pairs cross the writer's flush threshold several times
+    for pairs in (FAR_PAIRS, random_pairs(family, n=1000), FAR_PAIRS + random_pairs(family)):
+        _, data, nbits = reference_stream(family, pairs)
+        assert codec.encode_many(pairs) == (data, nbits)
+        assert codec.encode_many(iter(pairs)) == (data, nbits)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+@pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (-5, -5)])
+def test_encode_many_rejects_negative_components(family, bad):
+    codec = make_codec(family)
+    with pytest.raises(ValueError):
+        codec.encode_many([(1, 1), bad])
+    with pytest.raises(ValueError):
+        PairCodec.encode_many(codec, [(1, 1), bad])
+
+
 def test_encode_many_rejects_unfit_values():
     class Broken(PairCodec):
         def codeword(self, pair):
