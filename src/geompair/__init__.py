@@ -8,28 +8,14 @@ truncated-Huffman optimality oracle.
 """
 
 from .bitio import BitReader, BitWriter, Codeword, StreamExhausted
-from .basecodes import (
-    GolombPairCodec,
-    golomb_decode,
-    golomb_encode,
-    quasi_uniform_decode,
-    quasi_uniform_encode,
-    unary_encode,
-)
+from .basecodes import GolombPairCodec, golomb_decode, quasi_uniform_decode
 from .ck_codec import CkCodec
-from .cminus_codec import (
-    CminusCodec,
-    LimitCodec,
-    limit_decode,
-    limit_encode,
-    signature_length_row,
-)
+from .cminus_codec import CminusCodec, LimitCodec, limit_decode, signature_length_row
 from .families import CodeFamily, make_codec
 from .fringe2 import (
     fringe2_optimal_range,
     profile_from,
     top_code_params,
-    top_code_table,
     WeightedSource,
 )
 
@@ -90,19 +76,14 @@ __all__ = [
     "entropy_per_symbol",
     "fringe2_optimal_range",
     "golomb_decode",
-    "golomb_encode",
     "huffman_lengths",
     "limit_decode",
-    "limit_encode",
     "make_codec",
     "max_gap",
     "oracle_optimal_avg_len",
     "profile_from",
     "quasi_uniform_decode",
-    "quasi_uniform_encode",
     "signature_length_row",
     "top_code_params",
-    "top_code_table",
     "two_level_check",
-    "unary_encode",
 ]

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 
-from .cminus_codec import limit_row, signature_row
-from .basecodes import golomb_length, quasi_uniform_shape
-from .families import CodeFamily
-from .fringe2 import TopCode, top_code_params
+from .basecodes import quasi_uniform_shape
+from .families import CodeFamily, make_codec
+from .fringe2 import top_code_params
 
 LOG2E = math.log2(math.e)
 
@@ -151,98 +150,43 @@ def best_golomb_order(q: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Signature length models and the certified series evaluator
+# The certified series evaluator
 # ---------------------------------------------------------------------------
 
 
-class CminusLengthModel:
-    """Per-signature lengths of the order-k code for q = 2^(-k)."""
-
-    def __init__(self, k: int) -> None:
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        self.k = k
-        self.quad_majorant_from = max(k, 4)
-
-    def row_total(self, s: int) -> int:
-        lam, n_short, n_long, _ = signature_row(self.k, s)
-        return lam * n_short + (lam + 1) * n_long
-
-
-class LimitLengthModel:
-    """Per-signature lengths of the limit code."""
-
-    quad_majorant_from = 4
-
-    def row_total(self, s: int) -> int:
-        row = limit_row(s)
-        return row.lam * row.n_short + (row.lam + 1) * row.n_long
-
-
-class GolombPairLengthModel:
-    """Per-signature lengths of the symbol-by-symbol order-k Golomb code."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.quad_majorant_from = max(k, 4)
-        self._prefix = [golomb_length(k, 0)]  # prefix sums of golomb_length
-
-    def _prefix_to(self, s: int) -> int:
-        while len(self._prefix) <= s:
-            self._prefix.append(
-                self._prefix[-1] + golomb_length(self.k, len(self._prefix))
-            )
-        return self._prefix[s]
-
-    def row_total(self, s: int) -> int:
-        # sum over i of len(i) + len(s - i) = twice the prefix sum
-        return 2 * self._prefix_to(s)
-
-
-class CkLengthModel:
-    """Per-signature lengths of the order-k design-point code."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._top = TopCode(k)
-        self.quad_majorant_from = max(top_code_params(k).M + 3, 4)
-
-    def row_total(self, s: int) -> int:
-        k = self.k
-        # unary parts: 2(s+1) stop bits plus both quotient sums
-        quot, rem = divmod(s + 1, k)
-        total = 2 * (s + 1) + 2 * (k * quot * (quot - 1) // 2 + rem * quot)
-        # top parts, grouped by residue of i
-        for a in range(min(k, s + 1)):
-            count = (s - a) // k + 1
-            total += self._top.codeword(a, (s - a) % k)[1] * count
-        return total
-
-
-def avg_len_by_series(model, q: float, eps: float = 1e-9) -> float:
+def avg_len_by_series(codec, q: float, eps: float = 1e-9) -> float:
     """(1-q)^2 * sum over s of q^s * (total code length of signature s),
-    truncated once a certified tail bound drops below eps.
+    summed from ``codec.signature_lengths`` and truncated once a certified
+    tail bound drops below eps.
 
-    The bound uses the model contract that its maximal codeword length at
-    signature s is at most (s+2)^2 for all s >= model.quad_majorant_from,
-    so the tail beyond S is at most q^S (S+2)^3 / (1 - q e^(3/(S+2)))
-    signature-weight units.  The returned value has absolute error < eps.
+    The bound needs every codeword of signature s to be at most (s+2)^2
+    bits long from s = S0 = max(4, L0) on, L0 the longest codeword of
+    signature 0.  cminus and limit meet Lambda_s + 1 <= (s+2)^2 from
+    s = 0.  ck and golomb meet (longest at s) <= L0 + s + 2, since their
+    residue codes span at most 2 bits beyond the length at residue (0, 0)
+    and the quotients add at most s unary bits; L0 + s + 2 <= 2s + 2
+    for s >= L0.  A signature total is then below (s+2)^3, so the tail
+    beyond S is at most q^S (S+2)^3 / (1 - q e^(3/(S+2))) signature-weight
+    units.  The returned value has absolute error < eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if q >= 1.0:
         raise NoConvergence(f"series diverges for q={q}")
     _check_q(q)
+    lengths = codec.signature_lengths
+    start = max(4, max(length for length, _ in lengths(0)))
     scale = (1.0 - q) ** 2
     total = 0.0
     qs = 1.0
     s = 0
-    start = max(model.quad_majorant_from, 4)
     while True:
-        row_total = model.row_total(s)
-        if s >= start and row_total > (s + 2) ** 3:
-            raise AssertionError("length model violates its growth contract")
-        total += qs * row_total
+        signature_total = 0
+        for length, count in lengths(s):
+            signature_total += length * count
+        if s >= start and signature_total > (s + 2) ** 3:
+            raise AssertionError("codec lengths outgrow the series tail bound")
+        total += qs * signature_total
         s += 1
         qs *= q
         if s >= start:
@@ -264,7 +208,7 @@ def family_avg_len(family: CodeFamily, q: float, eps: float = 1e-9) -> float:
         return avg_len_limit_closed(q)
     if family.kind == "golomb":
         return golomb_pair_avg_len(q, family.k)
-    return avg_len_by_series(CminusLengthModel(family.k), q, eps)
+    return avg_len_by_series(make_codec(family), q, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Building-block codes: unary, quasi-uniform, and Golomb.
+"""Building-block codes: quasi-uniform and Golomb (order 1 is unary).
 
 A quasi-uniform code on N symbols uses the two lengths floor(log2 N) and
 ceil(log2 N); the shorter codewords go to the smaller (more probable)
@@ -9,25 +9,11 @@ quasi-uniform code for N = k, then the quotient in unary.  Ranks here are
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword, StreamExhausted
 
 
 class RankOutOfRange(ValueError):
     """Rank outside [0, N) for a quasi-uniform code of size N."""
-
-
-def unary_encode(n: int) -> Codeword:
-    """n ones followed by a zero; length n + 1."""
-    if n < 0:
-        raise ValueError("unary argument must be >= 0")
-    return Codeword((1 << (n + 1)) - 2, n + 1)
-
-
-def read_unary(reader: BitReader) -> int:
-    """Count of ones before the terminating zero."""
-    return reader.read_unary()
 
 
 def quasi_uniform_shape(n: int) -> tuple[int, int]:
@@ -37,27 +23,6 @@ def quasi_uniform_shape(n: int) -> tuple[int, int]:
         raise ValueError("alphabet size must be >= 1")
     m = (n - 1).bit_length()
     return m, (1 << m) - n
-
-
-class QuasiUniformSpec(namedtuple("QuasiUniformSpec", "n m short_count")):
-    """Shape of the quasi-uniform code for an alphabet of N symbols.
-
-    ``short_count`` ranks get ``m - 1`` bits, the rest ``m`` bits, where
-    m = ceil(log2 N).  When N is a power of two every codeword has length
-    log2 N and ``short_count`` is 0.  N = 1 is the null code (one empty
-    codeword).
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def for_size(cls, n: int) -> "QuasiUniformSpec":
-        return cls(n, *quasi_uniform_shape(n))
-
-    def length_of(self, rank: int) -> int:
-        if not 0 <= rank < self.n:
-            raise RankOutOfRange(f"rank {rank} outside [0, {self.n})")
-        return self.m - 1 if rank < self.short_count else self.m
 
 
 def quasi_uniform_codeword(n: int, rank: int) -> tuple[int, int]:
@@ -77,13 +42,8 @@ def quasi_uniform_codeword(n: int, rank: int) -> tuple[int, int]:
     return rank + short_count, m
 
 
-def quasi_uniform_encode(n: int, rank: int) -> Codeword:
-    """:func:`quasi_uniform_codeword` as a :class:`Codeword`."""
-    return Codeword(*quasi_uniform_codeword(n, rank))
-
-
 def quasi_uniform_decode(n: int, reader: BitReader) -> int:
-    """Inverse of :func:`quasi_uniform_encode`, consuming exactly one codeword."""
+    """Inverse of :func:`quasi_uniform_codeword`, consuming exactly one codeword."""
     m, short_count = quasi_uniform_shape(n)
     if m == 0:
         return 0
@@ -106,11 +66,6 @@ def golomb_codeword(k: int, i: int) -> tuple[int, int]:
     return ((value + 1) << (quot + 1)) - 2, length + quot + 1
 
 
-def golomb_encode(k: int, i: int) -> Codeword:
-    """:func:`golomb_codeword` as a :class:`Codeword`."""
-    return Codeword(*golomb_codeword(k, i))
-
-
 def golomb_decode(k: int, reader: BitReader) -> int:
     if k < 1:
         raise ValueError("Golomb order must be >= 1")
@@ -120,30 +75,8 @@ def golomb_decode(k: int, reader: BitReader) -> int:
 
 def golomb_length(k: int, i: int) -> int:
     """Length in bits of the order-k Golomb codeword for i."""
-    spec = QuasiUniformSpec.for_size(k)
-    return spec.length_of(i % k) + i // k + 1
-
-
-def canonical_codewords(lengths: list[int]) -> list[Codeword]:
-    """Canonical prefix codewords for a nondecreasing list of lengths.
-
-    Codeword values increase numerically in list order; each step shifts
-    left by the length difference.  Raises ValueError if the lengths
-    decrease somewhere or overflow the code space (Kraft sum above 1).
-    """
-    out: list[Codeword] = []
-    value = 0
-    cur_len = lengths[0] if lengths else 0
-    for length in lengths:
-        if length < cur_len:
-            raise ValueError("lengths must be nondecreasing")
-        value <<= length - cur_len
-        cur_len = length
-        if value >> length:
-            raise ValueError("lengths overflow the code space")
-        out.append(Codeword(value, length))
-        value += 1
-    return out
+    m, short_count = quasi_uniform_shape(k)
+    return (m - 1 if i % k < short_count else m) + i // k + 1
 
 
 class LeavesWindow(Exception):
@@ -155,8 +88,11 @@ class PairCodec:
     """Encode paths shared by every pair codec.
 
     A codec implements ``codeword(pair) -> (value, length)``, its single
-    encoder, and ``decode(reader)``; the public encoders below wrap
-    ``codeword``.  The concrete codecs override ``encode_many`` with a
+    encoder, ``decode(reader)`` and ``signature_lengths(s)``: for s >= 0,
+    the lengths of the s + 1 codewords of the pairs (i, s - i), as
+    ``((length, count), ...)`` groups whose counts sum to s + 1 (a count
+    may be 0), the one source of lengths for the analysis.  The public
+    encoders below wrap ``codeword``.  The concrete codecs override ``encode_many`` with a
     loop that inlines their code and emits the same bits, and add
     ``decode_many(reader, count)``: the next ``count`` pairs' components,
     flat (``[i0, j0, i1, j1, ...]``), exactly as a loop of ``decode``
@@ -197,6 +133,22 @@ class PairCodec:
             raise
 
 
+def residue_signature_lengths(k: int, s: int, residue_length) -> tuple[tuple[int, int], ...]:
+    """``signature_lengths(s)`` of a pair code that sends the residues
+    (a, b) = (i mod k, j mod k) in ``residue_length(a, b)`` bits and both
+    quotients in unary (ck and Golomb).
+
+    Within one residue a of i, b = (s - a) mod k is fixed and the quotients
+    sum to (s - a - b) / k, so the (s - a) // k + 1 pairs of that residue
+    share one length.
+    """
+    groups = []
+    for a in range(min(k, s + 1)):
+        b = (s - a) % k
+        groups.append((residue_length(a, b) + (s - a - b) // k + 2, (s - a) // k + 1))
+    return tuple(groups)
+
+
 def decode_unary_pairs(codec: PairCodec, reader: BitReader, count: int) -> list[int]:
     """``decode_many`` of two bare unary codes per pair (ck and Golomb k = 1)."""
     bits, pos, _ = reader.window()
@@ -234,6 +186,11 @@ class GolombPairCodec(PairCodec):
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return golomb_decode(self.k, reader), golomb_decode(self.k, reader)
+
+    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
+        m, short_count = quasi_uniform_shape(self.k)
+        return residue_signature_lengths(
+            self.k, s, lambda a, b: 2 * m - (a < short_count) - (b < short_count))
 
     def encode_many(self, pairs) -> tuple[bytes, int]:
         k = self.k

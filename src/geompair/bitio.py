@@ -75,18 +75,6 @@ class Codeword:
         """The codeword as a ``'01'`` string (empty for length 0)."""
         return format(self.value, "0{}b".format(self.length)) if self.length else ""
 
-    def fragments(self, width: int = 64):
-        """Split into codewords of at most ``width`` bits, in stream order."""
-        if width < 1:
-            raise ValueError("fragment width must be >= 1")
-        out = []
-        remaining = self.length
-        while remaining > 0:
-            take = min(width, remaining)
-            remaining -= take
-            out.append(Codeword((self.value >> remaining) & ((1 << take) - 1), take))
-        return out
-
 
 # pending bits gathered before the writer flushes them to its buffer: a
 # larger accumulator makes every shift dearer, a smaller one flushes more
@@ -136,9 +124,6 @@ class BitWriter:
         rem = nacc & 7
         self._buf += (acc >> rem).to_bytes(nacc >> 3, "big")
         return acc & ((1 << rem) - 1), rem
-
-    def write_codeword(self, cw: Codeword) -> None:
-        self.write(cw.value, cw.length)
 
     def getvalue(self) -> bytes:
         """Finalized stream: the bits written, zero-padded to a whole byte.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .basecodes import PairCodec, decode_unary_pairs
+from .basecodes import PairCodec, decode_unary_pairs, residue_signature_lengths
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import TopCode
 
@@ -45,6 +45,10 @@ class CkCodec(PairCodec):
         u, a = divmod(i, self.k)
         v, b = divmod(j, self.k)
         return self._top.codeword(a, b)[1] + u + v + 2
+
+    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
+        codeword = self._top.codeword
+        return residue_signature_lengths(self.k, s, lambda a, b: codeword(a, b)[1])
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         a, b = self._top.decode(reader)

@@ -195,6 +195,11 @@ def cmd_lengths(args) -> int:
     return 0
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:  # also rejects nan
+        raise DataError(f"eps must lie in (0, 1), got {eps}")
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     out = []
     n = 0
@@ -209,12 +214,13 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 def cmd_sweep(args) -> int:
     from . import analysis
-    from .oracle import oracle_optimal_avg_len
+    from .oracle import SourceTooLarge, oracle_optimal_avg_len
 
     if not (0.0 < args.q_lo <= args.q_hi < 1.0):
         raise DataError("need 0 < q-lo <= q-hi < 1")
     if args.step <= 0:
         raise DataError("step must be positive")
+    _check_eps(args.eps)
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     for q in _grid(args.q_lo, args.q_hi, args.step):
         ent = analysis.entropy_per_symbol(q)
@@ -225,13 +231,16 @@ def cmd_sweep(args) -> int:
         )
         ck = min(analysis.avg_len_ck(q, k) for k in range(1, analysis._SELECT_CK_MAX + 1))
         cminus = min(
-            analysis.avg_len_by_series(analysis.CminusLengthModel(k), q, args.eps)
+            analysis.family_avg_len(CodeFamily("cminus", k), q, args.eps)
             for k in range(2, analysis._SELECT_CMINUS_MAX + 1)
         )
         limit = analysis.avg_len_limit_closed(q)
         opt = ""
         if args.with_oracle and q <= ORACLE_Q_CAP:
-            est, _ = oracle_optimal_avg_len(q, args.eps)
+            try:
+                est, _ = oracle_optimal_avg_len(q, args.eps)
+            except SourceTooLarge as exc:
+                raise DataError(str(exc)) from exc
             opt = f"{analysis.redundancy_per_symbol(est, q):.6f}"
         lines.append(
             f"{q:.6f},{ent:.6f},{opt},"
@@ -249,6 +258,7 @@ def cmd_oracle(args) -> int:
 
     if not 0.0 < args.q <= ORACLE_Q_CAP:
         raise DataError(f"oracle runs are capped at q <= {ORACLE_Q_CAP}")
+    _check_eps(args.eps)
     cap = DEFAULT_SYMBOL_CAP if args.cap is None else args.cap
     try:
         est, unc = oracle_optimal_avg_len(args.q, args.eps, cap)

@@ -24,18 +24,16 @@ code on the initial regime.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .basecodes import LeavesWindow, PairCodec, quasi_uniform_codeword, quasi_uniform_shape
-from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword
+from .bitio import FLUSH_BITS, BitReader, BitWriter
 
 
 class SignatureLengthRow(namedtuple("SignatureLengthRow", "s lam n_short n_long")):
     """Length distribution of one signature: counts at Lambda and Lambda+1."""
 
     __slots__ = ()
-
-    def total_pairs(self) -> int:
-        return self.n_short + self.n_long
 
 
 def signature_row(k: int, s: int) -> tuple[int, int, int, int]:
@@ -89,9 +87,8 @@ def signature_length_row(k: int, s: int) -> SignatureLengthRow:
     if s < 0:
         raise ValueError("signature must be >= 0")
     lam, n_short, n_long, _ = signature_row(k, s)
-    row = SignatureLengthRow(s, lam, n_short, n_long)
-    assert row.total_pairs() == s + 1
-    return row
+    assert n_short + n_long == s + 1
+    return SignatureLengthRow(s, lam, n_short, n_long)
 
 
 def _lowest_signature(k: int, u: int) -> int:
@@ -109,11 +106,11 @@ def _lowest_signature(k: int, u: int) -> int:
     return max((1 << i) - 1, -(-(u + (2 << i)) // (i + 1)) - 2)
 
 
-# signatures whose rows a codec computes once, at construction: nearly every
-# pair at the design points falls below it, and the memo halves the cost of
-# coding those pairs (cminus k=2 at q = 1/4, 40k pairs, CPython 3.11 on a
-# shared 2-vCPU VM: decode 72 -> 35 ms, encode 48 -> 27 ms); past it each
-# pair calls signature_row
+# signatures whose rows a codec computes once, on its first encode or decode:
+# nearly every pair at the design points falls below it, and the memo halves
+# the cost of coding those pairs (cminus k=2 at q = 1/4, 40k pairs, CPython
+# 3.11 on a shared 2-vCPU VM: decode 72 -> 35 ms, encode 48 -> 27 ms); past
+# it each pair calls signature_row
 _MEMO_SIGNATURES = 256
 
 
@@ -123,30 +120,41 @@ class CminusCodec(PairCodec):
     Every codeword value comes from :func:`signature_row` in closed form:
     the Kraft deficit D_s gives a signature's first canonical values, so
     nothing is allocated signature by signature.  The rows of the first
-    ``_MEMO_SIGNATURES`` signatures are computed once at construction and
-    never change, so a codec is immutable and shareable.
+    ``_MEMO_SIGNATURES`` signatures are computed once, on first coding use,
+    and never change, so a codec is immutable and shareable.  The analysis
+    sums ``signature_lengths`` without building them.
     """
 
     def __init__(self, k: int) -> None:
         if k < 2:
             raise ValueError("k must be >= 2")
         self.k = k
-        self._rows = tuple(signature_row(k, s) for s in range(_MEMO_SIGNATURES))
-        # the lowest signature s with Lambda_s >= u, for each run of u ones
-        # up to the memo's last Lambda
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(signature_row(self.k, s) for s in range(_MEMO_SIGNATURES))
+
+    @cached_property
+    def _run_signature(self) -> tuple[int, ...]:
+        """The lowest signature s with Lambda_s >= u, for each run of u ones
+        up to the memo's last Lambda."""
         run_signature: list[int] = []
         for s, (lam, _, _, _) in enumerate(self._rows):
             run_signature += [s] * (lam + 1 - len(run_signature))
-        self._run_signature = tuple(run_signature)
+        return tuple(run_signature)
+
+    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
+        lam, n_short, n_long, _ = signature_row(self.k, s)
+        return (lam, n_short), (lam + 1, n_long)
 
     def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
         i, j = pair
         if i < 0 or j < 0:
             raise ValueError("pair components must be >= 0")
         s = i + j
-        try:
+        if s < _MEMO_SIGNATURES:
             lam, n_short, _, deficit = self._rows[s]
-        except IndexError:
+        else:
             lam, n_short, _, deficit = signature_row(self.k, s)
         first_short = (1 << lam) - deficit
         if i < n_short:
@@ -343,13 +351,8 @@ def limit_codeword(pair: tuple[int, int]) -> tuple[int, int]:
     return (((1 << run) - 1) << length) | value, run + length
 
 
-def limit_encode(pair: tuple[int, int]) -> Codeword:
-    """:func:`limit_codeword` as a :class:`Codeword`."""
-    return Codeword(*limit_codeword(pair))
-
-
 def limit_decode(reader: BitReader) -> tuple[int, int]:
-    """Inverse of :func:`limit_encode`.
+    """Inverse of :func:`limit_codeword`.
 
     Only the reserved rank of a block is all ones, so the run of ones
     that opens a codeword is the descent to signature s plus fewer than
@@ -392,6 +395,10 @@ class LimitCodec(PairCodec):
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return limit_decode(reader)
+
+    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
+        _, lam, n_short, n_long = limit_row(s)
+        return (lam, n_short), (lam + 1, n_long)
 
     def encode_many(self, pairs) -> tuple[bytes, int]:
         writer = BitWriter()

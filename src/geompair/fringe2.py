@@ -22,8 +22,6 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .bitio import Codeword
-
 SIGN_RTOL = 1e-12
 
 
@@ -65,18 +63,6 @@ class CompactProfile(namedtuple("CompactProfile", "sigma c m M leaves")):
     tree, with m = ceil(log2 N) and M = m - sigma."""
 
     __slots__ = ()
-
-    @property
-    def n_upper(self) -> int:
-        return self.leaves[0]
-
-    @property
-    def n_mid(self) -> int:
-        return self.leaves[1]
-
-    @property
-    def n_lower(self) -> int:
-        return self.leaves[2]
 
 
 def _ceil_log2(n: int) -> int:
@@ -271,7 +257,10 @@ def _delta_poly(k: int, big_m: int, x: int) -> int:
     return 2 * k * k - (1 << (big_m + 1)) + x * (x + 1) - prod // 2
 
 
-@lru_cache(maxsize=None)
+# bounded because k comes from container headers (up to 65535, about 600
+# bytes of records each); 128 holds the 64 ck orders that select and sweep
+# evaluate at every q
+@lru_cache(maxsize=128)
 def top_code_params(k: int) -> TopCodeParams:
     """Optimal fringe-<=2 parameters for the k x k geometric top source.
 
@@ -419,12 +408,3 @@ def top_code_symbols(k: int) -> list[tuple[int, int]]:
         ((i, j) for i in range(k) for j in range(k)),
         key=lambda p: (p[0] + p[1], p),
     )
-
-
-def top_code_table(k: int) -> dict[tuple[int, int], Codeword]:
-    """Canonical codeword for every pair of the k x k top source.
-
-    Builds k^2 entries; the codecs use :class:`TopCode` directly.
-    """
-    top = TopCode(k)
-    return {(a, b): Codeword(*top.codeword(a, b)) for a, b in top_code_symbols(k)}

@@ -16,9 +16,6 @@ import pytest
 
 from geompair import analysis
 from geompair.analysis import (
-    CkLengthModel,
-    CminusLengthModel,
-    LimitLengthModel,
     avg_len_by_series,
     avg_len_ck,
     avg_len_ck_design,
@@ -32,10 +29,11 @@ from geompair.analysis import (
     redundancy_per_symbol,
 )
 from geompair.bitio import BitReader, BitWriter
+from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import (
     CminusCodec,
+    LimitCodec,
     limit_decode,
-    limit_encode,
     limit_row,
     signature_length_row,
 )
@@ -72,7 +70,7 @@ def rival_avg_lens(q):
     rivals += [golomb_pair_avg_len(q, k) for k in sorted(golomb_orders)]
     rivals.append(avg_len_limit_closed(q))
     rivals += [
-        avg_len_by_series(CminusLengthModel(k), q, 1e-10) for k in range(2, 7)
+        avg_len_by_series(CminusCodec(k), q, 1e-10) for k in range(2, 7)
     ]
     return rivals
 
@@ -108,7 +106,7 @@ def test_criterion_03_closed_form_consistency():
     with criterion(3, "series vs closed form, and both closed forms"):
         for k in range(1, 11):
             for q in (0.3, 0.6, 2 ** (-1 / k), 0.9):
-                series = avg_len_by_series(CkLengthModel(k), q, 1e-10)
+                series = avg_len_by_series(CkCodec(k), q, 1e-10)
                 assert abs(series - avg_len_ck(q, k)) <= 1e-9
             a = avg_len_ck(2 ** (-1 / k), k)
             b = avg_len_ck_design(k)
@@ -131,7 +129,7 @@ def test_criterion_05_optimality_vs_oracle():
         for k in (2, 3, 4):
             q = 2.0**-k
             est = oracle_at(q).avg_len_pair
-            series = avg_len_by_series(CminusLengthModel(k), q, 1e-10)
+            series = avg_len_by_series(CminusCodec(k), q, 1e-10)
             assert abs(est - series) <= 1e-3
             design_points.append(q)
         # the oracle is a minimum: no implemented family does better
@@ -184,16 +182,17 @@ def test_criterion_08_limit_code():
     with criterion(8, "limit code: roundtrip, distribution, closed form"):
         rng = random.Random(8)
         pairs = [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(10_000)]
+        limit = LimitCodec()
         writer = BitWriter()
         for pair in pairs:
-            writer.write_codeword(limit_encode(pair))
+            limit.encode_to(writer, pair)
         reader = BitReader(writer.getvalue())
         for pair in pairs:
             assert limit_decode(reader) == pair
 
         for s in range(257):
             row = limit_row(s)
-            got = Counter(limit_encode((i, s - i)).length for i in range(s + 1))
+            got = Counter(limit.encode((i, s - i)).length for i in range(s + 1))
             expected = Counter()
             if row.n_short:
                 expected[row.lam] = row.n_short
@@ -202,7 +201,7 @@ def test_criterion_08_limit_code():
             assert got == expected
 
         for q in (0.05, 0.1, 0.2, 0.3):
-            series = avg_len_by_series(LimitLengthModel(), q, 1e-10)
+            series = avg_len_by_series(LimitCodec(), q, 1e-10)
             assert abs(series - avg_len_limit_closed(q)) <= 1e-9
 
         for k in range(3, 9):
@@ -210,7 +209,7 @@ def test_criterion_08_limit_code():
             for s in range((1 << (k - 1)) - 1):
                 for i in range(s + 1):
                     pair = (i, s - i)
-                    assert codec.encode(pair).length == limit_encode(pair).length
+                    assert codec.encode(pair).length == limit.encode(pair).length
 
 
 def test_criterion_09_crossover_point():
@@ -241,7 +240,7 @@ def test_criterion_11_redundancy_advantage_snapshot():
             )
             contenders = [
                 redundancy_per_symbol(
-                    avg_len_by_series(CminusLengthModel(k), q, 1e-10), q
+                    avg_len_by_series(CminusCodec(k), q, 1e-10), q
                 )
                 for k in range(2, 9)
             ]

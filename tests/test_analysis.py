@@ -3,12 +3,11 @@ import math
 import pytest
 
 from geompair import analysis
-from geompair.basecodes import QuasiUniformSpec
+from geompair.basecodes import GolombPairCodec, quasi_uniform_codeword
+from geompair.ck_codec import CkCodec
+from geompair.cminus_codec import CminusCodec, LimitCodec
+from geompair.families import make_codec
 from geompair.analysis import (
-    CkLengthModel,
-    CminusLengthModel,
-    GolombPairLengthModel,
-    LimitLengthModel,
     NoConvergence,
     NoSignChange,
     QOutOfRange,
@@ -59,25 +58,25 @@ def test_design_specialization_consistent(k):
 @pytest.mark.parametrize("q", [0.3, 0.6, 0.8, 0.9])
 @pytest.mark.parametrize("k", range(1, 9))
 def test_series_matches_ck_closed_form(q, k):
-    srs = avg_len_by_series(CkLengthModel(k), q, 1e-10)
+    srs = avg_len_by_series(CkCodec(k), q, 1e-10)
     assert abs(srs - avg_len_ck(q, k)) < 1e-10 + 1e-9
 
 
 def test_series_examples():
-    assert abs(avg_len_by_series(GolombPairLengthModel(1), 0.5, 1e-10) - 4.0) < 1e-9
-    limit_series = avg_len_by_series(LimitLengthModel(), 0.25, 1e-10)
+    assert abs(avg_len_by_series(GolombPairCodec(1), 0.5, 1e-10) - 4.0) < 1e-9
+    limit_series = avg_len_by_series(LimitCodec(), 0.25, 1e-10)
     assert abs(limit_series - avg_len_limit_closed(0.25)) < 1e-9
-    v = avg_len_by_series(CminusLengthModel(2), 0.25, 1e-10)
+    v = avg_len_by_series(CminusCodec(2), 0.25, 1e-10)
     assert 2 * entropy_per_symbol(0.25) - 1e-9 <= v <= avg_len_limit_closed(0.25)
 
 
 def test_series_error_conditions():
     with pytest.raises(NoConvergence):
-        avg_len_by_series(LimitLengthModel(), 1.0, 1e-9)
+        avg_len_by_series(LimitCodec(), 1.0, 1e-9)
     with pytest.raises(QOutOfRange):
-        avg_len_by_series(LimitLengthModel(), -0.5, 1e-9)
+        avg_len_by_series(LimitCodec(), -0.5, 1e-9)
     with pytest.raises(ValueError):
-        avg_len_by_series(LimitLengthModel(), 0.5, 0.0)
+        avg_len_by_series(LimitCodec(), 0.5, 0.0)
 
 
 def test_limit_closed_examples():
@@ -103,8 +102,7 @@ def _best_golomb_order_loop(q):
 
 def _golomb_pair_avg_len_sum(q, k):
     # the original remainder sum over range(k), kept as the reference
-    spec = QuasiUniformSpec.for_size(k)
-    resid = sum(spec.length_of(r) * q**r for r in range(k)) * (1 - q) / (1 - q**k)
+    resid = sum(quasi_uniform_codeword(k, r)[1] * q**r for r in range(k)) * (1 - q) / (1 - q**k)
     return 2.0 * (resid + 1.0 + q**k / (1.0 - q**k))
 
 
@@ -179,7 +177,7 @@ def test_golomb_interval_endpoints_via_root_finding():
 
 def test_golomb_pair_closed_form_matches_series():
     for q, k in [(0.5, 1), (0.7, 2), (0.9, 5), (0.3, 1)]:
-        srs = avg_len_by_series(GolombPairLengthModel(k), q, 1e-10)
+        srs = avg_len_by_series(GolombPairCodec(k), q, 1e-10)
         assert abs(srs - golomb_pair_avg_len(q, k)) < 1e-9
 
 
@@ -191,7 +189,7 @@ def test_no_family_beats_entropy():
             assert avg_len_ck(q, k) >= floor
             assert golomb_pair_avg_len(q, k) >= floor
         for k in (2, 3, 4):
-            assert avg_len_by_series(CminusLengthModel(k), q, 1e-9) >= floor
+            assert avg_len_by_series(CminusCodec(k), q, 1e-9) >= floor
         assert avg_len_limit_closed(q) >= floor
 
 
@@ -322,6 +320,18 @@ def test_adaptive_select_matches_brute_force_minimum():
         excess = analysis.family_avg_len(chosen, q, 1e-10) - _brute_force_best(q)
         # the selector sums cminus series to within its own 1e-8
         assert excess <= 1e-8, (mean, chosen.label(), excess)
+
+
+def test_adaptive_select_leaves_the_cminus_memo_unbuilt():
+    # the series reads signature_lengths, which does not build the codec's
+    # coding memo; building it for nine orders costs more than a cold select
+    make_codec.cache_clear()
+    adaptive_select(0.3)
+    for k in range(2, 11):
+        codec = make_codec(analysis.CodeFamily("cminus", k))
+        assert "_rows" not in vars(codec), k
+    codec.encode((1, 2))
+    assert "_rows" in vars(codec)
 
 
 def test_adaptive_select_evaluates_each_candidate_once(monkeypatch):

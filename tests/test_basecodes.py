@@ -3,24 +3,21 @@ from hypothesis import given, strategies as st
 
 from geompair.basecodes import (
     GolombPairCodec,
-    QuasiUniformSpec,
     RankOutOfRange,
-    canonical_codewords,
+    golomb_codeword,
     golomb_decode,
-    golomb_encode,
     golomb_length,
+    quasi_uniform_codeword,
     quasi_uniform_decode,
-    quasi_uniform_encode,
-    read_unary,
-    unary_encode,
 )
-from geompair.bitio import BitReader, BitWriter
+from geompair.bitio import BitReader, BitWriter, Codeword
 
 
 def test_unary_examples():
-    assert unary_encode(0).bits() == "0"
-    assert unary_encode(3).bits() == "1110"
-    cw = unary_encode(10)
+    # the order-1 Golomb code is the unary code
+    assert Codeword(*golomb_codeword(1, 0)).bits() == "0"
+    assert Codeword(*golomb_codeword(1, 3)).bits() == "1110"
+    cw = Codeword(*golomb_codeword(1, 10))
     assert cw.length == 11 and cw.value == 2**11 - 2
 
 
@@ -37,19 +34,19 @@ def test_unary_examples():
     ],
 )
 def test_quasi_uniform_examples(n, rank, bits):
-    assert quasi_uniform_encode(n, rank).bits() == bits
+    assert Codeword(*quasi_uniform_codeword(n, rank)).bits() == bits
 
 
 def test_quasi_uniform_rank_bounds():
     with pytest.raises(RankOutOfRange):
-        quasi_uniform_encode(5, 5)
+        quasi_uniform_codeword(5, 5)
     with pytest.raises(RankOutOfRange):
-        quasi_uniform_encode(5, -1)
+        quasi_uniform_codeword(5, -1)
 
 
 @pytest.mark.parametrize("n", list(range(1, 600)) + [1023, 1024, 4095, 4096])
 def test_quasi_uniform_kraft_exact(n):
-    lens = [QuasiUniformSpec.for_size(n).length_of(r) for r in range(n)]
+    lens = [quasi_uniform_codeword(n, r)[1] for r in range(n)]
     top = max(lens)
     assert sum(1 << (top - ln) for ln in lens) == 1 << top
 
@@ -59,7 +56,7 @@ def test_quasi_uniform_roundtrip(n):
     w = BitWriter()
     ranks = [0, 1, n // 2, n - 2, n - 1]
     for r in ranks:
-        w.write_codeword(quasi_uniform_encode(n, r))
+        w.write(*quasi_uniform_codeword(n, r))
     reader = BitReader(w.getvalue())
     assert [quasi_uniform_decode(n, reader) for _ in ranks] == ranks
 
@@ -73,13 +70,13 @@ def test_quasi_uniform_roundtrip(n):
     ],
 )
 def test_golomb_examples(k, i, bits):
-    assert golomb_encode(k, i).bits() == bits
+    assert Codeword(*golomb_codeword(k, i)).bits() == bits
 
 
 @given(st.integers(1, 64), st.integers(0, 100_000))
 def test_golomb_roundtrip(k, i):
     w = BitWriter()
-    w.write_codeword(golomb_encode(k, i))
+    w.write(*golomb_codeword(k, i))
     assert golomb_decode(k, BitReader(w.getvalue())) == i
 
 
@@ -87,25 +84,16 @@ def test_golomb_roundtrip(k, i):
 def test_golomb_length_nondecreasing(k):
     lens = [golomb_length(k, i) for i in range(6 * k + 5)]
     assert all(a <= b for a, b in zip(lens, lens[1:]))
-    assert lens == [golomb_encode(k, i).length for i in range(len(lens))]
+    assert lens == [golomb_codeword(k, i)[1] for i in range(len(lens))]
 
 
 def test_read_unary():
     w = BitWriter()
-    w.write_codeword(unary_encode(7))
-    w.write_codeword(unary_encode(0))
+    w.write(*golomb_codeword(1, 7))
+    w.write(*golomb_codeword(1, 0))
     r = BitReader(w.getvalue())
-    assert read_unary(r) == 7
-    assert read_unary(r) == 0
-
-
-def test_canonical_codewords():
-    cws = canonical_codewords([1, 2, 3, 3])
-    assert [c.bits() for c in cws] == ["0", "10", "110", "111"]
-    with pytest.raises(ValueError):
-        canonical_codewords([2, 1])
-    with pytest.raises(ValueError):
-        canonical_codewords([1, 1, 1])
+    assert r.read_unary() == 7
+    assert r.read_unary() == 0
 
 
 def test_golomb_pair_codec_roundtrip():
@@ -117,5 +105,5 @@ def test_golomb_pair_codec_roundtrip():
     r = BitReader(w.getvalue())
     assert [codec.decode(r) for _ in pairs] == pairs
     assert codec.encode((7, 2)).bits() == (
-        golomb_encode(3, 7) + golomb_encode(3, 2)
+        Codeword(*golomb_codeword(3, 7)) + Codeword(*golomb_codeword(3, 2))
     ).bits()

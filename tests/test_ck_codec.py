@@ -8,6 +8,7 @@ from geompair.analysis import avg_len_ck_design, golomb_pair_avg_len
 from geompair.basecodes import golomb_length
 from geompair.bitio import BitReader, BitWriter, StreamExhausted
 from geompair.ck_codec import CkCodec
+from geompair.fringe2 import top_code_params
 
 
 @pytest.mark.parametrize(
@@ -20,6 +21,16 @@ from geompair.ck_codec import CkCodec
 )
 def test_encode_examples(k, pair, bits):
     assert CkCodec(k).encode(pair).bits() == bits
+
+
+def test_top_code_parameter_cache_is_bounded():
+    # k comes from container headers: building a codec for each of many
+    # orders must not keep every order's parameters
+    for k in range(1, 501):
+        CkCodec(k)
+    info = top_code_params.cache_info()
+    assert 64 <= info.maxsize < 500  # still holds the 64 orders select and sweep scan
+    assert info.currsize == info.maxsize
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 9, 16, 32])

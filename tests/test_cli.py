@@ -282,6 +282,37 @@ def test_crossover_takes_any_family(capsys):
     assert out.strip() == "0.61803"  # the golden-ratio boundary of the Golomb orders
 
 
+def test_crossover_of_a_huge_cminus_order_is_prompt(capsys):
+    # cminus at a huge k codes every small signature as the limit code does;
+    # the series tail bound once started at signature k and never certified
+    start = time.perf_counter()
+    code, out, err = run(capsys, "crossover", "--model-a", "cminus99999999", "--model-b", "ck1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0, err
+    assert out.strip() == "0.33715"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--q", "0.5", "--eps", "0"], ["oracle", "--q", "0.5", "--eps", "2"],
+     ["oracle", "--q", "0.5", "--eps", "nan"], ["sweep", "--eps", "0"],
+     ["sweep", "--with-oracle", "--eps", "1.5"]],
+)
+def test_eps_outside_unit_interval_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("geompair: eps ")
+
+
+def test_sweep_oracle_beyond_its_symbol_cap_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--with-oracle", "--eps", "1e-300",
+                         "--q-lo", "0.9", "--q-hi", "0.9")
+    assert code == 2
+    assert out == ""
+    assert "exceeds cap" in err
+
+
 def test_crossover_same_family_twice_exits_2(capsys):
     code, out, err = run(capsys, "crossover", "--model-a", "ck3", "--model-b", "ck3")
     assert code == 2

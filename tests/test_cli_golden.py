@@ -4,7 +4,8 @@ The files under ``tests/data/cli/`` were written by the CLI before the
 batch coders replaced the per-pair loops; every command must keep
 printing them byte for byte.  ``pairs200.txt`` is a fixed input of 200
 pairs near the design points of several families, with a few extreme
-ones; its container for each family is ``<family>.bin``.
+ones; its container for each family is ``<family>.bin`` and the stderr of
+``encode --verbose`` is ``<family>.verbose.txt``.
 """
 
 from pathlib import Path
@@ -40,6 +41,15 @@ def test_encode_container_is_golden(tmp_path, capsys, name):
     golden = (DATA / f"{name}.bin").read_bytes()
     assert out_path.read_bytes() == golden
     assert err.startswith("encoded 200 pairs, ")
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_encode_verbose_stderr_is_golden(tmp_path, capsys, name):
+    out_path = tmp_path / f"{name}.bin"
+    _, err = run(capsys, "encode", str(DATA / "pairs200.txt"), *CONTAINERS[name], "--verbose",
+                 "--out", str(out_path))
+    assert err == (DATA / f"{name}.verbose.txt").read_text()
+    assert out_path.read_bytes() == (DATA / f"{name}.bin").read_bytes()
 
 
 @pytest.mark.parametrize("name", CONTAINERS)

@@ -10,7 +10,6 @@ from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
     limit_decode,
-    limit_encode,
     limit_row,
     signature_length_row,
 )
@@ -44,7 +43,7 @@ def test_counts_and_monotonicity(k):
     for s in range(513):
         row = signature_length_row(k, s)
         assert row.n_short >= 0 and row.n_long >= 0
-        assert row.total_pairs() == s + 1
+        assert row.n_short + row.n_long == s + 1
         lens = [row.lam] * (row.n_short > 0) + [row.lam + 1] * (row.n_long > 0)
         assert min(lens) >= prev_longest
         prev_longest = max(lens)
@@ -155,15 +154,16 @@ def test_decode_of_a_long_run_reencodes_to_its_bits(k):
     [((0, 0), "0"), ((0, 1), "10"), ((1, 0), "110")],
 )
 def test_limit_encode_examples(pair, bits):
-    assert limit_encode(pair).bits() == bits
+    assert LimitCodec().encode(pair).bits() == bits
 
 
 def test_limit_roundtrip():
     rng = random.Random(4)
     pairs = [(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(200)]
+    codec = LimitCodec()
     w = BitWriter()
     for p in pairs:
-        w.write_codeword(limit_encode(p))
+        codec.encode_to(w, p)
     r = BitReader(w.getvalue())
     assert [limit_decode(r) for _ in pairs] == pairs
 
@@ -172,9 +172,10 @@ def test_limit_decode_every_pair_of_a_signature():
     # every block position, at signatures on both sides of each power of two
     sigs = list(range(300)) + [s + d for s in (511, 1023, 4095) for d in (-1, 0, 1)]
     pairs = [(i, s - i) for s in sigs for i in range(s + 1)]
+    codec = LimitCodec()
     w = BitWriter()
     for p in pairs:
-        w.write_codeword(limit_encode(p))
+        codec.encode_to(w, p)
     r = BitReader(w.getvalue())
     assert [limit_decode(r) for _ in pairs] == pairs
     assert r.bits_consumed == w.bits_written
@@ -182,16 +183,17 @@ def test_limit_decode_every_pair_of_a_signature():
 
 def test_limit_decode_exhaustion():
     w = BitWriter()
-    w.write_codeword(limit_encode((40, 40)))
+    LimitCodec().encode_to(w, (40, 40))
     r = BitReader(w.getvalue()[:4])
     with pytest.raises(StreamExhausted):
         limit_decode(r)
 
 
 def test_limit_distribution_small_signatures():
+    codec = LimitCodec()
     for s in range(65):
         row = limit_row(s)
-        lens = Counter(limit_encode((i, s - i)).length for i in range(s + 1))
+        lens = Counter(codec.encode((i, s - i)).length for i in range(s + 1))
         expected = Counter()
         if row.n_short:
             expected[row.lam] = row.n_short
@@ -203,11 +205,11 @@ def test_limit_distribution_small_signatures():
 @pytest.mark.parametrize("k", range(3, 9))
 def test_limit_agrees_with_cminus_on_initial_regime(k):
     # per-pair codeword lengths coincide for s <= 2^(k-1) - 2
-    codec = CminusCodec(k)
+    codec, limit = CminusCodec(k), LimitCodec()
     for s in range((1 << (k - 1)) - 1):
         for i in range(s + 1):
             pair = (i, s - i)
-            assert codec.encode(pair).length == limit_encode(pair).length
+            assert codec.encode(pair).length == limit.encode(pair).length
 
 
 def test_limit_codec_facade():

@@ -3,8 +3,8 @@ original ones.
 
 The ``ref_*`` encoders below are the package's original encoders, which
 built every codeword by concatenating ``Codeword`` objects, looked the ck
-top code up in a k^2 table and allocated cminus codewords signature by
-signature.  They are kept here as the reference: every codec's
+top code up in a k^2 table of :func:`canonical_codewords` and allocated
+cminus codewords signature by signature.  They are kept here as the reference: every codec's
 ``encode``, ``encode_to`` and ``encode_many`` must emit exactly their
 bytes.  The original limit and cminus decoders, which walk every
 signature from 0, are the reference for the closed-form ones.
@@ -16,15 +16,45 @@ import pytest
 
 from geompair.basecodes import (
     PairCodec,
-    QuasiUniformSpec,
-    canonical_codewords,
     golomb_length,
     quasi_uniform_decode,
+    quasi_uniform_shape,
 )
 from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
 from geompair.cminus_codec import limit_row, signature_length_row, signature_row
 from geompair.families import CodeFamily, make_codec
-from geompair.fringe2 import TopCode, top_code_params, top_code_symbols, top_code_table
+from geompair.fringe2 import TopCode, top_code_params, top_code_symbols
+
+
+def canonical_codewords(lengths: list[int]) -> list[Codeword]:
+    """Canonical prefix codewords for a nondecreasing list of lengths.
+
+    Codeword values increase numerically in list order; each step shifts
+    left by the length difference.  Raises ValueError if the lengths
+    decrease somewhere or overflow the code space (Kraft sum above 1).
+    """
+    out: list[Codeword] = []
+    value = 0
+    cur_len = lengths[0] if lengths else 0
+    for length in lengths:
+        if length < cur_len:
+            raise ValueError("lengths must be nondecreasing")
+        value <<= length - cur_len
+        cur_len = length
+        if value >> length:
+            raise ValueError("lengths overflow the code space")
+        out.append(Codeword(value, length))
+        value += 1
+    return out
+
+
+def test_canonical_codewords():
+    cws = canonical_codewords([1, 2, 3, 3])
+    assert [c.bits() for c in cws] == ["0", "10", "110", "111"]
+    with pytest.raises(ValueError):
+        canonical_codewords([2, 1])
+    with pytest.raises(ValueError):
+        canonical_codewords([1, 1, 1])
 
 
 def ref_unary(n):
@@ -32,10 +62,10 @@ def ref_unary(n):
 
 
 def ref_quasi_uniform(n, rank):
-    spec = QuasiUniformSpec.for_size(n)
-    if rank < spec.short_count:
-        return Codeword(rank, spec.m - 1)
-    return Codeword(rank + spec.short_count, spec.m)
+    m, short_count = quasi_uniform_shape(n)
+    if rank < short_count:
+        return Codeword(rank, m - 1)
+    return Codeword(rank + short_count, m)
 
 
 def ref_top_table(k):
@@ -201,7 +231,7 @@ def reference_stream(family, pairs):
     codewords = [ref.encode(p) for p in pairs]
     writer = BitWriter()
     for cw in codewords:
-        writer.write_codeword(cw)
+        writer.write(cw.value, cw.length)
     return codewords, writer.getvalue(), writer.bits_written
 
 
@@ -304,10 +334,9 @@ def test_top_code_matches_reference_table(k):
     ref = ref_top_table(k)
     top = TopCode(k)
     assert {sym: Codeword(*top.codeword(*sym)) for sym in ref} == ref
-    assert top_code_table(k) == ref
     writer = BitWriter()
     for cw in ref.values():
-        writer.write_codeword(cw)
+        writer.write(cw.value, cw.length)
     reader = BitReader(writer.getvalue())
     assert [top.decode(reader) for _ in ref] == list(ref)
     assert reader.bits_consumed == writer.bits_written

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from geompair.analysis import avg_len_ck_design
+from geompair.bitio import Codeword
 from geompair.fringe2 import (
     COutOfRange,
     NotFourUniform,
+    TopCode,
     WeightedSource,
     c_bounds,
     delta_sc,
@@ -16,7 +18,6 @@ from geompair.fringe2 import (
     profile_from,
     top_code_params,
     top_code_symbols,
-    top_code_table,
     top_source_weights,
     tree_chain,
     trees_equivalent,
@@ -142,8 +143,8 @@ def test_top_code_params_table(k):
 def test_top_code_params_k1_void():
     p = top_code_params(1)
     assert p.profile.leaves == (0, 1, 0)
-    assert top_code_table(1) == {(0, 0): top_code_table(1)[(0, 0)]}
-    assert top_code_table(1)[(0, 0)].length == 0
+    # one symbol, with the empty codeword
+    assert [TopCode(1).codeword(*sym) for sym in top_code_symbols(1)] == [(0, 0)]
 
 
 @pytest.mark.parametrize("k", range(1, 65))
@@ -188,7 +189,8 @@ def test_top_average_length_matches_closed_form(k):
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_top_code_table_shape(k):
-    table = top_code_table(k)
+    top = TopCode(k)
+    table = {sym: Codeword(*top.codeword(*sym)) for sym in top_code_symbols(k)}
     p = top_code_params(k)
     assert len(table) == k * k
     assert max(cw.length for cw in table.values()) <= p.M + 1
@@ -197,14 +199,14 @@ def test_top_code_table_shape(k):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_huffman_agrees_with_top_code(k):
     lengths = huffman_lengths(top_source_weights(k).weights)
-    table = top_code_table(k)
-    assert Counter(lengths.tolist()) == Counter(c.length for c in table.values())
+    top = TopCode(k)
+    assert Counter(lengths.tolist()) == Counter(top.codeword(*sym)[1] for sym in top_code_symbols(k))
 
 
 def test_top_code_table_k3_examples():
-    table = top_code_table(3)
-    assert table[(0, 0)].bits() == "000"
-    assert table[(2, 2)].bits() == "1111"
-    assert table[(1, 1)].bits() == "100"
+    top = TopCode(3)
+    assert Codeword(*top.codeword(0, 0)).bits() == "000"
+    assert Codeword(*top.codeword(2, 2)).bits() == "1111"
+    assert Codeword(*top.codeword(1, 1)).bits() == "100"
     # symbols are ordered by signature, then lexicographically
     assert top_code_symbols(3)[:4] == [(0, 0), (0, 1), (1, 0), (0, 2)]

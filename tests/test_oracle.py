@@ -13,11 +13,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from geompair.analysis import (
-    CminusLengthModel,
-    avg_len_by_series,
-    avg_len_ck_design,
-)
+from geompair.analysis import avg_len_by_series, avg_len_ck_design
+from geompair.cminus_codec import CminusCodec
 from geompair.oracle import (
     EmptySource,
     SourceTooLarge,
@@ -126,7 +123,7 @@ def test_oracle_matches_design_families(k):
     est, _ = oracle_optimal_avg_len(2 ** (-1 / k), 1e-9)
     assert abs(est - avg_len_ck_design(k)) < 1e-3
     est, _ = oracle_optimal_avg_len(2.0**-k, 1e-9)
-    series = avg_len_by_series(CminusLengthModel(k), 2.0**-k, 1e-10)
+    series = avg_len_by_series(CminusCodec(k), 2.0**-k, 1e-10)
     assert abs(est - series) < 1e-3
 
 

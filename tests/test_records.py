@@ -3,7 +3,6 @@ immutability, as the frozen dataclasses they replace had them."""
 
 import pytest
 
-from geompair.basecodes import QuasiUniformSpec
 from geompair.bitio import Codeword
 from geompair.cminus_codec import SignatureLengthRow, limit_row, signature_length_row
 from geompair.families import CodeFamily, InvalidFamilyParam, make_codec
@@ -11,8 +10,6 @@ from geompair.fringe2 import CompactProfile, TopCodeParams, profile_from, top_co
 
 RECORDS = [
     (Codeword(5, 4), Codeword(5, 4), Codeword(5, 5), "Codeword(value=5, length=4)"),
-    (QuasiUniformSpec.for_size(5), QuasiUniformSpec(5, 3, 3), QuasiUniformSpec.for_size(6),
-     "QuasiUniformSpec(n=5, m=3, short_count=3)"),
     (signature_length_row(3, 7), SignatureLengthRow(7, 19, 6, 2), limit_row(7),
      "SignatureLengthRow(s=7, lam=19, n_short=6, n_long=2)"),
     (CodeFamily("ck", 3), CodeFamily("ck", k=3), CodeFamily("ck", 4), "CodeFamily(kind='ck', k=3)"),

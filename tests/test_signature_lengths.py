@@ -1,0 +1,29 @@
+"""``signature_lengths(s)``, the per-signature length interface of every
+codec, against the lengths of the codewords it describes."""
+
+from collections import Counter
+
+import pytest
+
+from geompair.families import CodeFamily, make_codec
+
+FAMILIES = (
+    [CodeFamily("ck", k) for k in (1, 2, 3, 16, 255)]
+    + [CodeFamily("cminus", k) for k in (2, 3, 4, 10)]
+    + [CodeFamily("limit")]
+    + [CodeFamily("golomb", k) for k in (1, 3, 7)]
+)
+SIGNATURES = list(range(200)) + [511, 4095]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_signature_lengths_are_the_codeword_lengths(family):
+    codec = make_codec(family)
+    for s in SIGNATURES:
+        groups = codec.signature_lengths(s)
+        assert sum(count for _, count in groups) == s + 1, s
+        want = Counter(codec.codeword((i, s - i))[1] for i in range(s + 1))
+        got = Counter()
+        for length, count in groups:
+            got[length] += count
+        assert +got == want, s
