@@ -169,34 +169,50 @@ def avg_len_by_series(codec, q: float, eps: float = 1e-9) -> float:
     beyond S is at most q^S (S+2)^3 / (1 - q e^(3/(S+2))) signature-weight
     units.  The returned value has absolute error < eps.
     """
+    return avg_lens_by_series(codec, (q,), eps)[0]
+
+
+def avg_lens_by_series(codec, qs, eps: float = 1e-9) -> list[float]:
+    """:func:`avg_len_by_series` at each q of ``qs``, in order.
+
+    Each signature's total length is computed once, for the first q that
+    reaches it, and every q sums the totals in the same order as a call
+    of its own, so the results are the same floats.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if q >= 1.0:
-        raise NoConvergence(f"series diverges for q={q}")
-    _check_q(q)
     lengths = codec.signature_lengths
-    start = max(4, max(length for length, _ in lengths(0)))
-    scale = (1.0 - q) ** 2
-    total = 0.0
-    qs = 1.0
-    s = 0
-    while True:
-        signature_total = 0
-        for length, count in lengths(s):
-            signature_total += length * count
-        if s >= start and signature_total > (s + 2) ** 3:
-            raise AssertionError("codec lengths outgrow the series tail bound")
-        total += qs * signature_total
-        s += 1
-        qs *= q
-        if s >= start:
-            damped = q * math.exp(3.0 / (s + 2))
-            if damped < 1.0:
-                tail = qs * (s + 2) ** 3 / (1.0 - damped)
-                if scale * tail < eps:
-                    return scale * total
-        if s > 5_000_000:
-            raise NoConvergence("series truncation did not certify")
+    groups = lengths(0)
+    start = max(4, max(length for length, _ in groups))
+    totals = [sum(length * count for length, count in groups)]  # per signature, for every q
+    out = []
+    for q in qs:
+        if q >= 1.0:
+            raise NoConvergence(f"series diverges for q={q}")
+        _check_q(q)
+        scale = (1.0 - q) ** 2
+        total = 0.0
+        weight = 1.0
+        s = 0
+        while True:
+            if s == len(totals):
+                signature_total = sum(length * count for length, count in lengths(s))
+                if s >= start and signature_total > (s + 2) ** 3:
+                    raise AssertionError("codec lengths outgrow the series tail bound")
+                totals.append(signature_total)
+            total += weight * totals[s]
+            s += 1
+            weight *= q
+            if s >= start:
+                damped = q * math.exp(3.0 / (s + 2))
+                if damped < 1.0:
+                    tail = weight * (s + 2) ** 3 / (1.0 - damped)
+                    if scale * tail < eps:
+                        out.append(scale * total)
+                        break
+            if s > 5_000_000:
+                raise NoConvergence("series truncation did not certify")
+    return out
 
 
 def family_avg_len(family: CodeFamily, q: float, eps: float = 1e-9) -> float:

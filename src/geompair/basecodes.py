@@ -9,6 +9,8 @@ quasi-uniform code for N = k, then the quotient in unary.  Ranks here are
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword, StreamExhausted
 
 
@@ -84,22 +86,38 @@ class LeavesWindow(Exception):
     whole; the pair is decoded again by the per-pair path."""
 
 
+# window bits of one decode-table lookup: the table has 2^TABLE_BITS slots
+# for any code, and a stream that averages at most TABLE_BITS bits per pair
+# decodes through it (see CHANGES.md for the timings behind the value)
+TABLE_BITS = 11
+# pairs with both components below 2^SMALL_BITS take their codeword from
+# the encode table, 4^SMALL_BITS entries
+SMALL_BITS = 4
+
+
 class PairCodec:
-    """Encode paths shared by every pair codec.
+    """Coding paths shared by every pair codec.
 
     A codec implements ``codeword(pair) -> (value, length)``, its single
     encoder, ``decode(reader)`` and ``signature_lengths(s)``: for s >= 0,
     the lengths of the s + 1 codewords of the pairs (i, s - i), as
     ``((length, count), ...)`` groups whose counts sum to s + 1 (a count
     may be 0), the one source of lengths for the analysis.  The public
-    encoders below wrap ``codeword``.  The concrete codecs override ``encode_many`` with a
-    loop that inlines their code and emits the same bits, and add
-    ``decode_many(reader, count)``: the next ``count`` pairs' components,
-    flat (``[i0, j0, i1, j1, ...]``), exactly as a loop of ``decode``
-    calls would return them and leaving the reader at the same bit.  If
-    the stream ends first, the :class:`StreamExhausted` carries the index
-    of the pair that ran off the end in ``pair`` and its start bit in
-    ``start``.
+    encoders below wrap ``codeword``.  The concrete codecs override
+    ``encode_many`` with a loop that inlines their code and emits the same
+    bits, taking the codewords of small pairs from :attr:`_encode_table`,
+    and add ``_decode_run(reader, count)``: the next ``count`` pairs'
+    components, flat (``[i0, j0, i1, j1, ...]``), exactly as a loop of
+    ``decode`` calls would return them and leaving the reader at the same
+    bit.  If the stream ends first, the :class:`StreamExhausted` carries
+    the index of the pair that ran off the end in ``pair`` and its start
+    bit in ``start``.
+
+    :meth:`decode_many` is that contract for every codec: it reads a
+    stream of short codewords through :attr:`_decode_table` and hands
+    the rest to ``_decode_run``.  Both tables are built from ``codeword``
+    on first use and never change, so a codec stays immutable and
+    shareable.
     """
 
     def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
@@ -119,6 +137,94 @@ class PairCodec:
         for pair in pairs:
             write(*codeword(pair))
         return writer.getvalue(), writer.bits_written
+
+    @cached_property
+    def _encode_table(self) -> tuple[tuple[int, int], ...]:
+        """``codeword((i, j))`` at index ``i << SMALL_BITS | j``, for
+        0 <= i, j < 2^SMALL_BITS, each checked to fit its length."""
+        table = []
+        for i in range(1 << SMALL_BITS):
+            for j in range(1 << SMALL_BITS):
+                value, length = self.codeword((i, j))
+                if value >> length:
+                    raise ValueError(f"value {value} does not fit in {length} bits")
+                table.append((value, length))
+        return tuple(table)
+
+    @cached_property
+    def _decode_table(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        """For each TABLE_BITS-bit window, the whole pairs it starts with:
+        ``(components, bits, pairs)``, ``pairs`` 0 where no codeword of
+        at most TABLE_BITS bits opens the window.
+
+        Built from ``codeword`` over the signatures whose shortest codeword
+        has at most TABLE_BITS bits; in every family the shortest length
+        of a signature does not fall as the signature grows.  The code is
+        prefix-free, so the windows that one codeword prefixes hold no
+        other codeword at their start.
+        """
+        codewords = []  # (i, j, value, length), at most TABLE_BITS bits
+        s = 0
+        while min(length for length, count in self.signature_lengths(s) if count) <= TABLE_BITS:
+            for i in range(s + 1):
+                value, length = self.codeword((i, s - i))
+                if length <= TABLE_BITS:
+                    codewords.append((i, s - i, value, length))
+            s += 1
+        # rows[n][w]: (components, bits, pairs) of the pairs that the n-bit
+        # window w holds whole, one codeword at a time from its left end; a
+        # codeword of length L fills the windows it prefixes from row n - L
+        rows = [[((), 0, 0)]]
+        for n in range(1, TABLE_BITS + 1):
+            row = [((), 0, 0)] * (1 << n)
+            for i, j, value, length in codewords:
+                if length <= n:
+                    shift = n - length
+                    row[value << shift : (value + 1) << shift] = [
+                        ((i, j) + components, length + bits, pairs + 1)
+                        for components, bits, pairs in rows[shift]
+                    ]
+            rows.append(row)
+        return tuple(rows[TABLE_BITS])
+
+    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+        """The next ``count`` pairs' components, flat, as ``_decode_run``
+        returns them, and with the same :class:`StreamExhausted`.
+
+        A stream that averages at most TABLE_BITS bits per pair from here
+        on, which its length and ``count`` tell before the first pair, is
+        read a window at a time: one lookup takes every pair that the
+        window holds whole.  A window that opens with a longer codeword,
+        reaches past the window string or holds more pairs than are left
+        goes to ``_decode_run`` for one pair.
+        """
+        if not count or reader.bits_remaining > count * TABLE_BITS:
+            return self._decode_run(reader, count)
+        table = self._decode_table
+        decode_run = self._decode_run
+        width = TABLE_BITS
+        bits, pos, nbits = reader.window()
+        out: list[int] = []
+        left = count
+        while left:
+            end = pos + width
+            if end <= nbits:
+                components, used, pairs = table[int(bits[pos:end], 2)]
+                if 0 < pairs <= left:
+                    out += components
+                    pos += used
+                    left -= pairs
+                    continue
+            reader.seek_window(pos)
+            try:
+                out += decode_run(reader, 1)
+            except StreamExhausted as exc:
+                exc.pair += count - left
+                raise
+            left -= 1
+            bits, pos, nbits = reader.window()
+        reader.seek_window(pos)
+        return out
 
     def decode_at(self, reader: BitReader, pos: int, index: int) -> tuple[int, int]:
         """Pair ``index`` by the per-pair ``decode``, from window position
@@ -150,7 +256,7 @@ def residue_signature_lengths(k: int, s: int, residue_length) -> tuple[tuple[int
 
 
 def decode_unary_pairs(codec: PairCodec, reader: BitReader, count: int) -> list[int]:
-    """``decode_many`` of two bare unary codes per pair (ck and Golomb k = 1)."""
+    """``_decode_run`` of two bare unary codes per pair (ck and Golomb k = 1)."""
     bits, pos, _ = reader.window()
     find = bits.find
     out: list[int] = []
@@ -195,30 +301,34 @@ class GolombPairCodec(PairCodec):
     def encode_many(self, pairs) -> tuple[bytes, int]:
         k = self.k
         m, short_count = quasi_uniform_shape(k)
+        small = self._encode_table
         writer = BitWriter()
         flush = writer.flush
         acc = nacc = 0
         for i, j in pairs:
-            if i < 0 or j < 0:
-                raise ValueError("Golomb argument must be >= 0")
-            quot_i, rem_i = divmod(i, k)
-            quot_j, rem_j = divmod(j, k)
-            # quasi-uniform remainder, then the quotient's ones and zero
-            if rem_i < short_count:
-                value_i, length_i = rem_i, m - 1
+            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
+                value, length = small[i << SMALL_BITS | j]
             else:
-                value_i, length_i = rem_i + short_count, m
-            if rem_j < short_count:
-                value_j, length_j = rem_j, m - 1
-            else:
-                value_j, length_j = rem_j + short_count, m
-            value_i = ((value_i + 1) << (quot_i + 1)) - 2
-            value_j = ((value_j + 1) << (quot_j + 1)) - 2
-            length_j += quot_j + 1
-            value = (value_i << length_j) | value_j
-            length = length_i + quot_i + 1 + length_j
-            if value >> length:
-                raise ValueError(f"value {value} does not fit in {length} bits")
+                if i < 0 or j < 0:
+                    raise ValueError("Golomb argument must be >= 0")
+                quot_i, rem_i = divmod(i, k)
+                quot_j, rem_j = divmod(j, k)
+                # quasi-uniform remainder, then the quotient's ones and zero
+                if rem_i < short_count:
+                    value_i, length_i = rem_i, m - 1
+                else:
+                    value_i, length_i = rem_i + short_count, m
+                if rem_j < short_count:
+                    value_j, length_j = rem_j, m - 1
+                else:
+                    value_j, length_j = rem_j + short_count, m
+                value_i = ((value_i + 1) << (quot_i + 1)) - 2
+                value_j = ((value_j + 1) << (quot_j + 1)) - 2
+                length_j += quot_j + 1
+                value = (value_i << length_j) | value_j
+                length = length_i + quot_i + 1 + length_j
+                if value >> length:
+                    raise ValueError(f"value {value} does not fit in {length} bits")
             acc = (acc << length) | value
             nacc += length
             if nacc >= FLUSH_BITS:
@@ -226,7 +336,7 @@ class GolombPairCodec(PairCodec):
         writer.write(acc, nacc)
         return writer.getvalue(), writer.bits_written
 
-    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+    def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         k = self.k
         m, short_count = quasi_uniform_shape(k)
         if m == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .basecodes import PairCodec, decode_unary_pairs, residue_signature_lengths
+from .basecodes import SMALL_BITS, PairCodec, decode_unary_pairs, residue_signature_lengths
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import TopCode
 
@@ -62,26 +62,30 @@ class CkCodec(PairCodec):
         (rank_1, offset_1, length_1), (rank_2, offset_2, length_2), (_, offset_3, length_3) = (
             self._top.encode_levels
         )
+        small = self._encode_table
         writer = BitWriter()
         flush = writer.flush
         acc = nacc = 0
         for i, j in pairs:
-            if i < 0 or j < 0:
-                raise ValueError("pair components must be >= 0")
-            u, a = divmod(i, k)
-            v, b = divmod(j, k)
-            rank = base[a + b] + a
-            if rank < rank_1:
-                value, length = rank + offset_1, length_1
-            elif rank < rank_2:
-                value, length = rank + offset_2, length_2
+            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
+                value, length = small[i << SMALL_BITS | j]
             else:
-                value, length = rank + offset_3, length_3
-            # append u ones and a zero, then v ones and a zero
-            value = ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2
-            length += u + v + 2
-            if value >> length:
-                raise ValueError(f"value {value} does not fit in {length} bits")
+                if i < 0 or j < 0:
+                    raise ValueError("pair components must be >= 0")
+                u, a = divmod(i, k)
+                v, b = divmod(j, k)
+                rank = base[a + b] + a
+                if rank < rank_1:
+                    value, length = rank + offset_1, length_1
+                elif rank < rank_2:
+                    value, length = rank + offset_2, length_2
+                else:
+                    value, length = rank + offset_3, length_3
+                # append u ones and a zero, then v ones and a zero
+                value = ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2
+                length += u + v + 2
+                if value >> length:
+                    raise ValueError(f"value {value} does not fit in {length} bits")
             acc = (acc << length) | value
             nacc += length
             if nacc >= FLUSH_BITS:
@@ -89,7 +93,7 @@ class CkCodec(PairCodec):
         writer.write(acc, nacc)
         return writer.getvalue(), writer.bits_written
 
-    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+    def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         k = self.k
         if k == 1:  # the void top code
             return decode_unary_pairs(self, reader, count)

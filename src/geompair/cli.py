@@ -222,7 +222,14 @@ def cmd_sweep(args) -> int:
         raise DataError("step must be positive")
     _check_eps(args.eps)
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
-    for q in _grid(args.q_lo, args.q_hi, args.step):
+    grid = _grid(args.q_lo, args.q_hi, args.step)
+    # each cminus order summed over the whole grid at once, so that each
+    # signature's lengths are computed once per sweep, not once per q
+    cminus_by_order = [
+        analysis.avg_lens_by_series(make_codec(CodeFamily("cminus", k)), grid, args.eps)
+        for k in range(2, analysis._SELECT_CMINUS_MAX + 1)
+    ]
+    for index, q in enumerate(grid):
         ent = analysis.entropy_per_symbol(q)
         best = analysis.best_golomb_order(q)
         golomb = min(
@@ -230,10 +237,7 @@ def cmd_sweep(args) -> int:
             for k in sorted({max(1, best - 1), best, best + 1})
         )
         ck = min(analysis.avg_len_ck(q, k) for k in range(1, analysis._SELECT_CK_MAX + 1))
-        cminus = min(
-            analysis.family_avg_len(CodeFamily("cminus", k), q, args.eps)
-            for k in range(2, analysis._SELECT_CMINUS_MAX + 1)
-        )
+        cminus = min(lens[index] for lens in cminus_by_order)
         limit = analysis.avg_len_limit_closed(q)
         opt = ""
         if args.with_oracle and q <= ORACLE_Q_CAP:

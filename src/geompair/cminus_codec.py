@@ -26,7 +26,13 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .basecodes import LeavesWindow, PairCodec, quasi_uniform_codeword, quasi_uniform_shape
+from .basecodes import (
+    SMALL_BITS,
+    LeavesWindow,
+    PairCodec,
+    quasi_uniform_codeword,
+    quasi_uniform_shape,
+)
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 
 
@@ -208,24 +214,28 @@ class CminusCodec(PairCodec):
     def encode_many(self, pairs) -> tuple[bytes, int]:
         k = self.k
         rows = self._rows
+        small = self._encode_table
         writer = BitWriter()
         flush = writer.flush
         acc = nacc = 0
         for i, j in pairs:
-            if i < 0 or j < 0:
-                raise ValueError("pair components must be >= 0")
-            s = i + j
-            if s < _MEMO_SIGNATURES:
-                lam, n_short, _, deficit = rows[s]
+            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
+                value, length = small[i << SMALL_BITS | j]
             else:
-                lam, n_short, _, deficit = signature_row(k, s)
-            first_short = (1 << lam) - deficit
-            if i < n_short:
-                value, length = first_short + i, lam
-            else:
-                value, length = ((first_short + n_short) << 1) + (i - n_short), lam + 1
-            if value >> length:
-                raise ValueError(f"value {value} does not fit in {length} bits")
+                if i < 0 or j < 0:
+                    raise ValueError("pair components must be >= 0")
+                s = i + j
+                if s < _MEMO_SIGNATURES:
+                    lam, n_short, _, deficit = rows[s]
+                else:
+                    lam, n_short, _, deficit = signature_row(k, s)
+                first_short = (1 << lam) - deficit
+                if i < n_short:
+                    value, length = first_short + i, lam
+                else:
+                    value, length = ((first_short + n_short) << 1) + (i - n_short), lam + 1
+                if value >> length:
+                    raise ValueError(f"value {value} does not fit in {length} bits")
             acc = (acc << length) | value
             nacc += length
             if nacc >= FLUSH_BITS:
@@ -233,7 +243,7 @@ class CminusCodec(PairCodec):
         writer.write(acc, nacc)
         return writer.getvalue(), writer.bits_written
 
-    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+    def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         # decode's steps on the window string; each read takes one bit more
         # than decode's, the bit that tells a short codeword from a long one
         # (past a short codeword it is the next codeword's, or past the
@@ -401,27 +411,31 @@ class LimitCodec(PairCodec):
         return (lam, n_short), (lam + 1, n_long)
 
     def encode_many(self, pairs) -> tuple[bytes, int]:
+        small = self._encode_table
         writer = BitWriter()
         flush = writer.flush
         acc = nacc = 0
         for i, j in pairs:
-            if i < 0 or j < 0:
-                raise ValueError("pair components must be >= 0")
-            s = i + j
-            # s = 2^t - 1 + r: the descent's ones, then rank i of the
-            # quasi-uniform code on s + 2 symbols, m = t + 1
-            t = (s + 1).bit_length() - 1
-            r = s + 1 - (1 << t)
-            run = (t - 1) * (s + 1) + 2 * r + 1
-            short_count = (2 << t) - s - 2
-            if i < short_count:
-                value, length = i, t
+            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
+                value, length = small[i << SMALL_BITS | j]
             else:
-                value, length = i + short_count, t + 1
-            value |= ((1 << run) - 1) << length
-            length += run
-            if value >> length:
-                raise ValueError(f"value {value} does not fit in {length} bits")
+                if i < 0 or j < 0:
+                    raise ValueError("pair components must be >= 0")
+                s = i + j
+                # s = 2^t - 1 + r: the descent's ones, then rank i of the
+                # quasi-uniform code on s + 2 symbols, m = t + 1
+                t = (s + 1).bit_length() - 1
+                r = s + 1 - (1 << t)
+                run = (t - 1) * (s + 1) + 2 * r + 1
+                short_count = (2 << t) - s - 2
+                if i < short_count:
+                    value, length = i, t
+                else:
+                    value, length = i + short_count, t + 1
+                value |= ((1 << run) - 1) << length
+                length += run
+                if value >> length:
+                    raise ValueError(f"value {value} does not fit in {length} bits")
             acc = (acc << length) | value
             nacc += length
             if nacc >= FLUSH_BITS:
@@ -429,9 +443,9 @@ class LimitCodec(PairCodec):
         writer.write(acc, nacc)
         return writer.getvalue(), writer.bits_written
 
-    def decode_many(self, reader: BitReader, count: int) -> list[int]:
+    def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         # limit_decode's steps on the window string; the block read takes
-        # one bit more, as in CminusCodec.decode_many
+        # one bit more, as in CminusCodec._decode_run
         bits, pos, nbits = reader.window()
         find = bits.find
         out: list[int] = []

@@ -55,9 +55,9 @@ def make_codec(family: CodeFamily):
     """Pair codec (encode / encode_to / encode_many / decode / decode_many)
     for the family.
 
-    Codecs are cached and safe to share: none of them changes after
-    construction, and each holds state that does not grow with the pairs
-    it codes.
+    Codecs are cached and safe to share: what they code never changes
+    after construction, and the memo and tables each builds on first use
+    have a fixed size, not growing with the pairs it codes.
     """
     if family.kind == "ck":
         return CkCodec(family.k)

@@ -14,6 +14,7 @@ from geompair.analysis import (
     adaptive_select,
     asymptotic_redundancy,
     avg_len_by_series,
+    avg_lens_by_series,
     avg_len_ck,
     avg_len_ck_design,
     avg_len_limit_closed,
@@ -347,3 +348,28 @@ def test_adaptive_select_evaluates_each_candidate_once(monkeypatch):
         calls.clear()
         adaptive_select(mean)
         assert 0 < len(calls) <= len(analysis._candidates(mean / (1.0 + mean))), mean
+
+
+def test_series_over_many_qs_is_the_series_at_each_q():
+    qs = [0.3, 0.05, 0.95, 0.5, 0.3]  # a later q reuses the rows of an earlier one
+    for codec in (CminusCodec(2), CminusCodec(7), LimitCodec(), CkCodec(3), GolombPairCodec(3)):
+        assert avg_lens_by_series(codec, qs, 1e-9) == [avg_len_by_series(codec, q, 1e-9) for q in qs]
+
+
+def test_sweep_computes_each_cminus_row_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from geompair import cminus_codec
+    from geompair.cli import main
+
+    calls = Counter()
+    signature_row = cminus_codec.signature_row
+
+    def counting(k, s):
+        calls[k, s] += 1
+        return signature_row(k, s)
+
+    monkeypatch.setattr(cminus_codec, "signature_row", counting)
+    assert main(["sweep"]) == 0
+    capsys.readouterr()
+    assert calls and max(calls.values()) == 1

@@ -2,17 +2,19 @@
 
 ``decode_many`` must return exactly what a loop of ``decode`` calls
 returns, leave the reader at the same bit, and run off the end of a
-stream at the same pair and start bit; ``encode_many`` must emit the bytes
-of the generic ``PairCodec.encode_many``, which writes one ``codeword``
-at a time.  Small ``BitReader`` windows make codewords straddle window
-ends, where the batch decoders hand the pair to ``decode``.
+stream at the same pair and start bit, both through the shared decode
+table (a stream of at most TABLE_BITS bits per pair) and through the
+family loop; ``encode_many`` must emit the bytes of the generic
+``PairCodec.encode_many``, which writes one ``codeword`` at a time.
+Small ``BitReader`` windows make codewords and table lookups straddle
+window ends, where the batch decoders hand the pair to ``decode``.
 """
 
 import random
 
 import pytest
 
-from geompair.basecodes import PairCodec
+from geompair.basecodes import TABLE_BITS, PairCodec
 from geompair.bitio import BitReader, StreamExhausted
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
@@ -184,4 +186,90 @@ def test_truncation_at_every_byte_names_the_same_pair_and_bit(tmp_path, capsys, 
         if 8 * cut < len(pairs):  # the bound on the pair count rejects it first
             assert "header claims 300 pairs" in err
         else:
+            assert err == truncation_message(family, payload[:cut], len(pairs))
+
+
+# ---------------------------------------------------------------------------
+# The two branches of decode_many: the shared table and the family loop
+# ---------------------------------------------------------------------------
+
+
+def table_built(codec):
+    return "_decode_table" in vars(codec)
+
+
+def short_stream(family, n, seed):
+    """Pairs whose codewords average at most TABLE_BITS bits: geometric
+    pairs at the design q with their longer codewords dropped, and two
+    long ones in the middle, so that lookups both hit and miss."""
+    codec = make_codec(family)
+    pairs = [p for p in geometric_pairs(family, n, seed) if codec.codeword(p)[1] <= TABLE_BITS]
+    pairs[n // 3 : n // 3] = [(0, 40), (9, 0)]
+    return pairs
+
+
+def long_stream(family, n, seed):
+    """Pairs that average more than TABLE_BITS bits per pair."""
+    rng = random.Random(f"{seed}-{family.label()}")
+    return [(rng.randrange(60, 200), rng.randrange(200)) for _ in range(n)]
+
+
+def fresh_codec(family):
+    make_codec.cache_clear()
+    return make_codec(family)
+
+
+# families with codewords of at most TABLE_BITS bits, so that a stream of
+# encoded pairs can average that little
+SHORT_FAMILIES = [f for f in FAMILIES if f.kind != "ck" or f.k < 255]
+
+
+@pytest.mark.parametrize("window", range(9, 17))
+@pytest.mark.parametrize("family", SHORT_FAMILIES, ids=CodeFamily.label)
+def test_table_branch_matches_decode_across_small_windows(monkeypatch, family, window):
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", window)
+    pairs = short_stream(family, 100, window)
+    codec = fresh_codec(family)
+    data, nbits = codec.encode_many(pairs)
+    assert nbits <= len(pairs) * TABLE_BITS
+    assert_same_decode(codec, data, len(pairs))
+    assert table_built(codec)
+    # counts that end inside a multi-pair slot, and counts that read on
+    # into the zero padding of the last byte and past it
+    for count in range(len(pairs) - 8, len(pairs) + 9):
+        assert_same_decode(codec, data, count)
+
+
+@pytest.mark.parametrize("window", (9, 13, 16))
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_family_branch_matches_decode_across_small_windows(monkeypatch, family, window):
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", window)
+    pairs = long_stream(family, 40, window)
+    codec = fresh_codec(family)
+    data, nbits = codec.encode_many(pairs)
+    assert nbits > len(pairs) * TABLE_BITS
+    for count in (len(pairs) - 1, len(pairs), len(pairs) + 1):
+        assert_same_decode(codec, data, count)
+    assert not table_built(codec)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [CodeFamily("ck", 16), CodeFamily("cminus", 4), CodeFamily("golomb", 1)],
+    ids=CodeFamily.label,
+)
+def test_truncation_in_the_table_branch_names_the_same_pair_and_bit(monkeypatch, tmp_path,
+                                                                    capsys, family):
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", 9)
+    pairs = short_stream(family, 100, "truncate")
+    payload, nbits = make_codec(family).encode_many(pairs)
+    assert nbits <= len(pairs) * TABLE_BITS
+    path = tmp_path / "cut.bin"
+    header = HEADER.pack(MAGIC, 1, FAMILY_BYTES[family.kind], family.k, len(pairs))
+    for cut in range(len(payload)):
+        path.write_bytes(header + payload[:cut])
+        assert main(["decode", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if 8 * cut >= len(pairs):  # past the header's bound on the pair count
             assert err == truncation_message(family, payload[:cut], len(pairs))

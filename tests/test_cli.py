@@ -11,7 +11,7 @@ import pytest
 import geompair
 from geompair import analysis
 from geompair.cli import HEADER, MAGIC, main
-from geompair.families import CodeFamily
+from geompair.families import FAMILY_FROM_BYTE, CodeFamily, make_codec
 
 
 def run(capsys, *argv):
@@ -416,6 +416,19 @@ def test_hostile_all_ones_container_rejected_in_bounded_time_and_memory(tmp_path
     assert "truncated in pair 0 (0-based), which starts at payload bit 0" in err
     assert elapsed < 2.0
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("family, k", [(1, 1), (1, 3), (1, 256), (2, 2), (2, 4)])
+def test_hostile_all_ones_container_takes_the_table_path(tmp_path, capsys, family, k):
+    # 524288 pairs claimed for 524288 bits: one bit per pair, at most
+    # TABLE_BITS, so decode reads the stream through the decode table
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_container(b"\xff" * 65536, 8 * 65536, family=family, k=k))
+    make_codec.cache_clear()
+    code, out, err = run(capsys, "decode", str(bad))
+    assert code == 2
+    assert "truncated in pair 0 (0-based), which starts at payload bit 0" in err
+    assert "_decode_table" in vars(make_codec(CodeFamily(FAMILY_FROM_BYTE[family], k)))
 
 
 def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
