@@ -11,9 +11,11 @@ Exit codes: 0 ok, 1 usage error, 2 data error.
 
 from __future__ import annotations
 
-import argparse
+import math
 import struct
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .bitio import BitReader, StreamExhausted
 from .cminus_codec import signature_length_row
@@ -26,8 +28,10 @@ from .fringe2 import top_code_params
 MAGIC = b"TDGD"
 VERSION = 1
 HEADER = struct.Struct("<4sBBHQ")
+K_MAX = 0xFFFF  # the header's uint16 k
 
 ORACLE_Q_CAP = 0.95
+SWEEP_MAX_POINTS = 10**6
 
 
 class DataError(Exception):
@@ -48,13 +52,6 @@ class OddSymbolCount(DataError):
 
 class ParseError(DataError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _read_text(path: str) -> str:
@@ -110,6 +107,8 @@ def _family_from_args(args) -> CodeFamily:
 
 def cmd_encode(args) -> int:
     family = _family_from_args(args)
+    if family.k > K_MAX:  # checked before the input is read or a codec built
+        raise DataError(f"k must be at most {K_MAX}, the container header's limit, got {family.k}")
     codec = make_codec(family)
     values = _parse_values(_read_text(args.input))
     count = len(values) // 2
@@ -200,12 +199,20 @@ def _check_eps(eps: float) -> None:
         raise DataError(f"eps must lie in (0, 1), got {eps}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:  # also rejects nan
+        raise DataError(f"{name} must be positive and finite, got {value}")
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    end = hi + 1e-12
+    if (end - lo) / step >= SWEEP_MAX_POINTS:  # checked before the grid is built
+        raise DataError(f"step {step} over [{lo}, {hi}] makes more than {SWEEP_MAX_POINTS} grid points")
     out = []
     n = 0
     while True:
         q = lo + n * step
-        if q > hi + 1e-12:
+        if q > end:
             break
         out.append(round(q, 12))
         n += 1
@@ -218,8 +225,7 @@ def cmd_sweep(args) -> int:
 
     if not (0.0 < args.q_lo <= args.q_hi < 1.0):
         raise DataError("need 0 < q-lo <= q-hi < 1")
-    if args.step <= 0:
-        raise DataError("step must be positive")
+    _check_positive("step", args.step)
     _check_eps(args.eps)
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     grid = _grid(args.q_lo, args.q_hi, args.step)
@@ -287,8 +293,7 @@ def cmd_crossover(args) -> int:
 
     if not 0.0 < args.q_lo < args.q_hi < 1.0:
         raise DataError("need 0 < q-lo < q-hi < 1")
-    if args.tol <= 0:
-        raise DataError("tol must be positive")
+    _check_positive("tol", args.tol)
     family_a = _family_from_name(args.model_a)
     family_b = _family_from_name(args.model_b)
     if family_a == family_b:
@@ -318,72 +323,163 @@ def cmd_select(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="geompair", description=__doc__)
+class Option(namedtuple("Option", "flag type default required choices help",
+                        defaults=(str, None, False, None, None))):
+    """One argument of a command: ``--flag value``, a ``--flag`` switch
+    when ``type`` is bool, or the optional positional when ``flag`` has
+    no leading dashes."""
+
+    __slots__ = ()
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+Command = namedtuple("Command", "func help options")
+
+_OUT = Option("--out", default="-")
+_MODEL_HELP = "limit, ck<k>, cminus<k> or golomb<k>"
+
+# The one grammar of the CLI.  ``_scan`` parses its canonical spellings;
+# argparse, built from it by ``build_parser``, parses everything else.
+COMMANDS = {
+    "encode": Command(cmd_encode, "encode integer pairs to a container file", (
+        Option("input", default="-", help="text file of integers ('-' = stdin)"),
+        Option("--family", required=True, choices=tuple(FAMILY_BYTES)),
+        Option("--k", int),
+        _OUT,
+        Option("--verbose", bool, False, help="per-pair diagnostics on stderr"),
+    )),
+    "decode": Command(cmd_decode, "decode a container file to integer pairs", (
+        Option("input", default="-"),
+        _OUT,
+    )),
+    "params": Command(cmd_params, "top-code parameter table", (
+        Option("--k-min", int, 2),
+        Option("--k-max", int, 10),
+        _OUT,
+    )),
+    "lengths": Command(cmd_lengths, "per-signature length table", (
+        Option("--k", int, required=True),
+        Option("--s-min", int, 0),
+        Option("--s-max", int, required=True),
+        _OUT,
+    )),
+    "sweep": Command(cmd_sweep, "redundancy sweep CSV", (
+        Option("--q-lo", float, 0.05),
+        Option("--q-hi", float, 0.95),
+        Option("--step", float, 0.05),
+        Option("--eps", float, 1e-9),
+        Option("--with-oracle", bool, False),
+        _OUT,
+    )),
+    "oracle": Command(cmd_oracle, "truncated-Huffman optimal-length estimate", (
+        Option("--q", float, required=True),
+        Option("--eps", float, 1e-9),
+        Option("--cap", int, help="symbol cap (default: the oracle's)"),
+    )),
+    "crossover": Command(cmd_crossover, "bisect two families' average lengths", (
+        Option("--model-a", default="limit", help=_MODEL_HELP),
+        Option("--model-b", default="ck1", help=_MODEL_HELP),
+        Option("--q-lo", float, 0.25),
+        Option("--q-hi", float, 0.45),
+        Option("--tol", float, 1e-6),
+    )),
+    "select": Command(cmd_select, "best family for a sample mean", (
+        Option("--mean", float, required=True),
+    )),
+}
+
+
+def _is_value(token: str) -> bool:
+    return token == "-" or not token.startswith("-")
+
+
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` parsed from ``COMMANDS`` without argparse, or None.
+
+    Only the canonical spellings parse here: the command, at most one
+    positional right after it, then ``--option value`` and ``--flag`` with
+    exact option names, each value converted by its type and checked
+    against its choices, and every required option given.  Anything else
+    (help, ``--opt=value``, abbreviations, a value starting with ``-``,
+    any usage error) gives None, for argparse to parse or reject.  Where
+    both parse, the attributes are argparse's.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    args = {"command": argv[0], "func": command.func}
+    options = {}
+    positional = None
+    for opt in command.options:
+        args[opt.dest] = opt.default
+        if opt.flag.startswith("-"):
+            options[opt.flag] = opt
+        else:
+            positional = opt
+    tokens = argv[1:]
+    if positional is not None and tokens and _is_value(tokens[0]):
+        args[positional.dest] = tokens.pop(0)
+    given = set()
+    while tokens:
+        opt = options.get(tokens.pop(0))
+        if opt is None:
+            return None
+        given.add(opt.flag)
+        if opt.type is bool:
+            args[opt.dest] = True
+            continue
+        if not tokens or not _is_value(tokens[0]):
+            return None
+        try:
+            value = opt.type(tokens.pop(0))
+        except ValueError:
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        args[opt.dest] = value
+    if any(opt.required and flag not in given for flag, opt in options.items()):
+        return None
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``: the reference grammar, and the
+    one that prints help and usage errors.  argparse is imported here, so
+    that a command line ``_scan`` parses never loads it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage problems exit 1, not argparse's 2
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    parser = Parser(prog="geompair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    enc = sub.add_parser("encode", help="encode integer pairs to a container file")
-    enc.add_argument("input", nargs="?", default="-", help="text file of integers ('-' = stdin)")
-    enc.add_argument("--family", required=True, choices=list(FAMILY_BYTES))
-    enc.add_argument("--k", type=int, default=None)
-    enc.add_argument("--out", default="-")
-    enc.add_argument("--verbose", action="store_true", help="per-pair diagnostics on stderr")
-    enc.set_defaults(func=cmd_encode)
-
-    dec = sub.add_parser("decode", help="decode a container file to integer pairs")
-    dec.add_argument("input", nargs="?", default="-")
-    dec.add_argument("--out", default="-")
-    dec.set_defaults(func=cmd_decode)
-
-    par = sub.add_parser("params", help="top-code parameter table")
-    par.add_argument("--k-min", type=int, default=2)
-    par.add_argument("--k-max", type=int, default=10)
-    par.add_argument("--out", default="-")
-    par.set_defaults(func=cmd_params)
-
-    lng = sub.add_parser("lengths", help="per-signature length table")
-    lng.add_argument("--k", type=int, required=True)
-    lng.add_argument("--s-min", type=int, default=0)
-    lng.add_argument("--s-max", type=int, required=True)
-    lng.add_argument("--out", default="-")
-    lng.set_defaults(func=cmd_lengths)
-
-    swp = sub.add_parser("sweep", help="redundancy sweep CSV")
-    swp.add_argument("--q-lo", type=float, default=0.05)
-    swp.add_argument("--q-hi", type=float, default=0.95)
-    swp.add_argument("--step", type=float, default=0.05)
-    swp.add_argument("--eps", type=float, default=1e-9)
-    swp.add_argument("--with-oracle", action="store_true")
-    swp.add_argument("--out", default="-")
-    swp.set_defaults(func=cmd_sweep)
-
-    orc = sub.add_parser("oracle", help="truncated-Huffman optimal-length estimate")
-    orc.add_argument("--q", type=float, required=True)
-    orc.add_argument("--eps", type=float, default=1e-9)
-    orc.add_argument("--cap", type=int, default=None, help="symbol cap (default: the oracle's)")
-    orc.set_defaults(func=cmd_oracle)
-
-    crs = sub.add_parser("crossover", help="bisect two families' average lengths")
-    crs.add_argument("--model-a", default="limit", help="limit, ck<k>, cminus<k> or golomb<k>")
-    crs.add_argument("--model-b", default="ck1", help="limit, ck<k>, cminus<k> or golomb<k>")
-    crs.add_argument("--q-lo", type=float, default=0.25)
-    crs.add_argument("--q-hi", type=float, default=0.45)
-    crs.add_argument("--tol", type=float, default=1e-6)
-    crs.set_defaults(func=cmd_crossover)
-
-    sel = sub.add_parser("select", help="best family for a sample mean")
-    sel.add_argument("--mean", type=float, required=True)
-    sel.set_defaults(func=cmd_select)
-
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            if opt.type is bool:
+                cmd.add_argument(opt.flag, action="store_true", help=opt.help)
+                continue
+            arity = {"required": opt.required} if opt.flag.startswith("-") else {"nargs": "?"}
+            cmd.add_argument(opt.flag, type=opt.type, default=opt.default, choices=opt.choices,
+                             help=opt.help, **arity)
+        cmd.set_defaults(func=command.func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _scan(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
     except (DataError, InvalidFamilyParam, OSError) as exc:

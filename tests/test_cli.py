@@ -7,10 +7,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geompair
 from geompair import analysis
-from geompair.cli import HEADER, MAGIC, main
+from geompair.cli import COMMANDS, HEADER, MAGIC, _scan, build_parser, main
 from geompair.families import FAMILY_FROM_BYTE, CodeFamily, make_codec
 
 
@@ -152,6 +154,35 @@ def test_invalid_family_param(tmp_path, capsys):
     assert "cminus" in err
 
 
+@pytest.mark.parametrize("family", ["ck", "cminus", "golomb"])
+def test_encode_k_above_the_header_field_exits_2_before_reading(tmp_path, capsys, family):
+    src = tmp_path / "in.txt"
+    src.write_text("1 2\n")
+    out_path = tmp_path / "out.bin"
+    code, out, err = run(capsys, "encode", str(src), "--family", family, "--k", "65536",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "65535" in err
+    assert not out_path.exists()
+    # to stdout, and with an input that is never read
+    code, out, err = run(capsys, "encode", str(tmp_path / "missing.txt"), "--family", family,
+                         "--k", "65536")
+    assert (code, out) == (2, "")
+    assert "65535" in err
+
+
+def test_encode_k_at_the_header_field_maximum(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("1 2 70000 0\n")
+    enc = tmp_path / "out.bin"
+    code, _, err = run(capsys, "encode", str(src), "--family", "golomb", "--k", "65535",
+                       "--out", str(enc))
+    assert code == 0, err
+    code, out, err = run(capsys, "decode", str(enc))
+    assert code == 0, err
+    assert out == "1 2\n70000 0\n"
+
+
 PARAM_ROWS = {
     2: ((2, 0, 0, 0, 0), (0, 4, 0)),
     3: ((3, 0, 0, 1, 1), (0, 7, 2)),
@@ -218,6 +249,25 @@ def test_sweep_oracle_column_empty_without_flag(capsys):
     code, out, _ = run(capsys, "sweep", "--q-lo", "0.3", "--q-hi", "0.3", "--step", "0.1")
     assert code == 0
     assert out.splitlines()[1].split(",")[2] == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["sweep", "--q-lo", "0.5", "--q-hi", "0.5", "--step", "nan"], "step must be positive and finite"),
+     (["sweep", "--step", "inf"], "step must be positive and finite"),
+     (["sweep", "--step", "-0.5"], "step must be positive and finite"),
+     (["sweep", "--step", "0"], "step must be positive and finite"),
+     (["sweep", "--q-lo", "0.5", "--q-hi", "0.5", "--step", "1e-300"], "more than 1000000 grid points"),
+     (["sweep", "--step", "1e-7"], "more than 1000000 grid points"),
+     (["crossover", "--tol", "nan"], "tol must be positive and finite"),
+     (["crossover", "--tol", "inf"], "tol must be positive and finite"),
+     (["crossover", "--tol", "-1"], "tol must be positive and finite")],
+)
+def test_bad_step_and_tol_exit_2_promptly(argv, message):
+    # in a child, so that a grid or bisection that never ends fails the test
+    child = _run_child("-m", "geompair.cli", *argv, timeout=10)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("geompair: ") and message in child.stderr
 
 
 def test_select(capsys):
@@ -443,12 +493,12 @@ def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
     assert "bitstream truncated in pair 2 (0-based), which starts at payload bit 7" in err
 
 
-def _run_child(*args):
+def _run_child(*args, timeout=120):
     src = str(Path(geompair.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=timeout)
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -485,20 +535,102 @@ def test_codec_path_leaves_analysis_and_records_machinery_unloaded(tmp_path):
     src.write_text("4 1 0 0 9 2\n")
     enc, dec = str(tmp_path / "enc.bin"), str(tmp_path / "dec.txt")
     unloaded = ("dataclasses", "fractions", "geompair.analysis", "geompair.oracle")
+    parser_modules = ("argparse", "gettext", "locale")
     child = _run_child("-c", (
         "import sys\n"
         "import geompair.cli\n"
-        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+        f"print([m for m in {unloaded + parser_modules!r} if m in sys.modules])\n"
         f"geompair.cli.main(['encode', {str(src)!r}, '--family', 'ck', '--k', '3', '--out', {enc!r}])\n"
         f"geompair.cli.main(['decode', {enc!r}, '--out', {dec!r}])\n"
-        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+        f"print([m for m in {unloaded + parser_modules!r} if m in sys.modules])\n"
+        "geompair.cli.main(['select', '--mean', '2.5'])\n"
+        f"print([m for m in {parser_modules!r} if m in sys.modules])\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "    code = geompair.cli.main(['--help'])\n"
+        "print(code, text.getvalue().startswith('usage: geompair [-h]'), 'argparse' in sys.modules)\n"
         "from geompair import adaptive_select, oracle_optimal_avg_len, WeightedSource\n"
         "print(adaptive_select(1.0).label(), oracle_optimal_avg_len(0.5, 1e-9)[0] > 3.99)\n"
         "print(WeightedSource([4, 2, 1]).exact)\n"
     ))
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["[]", "[]", "ck k=1 True", "True"]
+    assert child.stdout.splitlines() == ["[]", "[]", "ck k=2", "[]", "0 True True", "ck k=1 True", "True"]
     assert (tmp_path / "dec.txt").read_text() == "4 1\n0 0\n9 2\n"
+
+
+FLAGS = sorted({opt.flag for command in COMMANDS.values() for opt in command.options
+                if opt.flag.startswith("-")})
+VALUES = ["3", "-1", "0.5", "nan", "ck", "bogus", "-", "x.txt", "65536", "limit", ""]
+TOKENS = ["--", "-h", "--help", "--out=x", "--fam", "--k-m"]
+WORDS = [*COMMANDS, *FLAGS, *VALUES, *TOKENS]
+TYPED_VALUES = {int: ["3", "0", "65536", " 7", "1_0"], float: ["0.5", "nan", "inf", "1e-3", "2"],
+                str: ["ck", "cminus", "golomb", "limit", "x.txt", "-", ""]}
+PARSER = build_parser()
+
+
+@st.composite
+def argvs(draw):
+    """Command lines near the canonical spellings: a command, maybe a
+    positional, its own options (often the required ones first) with
+    values of their type or any other, and up to three other words of the
+    grammar put anywhere."""
+    name = draw(st.sampled_from([*COMMANDS]) | st.sampled_from(WORDS))
+    argv = [name]
+    options = [opt for opt in COMMANDS[name].options if opt.flag.startswith("-")] if name in COMMANDS else []
+    if draw(st.booleans()) and (draw(st.booleans()) or name in ("encode", "decode")):
+        argv.append(draw(st.sampled_from(TYPED_VALUES[str] + VALUES)))
+    chosen = draw(st.lists(st.sampled_from(options), max_size=5)) if options else []
+    if draw(st.booleans()):
+        chosen = [opt for opt in options if opt.required] + chosen
+    for opt in chosen:
+        argv.append(opt.flag)
+        if opt.type is not bool:
+            typed = list(opt.choices or TYPED_VALUES[opt.type])
+            argv.append(draw(st.sampled_from(3 * typed + VALUES)))
+    for _ in range(draw(st.integers(0, 3)) if draw(st.booleans()) else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(WORDS)))
+    return argv
+
+
+def _attributes(args):
+    # nan parses to nan on both sides, and nan != nan
+    return {key: repr(value) if isinstance(value, float) else value for key, value in vars(args).items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_scan_agrees_with_argparse(argv):
+    fast = _scan(list(argv))
+    if fast is not None:
+        assert _attributes(fast) == _attributes(PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "in.txt", "--family", "ck", "--k", "3", "--out", "x.bin"],
+    ["encode", "--family", "limit", "--verbose"],
+    ["decode", "x.bin", "--out", "-"],
+    ["decode"],
+    ["select", "--mean", "2.5"],
+    ["sweep", "--with-oracle", "--out", "s.csv"],
+    ["oracle", "--q", "0.9"],
+    ["crossover", "--model-a", "cminus2", "--tol", "1e-3"],
+    ["lengths", "--k", "3", "--s-max", "40"],
+    ["params"],
+])
+def test_canonical_spellings_parse_without_argparse(argv):
+    fast = _scan(argv)
+    assert fast is not None
+    assert _attributes(fast) == _attributes(PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["encode", "-h"], ["select", "--mean=2.5"], ["select", "--me", "2.5"],
+    ["select", "--mean", "-1"], ["select"], ["encode", "--family", "bogus"],
+    ["oracle", "--q", "x"], ["decode", "a", "b"], ["decode", "--", "a"], ["params", "--out"],
+    ["encode", "--family", "ck", "in.txt"],
+])
+def test_other_spellings_go_to_argparse(argv):
+    assert _scan(argv) is None
 
 
 def test_lazy_package_names():

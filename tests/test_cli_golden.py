@@ -6,13 +6,20 @@ printing them byte for byte.  ``pairs200.txt`` is a fixed input of 200
 pairs near the design points of several families, with a few extreme
 ones; its container for each family is ``<family>.bin`` and the stderr of
 ``encode --verbose`` is ``<family>.verbose.txt``.
+
+``help*.txt`` hold the stdout of ``--help`` for the program and for each
+command, and ``usage_*.txt`` the stderr of the usage errors listed with
+their argv and exit code in ``usage.json``, all printed by the
+hand-written argparse parser the command table replaced, at 80 columns
+(argparse wraps to the terminal width) under CPython 3.11.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from geompair.cli import main
+from geompair.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -79,3 +86,24 @@ def test_crossover_is_golden(capsys):
 
 def test_oracle_is_golden(capsys):
     assert run(capsys, "oracle", "--q", "0.5")[0] == (DATA / "oracle_q05.txt").read_text()
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_is_golden(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    out, err = run(capsys, *argv)
+    assert out == (DATA / ("help.txt" if command is None else f"help_{command}.txt")).read_text()
+    assert err == ""
+
+
+USAGE = json.loads((DATA / "usage.json").read_text())
+
+
+@pytest.mark.parametrize("name", USAGE)
+def test_usage_error_is_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(USAGE[name]["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (USAGE[name]["exit"], "")
+    assert err == (DATA / f"{name}.txt").read_text()
