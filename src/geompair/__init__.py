@@ -10,7 +10,7 @@ truncated-Huffman optimality oracle.
 from .bitio import BitReader, BitWriter, Codeword, StreamExhausted
 from .basecodes import GolombPairCodec, golomb_decode, quasi_uniform_decode
 from .ck_codec import CkCodec
-from .cminus_codec import CminusCodec, LimitCodec, limit_decode, signature_length_row
+from .cminus_codec import CminusCodec, LimitCodec, signature_length_row
 from .families import CodeFamily, make_codec
 from .fringe2 import (
     fringe2_optimal_range,
@@ -77,7 +77,6 @@ __all__ = [
     "fringe2_optimal_range",
     "golomb_decode",
     "huffman_lengths",
-    "limit_decode",
     "make_codec",
     "max_gap",
     "oracle_optimal_avg_len",

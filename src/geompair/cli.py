@@ -31,7 +31,7 @@ HEADER = struct.Struct("<4sBBHQ")
 K_MAX = 0xFFFF  # the header's uint16 k
 
 ORACLE_Q_CAP = 0.95
-SWEEP_MAX_POINTS = 10**6
+MAX_ROWS = 10**6  # rows of a params or lengths table, points of a sweep grid
 
 
 class DataError(Exception):
@@ -55,11 +55,9 @@ class ParseError(DataError):
 
 
 def _read_text(path: str) -> str:
+    """The file or stdin as ASCII text, decoded from its bytes either way."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        return _read_binary(path).decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not ASCII text: {exc}") from exc
 
@@ -113,7 +111,10 @@ def cmd_encode(args) -> int:
     values = _parse_values(_read_text(args.input))
     count = len(values) // 2
     components = iter(values)
-    payload, nbits = codec.encode_many(zip(components, components))
+    try:
+        payload, nbits = codec.encode_many(zip(components, components))
+    except (OverflowError, MemoryError) as exc:  # too many bits for a Python int to hold
+        raise DataError(f"a pair's codeword is too long to encode ({type(exc).__name__})") from exc
     if args.verbose:
         for pair in zip(values[0::2], values[1::2]):
             cw = codec.encode(pair)
@@ -164,9 +165,15 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _check_rows(name: str, lo: int, hi: int) -> None:
+    if hi - lo >= MAX_ROWS:  # checked before any row is built
+        raise DataError(f"{name}-min {lo} to {name}-max {hi} makes more than {MAX_ROWS} rows")
+
+
 def cmd_params(args) -> int:
     if args.k_min < 1 or args.k_max < args.k_min:
         raise DataError("need 1 <= k-min <= k-max")
+    _check_rows("k", args.k_min, args.k_max)
     rows = ["   k   M   j   r  sigma    c  profile"]
     for k in range(args.k_min, args.k_max + 1):
         p = top_code_params(k)
@@ -186,6 +193,7 @@ def cmd_lengths(args) -> int:
         raise DataError("per-signature length tables need k >= 2")
     if args.s_min < 0 or args.s_max < args.s_min:
         raise DataError("need 0 <= s-min <= s-max")
+    _check_rows("s", args.s_min, args.s_max)
     rows = ["   s  base_len  n_at_base  n_at_base+1"]
     for s in range(args.s_min, args.s_max + 1):
         row = signature_length_row(args.k, s)
@@ -206,8 +214,8 @@ def _check_positive(name: str, value: float) -> None:
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     end = hi + 1e-12
-    if (end - lo) / step >= SWEEP_MAX_POINTS:  # checked before the grid is built
-        raise DataError(f"step {step} over [{lo}, {hi}] makes more than {SWEEP_MAX_POINTS} grid points")
+    if (end - lo) / step >= MAX_ROWS:  # checked before the grid is built
+        raise DataError(f"step {step} over [{lo}, {hi}] makes more than {MAX_ROWS} grid points")
     out = []
     n = 0
     while True:

@@ -14,25 +14,21 @@ optimality, is preserved.  A signature's first canonical values follow in
 closed form from its Kraft deficit (:func:`signature_row`), so neither
 encoding nor decoding allocates the signatures below it.
 
-The limit codec is the k -> infinity limit: a chain of quasi-uniform
+The limit code is the k -> infinity limit: a chain of quasi-uniform
 codes of growing size, each hanging off the all-ones leaf of the
-previous one.  Its codeword for a pair stabilizes once k exceeds a
-threshold depending on the signature, so it agrees with every order-k
-code on the initial regime.
+previous one.  A pair's order-k codeword stops changing once its
+signature lies in the initial regime, so the limit code is the same
+canonical code at unbounded order, k = inf, where every signature does:
+:class:`LimitCodec` is a :class:`CminusCodec` with that order.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import cached_property
 
-from .basecodes import (
-    SMALL_BITS,
-    LeavesWindow,
-    PairCodec,
-    quasi_uniform_codeword,
-    quasi_uniform_shape,
-)
+from .basecodes import SMALL_BITS, LeavesWindow, PairCodec
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 
 
@@ -58,8 +54,10 @@ def signature_row(k: int, s: int) -> tuple[int, int, int, int]:
     first canonical value at length Lambda_s, so the short block starts at
     A_s and the long block at 2 (A_s + n_short).  It is 2^i in the initial
     regime and 2^k l + (2^(k-1) if j <= 2^(k-1) - 2 else 2^k) in the
-    periodic one, a small number beside 2^Lambda_s.  The arguments are
-    not checked; :func:`signature_length_row` is the checked form.
+    periodic one, a small number beside 2^Lambda_s.  At k = math.inf,
+    the limit code's order, every signature is in the initial regime.
+    The arguments are not checked; :func:`signature_length_row` is the
+    checked form.
     """
     i = (s + 1).bit_length() - 1
     if i < k - 1:  # s <= 2^(k-1) - 2, without building 2^(k-1) for a large k
@@ -103,12 +101,13 @@ def _lowest_signature(k: int, u: int) -> int:
     Lambda_s is linear in s with slope i + 1 on the initial-regime class
     s in [2^i - 1, 2^(i+1) - 2], which ends at Lambda = i 2^(i+1), and with
     slope k on the periodic regime, so inverting it is a ceiling division.
+    k may be math.inf, the limit code's order, whose regime is all initial.
     """
-    if u > (k - 2) << (k - 1):  # beyond the initial regime's last Lambda
-        return max((1 << (k - 1)) - 1, -(-(u + (1 << k)) // k) - 2)
     i = 0
     while i << (i + 1) < u:
         i += 1
+    if i > k - 2:  # u beyond the initial regime's last Lambda, (k - 2) 2^(k-1)
+        return max((1 << (k - 1)) - 1, -(-(u + (1 << k)) // k) - 2)
     return max((1 << i) - 1, -(-(u + (2 << i)) // (i + 1)) - 2)
 
 
@@ -121,7 +120,8 @@ _MEMO_SIGNATURES = 256
 
 
 class CminusCodec(PairCodec):
-    """Canonical pair codec for parameter k >= 2, in O(1) state.
+    """Canonical pair codec for parameter k >= 2, or k = math.inf for the
+    limit code (:class:`LimitCodec`), in O(1) state.
 
     Every codeword value comes from :func:`signature_row` in closed form:
     the Kraft deficit D_s gives a signature's first canonical values, so
@@ -325,7 +325,9 @@ def limit_row(s: int) -> SignatureLengthRow:
     """Length distribution of the limit code at signature s.
 
     With s = 2^t - 1 + r, 0 <= r < 2^t: 2^t - 1 - r pairs get length
-    (t-1)(s+2) + 2r + 2 and the other 2r + 1 get one bit more.
+    (t-1)(s+2) + 2r + 2 and the other 2r + 1 get one bit more.  This is
+    :func:`signature_row`'s initial regime in another form, kept as the
+    independent closed form that the limit codec is checked against.
     """
     if s < 0:
         raise ValueError("signature must be >= 0")
@@ -335,160 +337,14 @@ def limit_row(s: int) -> SignatureLengthRow:
     return SignatureLengthRow(s, lam, (1 << t) - 1 - r, 2 * r + 1)
 
 
-def _limit_run(s: int) -> int:
-    """Ones that lead to signature s's block: (t-1)(s+1) + 2r + 1 for
-    s = 2^t - 1 + r, 0 <= r < 2^t (zero for s = 0)."""
-    t = (s + 1).bit_length() - 1
-    r = s + 1 - (1 << t)
-    return (t - 1) * (s + 1) + 2 * r + 1
+class LimitCodec(CminusCodec):
+    """The limit code: the cminus code at unbounded order, k = inf.
 
-
-def limit_codeword(pair: tuple[int, int]) -> tuple[int, int]:
-    """Limit codeword as ``(value, length)``: all-ones descent to the
-    signature's block, then the rank inside a quasi-uniform code on s + 2
-    symbols.
-
-    The descent is :func:`_limit_run` ones; rank i takes the i-th of the
-    s + 2 canonical quasi-uniform codewords, the all-ones one staying
-    reserved as the root of the next signature's block.
+    Every signature lies in the initial regime of :func:`signature_row`,
+    so the codec's rows are :func:`limit_row`'s and it codes every pair
+    exactly, at any signature.  The container stores the family with
+    k = 0; ``self.k`` is the unbounded order.
     """
-    i, j = pair
-    if i < 0 or j < 0:
-        raise ValueError("pair components must be >= 0")
-    s = i + j
-    run = _limit_run(s)
-    value, length = quasi_uniform_codeword(s + 2, i)
-    return (((1 << run) - 1) << length) | value, run + length
 
-
-def limit_decode(reader: BitReader) -> tuple[int, int]:
-    """Inverse of :func:`limit_codeword`.
-
-    Only the reserved rank of a block is all ones, so the run of ones
-    that opens a codeword is the descent to signature s plus fewer than
-    m = ceil(log2(s + 2)) leading ones of the block codeword, and the
-    descent to s + 1 is exactly m ones longer.  A binary search on the
-    descent length therefore finds s from the run; the ones past the
-    descent and the zero that ended the run are the block codeword's
-    first bits.  This consumes exactly one codeword; a truncated stream
-    raises StreamExhausted.
-    """
-    ones = reader.read_unary()
-    lo, hi = 0, ones  # the descent to s is at least s ones long
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if _limit_run(mid) <= ones:
-            lo = mid
-        else:
-            hi = mid - 1
-    s = lo
-    m, short_count = quasi_uniform_shape(s + 2)
-    known = ones - _limit_run(s) + 1  # block codeword bits read so far
-    value = (1 << known) - 2
-    if known < m:  # the first m - 1 bits tell a short codeword from a long one
-        rest = m - 1 - known
-        value = (value << rest) | reader.read_bits(rest)
-        if value < short_count:
-            return value, s - value
-        value = (value << 1) | reader.read_bit()
-    rank = value - short_count
-    return rank, s - rank
-
-
-class LimitCodec(PairCodec):
-    """Stateless pair codec facade for the limit code."""
-
-    k = 0
-
-    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
-        return limit_codeword(pair)
-
-    def decode(self, reader: BitReader) -> tuple[int, int]:
-        return limit_decode(reader)
-
-    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
-        _, lam, n_short, n_long = limit_row(s)
-        return (lam, n_short), (lam + 1, n_long)
-
-    def encode_many(self, pairs) -> tuple[bytes, int]:
-        small = self._encode_table
-        writer = BitWriter()
-        flush = writer.flush
-        acc = nacc = 0
-        for i, j in pairs:
-            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
-                value, length = small[i << SMALL_BITS | j]
-            else:
-                if i < 0 or j < 0:
-                    raise ValueError("pair components must be >= 0")
-                s = i + j
-                # s = 2^t - 1 + r: the descent's ones, then rank i of the
-                # quasi-uniform code on s + 2 symbols, m = t + 1
-                t = (s + 1).bit_length() - 1
-                r = s + 1 - (1 << t)
-                run = (t - 1) * (s + 1) + 2 * r + 1
-                short_count = (2 << t) - s - 2
-                if i < short_count:
-                    value, length = i, t
-                else:
-                    value, length = i + short_count, t + 1
-                value |= ((1 << run) - 1) << length
-                length += run
-                if value >> length:
-                    raise ValueError(f"value {value} does not fit in {length} bits")
-            acc = (acc << length) | value
-            nacc += length
-            if nacc >= FLUSH_BITS:
-                acc, nacc = flush(acc, nacc)
-        writer.write(acc, nacc)
-        return writer.getvalue(), writer.bits_written
-
-    def _decode_run(self, reader: BitReader, count: int) -> list[int]:
-        # limit_decode's steps on the window string; the block read takes
-        # one bit more, as in CminusCodec._decode_run
-        bits, pos, nbits = reader.window()
-        find = bits.find
-        out: list[int] = []
-        append = out.append
-        for index in range(count):
-            try:
-                zero = find("0", pos)
-                if zero < 0:
-                    raise LeavesWindow
-                ones = zero - pos
-                lo, hi = 0, ones
-                while lo < hi:
-                    mid = (lo + hi + 1) >> 1
-                    if _limit_run(mid) <= ones:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                s = lo
-                m = (s + 1).bit_length()
-                short_count = (1 << m) - s - 2
-                known = ones - _limit_run(s) + 1
-                value = (1 << known) - 2
-                end = zero + 1
-                if known >= m:
-                    i = value - short_count
-                else:
-                    rest = m - 1 - known
-                    end += rest + 1
-                    if end > nbits:
-                        raise LeavesWindow
-                    window = int(bits[zero + 1 : end], 2)
-                    value = (value << rest) | (window >> 1)
-                    if value < short_count:
-                        i, end = value, end - 1
-                    else:
-                        i = ((value << 1) | (window & 1)) - short_count
-            except LeavesWindow:
-                out += self.decode_at(reader, pos, index)
-                bits, pos, nbits = reader.window()
-                find = bits.find
-                continue
-            append(i)
-            append(s - i)
-            pos = end
-        reader.seek_window(pos)
-        return out
+    def __init__(self) -> None:
+        super().__init__(math.inf)

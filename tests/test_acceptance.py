@@ -33,7 +33,6 @@ from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
-    limit_decode,
     limit_row,
     signature_length_row,
 )
@@ -188,7 +187,7 @@ def test_criterion_08_limit_code():
             limit.encode_to(writer, pair)
         reader = BitReader(writer.getvalue())
         for pair in pairs:
-            assert limit_decode(reader) == pair
+            assert limit.decode(reader) == pair
 
         for s in range(257):
             row = limit_row(s)

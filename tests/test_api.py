@@ -1,16 +1,23 @@
 """The public names of the package: every ``__all__`` name resolves, the
-lazy analysis and oracle ones included, and the removed helpers stay gone."""
+lazy analysis and oracle ones included, the removed helpers stay gone, and
+README's list of the public API follows ``__all__``."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import geompair
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
-# ``encode_to``, ``codeword`` and ``signature_lengths`` replace them
+# ``encode_to``, ``codeword``, ``decode`` and ``signature_lengths`` replace them
 REMOVED = [
     ("geompair", "unary_encode"),
+    ("geompair", "limit_decode"),
+    ("geompair", "limit_codeword"),
     ("geompair", "quasi_uniform_encode"),
     ("geompair", "golomb_encode"),
     ("geompair", "limit_encode"),
@@ -22,6 +29,8 @@ REMOVED = [
     ("geompair.basecodes", "QuasiUniformSpec"),
     ("geompair.basecodes", "canonical_codewords"),
     ("geompair.cminus_codec", "limit_encode"),
+    ("geompair.cminus_codec", "limit_decode"),
+    ("geompair.cminus_codec", "limit_codeword"),
     ("geompair.cminus_codec", "SignatureLengthRow.total_pairs"),
     ("geompair.bitio", "Codeword.fragments"),
     ("geompair.bitio", "BitWriter.write_codeword"),
@@ -55,3 +64,10 @@ def test_removed_name_raises_attribute_error(module, name):
         getattr(owner, last)
     assert name not in getattr(importlib.import_module(module), "__all__", ())
 
+
+def test_readme_lists_the_public_api():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("The public API is")
+    listed = set(re.findall(r"`(\w+)`", text[start : text.index("\n\n", start)]))
+    assert not set(geompair.__all__) - listed
+    assert not listed & {name for module, name in REMOVED if module == "geompair"}

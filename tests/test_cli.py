@@ -89,11 +89,28 @@ def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
     assert "not ASCII" in err
 
 
-def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("data", ["\uff11 2\n".encode("utf-8"), "1 \u00e9".encode("latin-1")])
+def test_non_ascii_stdin_is_rejected_as_a_file_is(tmp_path, capsys, monkeypatch, data):
     import io
 
-    # '²' passes str.isdigit but int() rejects it
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 \u00b2"))
+    # the fullwidth digit '１' is one that int() would read as 1
+    src = tmp_path / "in.txt"
+    src.write_bytes(data)
+    out_path = tmp_path / "out.bin"
+    from_file = run(capsys, "encode", str(src), "--family", "ck", "--k", "1", "--out", str(out_path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    from_stdin = run(capsys, "encode", "-", "--family", "ck", "--k", "1", "--out", str(out_path))
+    assert from_stdin == from_file
+    code, out, err = from_stdin
+    assert (code, out) == (2, "")
+    assert err.startswith("geompair: input is not ASCII text: ")
+    assert not out_path.exists()
+
+
+def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # '²' passes str.isdigit but int() rejects it.  Input is ASCII-checked
+    # first, so the text goes past the reader to reach the parser.
+    monkeypatch.setattr("geompair.cli._read_text", lambda path: "1 \u00b2")
     code, _, err = run(capsys, "encode", "-", "--family", "ck", "--k", "1")
     assert code == 2
     assert "position 1" in err
@@ -169,6 +186,21 @@ def test_encode_k_above_the_header_field_exits_2_before_reading(tmp_path, capsys
                          "--k", "65536")
     assert (code, out) == (2, "")
     assert "65535" in err
+
+
+@pytest.mark.parametrize("family", [["limit"], ["cminus", "--k", "2"], ["ck", "--k", "3"],
+                                    ["golomb", "--k", "3"]])
+def test_encode_of_a_pair_too_large_to_encode_exits_2(tmp_path, family):
+    # limit and cminus overflow a shift count, ck and golomb fail to allocate
+    src = tmp_path / "in.txt"
+    src.write_text("99999999999999999999 0\n")
+    out_path = tmp_path / "out.bin"
+    child = _run_child("-m", "geompair.cli", "encode", str(src), "--family", *family,
+                       "--out", str(out_path), timeout=20)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("geompair: a pair's codeword is too long to encode")
+    assert "Traceback" not in child.stderr
+    assert not out_path.exists()
 
 
 def test_encode_k_at_the_header_field_maximum(tmp_path, capsys):
@@ -268,6 +300,16 @@ def test_bad_step_and_tol_exit_2_promptly(argv, message):
     child = _run_child("-m", "geompair.cli", *argv, timeout=10)
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("geompair: ") and message in child.stderr
+
+
+@pytest.mark.parametrize("argv", [["lengths", "--k", "3", "--s-max", "1000000000000"],
+                                  ["lengths", "--k", "3", "--s-min", "5", "--s-max", "1000005"],
+                                  ["params", "--k-max", "1000000000"]])
+def test_oversized_tables_exit_2_promptly(argv):
+    # in a child, so that a table built row by row fails the test by its timeout
+    child = _run_child("-m", "geompair.cli", *argv, timeout=10)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("geompair: ") and "more than 1000000 rows" in child.stderr
 
 
 def test_select(capsys):

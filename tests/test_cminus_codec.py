@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -9,9 +10,10 @@ from geompair.bitio import BitReader, BitWriter, StreamExhausted
 from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
-    limit_decode,
+    _lowest_signature,
     limit_row,
     signature_length_row,
+    signature_row,
 )
 
 
@@ -133,10 +135,23 @@ def test_codeword_of_a_deep_signature_keeps_no_state():
     assert codec.decode(reader) == (0, 20000)
 
 
-@pytest.mark.parametrize("k", [2, 4, 11, 20])
+@pytest.mark.parametrize("k", [*range(2, 13), math.inf])
+def test_lowest_signature_matches_a_scan_of_the_rows(k):
+    # the initial regime's Lambda ends at (k - 2) 2^(k-1), so (k + 2) 2^k
+    # ones reach well into the periodic regime of a finite order
+    u_max = 14 << 12 if k == math.inf else (k + 2) << k
+    s = 0
+    for u in range(u_max + 1):
+        while signature_row(k, s)[0] < u:
+            s += 1
+        assert _lowest_signature(k, u) == s
+
+
+@pytest.mark.parametrize("k", [2, 4, 11, 20, math.inf])
 def test_decode_of_a_long_run_reencodes_to_its_bits(k):
     # a run of about 2^19 ones reaches signatures far past the codec's memo,
     # in the periodic regime for k <= 11 and in the initial one for k = 20
+    # and for the limit code's unbounded order
     data = b"\xff" * 65535 + b"\xfe" + bytes([0x5A]) * 16
     codec = CminusCodec(k)
     reader = BitReader(data)
@@ -165,7 +180,7 @@ def test_limit_roundtrip():
     for p in pairs:
         codec.encode_to(w, p)
     r = BitReader(w.getvalue())
-    assert [limit_decode(r) for _ in pairs] == pairs
+    assert [codec.decode(r) for _ in pairs] == pairs
 
 
 def test_limit_decode_every_pair_of_a_signature():
@@ -177,7 +192,7 @@ def test_limit_decode_every_pair_of_a_signature():
     for p in pairs:
         codec.encode_to(w, p)
     r = BitReader(w.getvalue())
-    assert [limit_decode(r) for _ in pairs] == pairs
+    assert [codec.decode(r) for _ in pairs] == pairs
     assert r.bits_consumed == w.bits_written
 
 
@@ -186,7 +201,7 @@ def test_limit_decode_exhaustion():
     LimitCodec().encode_to(w, (40, 40))
     r = BitReader(w.getvalue()[:4])
     with pytest.raises(StreamExhausted):
-        limit_decode(r)
+        LimitCodec().decode(r)
 
 
 def test_limit_distribution_small_signatures():
@@ -202,14 +217,26 @@ def test_limit_distribution_small_signatures():
         assert lens == expected
 
 
-@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("k", range(2, 13))
 def test_limit_agrees_with_cminus_on_initial_regime(k):
-    # per-pair codeword lengths coincide for s <= 2^(k-1) - 2
+    # rows and per-pair codewords coincide for s <= 2^(k-1) - 2.  Codewords
+    # are compared at every pair up to s = 510 (all of them for k <= 10) and
+    # of the last signature: every pair at k = 12 builds about 6 GB of
+    # codeword values and takes about 20 s.
+    last = (1 << (k - 1)) - 2
+    assert all(signature_row(k, s) == signature_row(math.inf, s) for s in range(last + 1))
     codec, limit = CminusCodec(k), LimitCodec()
-    for s in range((1 << (k - 1)) - 1):
-        for i in range(s + 1):
-            pair = (i, s - i)
-            assert codec.encode(pair).length == limit.encode(pair).length
+    signatures = sorted({*range(min(last, 510) + 1), last})
+    pairs = [(i, s - i) for s in signatures for i in range(s + 1)]
+    assert all(map(tuple.__eq__, map(codec.codeword, pairs), map(limit.codeword, pairs)))
+
+
+def test_limit_signature_lengths_follow_limit_row():
+    # the two large signatures lie in the periodic regime of every finite order
+    codec = LimitCodec()
+    for s in [*range(5000), 2**70, 2**200 + 12345]:
+        _, lam, n_short, n_long = limit_row(s)
+        assert codec.signature_lengths(s) == ((lam, n_short), (lam + 1, n_long))
 
 
 def test_limit_codec_facade():
