@@ -8,7 +8,7 @@ truncated-Huffman optimality oracle.
 """
 
 from .bitio import BitReader, BitWriter, Codeword, StreamExhausted
-from .basecodes import GolombPairCodec, golomb_decode, quasi_uniform_decode
+from .basecodes import GolombPairCodec
 from .ck_codec import CkCodec
 from .cminus_codec import CminusCodec, LimitCodec, signature_length_row
 from .families import CodeFamily, make_codec
@@ -75,13 +75,11 @@ __all__ = [
     "crossover",
     "entropy_per_symbol",
     "fringe2_optimal_range",
-    "golomb_decode",
     "huffman_lengths",
     "make_codec",
     "max_gap",
     "oracle_optimal_avg_len",
     "profile_from",
-    "quasi_uniform_decode",
     "signature_length_row",
     "top_code_params",
     "two_level_check",

@@ -44,17 +44,6 @@ def quasi_uniform_codeword(n: int, rank: int) -> tuple[int, int]:
     return rank + short_count, m
 
 
-def quasi_uniform_decode(n: int, reader: BitReader) -> int:
-    """Inverse of :func:`quasi_uniform_codeword`, consuming exactly one codeword."""
-    m, short_count = quasi_uniform_shape(n)
-    if m == 0:
-        return 0
-    value = reader.read_bits(m - 1)
-    if value < short_count:
-        return value
-    return ((value << 1) | reader.read_bit()) - short_count
-
-
 def golomb_codeword(k: int, i: int) -> tuple[int, int]:
     """Golomb codeword of order k as ``(value, length)``: quasi-uniform
     k-remainder, then the quotient in unary."""
@@ -68,22 +57,45 @@ def golomb_codeword(k: int, i: int) -> tuple[int, int]:
     return ((value + 1) << (quot + 1)) - 2, length + quot + 1
 
 
-def golomb_decode(k: int, reader: BitReader) -> int:
-    if k < 1:
-        raise ValueError("Golomb order must be >= 1")
-    rem = quasi_uniform_decode(k, reader)
-    return k * reader.read_unary() + rem
-
-
 def golomb_length(k: int, i: int) -> int:
     """Length in bits of the order-k Golomb codeword for i."""
     m, short_count = quasi_uniform_shape(k)
     return (m - 1 if i % k < short_count else m) + i // k + 1
 
 
-class LeavesWindow(Exception):
-    """A batch decoder met a codeword that its reader's window does not hold
-    whole; the pair is decoded again by the per-pair path."""
+def exhausted(reader: BitReader, index: int, start: int) -> StreamExhausted:
+    """The StreamExhausted of pair ``index``, which starts at stream bit ``start``."""
+    left = reader.bits_consumed + reader.bits_remaining - start
+    exc = StreamExhausted(f"the payload holds only {left} of its bits")
+    exc.pair, exc.start = index, start
+    return exc
+
+
+def reload_pair(reader: BitReader, pos: int, index: int, skip: int, runs: int, back: int = 0):
+    """``(window, found)`` for a family loop whose codeword of pair
+    ``index``, which starts ``back`` bits before window position ``pos``,
+    may leave the window string.
+
+    Mostly the window is reloaded from the byte of ``pos`` and ``found`` is
+    None: the loop decodes the codeword again.  If the window starts at that
+    byte already and the stream goes on, the codeword is longer than a
+    window: ``found`` holds the ``runs`` runs of ones from ``skip`` bits past
+    ``pos``, read with ``read_unary``, and the window is the one after them.
+    If the window holds the rest of the stream, the pair runs off its end
+    and its StreamExhausted is raised.
+    """
+    reader.seek_window(pos)
+    start = reader.bits_consumed - back
+    if reader.bits_remaining <= reader.window()[2] - pos:
+        raise exhausted(reader, index, start) from None
+    if pos >= 8:
+        return reader.reload_window(), None
+    reader.seek_window(pos + skip)
+    try:
+        found = [reader.read_unary() for _ in range(runs)]
+    except StreamExhausted:
+        raise exhausted(reader, index, start) from None
+    return reader.window(), found
 
 
 # window bits of one decode-table lookup: the table has 2^TABLE_BITS slots
@@ -99,25 +111,27 @@ class PairCodec:
     """Coding paths shared by every pair codec.
 
     A codec implements ``codeword(pair) -> (value, length)``, its single
-    encoder, ``decode(reader)`` and ``signature_lengths(s)``: for s >= 0,
-    the lengths of the s + 1 codewords of the pairs (i, s - i), as
-    ``((length, count), ...)`` groups whose counts sum to s + 1 (a count
-    may be 0), the one source of lengths for the analysis.  The public
-    encoders below wrap ``codeword``.  The concrete codecs override
-    ``encode_many`` with a loop that inlines their code and emits the same
-    bits, taking the codewords of small pairs from :attr:`_encode_table`,
-    and add ``_decode_run(reader, count)``: the next ``count`` pairs'
-    components, flat (``[i0, j0, i1, j1, ...]``), exactly as a loop of
-    ``decode`` calls would return them and leaving the reader at the same
-    bit.  If the stream ends first, the :class:`StreamExhausted` carries
-    the index of the pair that ran off the end in ``pair`` and its start
-    bit in ``start``.
+    encoder, ``_decode_run(reader, count)``, its single decoder, and
+    ``signature_lengths(s)``: for s >= 0, the lengths of the s + 1
+    codewords of the pairs (i, s - i), as ``((length, count), ...)``
+    groups whose counts sum to s + 1 (a count may be 0), the one source of
+    lengths for the analysis.  The public encoders below wrap
+    ``codeword``.  The concrete codecs override ``encode_many`` with a
+    loop that inlines their code and emits the same bits, taking the
+    codewords of small pairs from :attr:`_encode_table`.
 
-    :meth:`decode_many` is that contract for every codec: it reads a
-    stream of short codewords through :attr:`_decode_table` and hands
-    the rest to ``_decode_run``.  Both tables are built from ``codeword``
-    on first use and never change, so a codec stays immutable and
-    shareable.
+    ``_decode_run`` returns the next ``count`` pairs' components, flat
+    (``[i0, j0, i1, j1, ...]``), and leaves the reader after them.  It
+    scans the reader's window string; where a codeword may leave it, it
+    reloads the window from the pair's byte (:func:`reload_pair`) and reads
+    the runs of ones of a pair longer than a window with ``read_unary``.
+    If the stream ends first, the :class:`StreamExhausted` carries the
+    index of the pair that ran off the end in ``pair`` and its start bit
+    in ``start``.  :meth:`decode` is one pair of it, and
+    :meth:`decode_many` reads a stream of short codewords through
+    :attr:`_decode_table` and hands the rest to it.  Both tables are built
+    from ``codeword`` on first use and never change, so a codec stays
+    immutable and shareable.
     """
 
     def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
@@ -128,6 +142,9 @@ class PairCodec:
 
     def encode_to(self, writer: BitWriter, pair: tuple[int, int]) -> None:
         writer.write(*self.codeword(pair))
+
+    def decode(self, reader: BitReader) -> tuple[int, int]:
+        return tuple(self._decode_run(reader, 1))
 
     def encode_many(self, pairs) -> tuple[bytes, int]:
         """Zero-padded stream of all pairs' codewords and its payload bit count."""
@@ -226,18 +243,6 @@ class PairCodec:
         reader.seek_window(pos)
         return out
 
-    def decode_at(self, reader: BitReader, pos: int, index: int) -> tuple[int, int]:
-        """Pair ``index`` by the per-pair ``decode``, from window position
-        ``pos``: the batch decoders' path for a codeword that leaves the
-        window, where the reader refills it."""
-        reader.seek_window(pos)
-        start = reader.bits_consumed
-        try:
-            return self.decode(reader)
-        except StreamExhausted as exc:
-            exc.pair, exc.start = index, start
-            raise
-
 
 def residue_signature_lengths(k: int, s: int, residue_length) -> tuple[tuple[int, int], ...]:
     """``signature_lengths(s)`` of a pair code that sends the residues
@@ -255,23 +260,26 @@ def residue_signature_lengths(k: int, s: int, residue_length) -> tuple[tuple[int
     return tuple(groups)
 
 
-def decode_unary_pairs(codec: PairCodec, reader: BitReader, count: int) -> list[int]:
+def decode_unary_pairs(reader: BitReader, count: int) -> list[int]:
     """``_decode_run`` of two bare unary codes per pair (ck and Golomb k = 1)."""
     bits, pos, _ = reader.window()
     find = bits.find
     out: list[int] = []
     append = out.append
     for index in range(count):
-        zero_i = find("0", pos)
-        zero_j = find("0", zero_i + 1) if zero_i >= 0 else -1
-        if zero_j >= 0:
-            append(zero_i - pos)
-            append(zero_j - zero_i - 1)
-            pos = zero_j + 1
-            continue
-        out += codec.decode_at(reader, pos, index)
-        bits, pos, _ = reader.window()
-        find = bits.find
+        while True:
+            zero_i = find("0", pos)
+            zero_j = find("0", zero_i + 1) if zero_i >= 0 else -1
+            if zero_j >= 0:
+                append(zero_i - pos)
+                append(zero_j - zero_i - 1)
+                pos = zero_j + 1
+                break
+            (bits, pos, _), found = reload_pair(reader, pos, index, 0, 2)
+            find = bits.find
+            if found:
+                out += found
+                break
     reader.seek_window(pos)
     return out
 
@@ -289,9 +297,6 @@ class GolombPairCodec(PairCodec):
         value_i, length_i = golomb_codeword(self.k, i)
         value_j, length_j = golomb_codeword(self.k, j)
         return (value_i << length_j) | value_j, length_i + length_j
-
-    def decode(self, reader: BitReader) -> tuple[int, int]:
-        return golomb_decode(self.k, reader), golomb_decode(self.k, reader)
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
         m, short_count = quasi_uniform_shape(self.k)
@@ -337,49 +342,38 @@ class GolombPairCodec(PairCodec):
         return writer.getvalue(), writer.bits_written
 
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
+        # the components one after the other, each remainder from an m-bit
+        # window, which the unary zero after it keeps inside the codeword:
+        # its first m - 1 bits tell a short remainder codeword from a long
+        # one.  The second component of a pair starts golomb_length(k, i)
+        # bits into it.
         k = self.k
         m, short_count = quasi_uniform_shape(k)
         if m == 0:
-            return decode_unary_pairs(self, reader, count)
+            return decode_unary_pairs(reader, count)
         bits, pos, nbits = reader.window()
         find = bits.find
         out: list[int] = []
         append = out.append
-        for index in range(count):
-            try:
-                # each remainder from an m-bit window, which the unary zero
-                # after it keeps inside the codeword: its first m - 1 bits
-                # tell a short remainder codeword from a long one
+        for half in range(2 * count):
+            while True:
                 end = pos + m
-                if end > nbits:
-                    raise LeavesWindow
-                window = int(bits[pos:end], 2)
-                if window >> 1 < short_count:
-                    rem_i, end = window >> 1, end - 1
-                else:
-                    rem_i = window - short_count
-                zero_i = find("0", end)
-                if zero_i < 0:
-                    raise LeavesWindow
-                quot_i = zero_i - end
-                end = zero_i + 1 + m
-                if end > nbits:
-                    raise LeavesWindow
-                window = int(bits[zero_i + 1 : end], 2)
-                if window >> 1 < short_count:
-                    rem_j, end = window >> 1, end - 1
-                else:
-                    rem_j = window - short_count
-                zero_j = find("0", end)
-                if zero_j < 0:
-                    raise LeavesWindow
-            except LeavesWindow:
-                out += self.decode_at(reader, pos, index)
-                bits, pos, nbits = reader.window()
+                if end <= nbits:
+                    window = int(bits[pos:end], 2)
+                    if window >> 1 < short_count:
+                        rem, end = window >> 1, end - 1
+                    else:
+                        rem = window - short_count
+                    zero = find("0", end)
+                    if zero >= 0:
+                        append(k * (zero - end) + rem)
+                        pos = zero + 1
+                        break
+                back = golomb_length(k, out[-1]) if half & 1 else 0
+                (bits, pos, nbits), found = reload_pair(reader, pos, half >> 1, end - pos, 1, back)
                 find = bits.find
-                continue
-            append(k * quot_i + rem_i)
-            append(k * (zero_j - end) + rem_j)
-            pos = zero_j + 1
+                if found:  # the window holds the remainder
+                    append(k * found[0] + rem)
+                    break
         reader.seek_window(pos)
         return out

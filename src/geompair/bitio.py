@@ -14,9 +14,10 @@ from __future__ import annotations
 class StreamExhausted(Exception):
     """A read required more bits than the stream holds.
 
-    When a codec's ``decode_many`` raises it, ``pair`` is the 0-based index
-    of the pair that ran off the end and ``start`` the stream bit where that
-    pair starts; both are None for a single read.
+    When a codec's ``decode`` or ``decode_many`` raises it, ``pair`` is the
+    0-based index of the pair that ran off the end (0 for ``decode``) and
+    ``start`` the stream bit where that pair starts, and the message gives
+    the bits left from there; both are None for a single read.
     """
 
     pair = None
@@ -157,9 +158,11 @@ class BitReader:
         """Move the window to the byte holding stream bit ``at`` and read from there."""
         byte = at >> 3
         chunk = self._data[byte : byte + self.WINDOW_BYTES]
+        last = 1 if byte + self.WINDOW_BYTES >= len(self._data) else 0
         self._base = 8 * byte  # stream position of the window's first bit
-        self._bits = format(int.from_bytes(chunk, "big"), f"0{8 * len(chunk)}b") if chunk else ""
-        self._nbits = len(self._bits)
+        self._nbits = 8 * len(chunk)
+        # the last window ends in a '1' past the stream's last bit
+        self._bits = format(int.from_bytes(chunk, "big") << last | last, f"0{self._nbits + last}b")
         self._pos = at - self._base  # read position within the window
 
     def _refill(self, n: int) -> None:
@@ -167,7 +170,7 @@ class BitReader:
         remaining = self.bits_remaining
         if n > remaining:
             raise StreamExhausted(f"need {n} bits, only {remaining} remain")
-        self._load(self._base + self._pos)
+        self.reload_window()
 
     @property
     def bits_consumed(self) -> int:
@@ -175,8 +178,20 @@ class BitReader:
 
     def window(self) -> tuple[str, int, int]:
         """``(bits, pos, nbits)``: the window string, the read position in
-        it and its length.  A batch decoder scans ``bits`` itself and hands
-        its position back with :meth:`seek_window`."""
+        it and the count of stream bits it holds.  A batch decoder scans
+        ``bits`` itself and hands its position back with :meth:`seek_window`.
+
+        Where the window holds the rest of the stream, ``bits`` has one more
+        character, a ``'1'``: a decoder may look one bit past a codeword
+        without a bounds check, and ``find("0")`` never stops there.
+        """
+        return self._bits, self._pos, self._nbits
+
+    def reload_window(self) -> tuple[str, int, int]:
+        """Load the window from the byte holding the read position and
+        return :meth:`window`: how a batch decoder goes on with a codeword
+        that may leave the window string."""
+        self._load(self._base + self._pos)
         return self._bits, self._pos, self._nbits
 
     def seek_window(self, pos: int) -> None:

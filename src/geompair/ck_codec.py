@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .basecodes import SMALL_BITS, PairCodec, decode_unary_pairs, residue_signature_lengths
+from .basecodes import (SMALL_BITS, PairCodec, decode_unary_pairs, reload_pair,
+                        residue_signature_lengths)
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import TopCode
 
@@ -49,12 +50,6 @@ class CkCodec(PairCodec):
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
         codeword = self._top.codeword
         return residue_signature_lengths(self.k, s, lambda a, b: codeword(a, b)[1])
-
-    def decode(self, reader: BitReader) -> tuple[int, int]:
-        a, b = self._top.decode(reader)
-        u = reader.read_unary()
-        v = reader.read_unary()
-        return a + self.k * u, b + self.k * v
 
     def encode_many(self, pairs) -> tuple[bytes, int]:
         k = self.k
@@ -96,7 +91,7 @@ class CkCodec(PairCodec):
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         k = self.k
         if k == 1:  # the void top code
-            return decode_unary_pairs(self, reader, count)
+            return decode_unary_pairs(reader, count)
         top = self._top
         starts, base, width = top.starts, top.base, top.window_bits
         (limit_1, shift_1, offset_1, length_1), (limit_2, shift_2, offset_2, length_2), (
@@ -106,29 +101,32 @@ class CkCodec(PairCodec):
         out: list[int] = []
         append = out.append
         for index in range(count):
-            # the top codeword's level from a left-justified window of the
-            # longest length; the two unary zeros after a shorter codeword
-            # keep that window inside the pair's codeword
-            end = pos + width
-            if end <= nbits:
-                window = int(bits[pos:end], 2)
-                if window < limit_1:
-                    rank, end = (window >> shift_1) + offset_1, pos + length_1
-                elif window < limit_2:
-                    rank, end = (window >> shift_2) + offset_2, pos + length_2
-                else:
-                    rank, end = (window >> shift_3) + offset_3, pos + length_3
-                zero_u = find("0", end)
-                zero_v = find("0", zero_u + 1) if zero_u >= 0 else -1
-                if zero_v >= 0:
-                    t = bisect_right(starts, rank) - 1
-                    a = rank - base[t]
-                    append(a + k * (zero_u - end))
-                    append(t - a + k * (zero_v - zero_u - 1))
-                    pos = zero_v + 1
-                    continue
-            out += self.decode_at(reader, pos, index)
-            bits, pos, nbits = reader.window()
-            find = bits.find
+            while True:
+                # the top codeword's level from a left-justified window of
+                # the longest length; the two unary zeros after a shorter
+                # codeword keep that window inside the pair's codeword
+                end = pos + width
+                if end <= nbits:
+                    window = int(bits[pos:end], 2)
+                    if window < limit_1:
+                        rank, end = (window >> shift_1) + offset_1, pos + length_1
+                    elif window < limit_2:
+                        rank, end = (window >> shift_2) + offset_2, pos + length_2
+                    else:
+                        rank, end = (window >> shift_3) + offset_3, pos + length_3
+                    zero_u = find("0", end)
+                    zero_v = find("0", zero_u + 1) if zero_u >= 0 else -1
+                    if zero_v >= 0:
+                        u, v, pos = zero_u - end, zero_v - zero_u - 1, zero_v + 1
+                        break
+                (bits, pos, nbits), found = reload_pair(reader, pos, index, end - pos, 2)
+                find = bits.find
+                if found:  # the window holds the top codeword
+                    u, v = found
+                    break
+            t = bisect_right(starts, rank) - 1
+            a = rank - base[t]
+            append(a + k * u)
+            append(t - a + k * v)
         reader.seek_window(pos)
         return out

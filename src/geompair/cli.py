@@ -140,7 +140,7 @@ def cmd_decode(args) -> int:
         family = CodeFamily(FAMILY_FROM_BYTE[family_byte], k)
     except InvalidFamilyParam as exc:
         raise DataError(str(exc)) from exc
-    payload = blob[HEADER.size :]
+    payload = memoryview(blob)[HEADER.size :]
     if count > 8 * len(payload):  # every codeword is at least one bit
         raise DataError(
             f"header claims {count} pairs, but the {len(payload)} payload bytes "

@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .basecodes import SMALL_BITS, LeavesWindow, PairCodec
+from .basecodes import SMALL_BITS, PairCodec, exhausted, reload_pair
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 
 
@@ -111,6 +111,10 @@ def _lowest_signature(k: int, u: int) -> int:
     return max((1 << i) - 1, -(-(u + (2 << i)) // (i + 1)) - 2)
 
 
+class LeavesWindow(Exception):
+    """The decode loop met a codeword that may leave its reader's window string."""
+
+
 # signatures whose rows a codec computes once, on its first encode or decode:
 # nearly every pair at the design points falls below it, and the memo halves
 # the cost of coding those pairs (cminus k=2 at q = 1/4, 40k pairs, CPython
@@ -167,50 +171,6 @@ class CminusCodec(PairCodec):
             return first_short + i, lam
         return ((first_short + n_short) << 1) + (i - n_short), lam + 1
 
-    def decode(self, reader: BitReader) -> tuple[int, int]:
-        # The code is complete and infinite, so no codeword is all ones: the
-        # leading run of u ones ends inside the codeword, which therefore has
-        # more than u bits and belongs to a signature s with Lambda_s >= u
-        # (Moffat & Turpin's canonical decoding: the leading bits give the
-        # length class, no table is walked).  rel tracks the window value
-        # minus the current block's first value; it starts below D_s and
-        # only a few signatures past s can still hold the codeword.  Every
-        # read stays within one step Lambda_s - Lambda_(s-1) <= log2(s) + 2,
-        # and s <= u, so it is at most 64 bits for any stream under 2^62 bits.
-        u = reader.read_unary()
-        rows = self._rows
-        try:
-            s = self._run_signature[u]
-            lam, n_short, n_long, deficit = rows[s]
-        except IndexError:
-            s = _lowest_signature(self.k, u)
-            lam, n_short, n_long, deficit = signature_row(self.k, s)
-        if u == lam:
-            # the run's zero is bit Lambda + 1: a long codeword of s, or later
-            rel = (deficit - 1 - n_short) << 1
-        else:
-            need = lam - u - 1  # the Lambda-bit window is u ones, a zero, need bits
-            rel = deficit - (2 << need) + reader.read_bits(need)
-            if rel < n_short:
-                return rel, s - rel
-            rel = ((rel - n_short) << 1) | reader.read_bit()
-        # rel is now relative to s's long block, at Lambda_s + 1 bits; reading
-        # that bit when n_long = 0 is safe because Lambda grows by at least 1
-        while rel >= n_long:
-            rel -= n_long
-            length = lam + 1
-            s += 1
-            try:
-                lam, n_short, n_long, _ = rows[s]
-            except IndexError:
-                lam, n_short, n_long, _ = signature_row(self.k, s)
-            rel = (rel << (lam - length)) | reader.read_bits(lam - length)
-            if rel < n_short:
-                return rel, s - rel
-            rel = ((rel - n_short) << 1) | reader.read_bit()
-        i = n_short + rel
-        return i, s - i
-
     def encode_many(self, pairs) -> tuple[bytes, int]:
         k = self.k
         rows = self._rows
@@ -244,71 +204,98 @@ class CminusCodec(PairCodec):
         return writer.getvalue(), writer.bits_written
 
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
-        # decode's steps on the window string; each read takes one bit more
-        # than decode's, the bit that tells a short codeword from a long one
-        # (past a short codeword it is the next codeword's, or past the
-        # stream's end, where the pair goes to decode)
+        # The code is complete and infinite, so no codeword is all ones: the
+        # leading run of u ones ends inside the codeword, which therefore has
+        # more than u bits and belongs to a signature s with Lambda_s >= u
+        # (Moffat & Turpin's canonical decoding: the leading bits give the
+        # length class, no table is walked).  rel tracks the window value
+        # minus the current block's first value; it starts below D_s and
+        # only a few signatures past s can still hold the codeword.  Each
+        # read takes one step Lambda_s - Lambda_(s-1) <= log2(s) + 2 and one
+        # bit more, the bit that tells a short codeword from a long one;
+        # past the stream's last bit it is the window's closing '1', and a
+        # long codeword that takes it runs off the end.  The bits after the
+        # run, at most log2(s) + 3, fit in a window loaded at its zero.
         k = self.k
         rows = self._rows
         run_signature = self._run_signature
         runs = len(run_signature)
         bits, pos, nbits = reader.window()
+        ahead = len(bits)
         find = bits.find
         out: list[int] = []
         append = out.append
+        long_index = -1  # the pair whose run was read with read_unary
         for index in range(count):
-            try:
-                zero = find("0", pos)
-                if zero < 0:
-                    raise LeavesWindow
-                u = zero - pos
-                if u < runs:
-                    s = run_signature[u]
-                    lam, n_short, n_long, deficit = rows[s]
-                else:
-                    s = _lowest_signature(k, u)
-                    lam, n_short, n_long, deficit = signature_row(k, s)
-                end = zero + 1
-                i = None
-                if u == lam:
-                    rel = (deficit - 1 - n_short) << 1
-                else:
-                    need = lam - u - 1
-                    end += need + 1
-                    if end > nbits:
+            zero = find("0", pos)
+            u = zero - pos
+            while True:
+                try:
+                    if zero < 0:
                         raise LeavesWindow
-                    window = int(bits[zero + 1 : end], 2)
-                    rel = deficit - (2 << need) + (window >> 1)
-                    if rel < n_short:
-                        i, end = rel, end - 1
+                    if u < runs:
+                        s = run_signature[u]
+                        lam, n_short, n_long, deficit = rows[s]
                     else:
-                        rel = ((rel - n_short) << 1) | (window & 1)
-                if i is None:
-                    while rel >= n_long:
-                        rel -= n_long
-                        length = lam + 1
-                        s += 1
-                        if s < _MEMO_SIGNATURES:
-                            lam, n_short, n_long, _ = rows[s]
-                        else:
-                            lam, n_short, n_long, _ = signature_row(k, s)
-                        step = lam - length
-                        start, end = end, end + step + 1
-                        if end > nbits:
+                        s = _lowest_signature(k, u)
+                        lam, n_short, n_long, deficit = signature_row(k, s)
+                    end = zero + 1
+                    i = None
+                    if u == lam:
+                        # the run's zero is bit Lambda + 1: a long codeword of s, or later
+                        rel = (deficit - 1 - n_short) << 1
+                    else:
+                        need = lam - u - 1  # the Lambda-bit window is u ones, a zero, need bits
+                        end += need + 1
+                        if end > ahead:
                             raise LeavesWindow
-                        window = int(bits[start:end], 2)
-                        rel = (rel << step) | (window >> 1)
+                        window = int(bits[zero + 1 : end], 2)
+                        rel = deficit - (2 << need) + (window >> 1)
                         if rel < n_short:
                             i, end = rel, end - 1
-                            break
-                        rel = ((rel - n_short) << 1) | (window & 1)
+                        else:
+                            rel = ((rel - n_short) << 1) | (window & 1)
+                    if i is None:
+                        # rel is now relative to s's long block, at Lambda_s + 1
+                        # bits; reading that bit when n_long = 0 is safe because
+                        # Lambda grows by at least 1
+                        while rel >= n_long:
+                            rel -= n_long
+                            length = lam + 1
+                            s += 1
+                            if s < _MEMO_SIGNATURES:
+                                lam, n_short, n_long, _ = rows[s]
+                            else:
+                                lam, n_short, n_long, _ = signature_row(k, s)
+                            step = lam - length
+                            start, end = end, end + step + 1
+                            if end > ahead:
+                                raise LeavesWindow
+                            window = int(bits[start:end], 2)
+                            rel = (rel << step) | (window >> 1)
+                            if rel < n_short:
+                                i, end = rel, end - 1
+                                break
+                            rel = ((rel - n_short) << 1) | (window & 1)
+                        else:
+                            i = n_short + rel
+                            if end > nbits:
+                                raise LeavesWindow
+                    break
+                except LeavesWindow:
+                    if long_index == index:  # the window after the run holds the stream's end
+                        raise exhausted(reader, index, first) from None
+                    (bits, pos, nbits), found = reload_pair(reader, pos, index, 0, 1)
+                    if found:  # the rest from a window loaded at the run's zero
+                        (u,), long_index = found, index
+                        first = reader.bits_consumed - u - 1
+                        reader.seek_window(pos - 1)
+                        bits, zero, nbits = reader.reload_window()
                     else:
-                        i = n_short + rel
-            except LeavesWindow:
-                out += self.decode_at(reader, pos, index)
-                bits, pos, nbits = reader.window()
-                find = bits.find
-                continue
+                        zero = bits.find("0", pos)
+                        u = zero - pos
+                    ahead = len(bits)
+                    find = bits.find
             append(i)
             append(s - i)
             pos = end

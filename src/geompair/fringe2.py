@@ -17,7 +17,6 @@ a relative tolerance of 1e-12 for sign decisions.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -384,22 +383,6 @@ class TopCode:
             if rank < first_rank + count:
                 return first_value + rank - first_rank, length
         raise IndexError(f"pair ({a}, {b}) outside [0, {self.k})^2")
-
-    def decode(self, reader) -> tuple[int, int]:
-        """Read one top codeword; return its residue pair."""
-        levels = self._levels
-        length = levels[0][0]
-        window = reader.read_bits(length)
-        for blk_len, first_value, first_rank, count in levels:
-            while length < blk_len:
-                window = (window << 1) | reader.read_bit()
-                length += 1
-            if window - first_value < count:
-                rank = first_rank + window - first_value
-                t = bisect.bisect_right(self.starts, rank) - 1
-                a = rank - self.base[t]
-                return a, t - a
-        raise AssertionError("complete code cannot fail to decode")
 
 
 def top_code_symbols(k: int) -> list[tuple[int, int]]:

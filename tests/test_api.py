@@ -13,10 +13,13 @@ import geompair
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
-# ``encode_to``, ``codeword``, ``decode`` and ``signature_lengths`` replace them
+# ``encode_to``, ``codeword``, ``decode``, ``decode_many`` and
+# ``signature_lengths`` replace them
 REMOVED = [
     ("geompair", "unary_encode"),
     ("geompair", "limit_decode"),
+    ("geompair", "golomb_decode"),
+    ("geompair", "quasi_uniform_decode"),
     ("geompair", "limit_codeword"),
     ("geompair", "quasi_uniform_encode"),
     ("geompair", "golomb_encode"),
@@ -28,6 +31,9 @@ REMOVED = [
     ("geompair.basecodes", "golomb_encode"),
     ("geompair.basecodes", "QuasiUniformSpec"),
     ("geompair.basecodes", "canonical_codewords"),
+    ("geompair.basecodes", "golomb_decode"),
+    ("geompair.basecodes", "quasi_uniform_decode"),
+    ("geompair.basecodes", "PairCodec.decode_at"),
     ("geompair.cminus_codec", "limit_encode"),
     ("geompair.cminus_codec", "limit_decode"),
     ("geompair.cminus_codec", "limit_codeword"),
@@ -38,6 +44,7 @@ REMOVED = [
     ("geompair.fringe2", "CompactProfile.n_mid"),
     ("geompair.fringe2", "CompactProfile.n_lower"),
     ("geompair.fringe2", "top_code_table"),
+    ("geompair.fringe2", "TopCode.decode"),
     ("geompair.analysis", "CminusLengthModel"),
     ("geompair.analysis", "LimitLengthModel"),
     ("geompair.analysis", "GolombPairLengthModel"),

@@ -5,10 +5,8 @@ from geompair.basecodes import (
     GolombPairCodec,
     RankOutOfRange,
     golomb_codeword,
-    golomb_decode,
     golomb_length,
     quasi_uniform_codeword,
-    quasi_uniform_decode,
 )
 from geompair.bitio import BitReader, BitWriter, Codeword
 
@@ -53,12 +51,20 @@ def test_quasi_uniform_kraft_exact(n):
 
 @given(st.integers(min_value=2, max_value=5000))
 def test_quasi_uniform_roundtrip(n):
+    # a Golomb codeword of order n below n is the quasi-uniform codeword
+    # and a zero, so the order-n pair codec reads the ranks back
     w = BitWriter()
     ranks = [0, 1, n // 2, n - 2, n - 1]
     for r in ranks:
         w.write(*quasi_uniform_codeword(n, r))
+        w.write(0, 1)
     reader = BitReader(w.getvalue())
-    assert [quasi_uniform_decode(n, reader) for _ in ranks] == ranks
+    codec = GolombPairCodec(n)
+    assert [codec.decode(reader) for _ in range(2)] == [(0, 1), (n // 2, n - 2)]
+    assert codec.decode_many(reader, 0) == []
+    w.write(*quasi_uniform_codeword(n, 0))
+    w.write(0, 1)
+    assert codec.decode_many(BitReader(w.getvalue()), 3) == ranks + [0]
 
 
 @pytest.mark.parametrize(
@@ -77,7 +83,10 @@ def test_golomb_examples(k, i, bits):
 def test_golomb_roundtrip(k, i):
     w = BitWriter()
     w.write(*golomb_codeword(k, i))
-    assert golomb_decode(k, BitReader(w.getvalue())) == i
+    w.write(*golomb_codeword(k, k - 1))
+    reader = BitReader(w.getvalue())
+    assert GolombPairCodec(k).decode(reader) == (i, k - 1)
+    assert reader.bits_consumed == w.bits_written
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 24, 64])

@@ -1,18 +1,27 @@
-"""The batch coders against the per-pair ones.
+"""The codecs' decoders against the reference decoders, and the batch
+encoder against the per-pair one.
 
-``decode_many`` must return exactly what a loop of ``decode`` calls
-returns, leave the reader at the same bit, and run off the end of a
-stream at the same pair and start bit, both through the shared decode
-table (a stream of at most TABLE_BITS bits per pair) and through the
-family loop; ``encode_many`` must emit the bytes of the generic
+Each codec has one decoder, its family loop ``_decode_run``: ``decode``
+is one pair of it, and ``decode_many`` reads a stream of short codewords
+through the shared decode table and hands the rest to it.  Both must
+return exactly what a loop of the reference decoders of
+``test_fast_paths`` returns (they read the original codes with the
+``BitReader`` primitives), leave the reader at the same bit, and run off
+the end of a stream at the same pair and start bit, through the table (a
+stream of at most TABLE_BITS bits per pair) and through the family loop;
+``encode_many`` must emit the bytes of the generic
 ``PairCodec.encode_many``, which writes one ``codeword`` at a time.
 Small ``BitReader`` windows make codewords and table lookups straddle
-window ends, where the batch decoders hand the pair to ``decode``.
+window ends, where the family loop reloads its window, and make runs of
+ones longer than a window, which it reads with ``read_unary``.
 """
 
+import bisect
+import functools
 import random
 
 import pytest
+from test_fast_paths import reference
 
 from geompair.basecodes import TABLE_BITS, PairCodec
 from geompair.bitio import BitReader, StreamExhausted
@@ -65,18 +74,60 @@ def random_bytes(seed, n):
     )
 
 
-def per_pair(codec, data, count):
+def long_runs(seed, shortest, n=4):
+    """n runs of ``shortest`` to ``shortest`` + 200 ones, each followed by a
+    zero and 20 random bits."""
+    rng = random.Random(seed)
+    bits = "".join(
+        "1" * (shortest + rng.randrange(200)) + "0" + format(rng.getrandbits(20), "020b")
+        for _ in range(n)
+    )
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def ends(data, start):
+    """The message of a pair that starts at bit ``start`` and runs off the end of ``data``."""
+    return f"the payload holds only {8 * len(data) - start} of its bits"
+
+
+@functools.lru_cache(maxsize=64)
+def reference_trace(family, data):
+    """A loop of the reference decoder over all of ``data``: the flat
+    components and each pair's end bit, up to the pair that runs off the end."""
+    decode = reference(family).decode
+    reader = BitReader(data)
+    flat, pair_ends = [], []
+    try:
+        while True:
+            flat += decode(reader)
+            pair_ends.append(reader.bits_consumed)
+    except StreamExhausted:
+        return flat, pair_ends
+
+
+def reference_decode(family, data, count):
+    """What ``per_pair`` returns for a loop of ``count`` reference decodes."""
+    flat, pair_ends = reference_trace(family, data)
+    if count <= len(pair_ends):
+        return flat[: 2 * count], pair_ends[count - 1] if count else 0, None
+    return flat, None, (len(pair_ends), pair_ends[-1] if pair_ends else 0)
+
+
+def per_pair(decode, data, count):
     """The components, the end position and the exhaustion point of a loop
     of ``decode`` calls: (flat, bits_consumed, None) or (flat, None,
-    (pair, start bit, message))."""
+    (pair, start bit))."""
     reader = BitReader(data)
     flat = []
     for index in range(count):
         start = reader.bits_consumed
         try:
-            flat += codec.decode(reader)
+            flat += decode(reader)
         except StreamExhausted as exc:
-            return flat, None, (index, start, str(exc))
+            if exc.pair is not None:  # a codec's decode: one pair of its family loop
+                assert (exc.pair, exc.start, str(exc)) == (0, start, ends(data, start))
+            return flat, None, (index, start)
     return flat, reader.bits_consumed, None
 
 
@@ -85,17 +136,23 @@ def batch(codec, data, count):
     try:
         flat = codec.decode_many(reader, count)
     except StreamExhausted as exc:
-        return None, None, (exc.pair, exc.start, str(exc))
+        assert str(exc) == ends(data, exc.start)
+        return None, None, (exc.pair, exc.start)
     return flat, reader.bits_consumed, None
 
 
-def assert_same_decode(codec, data, count):
-    want = per_pair(codec, data, count)
+def assert_same_decode(family, data, count, single=False):
+    """``decode_many``, and with ``single`` a loop of the codec's ``decode``,
+    against a loop of the reference decoder."""
+    want = reference_decode(family, data, count)
+    codec = make_codec(family)
     got = batch(codec, data, count)
     if want[2] is None:
         assert got == want
     else:
         assert got[2] == want[2]
+    if single:
+        assert per_pair(codec.decode, data, count) == want
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
@@ -107,29 +164,37 @@ def test_decode_many_matches_decode_on_encoded_streams(family):
         assert codec.decode_many(reader, len(pairs)) == [x for pair in pairs for x in pair]
         assert reader.bits_consumed == nbits
         for count in (0, 1, len(pairs) // 2, len(pairs), len(pairs) + 1, 8 * len(data)):
-            assert_same_decode(codec, data, count)
+            assert_same_decode(family, data, count)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_decode_many_matches_decode_on_arbitrary_bytes(family):
-    codec = make_codec(family)
     for seed in range(6):
         data = random_bytes(f"{family.label()}-{seed}", 200 + 50 * seed)
-        assert_same_decode(codec, data, 8 * len(data))
-        assert_same_decode(codec, data, seed * 7)
+        assert_same_decode(family, data, 8 * len(data))
+        assert_same_decode(family, data, seed * 7)
 
 
-@pytest.mark.parametrize("window", range(9, 17))
+@pytest.mark.parametrize("window", [*range(9, 17), BitReader.WINDOW_BYTES])
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_decode_many_matches_decode_across_small_windows(monkeypatch, family, window):
     monkeypatch.setattr(BitReader, "WINDOW_BYTES", window)
     codec = make_codec(family)
     pairs = geometric_pairs(family, 120, window) + extreme_pairs(family)[:5]
     data, _ = codec.encode_many(pairs)
-    assert_same_decode(codec, data, len(pairs))
-    assert_same_decode(codec, data[: len(data) * 2 // 3], len(pairs))
+    assert_same_decode(family, data, len(pairs), single=True)
+    assert_same_decode(family, data[: len(data) * 2 // 3], len(pairs), single=True)
     arbitrary = random_bytes(f"{family.label()}-w{window}", 120)
-    assert_same_decode(codec, arbitrary, 8 * len(arbitrary))
+    assert_same_decode(family, arbitrary, 8 * len(arbitrary), single=True)
+    # runs of ones longer than the window; the cminus reference keeps the
+    # first values of every signature it passes, numbers of Lambda_s bits,
+    # so at the default window its runs stay a few hundred bits long
+    if window < 64:
+        runs = long_runs(f"{family.label()}-r{window}", 8 * window)
+    else:
+        runs = long_runs(f"{family.label()}-r", 200 if family.kind == "cminus" else 8 * window, 2)
+    for cut in (len(runs), len(runs) * 2 // 3, len(runs) // 3):
+        assert_same_decode(family, runs[:cut], 8 * cut, single=True)
 
 
 ENCODE_FAMILIES = FAMILIES + [CodeFamily("golomb", 2)]
@@ -157,13 +222,17 @@ def test_encode_many_matches_generic_path(family):
 # ---------------------------------------------------------------------------
 
 
-def truncation_message(family, payload, count):
-    """The CLI's error for a truncated payload, rebuilt from a loop of
-    ``decode`` calls: the pair that runs off the end and its start bit."""
-    _, _, (index, start, message) = per_pair(make_codec(family), payload, count)
+def truncation_message(family, payload, cut):
+    """The CLI's error for ``payload`` cut to ``cut`` bytes, rebuilt from a
+    loop of the reference decoder over the whole payload: the first pair
+    that ends past the cut runs off the end, and it starts where the pair
+    before it ends."""
+    _, pair_ends = reference_trace(family, payload)
+    index = bisect.bisect_right(pair_ends, 8 * cut)
+    start = pair_ends[index - 1] if index else 0
     return (
         f"geompair: bitstream truncated in pair {index} (0-based), "
-        f"which starts at payload bit {start}: {message}\n"
+        f"which starts at payload bit {start}: {ends(payload[:cut], start)}\n"
     )
 
 
@@ -186,7 +255,7 @@ def test_truncation_at_every_byte_names_the_same_pair_and_bit(tmp_path, capsys, 
         if 8 * cut < len(pairs):  # the bound on the pair count rejects it first
             assert "header claims 300 pairs" in err
         else:
-            assert err == truncation_message(family, payload[:cut], len(pairs))
+            assert err == truncation_message(family, payload, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +301,12 @@ def test_table_branch_matches_decode_across_small_windows(monkeypatch, family, w
     codec = fresh_codec(family)
     data, nbits = codec.encode_many(pairs)
     assert nbits <= len(pairs) * TABLE_BITS
-    assert_same_decode(codec, data, len(pairs))
+    assert_same_decode(family, data, len(pairs))
     assert table_built(codec)
     # counts that end inside a multi-pair slot, and counts that read on
     # into the zero padding of the last byte and past it
     for count in range(len(pairs) - 8, len(pairs) + 9):
-        assert_same_decode(codec, data, count)
+        assert_same_decode(family, data, count)
 
 
 @pytest.mark.parametrize("window", (9, 13, 16))
@@ -249,7 +318,7 @@ def test_family_branch_matches_decode_across_small_windows(monkeypatch, family, 
     data, nbits = codec.encode_many(pairs)
     assert nbits > len(pairs) * TABLE_BITS
     for count in (len(pairs) - 1, len(pairs), len(pairs) + 1):
-        assert_same_decode(codec, data, count)
+        assert_same_decode(family, data, count)
     assert not table_built(codec)
 
 
@@ -272,4 +341,4 @@ def test_truncation_in_the_table_branch_names_the_same_pair_and_bit(monkeypatch,
         out, err = capsys.readouterr()
         assert out == ""
         if 8 * cut >= len(pairs):  # past the header's bound on the pair count
-            assert err == truncation_message(family, payload[:cut], len(pairs))
+            assert err == truncation_message(family, payload, cut)

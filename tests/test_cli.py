@@ -510,6 +510,47 @@ def test_hostile_all_ones_container_rejected_in_bounded_time_and_memory(tmp_path
     assert peak < 20 * 2**20
 
 
+def _decode_in_bounded_time_and_memory(capsys, path):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "decode", str(path))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 4 * 2**20
+    return code, out, err
+
+
+# ck1, ck3, golomb3, cminus2 and limit
+LONG_RUN_FAMILIES = [(1, 1), (1, 3), (4, 3), (2, 2), (3, 0)]
+
+
+@pytest.mark.parametrize("family, k", LONG_RUN_FAMILIES)
+def test_hostile_run_longer_than_a_window_rejected_in_bounded_time_and_memory(tmp_path, capsys,
+                                                                            family, k):
+    # 1 MiB of ones, 16 windows of the reader: the pair's run of ones is
+    # read a window at a time, never held whole
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_container(b"\xff" * 2**20, 1, family=family, k=k))
+    code, out, err = _decode_in_bounded_time_and_memory(capsys, bad)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "geompair: bitstream truncated in pair 0 (0-based), which starts at payload bit 0: "
+        "the payload holds only 8388608 of its bits\n"
+    )
+
+
+def test_run_longer_than_a_window_decodes_in_bounded_time_and_memory(tmp_path, capsys):
+    enc = tmp_path / "long.bin"
+    enc.write_bytes(_container(b"\xff" * 2**20 + bytes(1), 1, family=1, k=1))
+    code, out, err = _decode_in_bounded_time_and_memory(capsys, enc)
+    assert (code, out, err) == (0, "8388608 0\n", "")
+
+
 @pytest.mark.parametrize("family, k", [(1, 1), (1, 3), (1, 256), (2, 2), (2, 4)])
 def test_hostile_all_ones_container_takes_the_table_path(tmp_path, capsys, family, k):
     # 524288 pairs claimed for 524288 bits: one bit per pair, at most

@@ -7,6 +7,12 @@ pairs near the design points of several families, with a few extreme
 ones; its container for each family is ``<family>.bin`` and the stderr of
 ``encode --verbose`` is ``<family>.verbose.txt``.
 
+``truncated.txt`` holds the stderr of ``decode`` for each container cut
+to half its payload, and for a cminus k = 2 container whose one pair is
+64 KiB of ones, each after the container's name.  It was written when
+the family loops became each codec's only decoder; every pair index and
+start bit in it is the one the earlier per-pair decoders reported.
+
 ``help*.txt`` hold the stdout of ``--help`` for the program and for each
 command, and ``usage_*.txt`` the stderr of the usage errors listed with
 their argv and exit code in ``usage.json``, all printed by the
@@ -19,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from geompair.cli import COMMANDS, main
+from geompair.cli import COMMANDS, HEADER, MAGIC, main
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -64,6 +70,25 @@ def test_decode_text_is_golden(capsys, name):
     out, err = run(capsys, "decode", str(DATA / f"{name}.bin"))
     assert out == (DATA / "pairs200.txt").read_text()
     assert err == ""
+
+
+def truncated_container(name):
+    if name == "all-ones":
+        return HEADER.pack(MAGIC, 1, 2, 2, 1) + b"\xff" * 65536
+    blob = (DATA / f"{name}.bin").read_bytes()
+    return blob[: HEADER.size + (len(blob) - HEADER.size) // 2]
+
+
+def test_truncation_error_is_golden(tmp_path, capsys):
+    errors = []
+    for name in [*CONTAINERS, "all-ones"]:
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(truncated_container(name))
+        assert main(["decode", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(f"{name} {err}")
+    assert "".join(errors) == (DATA / "truncated.txt").read_text()
 
 
 def test_params_is_golden(capsys):

@@ -6,21 +6,21 @@ built every codeword by concatenating ``Codeword`` objects, looked the ck
 top code up in a k^2 table of :func:`canonical_codewords` and allocated
 cminus codewords signature by signature.  They are kept here as the reference: every codec's
 ``encode``, ``encode_to`` and ``encode_many`` must emit exactly their
-bytes.  The original limit and cminus decoders, which walk every
-signature from 0, are the reference for the closed-form ones.
+bytes.  Their ``decode`` methods, built on the ``BitReader`` primitives
+``read_bits``, ``read_bit`` and ``read_unary``, are the reference for
+every codec's decoding: the ck one matches the top codeword a bit at a
+time against the k^2 table, and the original limit and cminus decoders
+walk every signature from 0.
 """
 
+import functools
 import random
 
 import pytest
 
-from geompair.basecodes import (
-    PairCodec,
-    golomb_length,
-    quasi_uniform_decode,
-    quasi_uniform_shape,
-)
+from geompair.basecodes import PairCodec, golomb_length, quasi_uniform_shape
 from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
+from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import limit_row, signature_length_row, signature_row
 from geompair.families import CodeFamily, make_codec
 from geompair.fringe2 import TopCode, top_code_params, top_code_symbols
@@ -68,6 +68,16 @@ def ref_quasi_uniform(n, rank):
     return Codeword(rank + short_count, m)
 
 
+def ref_quasi_uniform_decode(n, reader):
+    m, short_count = quasi_uniform_shape(n)
+    if m == 0:
+        return 0
+    value = reader.read_bits(m - 1)
+    if value < short_count:
+        return value
+    return ((value << 1) | reader.read_bit()) - short_count
+
+
 def ref_top_table(k):
     prof = top_code_params(k).profile
     lengths = []
@@ -80,11 +90,21 @@ class RefCk:
     def __init__(self, k):
         self.k = k
         self.table = ref_top_table(k)
+        self.symbols = {(cw.value, cw.length): sym for sym, cw in self.table.items()}
 
     def encode(self, pair):
         i, j = pair
         k = self.k
         return self.table[(i % k, j % k)] + ref_unary(i // k) + ref_unary(j // k)
+
+    def decode(self, reader):
+        value = length = 0
+        while (value, length) not in self.symbols:
+            value = (value << 1) | reader.read_bit()
+            length += 1
+        a, b = self.symbols[value, length]
+        u = reader.read_unary()
+        return a + self.k * u, b + self.k * reader.read_unary()
 
 
 class RefCminus:
@@ -161,7 +181,7 @@ class RefLimit:
         """The original decoder: one quasi-uniform block per signature."""
         s = 0
         while True:
-            rank = quasi_uniform_decode(s + 2, reader)
+            rank = ref_quasi_uniform_decode(s + 2, reader)
             if rank <= s:
                 return rank, s - rank
             s += 1
@@ -177,7 +197,14 @@ class RefGolomb:
     def encode(self, pair):
         return self.golomb(pair[0]) + self.golomb(pair[1])
 
+    def decode(self, reader):
+        rem_i = ref_quasi_uniform_decode(self.k, reader)
+        i = self.k * reader.read_unary() + rem_i
+        rem_j = ref_quasi_uniform_decode(self.k, reader)
+        return i, self.k * reader.read_unary() + rem_j
 
+
+@functools.cache
 def reference(family):
     if family.kind == "ck":
         return RefCk(family.k)
@@ -247,9 +274,11 @@ def test_encoders_match_reference(family, kind):
     for p in pairs:
         codec.encode_to(writer, p)
     assert (writer.getvalue(), writer.bits_written) == (data, nbits)
-    reader = BitReader(data)
-    assert [codec.decode(reader) for _ in pairs] == pairs
-    assert reader.bits_consumed == nbits
+    assert type(codec).decode is PairCodec.decode
+    for decode in (codec.decode, reference(family).decode):
+        reader = BitReader(data)
+        assert [decode(reader) for _ in pairs] == pairs
+        assert reader.bits_consumed == nbits
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
@@ -334,12 +363,13 @@ def test_top_code_matches_reference_table(k):
     ref = ref_top_table(k)
     top = TopCode(k)
     assert {sym: Codeword(*top.codeword(*sym)) for sym in ref} == ref
-    writer = BitWriter()
-    for cw in ref.values():
-        writer.write(cw.value, cw.length)
-    reader = BitReader(writer.getvalue())
-    assert [top.decode(reader) for _ in ref] == list(ref)
-    assert reader.bits_consumed == writer.bits_written
+    # every top codeword, read back by the ck codec's loop from RefCk's stream
+    pairs = [(a + k * (a % 3), b + k * (b % 2)) for a, b in ref]
+    _, data, nbits = reference_stream(CodeFamily("ck", k), pairs)
+    reader = BitReader(data)
+    codec = CkCodec(k)
+    assert [codec.decode(reader) for _ in pairs] == pairs
+    assert reader.bits_consumed == nbits
 
 
 def _decode_all(decode, data):
