@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .basecodes import quasi_uniform_shape
-from .families import CodeFamily, make_codec
+from .families import K_MAX, CodeFamily, make_codec
 from .fringe2 import top_code_params
 
 LOG2E = math.log2(math.e)
@@ -234,10 +234,7 @@ def family_avg_len(family: CodeFamily, q: float, eps: float = 1e-9) -> float:
 
 def _level_ratio(k: int) -> float:
     """2^M / k^2 for the order-k top code; sweeps (3/4, 3/2) as k grows."""
-    n = k * k
-    big_q = n - (k * (k - 1) + 3) // 4
-    big_m = (big_q - 1).bit_length()
-    return (1 << big_m) / n
+    return (1 << top_code_params(k).M) / (k * k)
 
 
 def oscillation_redundancy(lam: float) -> float:
@@ -350,8 +347,28 @@ def _candidates(q: float) -> list[CodeFamily]:
     if q < 0.55:  # the q = 2^(-k) family is hopeless above its range
         cands += [CodeFamily("cminus", k) for k in range(2, _SELECT_CMINUS_MAX + 1)]
         cands.append(CodeFamily("limit"))
-    cands.append(CodeFamily("golomb", best_golomb_order(q)))
+    # the Golomb pair average is unimodal in the order, so past the
+    # container's largest k the best encodable order is K_MAX
+    cands.append(CodeFamily("golomb", min(best_golomb_order(q), K_MAX)))
     return cands
+
+
+def best_averages_by_kind(qs, eps: float = 1e-9) -> list[tuple[float, float, float, float]]:
+    """``(golomb, ck, cminus, limit)`` pair averages at each q of ``qs``:
+    the best Golomb order (uncapped), the least over the ck and cminus
+    orders that the selector scans, and the limit code.  Each cminus order
+    is summed over all of ``qs`` at once, each signature's lengths once."""
+    cminus_by_order = [
+        avg_lens_by_series(make_codec(CodeFamily("cminus", k)), qs, eps)
+        for k in range(2, _SELECT_CMINUS_MAX + 1)
+    ]
+    return [
+        (golomb_pair_avg_len(q, best_golomb_order(q)),
+         min(avg_len_ck(q, k) for k in range(1, _SELECT_CK_MAX + 1)),
+         min(lens[index] for lens in cminus_by_order),
+         avg_len_limit_closed(q))
+        for index, q in enumerate(qs)
+    ]
 
 
 def _best_family_direct(q: float) -> CodeFamily:
@@ -370,7 +387,8 @@ def adaptive_select(mean: float) -> CodeFamily:
     q = mean / (1 + mean) of the geometric parameter.
 
     One exact scan of the candidate families at that q, for every mean;
-    mean 0 selects the limit code.
+    mean 0 selects the limit code.  Every family it returns can be encoded:
+    from mean 94547.24 on, the Golomb candidate is capped at order K_MAX.
     """
     if not 0 <= mean < math.inf:  # also rejects nan
         raise MeanOutOfRange(f"mean must be finite and >= 0, got {mean}")

@@ -1,10 +1,13 @@
-"""Building-block codes: quasi-uniform and Golomb (order 1 is unary).
+"""The coding paths shared by every pair codec, and the Golomb pair codec.
 
-A quasi-uniform code on N symbols uses the two lengths floor(log2 N) and
-ceil(log2 N); the shorter codewords go to the smaller (more probable)
-ranks.  The Golomb code of order k sends the k-ary remainder through the
-quasi-uniform code for N = k, then the quotient in unary.  Ranks here are
-0-based everywhere.
+:class:`PairCodec` holds the public encoders and decoders and the two
+coding tables that every codec shares.  :class:`GolombPairCodec` is the
+only implementation of the Golomb code of order k (order 1 is unary): it
+sends the k-ary remainder through the quasi-uniform code on N = k
+symbols, then the quotient in unary.  A quasi-uniform code on N symbols
+uses the two lengths floor(log2 N) and ceil(log2 N); the shorter
+codewords go to the smaller (more probable) ranks, and ranks are
+0-based.
 """
 
 from __future__ import annotations
@@ -14,10 +17,6 @@ from functools import cached_property
 from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword, StreamExhausted
 
 
-class RankOutOfRange(ValueError):
-    """Rank outside [0, N) for a quasi-uniform code of size N."""
-
-
 def quasi_uniform_shape(n: int) -> tuple[int, int]:
     """``(m, short_count)`` of the quasi-uniform code on N symbols:
     m = ceil(log2 N) (0 for N = 1) and short_count = 2^m - N."""
@@ -25,36 +24,6 @@ def quasi_uniform_shape(n: int) -> tuple[int, int]:
         raise ValueError("alphabet size must be >= 1")
     m = (n - 1).bit_length()
     return m, (1 << m) - n
-
-
-def quasi_uniform_codeword(n: int, rank: int) -> tuple[int, int]:
-    """Canonical quasi-uniform codeword for ``rank`` in an N-symbol alphabet,
-    as ``(value, length)``.
-
-    With m = ceil(log2 N) and short_count = 2^m - N, ranks below
-    short_count get their (m-1)-bit binary value; rank r >= short_count
-    gets the m-bit value r + short_count.  The resulting codewords are
-    numerically increasing and prefix-free with Kraft sum exactly 1.
-    """
-    m, short_count = quasi_uniform_shape(n)
-    if not 0 <= rank < n:
-        raise RankOutOfRange(f"rank {rank} outside [0, {n})")
-    if rank < short_count:
-        return rank, m - 1
-    return rank + short_count, m
-
-
-def golomb_codeword(k: int, i: int) -> tuple[int, int]:
-    """Golomb codeword of order k as ``(value, length)``: quasi-uniform
-    k-remainder, then the quotient in unary."""
-    if k < 1:
-        raise ValueError("Golomb order must be >= 1")
-    if i < 0:
-        raise ValueError("Golomb argument must be >= 0")
-    quot, rem = divmod(i, k)
-    value, length = quasi_uniform_codeword(k, rem)
-    # appending quot ones and a zero to value
-    return ((value + 1) << (quot + 1)) - 2, length + quot + 1
 
 
 def golomb_length(k: int, i: int) -> int:
@@ -293,10 +262,19 @@ class GolombPairCodec(PairCodec):
         self.k = k
 
     def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
-        i, j = pair
-        value_i, length_i = golomb_codeword(self.k, i)
-        value_j, length_j = golomb_codeword(self.k, j)
-        return (value_i << length_j) | value_j, length_i + length_j
+        m, short_count = quasi_uniform_shape(self.k)
+        value = length = 0
+        for n in pair:
+            if n < 0:
+                raise ValueError("Golomb argument must be >= 0")
+            quot, rem = divmod(n, self.k)
+            # the quasi-uniform remainder, m - 1 bits below short_count and
+            # m bits of rem + short_count above, then quot ones and a zero
+            short = rem < short_count
+            part = (((rem if short else rem + short_count) + 1) << (quot + 1)) - 2
+            value = (value << (m - short + quot + 1)) | part
+            length += m - short + quot + 1
+        return value, length
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
         m, short_count = quasi_uniform_shape(self.k)

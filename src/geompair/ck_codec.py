@@ -2,10 +2,10 @@
 
 A pair (i, j) is sent as the top codeword for (i mod k, j mod k)
 followed by the unary codes of i // k and j // k, in that order on the
-wire.  The top code is the canonical fringe-<=2 code of
-:class:`geompair.fringe2.TopCode`; for k = 1 it is void and the codec
-degenerates to two unary codes, for k = 2 to the uniform 2-bit code on
-4 symbols.
+wire.  The top code is the canonical code of the optimal fringe-<=2
+profile of :func:`geompair.fringe2.top_code_params`; for k = 1 it is
+void and the codec degenerates to two unary codes, for k = 2 to the
+uniform 2-bit code on 4 symbols.
 """
 
 from __future__ import annotations
@@ -15,20 +15,64 @@ from bisect import bisect_right
 from .basecodes import (SMALL_BITS, PairCodec, decode_unary_pairs, reload_pair,
                         residue_signature_lengths)
 from .bitio import FLUSH_BITS, BitReader, BitWriter
-from .fringe2 import TopCode
+from .fringe2 import top_code_params
 
 
 class CkCodec(PairCodec):
     """Immutable pair codec for parameter k; shareable across streams.
 
-    Its state is O(k), so building it is cheap for any k.
+    Residue pairs rank by signature t = a + b, ties by a (the order of
+    :func:`geompair.fringe2.top_code_symbols`): rank(a, b) is the first
+    rank of signature t plus a's offset in it, from O(k) lists, not a k^2
+    table.  Ranks fill the levels M-1, M, M+1 of the optimal profile in
+    order, each level's codewords counting up from its canonical first
+    value.  The state is O(k), so building a codec is cheap for any k.
     """
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._top = TopCode(k)
+        # _starts[t] is the first rank of signature t; rank(a, t - a) = _base[t] + a
+        self._starts, self._base = [], []
+        rank = 0
+        for t in range(2 * k - 1):
+            lo = max(0, t - k + 1)
+            self._starts.append(rank)
+            self._base.append(rank - lo)
+            rank += min(t, k - 1) - lo + 1
+        # (length, first value, first rank, count) of each occupied level,
+        # padded at the front to exactly three for the loops' unrolled
+        # level tests; a padding level has limit 0 and is never taken
+        prof = top_code_params(k).profile
+        levels, value, rank = [], 0, 0
+        for length, count in zip((prof.M - 1, prof.M, prof.M + 1), prof.leaves):
+            if count:
+                levels.append((length, value, rank, count))
+            value, rank = (value + count) << 1, rank + count
+        self._window_bits = longest = levels[-1][0]
+        levels = [(0, 0, 0, 0)] * (3 - len(levels)) + levels
+        # For encoding, (rank limit, value - rank, length).  For canonical
+        # decoding from a left-justified window of the longest length
+        # (Moffat & Turpin, IEEE Trans. Comm. 1997), (window limit, shift
+        # to the level's length, rank - value, length).
+        self._encode_levels = tuple(
+            (first_rank + count, first_value - first_rank, length)
+            for length, first_value, first_rank, count in levels
+        )
+        self._decode_levels = tuple(
+            ((first_value + count) << (longest - length), longest - length,
+             first_rank - first_value, length)
+            for length, first_value, first_rank, count in levels
+        )
+
+    def _top_codeword(self, a: int, b: int) -> tuple[int, int]:
+        """Top codeword of the residue pair (a, b) as ``(value, length)``;
+        the last level's rank limit is k^2, above every residue pair's rank."""
+        rank = self._base[a + b] + a
+        for limit, offset, length in self._encode_levels:
+            if rank < limit:
+                return rank + offset, length
 
     def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
         i, j = pair
@@ -36,7 +80,7 @@ class CkCodec(PairCodec):
             raise ValueError("pair components must be >= 0")
         u, a = divmod(i, self.k)
         v, b = divmod(j, self.k)
-        value, length = self._top.codeword(a, b)
+        value, length = self._top_codeword(a, b)
         # append u ones and a zero, then v ones and a zero
         value = ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2
         return value, length + u + v + 2
@@ -45,17 +89,16 @@ class CkCodec(PairCodec):
         i, j = pair
         u, a = divmod(i, self.k)
         v, b = divmod(j, self.k)
-        return self._top.codeword(a, b)[1] + u + v + 2
+        return self._top_codeword(a, b)[1] + u + v + 2
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
-        codeword = self._top.codeword
-        return residue_signature_lengths(self.k, s, lambda a, b: codeword(a, b)[1])
+        return residue_signature_lengths(self.k, s, lambda a, b: self._top_codeword(a, b)[1])
 
     def encode_many(self, pairs) -> tuple[bytes, int]:
         k = self.k
-        base = self._top.base
+        base = self._base
         (rank_1, offset_1, length_1), (rank_2, offset_2, length_2), (_, offset_3, length_3) = (
-            self._top.encode_levels
+            self._encode_levels
         )
         small = self._encode_table
         writer = BitWriter()
@@ -92,10 +135,9 @@ class CkCodec(PairCodec):
         k = self.k
         if k == 1:  # the void top code
             return decode_unary_pairs(reader, count)
-        top = self._top
-        starts, base, width = top.starts, top.base, top.window_bits
+        starts, base, width = self._starts, self._base, self._window_bits
         (limit_1, shift_1, offset_1, length_1), (limit_2, shift_2, offset_2, length_2), (
-            _, shift_3, offset_3, length_3) = top.decode_levels
+            _, shift_3, offset_3, length_3) = self._decode_levels
         bits, pos, nbits = reader.window()
         find = bits.find
         out: list[int] = []

@@ -19,7 +19,8 @@ from types import SimpleNamespace
 
 from .bitio import BitReader, StreamExhausted
 from .cminus_codec import signature_length_row
-from .families import FAMILY_BYTES, FAMILY_FROM_BYTE, CodeFamily, InvalidFamilyParam, make_codec
+from .families import (FAMILY_BYTES, FAMILY_FROM_BYTE, K_MAX, CodeFamily, InvalidFamilyParam,
+                       make_codec)
 from .fringe2 import top_code_params
 
 # The analysis and oracle modules are imported by the commands that use
@@ -28,7 +29,6 @@ from .fringe2 import top_code_params
 MAGIC = b"TDGD"
 VERSION = 1
 HEADER = struct.Struct("<4sBBHQ")
-K_MAX = 0xFFFF  # the header's uint16 k
 
 ORACLE_Q_CAP = 0.95
 MAX_ROWS = 10**6  # rows of a params or lengths table, points of a sweep grid
@@ -92,7 +92,13 @@ def _parse_values(text: str) -> list[int]:
         for offset, token in enumerate(tokens):
             if not token.isdecimal():
                 raise ParseError(f"token {token!r} at position {offset} is not a nonnegative integer")
-    values = list(map(int, tokens))
+    try:
+        values = list(map(int, tokens))
+    except ValueError:  # a token of more digits than the interpreter's int-string limit
+        limit = sys.get_int_max_str_digits()
+        offset = next(n for n, token in enumerate(tokens) if len(token) > limit)
+        raise ParseError(f"token at position {offset} has {len(tokens[offset])} digits, "
+                         f"more than the limit of {limit}") from None
     if len(values) % 2:
         raise OddSymbolCount(f"{len(values)} integers do not form pairs")
     return values
@@ -237,22 +243,9 @@ def cmd_sweep(args) -> int:
     _check_eps(args.eps)
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     grid = _grid(args.q_lo, args.q_hi, args.step)
-    # each cminus order summed over the whole grid at once, so that each
-    # signature's lengths are computed once per sweep, not once per q
-    cminus_by_order = [
-        analysis.avg_lens_by_series(make_codec(CodeFamily("cminus", k)), grid, args.eps)
-        for k in range(2, analysis._SELECT_CMINUS_MAX + 1)
-    ]
-    for index, q in enumerate(grid):
+    best = analysis.best_averages_by_kind(grid, args.eps)
+    for q, (golomb, ck, cminus, limit) in zip(grid, best):
         ent = analysis.entropy_per_symbol(q)
-        best = analysis.best_golomb_order(q)
-        golomb = min(
-            analysis.golomb_pair_avg_len(q, k)
-            for k in sorted({max(1, best - 1), best, best + 1})
-        )
-        ck = min(analysis.avg_len_ck(q, k) for k in range(1, analysis._SELECT_CK_MAX + 1))
-        cminus = min(lens[index] for lens in cminus_by_order)
-        limit = analysis.avg_len_limit_closed(q)
         opt = ""
         if args.with_oracle and q <= ORACLE_Q_CAP:
             try:

@@ -20,6 +20,7 @@ FAMILY_KINDS = ("ck", "cminus", "limit", "golomb")
 # wire identifiers used in the container header
 FAMILY_BYTES = {"ck": 1, "cminus": 2, "limit": 3, "golomb": 4}
 FAMILY_FROM_BYTE = {v: n for n, v in FAMILY_BYTES.items()}
+K_MAX = 0xFFFF  # the header's uint16 k
 
 
 class InvalidFamilyParam(ValueError):

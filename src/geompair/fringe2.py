@@ -8,7 +8,7 @@ level M.  For a 4-uniform weight vector the average-length differences
 between neighbouring profiles form a monotone sign sequence, so the
 optimal profiles are a contiguous range; this module locates that range
 and, for the two-dimensional geometric top sources, computes the optimal
-parameters in closed form.
+parameters in closed form, from which ``CkCodec`` builds its top code.
 
 Sources are given as unnormalized weights, largest first.  When every
 weight is an int or Fraction all comparisons are exact; float weights use
@@ -321,68 +321,6 @@ def top_source_weights(k: int) -> WeightedSource:
         reverse=True,
     )
     return WeightedSource(ws)
-
-
-class TopCode:
-    """The canonical optimal code of the k x k top source, from ranks.
-
-    Symbols rank by signature t = a + b, ties by a (the order of
-    :func:`top_code_symbols`), so rank(a, b) is the start of signature t
-    plus the offset of a within it: one O(k) list of signature starts
-    replaces a k^2 table.  Ranks fill the levels M-1, M, M+1 of the
-    optimal profile in order, and each level's codewords are consecutive
-    values from that level's canonical first value.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.starts: list[int] = []  # first rank of each signature t
-        self.base: list[int] = []  # rank(a, t - a) = base[t] + a
-        rank = 0
-        for t in range(2 * k - 1):
-            lo = max(0, t - k + 1)
-            self.starts.append(rank)
-            self.base.append(rank - lo)
-            rank += min(t, k - 1) - lo + 1
-        prof = top_code_params(k).profile
-        # (length, first value, first rank, count) of each occupied level
-        self._levels: list[tuple[int, int, int, int]] = []
-        value = rank = 0
-        length = prof.M - 1
-        for depth, count in zip((prof.M - 1, prof.M, prof.M + 1), prof.leaves):
-            value <<= depth - length
-            length = depth
-            if count:
-                self._levels.append((depth, value, rank, count))
-            value += count
-            rank += count
-        # The levels padded at the front to exactly three, for the batch
-        # coders' unrolled level tests; a padding level has limit 0 and is
-        # never taken.  For encoding, (rank limit, value - rank, length).
-        # For canonical decoding from a left-justified window of the longest
-        # length (Moffat & Turpin, IEEE Trans. Comm. 1997), (window limit,
-        # shift to the level's length, rank - value, length).
-        levels = [(0, 0, 0, 0)] * (3 - len(self._levels)) + self._levels
-        self.window_bits = longest = self._levels[-1][0]
-        self.encode_levels = tuple(
-            (first_rank + count, first_value - first_rank, length)
-            for length, first_value, first_rank, count in levels
-        )
-        self.decode_levels = tuple(
-            ((first_value + count) << (longest - length), longest - length,
-             first_rank - first_value, length)
-            for length, first_value, first_rank, count in levels
-        )
-
-    def codeword(self, a: int, b: int) -> tuple[int, int]:
-        """Codeword of the residue pair (a, b) as ``(value, length)``."""
-        rank = self.base[a + b] + a
-        for length, first_value, first_rank, count in self._levels:
-            if rank < first_rank + count:
-                return first_value + rank - first_rank, length
-        raise IndexError(f"pair ({a}, {b}) outside [0, {self.k})^2")
 
 
 def top_code_symbols(k: int) -> list[tuple[int, int]]:

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from geompair import analysis
-from geompair.basecodes import GolombPairCodec, quasi_uniform_codeword
+from geompair.basecodes import GolombPairCodec, golomb_length
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import CminusCodec, LimitCodec
-from geompair.families import make_codec
+from geompair.families import K_MAX, CodeFamily, make_codec
 from geompair.analysis import (
     NoConvergence,
     NoSignChange,
@@ -102,8 +102,9 @@ def _best_golomb_order_loop(q):
 
 
 def _golomb_pair_avg_len_sum(q, k):
-    # the original remainder sum over range(k), kept as the reference
-    resid = sum(quasi_uniform_codeword(k, r)[1] * q**r for r in range(k)) * (1 - q) / (1 - q**k)
+    # the original remainder sum over range(k), kept as the reference; the
+    # Golomb codeword of a remainder r < k is its quasi-uniform codeword and a zero
+    resid = sum((golomb_length(k, r) - 1) * q**r for r in range(k)) * (1 - q) / (1 - q**k)
     return 2.0 * (resid + 1.0 + q**k / (1.0 - q**k))
 
 
@@ -321,6 +322,23 @@ def test_adaptive_select_matches_brute_force_minimum():
         excess = analysis.family_avg_len(chosen, q, 1e-10) - _brute_force_best(q)
         # the selector sums cminus series to within its own 1e-8
         assert excess <= 1e-8, (mean, chosen.label(), excess)
+
+
+def test_adaptive_select_caps_the_golomb_order_at_the_header_limit():
+    # from mean 94547.24 on the best Golomb order exceeds K_MAX; the Golomb
+    # pair average is unimodal in the order, so the order-K_MAX code is the
+    # best one that a container can hold, and it beats every ck order there
+    assert best_golomb_order(94_547.0 / 94_548.0) == K_MAX
+    assert best_golomb_order(94_547.3 / 94_548.3) == K_MAX + 1
+    for mean in (1e5, 1e6, 1e8, 1e12):
+        assert adaptive_select(mean) == CodeFamily("golomb", K_MAX), mean
+
+
+def test_adaptive_select_below_the_cap_is_uncapped(monkeypatch):
+    means = [10 ** (e / 4) for e in range(-12, 20)] + [9e4, 94_547.0]
+    capped = [adaptive_select(mean) for mean in means]
+    monkeypatch.setattr(analysis, "K_MAX", math.inf)
+    assert [adaptive_select(mean) for mean in means] == capped
 
 
 def test_adaptive_select_leaves_the_cminus_memo_unbuilt():

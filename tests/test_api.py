@@ -14,7 +14,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
 # ``encode_to``, ``codeword``, ``decode``, ``decode_many`` and
-# ``signature_lengths`` replace them
+# ``signature_lengths`` replace them, and ``CkCodec`` and
+# ``GolombPairCodec`` are the only implementations of their codes
 REMOVED = [
     ("geompair", "unary_encode"),
     ("geompair", "limit_decode"),
@@ -34,6 +35,9 @@ REMOVED = [
     ("geompair.basecodes", "golomb_decode"),
     ("geompair.basecodes", "quasi_uniform_decode"),
     ("geompair.basecodes", "PairCodec.decode_at"),
+    ("geompair.basecodes", "golomb_codeword"),
+    ("geompair.basecodes", "quasi_uniform_codeword"),
+    ("geompair.basecodes", "RankOutOfRange"),
     ("geompair.cminus_codec", "limit_encode"),
     ("geompair.cminus_codec", "limit_decode"),
     ("geompair.cminus_codec", "limit_codeword"),
@@ -44,7 +48,7 @@ REMOVED = [
     ("geompair.fringe2", "CompactProfile.n_mid"),
     ("geompair.fringe2", "CompactProfile.n_lower"),
     ("geompair.fringe2", "top_code_table"),
-    ("geompair.fringe2", "TopCode.decode"),
+    ("geompair.fringe2", "TopCode"),
     ("geompair.analysis", "CminusLengthModel"),
     ("geompair.analysis", "LimitLengthModel"),
     ("geompair.analysis", "GolombPairLengthModel"),

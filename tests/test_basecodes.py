@@ -1,14 +1,26 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from geompair.basecodes import (
-    GolombPairCodec,
-    RankOutOfRange,
-    golomb_codeword,
-    golomb_length,
-    quasi_uniform_codeword,
-)
+from geompair.basecodes import GolombPairCodec, golomb_length
 from geompair.bitio import BitReader, BitWriter, Codeword
+
+
+def golomb_codeword(k, i):
+    """Order-k Golomb codeword of i as ``(value, length)``: the pair
+    codec's codeword of (i, 0) less the codeword of 0, which is
+    golomb_length(k, 0) zeros."""
+    value, length = GolombPairCodec(k).codeword((i, 0))
+    zeros = golomb_length(k, 0)
+    assert value & ((1 << zeros) - 1) == 0
+    return value >> zeros, length - zeros
+
+
+def quasi_uniform_codeword(n, rank):
+    """Quasi-uniform codeword of a rank below n as ``(value, length)``:
+    the order-n Golomb codeword of the rank less its quotient's zero."""
+    value, length = golomb_codeword(n, rank)
+    assert value & 1 == 0
+    return value >> 1, length - 1
 
 
 def test_unary_examples():
@@ -35,16 +47,13 @@ def test_quasi_uniform_examples(n, rank, bits):
     assert Codeword(*quasi_uniform_codeword(n, rank)).bits() == bits
 
 
-def test_quasi_uniform_rank_bounds():
-    with pytest.raises(RankOutOfRange):
-        quasi_uniform_codeword(5, 5)
-    with pytest.raises(RankOutOfRange):
-        quasi_uniform_codeword(5, -1)
-
-
 @pytest.mark.parametrize("n", list(range(1, 600)) + [1023, 1024, 4095, 4096])
 def test_quasi_uniform_kraft_exact(n):
-    lens = [quasi_uniform_codeword(n, r)[1] for r in range(n)]
+    codec = GolombPairCodec(n)
+    zeros = golomb_length(n, 0)
+    # (r, 0) takes the quasi-uniform codeword of r, its quotient's zero and 0's codeword
+    lens = [codec.codeword((r, 0))[1] - 1 - zeros for r in range(n)]
+    assert lens == [golomb_length(n, r) - 1 for r in range(n)]
     top = max(lens)
     assert sum(1 << (top - ln) for ln in lens) == 1 << top
 

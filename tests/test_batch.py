@@ -21,19 +21,13 @@ import functools
 import random
 
 import pytest
+from codec_families import FAMILIES
 from test_fast_paths import reference
 
 from geompair.basecodes import TABLE_BITS, PairCodec
 from geompair.bitio import BitReader, StreamExhausted
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
-
-FAMILIES = (
-    [CodeFamily("ck", k) for k in (1, 2, 3, 16, 255, 256)]
-    + [CodeFamily("cminus", k) for k in (2, 3, 4, 10)]
-    + [CodeFamily("limit")]
-    + [CodeFamily("golomb", k) for k in (1, 3, 7)]
-)
 
 
 def design_q(family):
@@ -197,10 +191,7 @@ def test_decode_many_matches_decode_across_small_windows(monkeypatch, family, wi
         assert_same_decode(family, runs[:cut], 8 * cut, single=True)
 
 
-ENCODE_FAMILIES = FAMILIES + [CodeFamily("golomb", 2)]
-
-
-@pytest.mark.parametrize("family", ENCODE_FAMILIES, ids=CodeFamily.label)
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_encode_many_matches_generic_path(family):
     codec = make_codec(family)
     rng = random.Random(family.label())

@@ -60,10 +60,10 @@ def test_decode_on_truncated_stream():
 def test_kraft_completeness_truncated(k):
     codec = CkCodec(k)
     bound = 64 * k
-    total = Fraction(0)
-    for i in range(bound):
-        for j in range(bound):
-            total += Fraction(1, 1 << codec.length_of((i, j)))
+    lengths = [codec.length_of((i, j)) for i in range(bound) for j in range(bound)]
+    top = max(lengths)
+    # the exact sum, in units of 2^-top
+    total = Fraction(sum(1 << (top - length) for length in lengths), 1 << top)
     assert 0 < 1 - total < 2 * Fraction(1, 2) ** (bound // k)
 
 

@@ -203,6 +203,37 @@ def test_encode_of_a_pair_too_large_to_encode_exits_2(tmp_path, family):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("digits, message", [
+    (4000, "a pair's codeword is too long to encode (OverflowError)"),
+    (5000, "token at position 3 has 5000 digits, more than the limit of "
+           f"{sys.get_int_max_str_digits()}"),
+])
+def test_encode_of_a_token_of_thousands_of_digits_exits_2(tmp_path, capsys, digits, message):
+    # past the interpreter's int-string limit (4300 digits by default) int()
+    # refuses the token; the error names its position and size, not the token
+    src = tmp_path / "in.txt"
+    src.write_text("1 2 0 " + "9" * digits + "\n")
+    out_path = tmp_path / "out.bin"
+    code, out, err = run(capsys, "encode", str(src), "--family", "ck", "--k", "3",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"geompair: {message}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mean", ["1e5", "1e6"])
+def test_select_names_a_family_that_encode_accepts(tmp_path, capsys, mean):
+    # above mean 94547.24 the best Golomb order passes the header's k limit
+    code, out, _ = run(capsys, "select", "--mean", mean)
+    assert (code, out) == (0, "golomb k=65535\n")
+    family = analysis.adaptive_select(float(mean))
+    src = tmp_path / "in.txt"
+    src.write_text("1 2 100000 0\n")
+    code, _, err = run(capsys, "encode", str(src), "--family", family.kind, "--k", str(family.k),
+                       "--out", str(tmp_path / "out.bin"))
+    assert code == 0, err
+
+
 def test_encode_k_at_the_header_field_maximum(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("1 2 70000 0\n")

@@ -17,13 +17,14 @@ import functools
 import random
 
 import pytest
+from codec_families import FAMILIES, top_codeword
 
 from geompair.basecodes import PairCodec, golomb_length, quasi_uniform_shape
 from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import limit_row, signature_length_row, signature_row
 from geompair.families import CodeFamily, make_codec
-from geompair.fringe2 import TopCode, top_code_params, top_code_symbols
+from geompair.fringe2 import top_code_params, top_code_symbols
 
 
 def canonical_codewords(lengths: list[int]) -> list[Codeword]:
@@ -215,14 +216,6 @@ def reference(family):
     return RefGolomb(family.k)
 
 
-FAMILIES = (
-    [CodeFamily("ck", k) for k in (1, 2, 3, 16, 255, 256)]
-    + [CodeFamily("cminus", k) for k in (2, 3, 4, 10)]
-    + [CodeFamily("limit")]
-    + [CodeFamily("golomb", k) for k in (1, 2, 3, 7)]
-)
-
-
 def random_pairs(family, n=300):
     """Geometric pairs near the family's design point, plus uniform ones."""
     rng = random.Random(f"{family.kind}-{family.k}")
@@ -309,15 +302,7 @@ def modelled_length(family, pair):
     return row.lam if i < row.n_short else row.lam + 1
 
 
-LENGTH_FAMILIES = (
-    [CodeFamily("ck", k) for k in (1, 3, 16)]
-    + [CodeFamily("cminus", k) for k in (2, 3, 4, 10)]
-    + [CodeFamily("limit")]
-    + [CodeFamily("golomb", k) for k in (1, 3)]
-)
-
-
-@pytest.mark.parametrize("family", LENGTH_FAMILIES, ids=CodeFamily.label)
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_emitted_length_equals_modelled_length(family):
     codec = make_codec(family)
     for pair in random_pairs(family) + extreme_pairs(family):
@@ -361,13 +346,12 @@ def test_encode_many_rejects_unfit_values():
 @pytest.mark.parametrize("k", list(range(1, 65)) + [256])
 def test_top_code_matches_reference_table(k):
     ref = ref_top_table(k)
-    top = TopCode(k)
-    assert {sym: Codeword(*top.codeword(*sym)) for sym in ref} == ref
+    codec = CkCodec(k)
+    assert {sym: Codeword(*top_codeword(codec, *sym)) for sym in ref} == ref
     # every top codeword, read back by the ck codec's loop from RefCk's stream
     pairs = [(a + k * (a % 3), b + k * (b % 2)) for a, b in ref]
     _, data, nbits = reference_stream(CodeFamily("ck", k), pairs)
     reader = BitReader(data)
-    codec = CkCodec(k)
     assert [codec.decode(reader) for _ in pairs] == pairs
     assert reader.bits_consumed == nbits
 

@@ -2,13 +2,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from codec_families import top_codeword
 
 from geompair.analysis import avg_len_ck_design
 from geompair.bitio import Codeword
+from geompair.ck_codec import CkCodec
 from geompair.fringe2 import (
     COutOfRange,
     NotFourUniform,
-    TopCode,
     WeightedSource,
     c_bounds,
     delta_sc,
@@ -144,7 +145,7 @@ def test_top_code_params_k1_void():
     p = top_code_params(1)
     assert p.profile.leaves == (0, 1, 0)
     # one symbol, with the empty codeword
-    assert [TopCode(1).codeword(*sym) for sym in top_code_symbols(1)] == [(0, 0)]
+    assert [top_codeword(CkCodec(1), *sym) for sym in top_code_symbols(1)] == [(0, 0)]
 
 
 @pytest.mark.parametrize("k", range(1, 65))
@@ -189,8 +190,8 @@ def test_top_average_length_matches_closed_form(k):
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_top_code_table_shape(k):
-    top = TopCode(k)
-    table = {sym: Codeword(*top.codeword(*sym)) for sym in top_code_symbols(k)}
+    codec = CkCodec(k)
+    table = {sym: Codeword(*top_codeword(codec, *sym)) for sym in top_code_symbols(k)}
     p = top_code_params(k)
     assert len(table) == k * k
     assert max(cw.length for cw in table.values()) <= p.M + 1
@@ -199,14 +200,15 @@ def test_top_code_table_shape(k):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_huffman_agrees_with_top_code(k):
     lengths = huffman_lengths(top_source_weights(k).weights)
-    top = TopCode(k)
-    assert Counter(lengths.tolist()) == Counter(top.codeword(*sym)[1] for sym in top_code_symbols(k))
+    codec = CkCodec(k)
+    assert Counter(lengths.tolist()) == Counter(
+        top_codeword(codec, *sym)[1] for sym in top_code_symbols(k))
 
 
 def test_top_code_table_k3_examples():
-    top = TopCode(3)
-    assert Codeword(*top.codeword(0, 0)).bits() == "000"
-    assert Codeword(*top.codeword(2, 2)).bits() == "1111"
-    assert Codeword(*top.codeword(1, 1)).bits() == "100"
+    codec = CkCodec(3)
+    assert Codeword(*top_codeword(codec, 0, 0)).bits() == "000"
+    assert Codeword(*top_codeword(codec, 2, 2)).bits() == "1111"
+    assert Codeword(*top_codeword(codec, 1, 1)).bits() == "100"
     # symbols are ordered by signature, then lexicographically
     assert top_code_symbols(3)[:4] == [(0, 0), (0, 1), (1, 0), (0, 2)]

@@ -4,15 +4,10 @@ codec, against the lengths of the codewords it describes."""
 from collections import Counter
 
 import pytest
+from codec_families import FAMILIES
 
 from geompair.families import CodeFamily, make_codec
 
-FAMILIES = (
-    [CodeFamily("ck", k) for k in (1, 2, 3, 16, 255)]
-    + [CodeFamily("cminus", k) for k in (2, 3, 4, 10)]
-    + [CodeFamily("limit")]
-    + [CodeFamily("golomb", k) for k in (1, 3, 7)]
-)
 SIGNATURES = list(range(200)) + [511, 4095]
 
 

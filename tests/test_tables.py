@@ -11,19 +11,13 @@ import time
 import tracemalloc
 
 import pytest
+from codec_families import FAMILIES
 
 from geompair.basecodes import SMALL_BITS, TABLE_BITS, GolombPairCodec
 from geompair.bitio import BitReader, StreamExhausted
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import CminusCodec, LimitCodec
 from geompair.families import CodeFamily, make_codec
-
-FAMILIES = (
-    [CodeFamily("ck", k) for k in (1, 2, 3, 16, 255)]
-    + [CodeFamily("cminus", k) for k in (2, 3, 4, 10)]
-    + [CodeFamily("limit")]
-    + [CodeFamily("golomb", k) for k in (1, 3, 7)]
-)
 
 
 def run_in_window(codec, window):
