@@ -267,6 +267,8 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import DEFAULT_SYMBOL_CAP, SourceTooLarge, oracle_optimal_avg_len
 
+    if args.cap is not None and args.cap < 1:
+        raise DataError(f"cap must be at least 1 symbol, got {args.cap}")
     if not 0.0 < args.q <= ORACLE_Q_CAP:
         raise DataError(f"oracle runs are capped at q <= {ORACLE_Q_CAP}")
     _check_eps(args.eps)

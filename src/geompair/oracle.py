@@ -13,22 +13,22 @@ of signature s each weigh q^s, and the tail is one more symbol.  The
 Huffman core therefore works on runs of equal weights, after Moffat and
 Turpin, "Efficient construction of minimum-redundancy codes for large
 alphabets" (IEEE Trans. IT, 1998): its two-queue merge takes a whole
-run at a time and yields how many leaves of each run sit at each depth,
-so its cost follows the number of runs, not of symbols.  The oracle's
-averages and per-signature lengths come from those depth counts.
+run at a time, so its cost follows the number of runs, not of symbols.
+The merge pass alone yields the average, as the sum of the internal
+nodes' weights, and the tail's depth; a backward pass over the items it
+took is needed only for the per-run depths, the per-signature lengths.
 
 numpy is imported only where per-symbol arrays are built: the
 ``TruncatedSource.weights`` / ``.signatures`` and ``OracleCode.lengths``
 views and ``huffman_lengths``.  ``oracle_optimal_avg_len`` and the
-command line do not load it.
+command line load neither it nor ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -57,22 +57,18 @@ def tail_fraction(q: float, s_max: int) -> float:
     return q ** (s_max + 1) * ((s_max + 1) * (1.0 - q) + 1.0)
 
 
-@dataclass(frozen=True)
-class TruncatedSource:
+class TruncatedSource(namedtuple("TruncatedSource", "q s_max runs tail_weight")):
     """Finite surrogate for the pair alphabet at parameter q.
 
     ``runs`` lists (weight, signature, count) in non-increasing weight
     order.  Weights are unnormalized (the full alphabet totals
     1/(1-q)^2): signature s is s + 1 symbols of weight q^s, and the tail
-    (signature -1) is one symbol, placed after every run of at least its
-    weight.  ``weights`` and ``signatures`` expand the runs symbol by
-    symbol.
+    (signature -1, weight ``tail_weight``) is one symbol, placed after
+    every run of at least its weight.  ``weights`` and ``signatures``
+    expand the runs symbol by symbol.
     """
 
-    q: float
-    s_max: int
-    runs: tuple[tuple[float, int, int], ...]
-    tail_weight: float
+    __slots__ = ()
 
     @property
     def weights(self) -> np.ndarray:
@@ -97,13 +93,11 @@ def build_truncated_source(
     _check_q(q)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
-    s_max = 0
-    while tail_fraction(q, s_max) >= eps:
+    s_max = 0  # the cap also bounds this loop as q nears 1
+    while (s_max + 1) * (s_max + 2) // 2 <= cap and tail_fraction(q, s_max) >= eps:
         s_max += 1
-        if (s_max + 1) * (s_max + 2) // 2 > cap:
-            raise SourceTooLarge(
-                f"truncation at S={s_max} exceeds cap of {cap} symbols"
-            )
+    if (s_max + 1) * (s_max + 2) // 2 > cap:
+        raise SourceTooLarge(f"truncation at S={s_max} exceeds cap of {cap} symbols")
     runs = [(q**s, s, s + 1) for s in range(s_max + 1)]
     tail = tail_fraction(q, s_max) / (1.0 - q) ** 2
     # weights are already non-increasing; insert the tail keeping order
@@ -112,16 +106,16 @@ def build_truncated_source(
     return TruncatedSource(q, s_max, tuple(runs), tail)
 
 
-def _run_depths(runs: list[tuple[float, int]]) -> list[list[tuple[int, int]]]:
-    """Huffman leaf depths for runs of equal weights.
+def _merge_pass(runs: list[tuple[float, int]], tail: int = -1) -> tuple[list, float, int]:
+    """Two-queue Huffman merge over runs of equal weights.
 
     ``runs`` lists (weight, count >= 1) in non-increasing weight order,
-    with at least one run.  Returns, for each run, (depth, count) pairs in
-    increasing depth.  The tree is that of the two-queue construction:
-    leaves are consumed in increasing weight order, merged nodes queue up
-    in creation order, on equal weight a leaf is taken first (FIFO
-    within each queue), and a merged weight is the float sum of its
-    children.  A single symbol gets depth 0.
+    with at least one run.  Leaves are taken in increasing weight order,
+    merged nodes queue up in creation order, a leaf wins a tie, and a
+    merged weight is the float sum of its children.  Returns the taken
+    items, which fix the tree; sum(weight * depth), as the ``math.fsum``
+    of the merged (internal) nodes' weights; and the depth of the leaf
+    of count-1 run ``tail`` (0 if none is given).
     """
     prev = math.inf
     for weight, _ in runs:
@@ -131,54 +125,84 @@ def _run_depths(runs: list[tuple[float, int]]) -> list[list[tuple[int, int]]]:
             raise ValueError("weights must be non-increasing")
         prev = weight
     n = sum(count for _, count in runs)
+    leaves = runs[::-1]  # lightest first
+    tail_leaf = len(runs) - 1 - tail if tail >= 0 else -1
+    # Taken items 2t and 2t + 1 are the children of merged node t (the
+    # root is node n - 2), so the order in which items are taken fixes
+    # the tree.  All items of the lightest front run are taken together:
+    # a node made from them weighs at least as much as they do and joins
+    # the back of the merged queue, and a leaf wins a tie.
+    merged_weight, merged_count = [], []  # merged runs in creation order
+    size = head = first = 0  # queue length, next run to take, its first node id
+    taken = []  # a leaf run's index into leaves, or ~count for a merged run
+    pending = 0.0  # weight of a taken item still waiting for its sibling
+    total = []  # weight * count of the merged nodes made, for fsum
+    holder, depth = n, 0  # once the tail is taken: node it hangs under (>= first), depth
+    li = nodes = 0
+    next_leaf = leaves[0][0]
+    last = n - 1
+    while nodes < last:
+        if head == size or next_leaf <= merged_weight[head]:
+            weight, count = leaves[li]
+            taken.append(li)
+            if li == tail_leaf:
+                holder, depth = nodes, 1
+            li += 1
+            next_leaf = leaves[li][0] if li < len(leaves) else math.inf
+        else:
+            weight, count = merged_weight[head], merged_count[head]
+            taken.append(~count)
+            if holder < first + count:
+                # counting a pending item as item 0, item p pairs into node nodes + p // 2
+                holder = nodes + (holder - first + (pending > 0)) // 2
+                depth += 1
+            head += 1
+            first += count
+        if pending:
+            node_weight = pending + weight
+            total.append(node_weight)
+            if head < size and merged_weight[-1] == node_weight:
+                merged_count[-1] += 1
+            else:
+                merged_weight.append(node_weight)
+                merged_count.append(1)
+                size += 1
+            nodes += 1
+            count -= 1
+        pairs = count >> 1
+        if pairs:
+            node_weight = weight + weight
+            total.append(node_weight * pairs)
+            if head < size and merged_weight[-1] == node_weight:
+                merged_count[-1] += pairs
+            else:
+                merged_weight.append(node_weight)
+                merged_count.append(pairs)
+                size += 1
+            nodes += pairs
+        pending = weight if count & 1 else 0.0
+    return taken, math.fsum(total), depth
+
+
+def _depth_pass(runs: list[tuple[float, int]], taken: list[int]) -> list[list[tuple[int, int]]]:
+    """For each of ``runs``, (depth, count) pairs in increasing depth, from
+    the items ``_merge_pass`` took; only the per-run depths need this pass."""
+    counts = [count for _, count in reversed(runs)]  # as indexed in taken
+    n = sum(counts)
     if n == 1:
         return [[(0, 1)]]
-    leaves = runs[::-1]  # lightest first
-
-    # Forward: taken items 2t and 2t + 1 are the children of merged node
-    # t (the root is node n - 2), so the order in which items are taken
-    # fixes the tree.  All items of the lightest front run are taken
-    # together: a node made from them weighs at least as much as they do
-    # and joins the back of the merged queue, and a leaf wins a tie.
-    merged: deque[list] = deque()  # [weight, count] in creation order
-    taken = []  # (index into leaves, or -1 for merged nodes; count)
-    pending = 0.0  # weight of a taken item still waiting for its sibling
-    li = 0
-    nodes = 0
-    while nodes < n - 1:
-        if li < len(leaves) and (not merged or leaves[li][0] <= merged[0][0]):
-            weight, count = leaves[li]
-            taken.append((li, count))
-            li += 1
-        else:
-            weight, count = merged.popleft()
-            taken.append((-1, count))
-        made = []
-        if pending:
-            made.append((pending + weight, 1))
-            count -= 1
-        pairs, odd = divmod(count, 2)
-        if pairs:
-            made.append((weight + weight, pairs))
-        pending = weight if odd else 0.0
-        for node_weight, node_count in made:
-            nodes += node_count
-            if merged and merged[-1][0] == node_weight:
-                merged[-1][1] += node_count
-            else:
-                merged.append([node_weight, node_count])
-
-    # Backward: the parent of taken position p is node p // 2, and a
-    # node's depth does not increase with its index, so merged depths
-    # are kept as steps (lowest node, depth) from the root down, and a
-    # run of taken positions meets few steps.
+    # The parent of taken position p is node p // 2, and a node's depth
+    # does not increase with its index, so merged depths are kept as
+    # steps (lowest node, depth) from the root down, and a run of taken
+    # positions meets few steps.
     step_lo = [n - 2]
     step_depth = [0]
     k = 0
-    depths: list[list[tuple[int, int]]] = [[] for _ in leaves]
+    depths: list[list[tuple[int, int]]] = [[] for _ in runs]
     end = 2 * n - 2  # taken positions are 0 .. 2n - 3
     node = n - 2  # merged nodes below this one have no depth yet
-    for index, count in reversed(taken):
+    for index in reversed(taken):
+        count = counts[index] if index >= 0 else ~index
         chunks = []  # positions descending, so depth increasing
         lo = end - count
         p = end - 1
@@ -208,7 +232,7 @@ def huffman_lengths(weights) -> np.ndarray:
     Adjacent equal weights form one run of the run-length core; inside a
     run the shorter lengths come first, so the lengths are
     non-decreasing.  The code is that of the two-queue construction
-    (see ``_run_depths``).  A single symbol gets length 0.
+    (see ``_merge_pass``).  A single symbol gets length 0.
     """
     import numpy as np
 
@@ -217,7 +241,7 @@ def huffman_lengths(weights) -> np.ndarray:
         raise EmptySource("no weights")
     edges = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), len(w)]
     runs = [(float(w[a]), b - a) for a, b in zip(edges, edges[1:])]
-    return _expand_depths(_run_depths(runs))
+    return _expand_depths(_depth_pass(runs, _merge_pass(runs)[0]))
 
 
 def _expand_depths(run_depths: list[list[tuple[int, int]]]) -> np.ndarray:
@@ -230,7 +254,6 @@ def _expand_depths(run_depths: list[list[tuple[int, int]]]) -> np.ndarray:
     )
 
 
-@dataclass
 class OracleCode:
     """A Huffman run on a truncated source, as depth counts per run.
 
@@ -240,11 +263,10 @@ class OracleCode:
     under -1) expand them symbol by symbol.
     """
 
-    source: TruncatedSource
-    run_depths: list[list[tuple[int, int]]]
-    avg_len_pair: float
-    uncertainty: float
-    tail_depth: int
+    def __init__(self, source: TruncatedSource, run_depths: list[list[tuple[int, int]]],
+                 avg_len_pair: float, uncertainty: float, tail_depth: int) -> None:
+        self.source, self.run_depths = source, run_depths
+        self.avg_len_pair, self.uncertainty, self.tail_depth = avg_len_pair, uncertainty, tail_depth
 
     @property
     def lengths(self) -> np.ndarray:
@@ -258,31 +280,27 @@ class OracleCode:
         }
 
 
-def truncated_huffman(q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP) -> OracleCode:
+def _merge_source(q: float, eps: float, cap: int):
+    """Source, (weight, count) runs, taken items, average, uncertainty, tail depth."""
     src = build_truncated_source(q, eps, cap)
-    run_depths = _run_depths([(w, c) for w, _, c in src.runs])
-    total = math.fsum(
-        w * (d * c)
-        for (w, _, _), depths in zip(src.runs, run_depths)
-        for d, c in depths
-    )
-    avg = (1.0 - q) ** 2 * total
-    tail_depth = next(
-        depths[0][0]
-        for (_, sig, _), depths in zip(src.runs, run_depths)
-        if sig == TAIL
-    )
+    runs = [(w, c) for w, _, c in src.runs]
+    tail = [sig for _, sig, _ in src.runs].index(TAIL)
+    taken, total, depth = _merge_pass(runs, tail)
     # heuristic, not a proven bound: the tail mass sits eps deep in the tree
-    uncertainty = eps * (tail_depth + 2)
-    return OracleCode(src, run_depths, avg, uncertainty, tail_depth)
+    return src, runs, taken, (1.0 - q) ** 2 * total, eps * (depth + 2), depth
+
+
+def truncated_huffman(q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP) -> OracleCode:
+    src, runs, taken, *stats = _merge_source(q, eps, cap)
+    return OracleCode(src, _depth_pass(runs, taken), *stats)
 
 
 def oracle_optimal_avg_len(
     q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP
 ) -> tuple[float, float]:
     """Huffman average on the truncated source and its reported uncertainty."""
-    code = truncated_huffman(q, eps, cap)
-    return code.avg_len_pair, code.uncertainty
+    _, _, _, avg, uncertainty, _ = _merge_source(q, eps, cap)
+    return avg, uncertainty
 
 
 def two_level_check(

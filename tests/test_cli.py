@@ -382,6 +382,18 @@ def test_oracle_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_below_one_symbol_exits_2(capsys, cap):
+    # q = 0.01 at eps = 0.9 keeps one symbol (S = 0): only a cap below 1 is exceeded
+    code, out, err = run(capsys, "oracle", "--q", "0.01", "--eps", "0.9", "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"geompair: cap must be at least 1 symbol, got {cap}\n"
+    code, out, _ = run(capsys, "oracle", "--q", "0.01", "--eps", "0.9", "--cap", "1")
+    assert code == 0
+    assert out == "1.000000 ± 2.70e+00\n"
+
+
 def test_crossover_command(capsys):
     code, out, _ = run(capsys, "crossover")
     assert code == 0
@@ -632,16 +644,16 @@ def test_oracle_paths_leave_numpy_unloaded():
         "main(['sweep', '--q-lo', '0.9', '--q-hi', '0.95', '--with-oracle', '--out', '-'])\n"
         "from geompair.oracle import oracle_optimal_avg_len\n"
         "print(oracle_optimal_avg_len(0.98, 1e-9))\n"
-        "print('numpy' in sys.modules)\n"
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
     ))
     assert child.returncode == 0, child.stderr
-    oracle_line, *sweep_lines, value_line, numpy_line = child.stdout.splitlines()
+    oracle_line, *sweep_lines, value_line, loaded_line = child.stdout.splitlines()
     assert [line.split(",")[0] for line in sweep_lines[1:]] == ["0.900000", "0.950000"]
     assert all(line.split(",")[2] for line in sweep_lines[1:])  # the oracle column
     assert oracle_line == "11.484262 ± 3.20e-08"  # as printed by the per-symbol oracle
     est, unc = map(float, value_line.strip("()").split(", "))
     assert abs(est - 14.172894635551545) <= 1e-12 * est and unc == 3.2e-08
-    assert numpy_line == "False"
+    assert loaded_line == "[]"
 
 
 def test_codec_path_leaves_analysis_and_records_machinery_unloaded(tmp_path):

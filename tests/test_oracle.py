@@ -29,6 +29,7 @@ from geompair.oracle import (
     truncated_huffman,
     two_level_check,
 )
+from geompair.oracle import _depth_pass, _merge_pass
 
 
 def test_truncation_sizes():
@@ -284,10 +285,65 @@ def test_symbol_cap_counts_symbols_not_runs():
     assert len(src.runs) == src.s_max + 2
 
 
+def test_symbol_cap_holds_at_the_smallest_truncation():
+    # q = 0.01 at eps = 0.9 truncates at S = 0: one symbol besides the tail
+    assert build_truncated_source(0.01, 0.9, cap=1).s_max == 0
+    with pytest.raises(SourceTooLarge):
+        build_truncated_source(0.01, 0.9, cap=0)
+
+
 def test_oracle_at_q98_is_fast():
     start = time.perf_counter()
     est, unc = oracle_optimal_avg_len(0.98, 1e-9)
-    assert time.perf_counter() - start < 2.0  # the per-symbol loop took about 2.5 s
+    assert time.perf_counter() - start < 0.5  # the per-symbol loop took about 2.5 s
     # the per-symbol oracle's value; only the summation order differs
     assert math.isclose(est, 14.172894635551545, rel_tol=1e-12)
     assert unc == 3.2e-08
+
+
+# ---------------------------------------------------------------------------
+# The merge pass alone against the backward depth pass
+# ---------------------------------------------------------------------------
+
+
+def _depth_weighted_avg(code, q):
+    """The average as the backward pass gives it: sum of weight x depth."""
+    return (1.0 - q) ** 2 * math.fsum(
+        w * (d * c)
+        for (w, _, _), depths in zip(code.source.runs, code.run_depths)
+        for d, c in depths
+    )
+
+
+AGREEMENT_QS = (
+    [round(0.01 * i, 2) for i in range(1, 100)]
+    + [2 ** (-1 / k) for k in range(1, 21)]  # ck design points up to q = 0.966
+    + [2.0**-k for k in range(1, 7)]  # cminus design points
+)
+
+
+def test_merge_pass_average_and_tail_depth_match_the_depth_pass():
+    worst = 0.0
+    for q in AGREEMENT_QS:
+        for eps in (1e-6, 1e-9, 1e-12):
+            code = truncated_huffman(q, eps)
+            tail = [sig for _, sig, _ in code.source.runs].index(TAIL)
+            assert code.tail_depth == code.run_depths[tail][0][0], (q, eps)
+            ref = _depth_weighted_avg(code, q)
+            worst = max(worst, abs(code.avg_len_pair - ref) / ref)
+            assert oracle_optimal_avg_len(q, eps) == (code.avg_len_pair, code.uncertainty)
+    assert worst <= 1e-15
+
+
+def test_merge_pass_tracks_any_single_leaf_run():
+    for w in _random_weight_vectors(300):
+        edges = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), len(w)]
+        runs = [(float(w[a]), b - a) for a, b in zip(edges, edges[1:])]
+        ref = ref_huffman_lengths(w)
+        assert _merge_pass(runs)[2] == 0  # no tail given
+        for tail in [i for i, (_, count) in enumerate(runs) if count == 1][:4]:
+            taken, total, depth = _merge_pass(runs, tail)
+            assert depth == ref[edges[tail]]
+            run_depths = _depth_pass(runs, taken)
+            assert run_depths[tail] == [(depth, 1)]
+            assert math.isclose(total, float(np.dot(w, ref)), rel_tol=1e-12)

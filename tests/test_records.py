@@ -1,5 +1,6 @@
-"""The immutable records of the codec path: equality, hashing, repr and
-immutability, as the frozen dataclasses they replace had them."""
+"""The immutable records of the codec path and the oracle: equality,
+hashing, repr and immutability, as the frozen dataclasses they replace
+had them."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from geompair.bitio import Codeword
 from geompair.cminus_codec import SignatureLengthRow, limit_row, signature_length_row
 from geompair.families import CodeFamily, InvalidFamilyParam, make_codec
 from geompair.fringe2 import CompactProfile, TopCodeParams, profile_from, top_code_params
+from geompair.oracle import TruncatedSource, build_truncated_source
 
 RECORDS = [
     (Codeword(5, 4), Codeword(5, 4), Codeword(5, 5), "Codeword(value=5, length=4)"),
@@ -16,6 +18,10 @@ RECORDS = [
     (profile_from(1, 1, 9), CompactProfile(1, 1, 4, 3, (0, 7, 2)), profile_from(0, 0, 9),
      "CompactProfile(sigma=1, c=1, m=4, M=3, leaves=(0, 7, 2))"),
     (top_code_params(3), top_code_params.__wrapped__(3), top_code_params(4), None),
+    (build_truncated_source(0.5, 0.4), TruncatedSource(0.5, 2, ((1.25, -1, 1), (1.0, 0, 1),
+     (0.5, 1, 2), (0.25, 2, 3)), 1.25), build_truncated_source(0.5, 0.3),
+     "TruncatedSource(q=0.5, s_max=2, runs=((1.25, -1, 1), (1.0, 0, 1), (0.5, 1, 2),"
+     " (0.25, 2, 3)), tail_weight=1.25)"),
 ]
 
 
