@@ -13,6 +13,7 @@ codewords go to the smaller (more probable) ranks, and ranks are
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 
 from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword, StreamExhausted
 
@@ -74,6 +75,11 @@ TABLE_BITS = 11
 # pairs with both components below 2^SMALL_BITS take their codeword from
 # the encode table, 4^SMALL_BITS entries
 SMALL_BITS = 4
+# encode_tokens codes a stream as text if at most MISS_SHARE of its pairs (and of its
+# first PROBE_PAIRS) miss the token view, none in over MISS_BITS bits (see CHANGES.md)
+MISS_SHARE = 1 / 8
+MISS_BITS = 64
+PROBE_PAIRS = 512
 
 
 class PairCodec:
@@ -96,9 +102,9 @@ class PairCodec:
     the runs of ones of a pair longer than a window with ``read_unary``.
     If the stream ends first, the :class:`StreamExhausted` carries the
     index of the pair that ran off the end in ``pair`` and its start bit
-    in ``start``.  :meth:`decode` is one pair of it, and
-    :meth:`decode_many` reads a stream of short codewords through
-    :attr:`_decode_table` and hands the rest to it.  Both tables are built
+    in ``start``.  :meth:`decode` is one pair of it; :meth:`decode_many`
+    and :meth:`decode_text` read a stream of short codewords through
+    :attr:`_decode_table` and hand the rest to it.  Both tables are built
     from ``codeword`` on first use and never change, so a codec stays
     immutable and shareable.
     """
@@ -124,6 +130,29 @@ class PairCodec:
             write(*codeword(pair))
         return writer.getvalue(), writer.bits_written
 
+    def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
+        """``encode_many`` of the pairs of ``tokens``, an even count of decimal strings: the
+        codeword strings of :attr:`_token_table` and its misses, packed by one ``int(bits, 2)``."""
+        pairs, codes = iter(tokens), []
+        for stop in (PROBE_PAIRS, None):
+            codes += map(self._token_table.get, islice(zip(pairs, pairs), stop))
+            if codes.count(None) > len(codes) * MISS_SHARE:
+                break
+        else:
+            n = -1
+            for _ in range(codes.count(None)):
+                n = codes.index(None, n + 1)
+                value, length = self.codeword((int(tokens[2 * n]), int(tokens[2 * n + 1])))
+                if length > MISS_BITS or value >> length:
+                    break
+                codes[n] = format(value, f"0{length}b")
+            else:
+                bits = "".join(codes)
+                nbytes = (len(bits) + 7) >> 3
+                return (int(bits or "0", 2) << (-len(bits) & 7)).to_bytes(nbytes, "big"), len(bits)
+        values = iter(list(map(int, tokens)))  # converting them in the loop is slower
+        return self.encode_many(zip(values, values))
+
     @cached_property
     def _encode_table(self) -> tuple[tuple[int, int], ...]:
         """``codeword((i, j))`` at index ``i << SMALL_BITS | j``, for
@@ -138,10 +167,17 @@ class PairCodec:
         return tuple(table)
 
     @cached_property
-    def _decode_table(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    def _token_table(self) -> dict[tuple[str, str], str]:
+        """:attr:`_encode_table` as ``{("3", "0"): "0101...", ...}``."""
+        side = 1 << SMALL_BITS
+        return {(str(n // side), str(n % side)): format(value, f"0{length}b")
+                for n, (value, length) in enumerate(self._encode_table)}
+
+    @cached_property
+    def _decode_table(self) -> tuple[tuple[tuple[int, ...], int, int, str], ...]:
         """For each TABLE_BITS-bit window, the whole pairs it starts with:
-        ``(components, bits, pairs)``, ``pairs`` 0 where no codeword of
-        at most TABLE_BITS bits opens the window.
+        ``(components, bits, pairs, text)``, ``text`` as ``decode_text`` prints
+        them and ``pairs`` 0 where no codeword of at most TABLE_BITS bits opens it.
 
         Built from ``codeword`` over the signatures whose shortest codeword
         has at most TABLE_BITS bits; in every family the shortest length
@@ -157,56 +193,62 @@ class PairCodec:
                 if length <= TABLE_BITS:
                     codewords.append((i, s - i, value, length))
             s += 1
-        # rows[n][w]: (components, bits, pairs) of the pairs that the n-bit
-        # window w holds whole, one codeword at a time from its left end; a
-        # codeword of length L fills the windows it prefixes from row n - L
-        rows = [[((), 0, 0)]]
+        # rows[n][w]: the slot of the pairs that the n-bit window w holds
+        # whole, one codeword at a time from its left end; a codeword of
+        # length L fills the windows it prefixes from row n - L
+        rows = [[((), 0, 0, "")]]
         for n in range(1, TABLE_BITS + 1):
-            row = [((), 0, 0)] * (1 << n)
+            row = [((), 0, 0, "")] * (1 << n)
             for i, j, value, length in codewords:
                 if length <= n:
                     shift = n - length
+                    line = "%d %d\n" % (i, j)
                     row[value << shift : (value + 1) << shift] = [
-                        ((i, j) + components, length + bits, pairs + 1)
-                        for components, bits, pairs in rows[shift]
+                        ((i, j) + components, length + bits, pairs + 1, line + text)
+                        for components, bits, pairs, text in rows[shift]
                     ]
             rows.append(row)
         return tuple(rows[TABLE_BITS])
 
     def decode_many(self, reader: BitReader, count: int) -> list[int]:
-        """The next ``count`` pairs' components, flat, as ``_decode_run``
-        returns them, and with the same :class:`StreamExhausted`.
+        """The next ``count`` pairs' components, flat, as ``_decode_run`` returns or raises them."""
+        return self._read(reader, count, 0)
 
-        A stream that averages at most TABLE_BITS bits per pair from here
-        on, which its length and ``count`` tell before the first pair, is
-        read a window at a time: one lookup takes every pair that the
-        window holds whole.  A window that opens with a longer codeword,
-        reaches past the window string or holds more pairs than are left
-        goes to ``_decode_run`` for one pair.
-        """
+    def decode_text(self, reader: BitReader, count: int) -> str:
+        """``decode_many`` printed as ``"i j\\n"`` lines, from the text of each table slot."""
+        return "".join(self._read(reader, count, 3))
+
+    def _read(self, reader: BitReader, count: int, field: int) -> list:
+        """``decode_many`` (``field`` 0) or the parts of ``decode_text`` (3).  A stream
+        of at most TABLE_BITS bits per pair, as its length and ``count`` tell, is read
+        one lookup per window; ``_decode_run`` takes a pair where a window opens with a
+        longer codeword, reaches past the window string or holds too many pairs."""
         if not count or reader.bits_remaining > count * TABLE_BITS:
-            return self._decode_run(reader, count)
+            values = self._decode_run(reader, count)
+            return ["%d %d\n" * count % tuple(values)] if field else values
         table = self._decode_table
         decode_run = self._decode_run
         width = TABLE_BITS
         bits, pos, nbits = reader.window()
-        out: list[int] = []
+        out: list = []
+        add = out.append if field else out.extend
         left = count
         while left:
             end = pos + width
             if end <= nbits:
-                components, used, pairs = table[int(bits[pos:end], 2)]
-                if 0 < pairs <= left:
-                    out += components
-                    pos += used
-                    left -= pairs
+                slot = table[int(bits[pos:end], 2)]
+                if 0 < slot[2] <= left:
+                    add(slot[field])
+                    pos += slot[1]
+                    left -= slot[2]
                     continue
             reader.seek_window(pos)
             try:
-                out += decode_run(reader, 1)
+                pair = decode_run(reader, 1)
             except StreamExhausted as exc:
                 exc.pair += count - left
                 raise
+            add("%d %d\n" % tuple(pair) if field else pair)
             left -= 1
             bits, pos, nbits = reader.window()
         reader.seek_window(pos)

@@ -85,13 +85,18 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _parse_values(text: str) -> list[int]:
-    """The integers of codec input, flat: ``[i0, j0, i1, j1, ...]``."""
+def _tokens(text: str) -> list[str]:
+    """The tokens of codec input, each checked to be a nonnegative decimal integer."""
     tokens = text.split()
     if not "".join(tokens).isdecimal():  # not isdigit, which passes superscripts int() rejects
         for offset, token in enumerate(tokens):
             if not token.isdecimal():
                 raise ParseError(f"token {token!r} at position {offset} is not a nonnegative integer")
+    return tokens
+
+
+def _parse_values(tokens: list[str]) -> list[int]:
+    """The integers of the checked ``tokens``, flat: ``[i0, j0, i1, j1, ...]``."""
     try:
         values = list(map(int, tokens))
     except ValueError:  # a token of more digits than the interpreter's int-string limit
@@ -114,12 +119,15 @@ def cmd_encode(args) -> int:
     if family.k > K_MAX:  # checked before the input is read or a codec built
         raise DataError(f"k must be at most {K_MAX}, the container header's limit, got {family.k}")
     codec = make_codec(family)
-    values = _parse_values(_read_text(args.input))
-    count = len(values) // 2
-    components = iter(values)
+    tokens = _tokens(_read_text(args.input))
+    count = len(tokens) // 2
+    values = _parse_values(tokens) if args.verbose or len(tokens) % 2 else None
     try:
-        payload, nbits = codec.encode_many(zip(components, components))
-    except (OverflowError, MemoryError) as exc:  # too many bits for a Python int to hold
+        payload, nbits = codec.encode_tokens(tokens)
+    except (ValueError, OverflowError, MemoryError) as exc:  # a bad token, or too many bits
+        _parse_values(tokens)  # a token too long to convert is reported first, as ever
+        if isinstance(exc, ValueError):
+            raise
         raise DataError(f"a pair's codeword is too long to encode ({type(exc).__name__})") from exc
     if args.verbose:
         for pair in zip(values[0::2], values[1::2]):
@@ -155,7 +163,7 @@ def cmd_decode(args) -> int:
     codec = make_codec(family)
     reader = BitReader(payload)
     try:
-        values = tuple(codec.decode_many(reader, count))
+        text = codec.decode_text(reader, count)
     except StreamExhausted as exc:
         raise DataError(
             f"bitstream truncated in pair {exc.pair} (0-based), "
@@ -167,7 +175,7 @@ def cmd_decode(args) -> int:
         raise TrailingGarbage(f"{pad} bits beyond final pair, starting at payload bit {end}")
     if pad and reader.read_bits(pad) != 0:
         raise TrailingGarbage(f"nonzero padding bits, starting at payload bit {end}")
-    _write_text(args.out, "%d %d\n" * count % values)
+    _write_text(args.out, text)
     return 0
 
 

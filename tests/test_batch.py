@@ -9,8 +9,10 @@ return exactly what a loop of the reference decoders of
 ``BitReader`` primitives), leave the reader at the same bit, and run off
 the end of a stream at the same pair and start bit, through the table (a
 stream of at most TABLE_BITS bits per pair) and through the family loop;
-``encode_many`` must emit the bytes of the generic
-``PairCodec.encode_many``, which writes one ``codeword`` at a time.
+``decode_text`` must print exactly the components that ``decode_many``
+returns, and fail where it fails; ``encode_many`` must emit the bytes of
+the generic ``PairCodec.encode_many``, which writes one ``codeword`` at a
+time.
 Small ``BitReader`` windows make codewords and table lookups straddle
 window ends, where the family loop reloads its window, and make runs of
 ones longer than a window, which it reads with ``read_unary``.
@@ -135,9 +137,22 @@ def batch(codec, data, count):
     return flat, reader.bits_consumed, None
 
 
+def text_batch(codec, data, count):
+    """``batch`` of ``decode_text``, its text in place of the components."""
+    reader = BitReader(data)
+    try:
+        text = codec.decode_text(reader, count)
+    except StreamExhausted as exc:
+        assert str(exc) == ends(data, exc.start)
+        return None, None, (exc.pair, exc.start)
+    return text, reader.bits_consumed, None
+
+
 def assert_same_decode(family, data, count, single=False):
     """``decode_many``, and with ``single`` a loop of the codec's ``decode``,
-    against a loop of the reference decoder."""
+    against a loop of the reference decoder; and ``decode_text`` against
+    ``decode_many``: the text of its components, the same end bit and the
+    same pair and start bit where the stream runs out."""
     want = reference_decode(family, data, count)
     codec = make_codec(family)
     got = batch(codec, data, count)
@@ -145,6 +160,9 @@ def assert_same_decode(family, data, count, single=False):
         assert got == want
     else:
         assert got[2] == want[2]
+    flat, end, exhausted = got
+    text = None if flat is None else "%d %d\n" * count % tuple(flat)
+    assert text_batch(codec, data, count) == (text, end, exhausted)
     if single:
         assert per_pair(codec.decode, data, count) == want
 

@@ -2,9 +2,9 @@
 
 Every slot of the decode table must hold exactly the pairs that the
 family's ``_decode_run`` reads whole from the same TABLE_BITS-bit window,
-and every encode-table entry must be the codec's ``codeword``.  Both
-tables have a fixed size for any k, so a hostile header's k cannot make
-them large or slow.
+with their text as ``decode_text`` prints it, and every encode-table
+entry must be the codec's ``codeword``.  Both tables have a fixed size
+for any k, so a hostile header's k cannot make them large or slow.
 """
 
 import time
@@ -45,8 +45,9 @@ def test_every_decode_slot_matches_the_family_loop(family):
     codec = make_codec(family)
     table = codec._decode_table
     assert len(table) == 1 << TABLE_BITS
-    for window, entry in enumerate(table):
-        assert entry == run_in_window(codec, window), window
+    for window, (components, bits, pairs, text) in enumerate(table):
+        assert (components, bits, pairs) == run_in_window(codec, window), window
+        assert text == "%d %d\n" * pairs % components, window
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)

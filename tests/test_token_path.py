@@ -1,0 +1,262 @@
+"""``encode`` from the input tokens and ``decode`` to text.
+
+Where few pairs miss the token view of the encode table, ``encode``
+codes the pairs from their decimal tokens and never builds an int list
+or calls ``encode_many``; elsewhere it takes the int route through
+``encode_many``.  Either way the container must hold the header and the
+bytes of ``encode_many`` of the pairs, and every input error must be
+reported as the int route reports it: a non-decimal token, then a token
+too long to convert, then an odd count, each with its 0-based position.
+``decode`` prints the text of the decode table's slots, and a stream of
+long codewords never builds that table.
+"""
+
+import contextlib
+import io
+import random
+import sys
+
+import pytest
+from codec_families import FAMILIES
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_batch import geometric_pairs, table_built
+from test_cli import _run_child
+
+from geompair.basecodes import MISS_SHARE, PROBE_PAIRS, GolombPairCodec
+from geompair.ck_codec import CkCodec
+from geompair.cminus_codec import CminusCodec
+from geompair.cli import HEADER, MAGIC, main
+from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
+
+WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+def family_args(family):
+    return ["--family", family.kind, *([] if family.kind == "limit" else ["--k", str(family.k)])]
+
+
+def container(family, pairs):
+    """The container of ``pairs`` from ``encode_many``, and its payload bits."""
+    payload, nbits = make_codec(family).encode_many(pairs)
+    return HEADER.pack(MAGIC, 1, FAMILY_BYTES[family.kind], family.k, len(pairs)) + payload, nbits
+
+
+def encode(directory, family, text):
+    """``encode`` of ``text``: the exit code, the container (None if no
+    file was written) and stderr."""
+    src, out = directory / "in.txt", directory / "out.bin"
+    src.write_text(text)
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["encode", str(src), *family_args(family), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+def spell(pairs, rng, zeros=0.0):
+    """``pairs`` as codec input: random runs of whitespace around every
+    token, and a leading zero or two on a share ``zeros`` of the tokens."""
+    parts = [rng.choice(("", " ", "\n", "\t "))]
+    for value in (x for pair in pairs for x in pair):
+        parts.append("0" * rng.choice((1, 2)) * (rng.random() < zeros) + str(value))
+        parts.append("".join(rng.choice(WHITESPACE) for _ in range(rng.randint(1, 3))))
+    return "".join(parts)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("token-path")
+
+
+SMALL = st.tuples(st.integers(0, 15), st.integers(0, 15))
+# a component of 16 or more misses the token view; up to 300, so that some
+# codewords are longer than the 64 bits that the text route fills
+LARGE = st.one_of(st.tuples(st.integers(0, 300), st.integers(16, 300)),
+                  st.tuples(st.integers(16, 300), st.integers(0, 300)))
+
+
+@st.composite
+def streams(draw):
+    """A family and pairs whose share of view misses is none, at most
+    the gate's, or above it, shuffled."""
+    family = draw(st.sampled_from(FAMILIES))
+    hits = draw(st.lists(SMALL, max_size=60))
+    gate = int(len(hits) * MISS_SHARE)
+    count = draw(st.sampled_from((0, 1, 2)))
+    misses = draw(st.lists(LARGE, min_size=(0, min(1, gate), gate + 1)[count],
+                           max_size=(0, gate, gate + 20)[count]))
+    return family, draw(st.permutations(hits + misses))
+
+
+@settings(max_examples=120, deadline=None)
+@given(streams(), st.randoms(use_true_random=False), st.sampled_from((0.0, 0.3)))
+def test_encode_gives_the_bytes_of_encode_many(scratch, stream, rng, zeros):
+    family, pairs = stream
+    code, blob, err = encode(scratch, family, spell(pairs, rng, zeros))
+    want, nbits = container(family, pairs)
+    assert (code, blob, err) == (0, want, f"encoded {len(pairs)} pairs, {nbits} payload bits\n")
+    decoded = scratch / "decoded.txt"
+    assert main(["decode", str(scratch / "out.bin"), "--out", str(decoded)]) == 0
+    assert decoded.read_text() == "".join(f"{i} {j}\n" for i, j in pairs)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+@pytest.mark.parametrize("text", ["", " \n\t\n  "], ids=["empty", "whitespace"])
+def test_input_without_tokens_gives_a_container_of_no_pairs(scratch, family, text):
+    code, blob, err = encode(scratch, family, text)
+    assert (code, len(blob), err) == (0, 16, "encoded 0 pairs, 0 payload bits\n")
+    assert blob == container(family, [])[0]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_leading_zeros_encode_like_the_number(scratch, family):
+    assert encode(scratch, family, "007 000\n") == encode(scratch, family, "7 0\n")
+    pairs = [(7, 0), (1, 2)] * 100
+    assert encode(scratch, family, "007 000 01 2\n" * 100)[1] == container(family, pairs)[0]
+
+
+def hits_around(token, before=100, after=100):
+    """``token`` inside a stream of pairs that hit the token view."""
+    return "1 2\n" * before + token + "\n" + "3 4\n" * after
+
+
+@pytest.mark.parametrize("family", [CodeFamily("ck", 1), CodeFamily("ck", 3),
+                                    CodeFamily("cminus", 2), CodeFamily("limit")],
+                         ids=CodeFamily.label)
+@pytest.mark.parametrize("text, message", [
+    # a 5000-digit second component, past the int-string limit of 4300
+    (hits_around("0 " + "9" * 5000), "token at position 201 has 5000 digits"),
+    # an odd count reports the long token first, as the int route does
+    (hits_around("9" * 5000), "token at position 200 has 5000 digits"),
+    (hits_around("0 x"), "token 'x' at position 201 is not a nonnegative integer"),
+    (hits_around("5"), "401 integers do not form pairs"),
+])
+def test_errors_among_view_hits_name_the_same_token(scratch, family, text, message):
+    code, blob, err = encode(scratch, family, text)
+    assert (code, blob) == (2, None)
+    if "digits" in message:
+        message += f", more than the limit of {sys.get_int_max_str_digits()}"
+    assert err == f"geompair: {message}\n"
+
+
+def test_pair_too_large_among_view_hits_exits_2_as_alone(tmp_path):
+    # the message of a pair that no Python int can hold, as the one-line
+    # input gives it (see test_cli), also where it sits among view hits
+    lone, among = tmp_path / "lone.txt", tmp_path / "among.txt"
+    lone.write_text("99999999999999999999 0\n")
+    among.write_text(hits_around("99999999999999999999 0"))
+    out = str(tmp_path / "out.bin")
+    child = _run_child("-c", (
+        "import contextlib, io\n"
+        "from geompair.cli import main\n"
+        "for family in (['limit'], ['cminus', '--k', '2'], ['ck', '--k', '3'],\n"
+        "               ['golomb', '--k', '3']):\n"
+        f"    for path in ({str(lone)!r}, {str(among)!r}):\n"
+        "        err = io.StringIO()\n"
+        "        with contextlib.redirect_stderr(err):\n"
+        f"            code = main(['encode', path, '--family', *family, '--out', {out!r}])\n"
+        "        print(code, repr(err.getvalue()))\n"
+    ), timeout=60)
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert len(lines) == 8
+    for alone, with_hits in zip(lines[0::2], lines[1::2]):
+        assert alone.startswith("2 \"geompair: a pair's codeword is too long to encode (")
+        assert with_hits == alone
+    assert not (tmp_path / "out.bin").exists()
+
+
+# ---------------------------------------------------------------------------
+# The route on each side of the gates
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def encode_many_calls(monkeypatch):
+    """The codecs whose ``encode_many`` is called, as ``"<class> <k>"``."""
+    calls = []
+    for codec_class in (CkCodec, CminusCodec, GolombPairCodec):  # LimitCodec is a CminusCodec
+        original = codec_class.encode_many
+
+        def spy(self, pairs, original=original):
+            calls.append(f"{type(self).__name__} {getattr(self, 'k', '')}")
+            return original(self, pairs)
+
+        monkeypatch.setattr(codec_class, "encode_many", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", [CodeFamily("ck", 1), CodeFamily("cminus", 2)],
+                         ids=CodeFamily.label)
+def test_short_codeword_streams_never_call_encode_many(scratch, encode_many_calls, family):
+    pairs = geometric_pairs(family, 2000, "route")
+    pairs[700:700] = [(0, 20), (30, 1), (16, 16)]  # misses, filled from codeword
+    want = container(family, pairs)
+    encode_many_calls.clear()
+    text = spell(pairs, random.Random(family.label()), 0.01)
+    assert encode(scratch, family, text) == (0, want[0],
+                                             f"encoded {len(pairs)} pairs, {want[1]} payload bits\n")
+    assert encode_many_calls == []
+
+
+def test_long_codeword_streams_call_encode_many(scratch, encode_many_calls):
+    family = CodeFamily("ck", 256)
+    rng = random.Random("ck256")
+    pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(2000)]
+    want = container(family, pairs)[0]
+    encode_many_calls.clear()
+    assert encode(scratch, family, spell(pairs, rng))[:2] == (0, want)
+    assert encode_many_calls == ["CkCodec 256"]
+
+
+@pytest.mark.parametrize("where", ["probe", "rest"])
+def test_misses_past_the_gate_call_encode_many(scratch, encode_many_calls, where):
+    # more misses than the gate allows, within the first PROBE_PAIRS pairs
+    # or only after them; and a long codeword among few misses
+    family = CodeFamily("ck", 3)
+    hits = [(1, 2)] * (2 * PROBE_PAIRS)
+    misses = [(20, 1)] * (int(len(hits) * MISS_SHARE) + 40)
+    pairs = misses + hits if where == "probe" else hits + misses
+    want = container(family, pairs)[0]
+    encode_many_calls.clear()
+    assert encode(scratch, family, spell(pairs, random.Random(where)))[:2] == (0, want)
+    assert encode_many_calls == ["CkCodec 3"]
+    pairs = hits + [(300, 0)]  # 102 bits, longer than the text route fills
+    want = container(family, pairs)[0]
+    encode_many_calls.clear()
+    assert encode(scratch, family, spell(pairs, random.Random(where)))[:2] == (0, want)
+    assert encode_many_calls == ["CkCodec 3"]
+
+
+@pytest.mark.parametrize("family, built", [(CodeFamily("ck", 256), False),
+                                           (CodeFamily("ck", 1), True)],
+                         ids=["ck256", "ck1"])
+def test_decode_builds_the_decode_table_only_for_short_codewords(scratch, family, built):
+    pairs = geometric_pairs(family, 500, "table")
+    (scratch / "stream.bin").write_bytes(container(family, pairs)[0])
+    make_codec.cache_clear()
+    decoded = scratch / "stream.txt"
+    assert main(["decode", str(scratch / "stream.bin"), "--out", str(decoded)]) == 0
+    assert decoded.read_text() == "".join(f"{i} {j}\n" for i, j in pairs)
+    assert table_built(make_codec(family)) == built
+
+
+def test_a_probe_of_misses_skips_the_rest_of_the_view(scratch, monkeypatch):
+    # a stream of long codewords looks up only its first PROBE_PAIRS pairs
+    family = CodeFamily("ck", 256)
+    codec = make_codec(family)
+    lookups = []
+
+    class View(dict):
+        def get(self, key):
+            lookups.append(key)
+            return dict.get(self, key)
+
+    monkeypatch.setitem(vars(codec), "_token_table", View(codec._token_table))
+    rng = random.Random("probe")
+    pairs = [(rng.randrange(16, 256), rng.randrange(256)) for _ in range(3 * PROBE_PAIRS)]
+    want = container(family, pairs)[0]
+    assert encode(scratch, family, spell(pairs, rng))[:2] == (0, want)
+    assert len(lookups) == PROBE_PAIRS
