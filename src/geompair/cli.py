@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error.
 
 from __future__ import annotations
 
+import gc
 import math
 import struct
 import sys
@@ -85,10 +86,17 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+# The ASCII characters that isdecimal passes (not isdigit, which passes
+# superscripts int() rejects), and those that str.split() splits on.  Text
+# of these alone has only decimal tokens; any other text, non-ASCII text
+# included, has each of its tokens checked.
+_DECIMAL_OR_SPACE = b"0123456789 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def _tokens(text: str) -> list[str]:
     """The tokens of codec input, each checked to be a nonnegative decimal integer."""
     tokens = text.split()
-    if not "".join(tokens).isdecimal():  # not isdigit, which passes superscripts int() rejects
+    if not text.isascii() or text.encode("ascii").translate(None, _DECIMAL_OR_SPACE):
         for offset, token in enumerate(tokens):
             if not token.isdecimal():
                 raise ParseError(f"token {token!r} at position {offset} is not a nonnegative integer")
@@ -216,9 +224,9 @@ def cmd_lengths(args) -> int:
     return 0
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:  # also rejects nan
-        raise DataError(f"eps must lie in (0, 1), got {eps}")
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:  # also rejects nan
+        raise DataError(f"{name} must lie in (0, 1), got {value}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -248,7 +256,7 @@ def cmd_sweep(args) -> int:
     if not (0.0 < args.q_lo <= args.q_hi < 1.0):
         raise DataError("need 0 < q-lo <= q-hi < 1")
     _check_positive("step", args.step)
-    _check_eps(args.eps)
+    _check_unit("eps", args.eps)
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     grid = _grid(args.q_lo, args.q_hi, args.step)
     best = analysis.best_averages_by_kind(grid, args.eps)
@@ -277,9 +285,10 @@ def cmd_oracle(args) -> int:
 
     if args.cap is not None and args.cap < 1:
         raise DataError(f"cap must be at least 1 symbol, got {args.cap}")
-    if not 0.0 < args.q <= ORACLE_Q_CAP:
+    _check_unit("q", args.q)
+    if args.q > ORACLE_Q_CAP:
         raise DataError(f"oracle runs are capped at q <= {ORACLE_Q_CAP}")
-    _check_eps(args.eps)
+    _check_unit("eps", args.eps)
     cap = DEFAULT_SYMBOL_CAP if args.cap is None else args.cap
     try:
         est, unc = oracle_optimal_avg_len(args.q, args.eps, cap)
@@ -484,7 +493,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:  # run as the program: the process ends with this command
+        # Move the start-up heap into the collector's permanent generation, so
+        # that no full collection, the one at interpreter shutdown included,
+        # walks it again.  A caller that passes argv keeps its collector as is.
+        gc.freeze()
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     args = _scan(argv)
     if args is None:
         try:

@@ -1,4 +1,7 @@
+import gc
+import io
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 import geompair
 from geompair import analysis
-from geompair.cli import COMMANDS, HEADER, MAGIC, _scan, build_parser, main
+from geompair.cli import COMMANDS, HEADER, MAGIC, ParseError, _scan, _tokens, build_parser, main
 from geompair.families import FAMILY_FROM_BYTE, CodeFamily, make_codec
 
 
@@ -79,6 +82,42 @@ def test_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "encode", str(src), "--family", "ck", "--k", "1")
     assert code == 2
     assert "'x'" in err
+
+
+def test_every_ascii_separator_of_str_split_separates_tokens(tmp_path, capsys):
+    # \x1c-\x1f are the ASCII separators str.split() splits on besides the usual five
+    src, enc, ref = tmp_path / "in.txt", tmp_path / "enc.bin", tmp_path / "ref.bin"
+    src.write_text("4 1 0 0 9 2")
+    reference = run(capsys, "encode", str(src), "--family", "ck", "--k", "3", "--out", str(ref))
+    src.write_bytes(b"4\x1c1\x1d0\x1e0\x1f9\x0b2\x0c")
+    assert run(capsys, "encode", str(src), "--family", "ck", "--k", "3", "--out", str(enc)) == reference
+    assert reference[0] == 0 and enc.read_bytes() == ref.read_bytes()
+    for data, message in [
+        (b"4\x1c1\x1d0\x1e0\x1f9 2x\n", "token '2x' at position 5 is not a nonnegative integer"),
+        (b"4\x1c1\x1d0\x1e0\x1f\x1c-9 2", "token '-9' at position 4 is not a nonnegative integer"),
+        (b"4\x1c1\x1d0\x1e0\x1f9\x1c", "5 integers do not form pairs"),
+        (b"4\x1c1\x1d0\x1e0\x1f" + b"7" * 5000, "token at position 4 has 5000 digits, "
+                                              "more than the limit of 4300"),
+    ]:
+        src.write_bytes(data)
+        code, out, err = run(capsys, "encode", str(src), "--family", "ck", "--k", "3")
+        assert (code, out, err) == (2, "", f"geompair: {message}\n")
+
+
+SEPARATORS = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003"
+
+
+@given(st.text(alphabet=st.sampled_from("0123456789x-+_.\x00\x7f\u00b2\u0661\uff11" + SEPARATORS)))
+@settings(max_examples=300, deadline=None)
+def test_tokens_check_agrees_with_a_per_token_check(text):
+    # the one-pass check of the whole text must reject exactly what checking each token rejects
+    tokens = text.split()
+    bad = [n for n, token in enumerate(tokens) if not token.isdecimal()]
+    if bad:
+        with pytest.raises(ParseError, match=f"at position {bad[0]} is not"):
+            _tokens(text)
+    else:
+        assert _tokens(text) == tokens
 
 
 def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
@@ -440,6 +479,17 @@ def test_eps_outside_unit_interval_exits_2(capsys, argv):
     assert err.startswith("geompair: eps ")
 
 
+@pytest.mark.parametrize("q, message", [
+    ("0", "q must lie in (0, 1), got 0.0"), ("-1", "q must lie in (0, 1), got -1.0"),
+    ("nan", "q must lie in (0, 1), got nan"), ("inf", "q must lie in (0, 1), got inf"),
+    ("1", "q must lie in (0, 1), got 1.0"), ("0.96", "oracle runs are capped at q <= 0.95"),
+    ("0.99", "oracle runs are capped at q <= 0.95"),
+])
+def test_oracle_q_outside_its_range_exits_2(capsys, q, message):
+    code, out, err = run(capsys, "oracle", "--q", q)
+    assert (code, out, err) == (2, "", f"geompair: {message}\n")
+
+
 def test_sweep_oracle_beyond_its_symbol_cap_exits_2(capsys):
     code, out, err = run(capsys, "sweep", "--with-oracle", "--eps", "1e-300",
                          "--q-lo", "0.9", "--q-hi", "0.9")
@@ -619,12 +669,61 @@ def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
     assert "bitstream truncated in pair 2 (0-based), which starts at payload bit 7" in err
 
 
-def _run_child(*args, timeout=120):
+def _run_child(*args, timeout=120, input=None, text=True):
     src = str(Path(geompair.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # the standard streams buffered, as a program's are
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+                          input=input, text=text, timeout=timeout)
+
+
+def test_program_mode_freezes_the_start_up_heap():
+    # main() with no argv runs as the program: the heap start-up made is
+    # frozen, and the collector stays on for what the command allocates
+    child = _run_child("-c", (
+        "import gc, sys\n"
+        "from geompair.cli import main\n"
+        "print(gc.get_freeze_count())\n"
+        "sys.argv = ['geompair', 'select', '--mean', '1.0']\n"
+        "code = main()\n"
+        "print(code, gc.get_freeze_count() > 0, gc.isenabled())\n"
+    ))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["0", "ck k=1", "0 True True"]
+
+
+def test_library_calls_leave_the_collector_as_it_was(tmp_path, capsys):
+    src, enc = tmp_path / "in.txt", tmp_path / "enc.bin"
+    src.write_text("4 1 0 0 9 2\n")
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv in (["encode", str(src), "--family", "ck", "--k", "3", "--out", str(enc)],
+                 ["decode", str(enc)], ["select", "--mean", "1.0"]):
+        assert main(argv) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+    assert capsys.readouterr().out == "4 1\n0 0\n9 2\nck k=1\n"
+
+
+@pytest.mark.parametrize("count", [3, 10_000])
+def test_program_mode_flushes_the_standard_streams(tmp_path, capsysbinary, monkeypatch, count):
+    # 10 000 pairs are more text than a pipe holds; 3 pairs, less than the
+    # stdout buffer, are lost if the child leaves without its shutdown flush
+    rng = random.Random(15)
+    text = "".join(f"{rng.randrange(1000)} {rng.randrange(1000)}\n" for _ in range(count)).encode()
+    assert len(text) > 65536 or len(text) < io.DEFAULT_BUFFER_SIZE
+    argv = ["encode", "--family", "ck", "--k", "3"]  # stdin to stdout
+    child = _run_child("-m", "geompair.cli", *argv, input=text, text=False)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text), encoding="ascii"))
+    code = main(argv)
+    container, err = capsysbinary.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (code, container, err)
+    assert code == 0 and err.startswith(f"encoded {count} pairs, ".encode())
+    path = tmp_path / "enc.bin"
+    path.write_bytes(container)
+    child = _run_child("-m", "geompair.cli", "decode", str(path), text=False)
+    code = main(["decode", str(path)])
+    out, err = capsysbinary.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err) == (0, text, b"")
 
 
 def test_cli_import_leaves_numpy_unloaded():
