@@ -29,6 +29,8 @@ def quasi_uniform_shape(n: int) -> tuple[int, int]:
 
 def golomb_length(k: int, i: int) -> int:
     """Length in bits of the order-k Golomb codeword for i."""
+    if i < 0:
+        raise ValueError("Golomb argument must be >= 0")
     m, short_count = quasi_uniform_shape(k)
     return (m - 1 if i % k < short_count else m) + i // k + 1
 

@@ -86,10 +86,7 @@ class CkCodec(PairCodec):
         return value, length + u + v + 2
 
     def length_of(self, pair: tuple[int, int]) -> int:
-        i, j = pair
-        u, a = divmod(i, self.k)
-        v, b = divmod(j, self.k)
-        return self._top_codeword(a, b)[1] + u + v + 2
+        return self.codeword(pair)[1]
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
         return residue_signature_lengths(self.k, s, lambda a, b: self._top_codeword(a, b)[1])

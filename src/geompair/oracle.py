@@ -17,11 +17,6 @@ run at a time, so its cost follows the number of runs, not of symbols.
 The merge pass alone yields the average, as the sum of the internal
 nodes' weights, and the tail's depth; a backward pass over the items it
 took is needed only for the per-run depths, the per-signature lengths.
-
-numpy is imported only where per-symbol arrays are built: the
-``TruncatedSource.weights`` / ``.signatures`` and ``OracleCode.lengths``
-views and ``huffman_lengths``.  ``oracle_optimal_avg_len`` and the
-command line load neither it nor ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -30,12 +25,9 @@ import bisect
 import math
 from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING
+from itertools import chain, groupby, repeat
 
 from .analysis import _check_q
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class SourceTooLarge(Exception):
@@ -64,26 +56,15 @@ class TruncatedSource(namedtuple("TruncatedSource", "q s_max runs tail_weight"))
     order.  Weights are unnormalized (the full alphabet totals
     1/(1-q)^2): signature s is s + 1 symbols of weight q^s, and the tail
     (signature -1, weight ``tail_weight``) is one symbol, placed after
-    every run of at least its weight.  ``weights`` and ``signatures``
-    expand the runs symbol by symbol.
+    every run of at least its weight.  ``weights`` expands the runs
+    symbol by symbol.
     """
 
     __slots__ = ()
 
     @property
-    def weights(self) -> np.ndarray:
-        import numpy as np
-
-        return np.repeat([w for w, _, _ in self.runs], [c for _, _, c in self.runs])
-
-    @property
-    def signatures(self) -> np.ndarray:
-        import numpy as np
-
-        return np.repeat(
-            np.array([s for _, s, _ in self.runs], dtype=np.int64),
-            [c for _, _, c in self.runs],
-        )
+    def weights(self) -> list[float]:
+        return list(chain.from_iterable(repeat(w, c) for w, _, c in self.runs))
 
 
 def build_truncated_source(
@@ -226,51 +207,33 @@ def _depth_pass(runs: list[tuple[float, int]], taken: list[int]) -> list[list[tu
     return depths[::-1]
 
 
-def huffman_lengths(weights) -> np.ndarray:
+def huffman_lengths(weights) -> list[int]:
     """Optimal prefix-code lengths for non-increasing positive weights.
 
-    Adjacent equal weights form one run of the run-length core; inside a
-    run the shorter lengths come first, so the lengths are
+    Adjacent equal weights (as floats) form one run of the run-length
+    core; inside a run the shorter lengths come first, so the lengths are
     non-decreasing.  The code is that of the two-queue construction
     (see ``_merge_pass``).  A single symbol gets length 0.
     """
-    import numpy as np
-
-    w = np.asarray(weights, dtype=np.float64)
-    if len(w) == 0:
+    runs = [(w, len(list(group))) for w, group in groupby(map(float, weights))]
+    if not runs:
         raise EmptySource("no weights")
-    edges = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), len(w)]
-    runs = [(float(w[a]), b - a) for a, b in zip(edges, edges[1:])]
-    return _expand_depths(_depth_pass(runs, _merge_pass(runs)[0]))
-
-
-def _expand_depths(run_depths: list[list[tuple[int, int]]]) -> np.ndarray:
-    """Per-symbol lengths, run by run, from (depth, count) pairs."""
-    import numpy as np
-
-    pairs = [pair for run in run_depths for pair in run]
-    return np.repeat(
-        np.array([d for d, _ in pairs], dtype=np.int64), [c for _, c in pairs]
-    )
+    run_depths = _depth_pass(runs, _merge_pass(runs)[0])
+    return list(chain.from_iterable(repeat(d, c) for run in run_depths for d, c in run))
 
 
 class OracleCode:
     """A Huffman run on a truncated source, as depth counts per run.
 
     ``run_depths[i]`` lists (depth, count) for ``source.runs[i]`` in
-    increasing depth.  ``lengths`` (aligned with ``source.weights``) and
-    ``lengths_by_signature`` (sorted lengths per signature, the tail
-    under -1) expand them symbol by symbol.
+    increasing depth.  ``lengths_by_signature`` (sorted lengths per
+    signature, the tail under -1) expands them symbol by symbol.
     """
 
     def __init__(self, source: TruncatedSource, run_depths: list[list[tuple[int, int]]],
                  avg_len_pair: float, uncertainty: float, tail_depth: int) -> None:
         self.source, self.run_depths = source, run_depths
         self.avg_len_pair, self.uncertainty, self.tail_depth = avg_len_pair, uncertainty, tail_depth
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return _expand_depths(self.run_depths)
 
     @cached_property
     def lengths_by_signature(self) -> dict[int, list[int]]:

@@ -2,8 +2,10 @@
 lazy analysis and oracle ones included, the removed helpers stay gone, and
 README's list of the public API follows ``__all__``."""
 
+import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import geompair
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(geompair.__file__).resolve().parent
 
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
 # ``encode_to``, ``codeword``, ``decode``, ``decode_many`` and
@@ -53,6 +56,8 @@ REMOVED = [
     ("geompair.analysis", "LimitLengthModel"),
     ("geompair.analysis", "GolombPairLengthModel"),
     ("geompair.analysis", "CkLengthModel"),
+    ("geompair.oracle", "TruncatedSource.signatures"),
+    ("geompair.oracle", "OracleCode.lengths"),
 ]
 
 
@@ -82,3 +87,29 @@ def test_readme_lists_the_public_api():
     listed = set(re.findall(r"`(\w+)`", text[start : text.index("\n\n", start)]))
     assert not set(geompair.__all__) - listed
     assert not listed & {name for module, name in REMOVED if module == "geompair"}
+
+
+def _non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of the absolute imports in ``source`` that are
+    neither in the standard library nor geompair itself."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    allowed = sys.stdlib_module_names | {"geompair"}
+    return [name for name in names if name.partition(".")[0] not in allowed]
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependencies; numpy is for the tests only
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    found = {path.name: _non_stdlib_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert not {name: imports for name, imports in found.items() if imports}
+    # the check sees imports inside functions and TYPE_CHECKING blocks too
+    assert _non_stdlib_imports(
+        "import os\nfrom . import x\nif T:\n    import numpy as np\n"
+        "def f():\n    from hypothesis.strategies import integers\n    import geompair.cli\n"
+    ) == ["numpy", "hypothesis.strategies"]

@@ -105,6 +105,15 @@ def test_golomb_length_nondecreasing(k):
     assert lens == [golomb_codeword(k, i)[1] for i in range(len(lens))]
 
 
+@pytest.mark.parametrize("i", [-1, -3, -100])
+def test_golomb_length_rejects_negative_arguments(i):
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="Golomb argument must be >= 0"):
+            golomb_length(k, i)
+        with pytest.raises(ValueError, match="Golomb argument must be >= 0"):
+            GolombPairCodec(k).codeword((0, i))
+
+
 def test_read_unary():
     w = BitWriter()
     w.write(*golomb_codeword(1, 7))

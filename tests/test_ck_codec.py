@@ -71,6 +71,11 @@ def test_length_of_matches_encode():
     codec = CkCodec(5)
     for pair in [(0, 0), (4, 4), (23, 7), (100, 0)]:
         assert codec.length_of(pair) == codec.encode(pair).length
+    codec = CkCodec(3)
+    for pair in [(-1, 0), (0, -4), (-3, -3)]:
+        for method in (codec.length_of, codec.codeword):
+            with pytest.raises(ValueError, match="pair components must be >= 0"):
+                method(pair)
 
 
 def test_k2_equivalent_to_golomb_pair():

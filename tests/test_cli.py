@@ -17,6 +17,9 @@ import geompair
 from geompair import analysis
 from geompair.cli import COMMANDS, HEADER, MAGIC, ParseError, _scan, _tokens, build_parser, main
 from geompair.families import FAMILY_FROM_BYTE, CodeFamily, make_codec
+from geompair.oracle import build_truncated_source, truncated_huffman
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -344,7 +347,7 @@ def test_sweep_csv(capsys):
 def test_sweep_default_csv_is_golden(capsys):
     code, out, _ = run(capsys, "sweep")
     assert code == 0
-    assert out == (Path(__file__).parent / "data" / "sweep_default.csv").read_text()
+    assert out == (DATA / "sweep_default.csv").read_text()
 
 
 def test_sweep_oracle_column_empty_without_flag(capsys):
@@ -753,6 +756,41 @@ def test_oracle_paths_leave_numpy_unloaded():
     est, unc = map(float, value_line.strip("()").split(", "))
     assert abs(est - 14.172894635551545) <= 1e-12 * est and unc == 3.2e-08
     assert loaded_line == "[]"
+
+
+def test_package_runs_without_numpy():
+    # numpy is a test dependency only: with its import blocked, every public
+    # name resolves and the oracle and its commands give the same results
+    child = _run_child("-c", (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import geompair\n"
+        "print(all(getattr(geompair, name) for name in geompair.__all__))\n"
+        "from geompair.oracle import (build_truncated_source, huffman_lengths, max_gap,\n"
+        "                             truncated_huffman, two_level_check)\n"
+        "print(huffman_lengths([4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]))\n"
+        "weights = build_truncated_source(0.98, 1e-9).weights\n"
+        "print(len(weights), weights[0], weights[-1])\n"
+        "code = truncated_huffman(0.9, 1e-9)\n"
+        "by_sig, half = code.lengths_by_signature, code.source.s_max // 2\n"
+        "print(by_sig)\n"
+        "print(two_level_check(by_sig, half), max_gap(by_sig, half))\n"
+        "from geompair.cli import main\n"
+        "print(main(['oracle', '--q', '0.95']), main(['sweep', '--with-oracle']))\n"
+    ))
+    assert child.returncode == 0, child.stderr
+    names, lengths, weights, by_sig, checks, *cli_lines, codes = child.stdout.splitlines()
+    assert names == "True"
+    assert lengths == str([4] * 13 + [5] * 6)
+    source = build_truncated_source(0.98, 1e-9)
+    assert weights == f"702706 1.0 {source.weights[-1]}"
+    code = truncated_huffman(0.9, 1e-9)
+    assert by_sig == str(code.lengths_by_signature)
+    assert checks == "(True, []) 0"
+    # as printed with numpy installed
+    assert cli_lines[0] == "11.484262 ± 3.20e-08"
+    assert "\n".join(cli_lines[1:]) + "\n" == (DATA / "sweep_with_oracle.csv").read_text()
+    assert codes == "0 0"
 
 
 def test_codec_path_leaves_analysis_and_records_machinery_unloaded(tmp_path):

@@ -201,7 +201,7 @@ def test_top_code_table_shape(k):
 def test_huffman_agrees_with_top_code(k):
     lengths = huffman_lengths(top_source_weights(k).weights)
     codec = CkCodec(k)
-    assert Counter(lengths.tolist()) == Counter(
+    assert Counter(lengths) == Counter(
         top_codeword(codec, *sym)[1] for sym in top_code_symbols(k))
 
 

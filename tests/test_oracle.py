@@ -32,6 +32,16 @@ from geompair.oracle import (
 from geompair.oracle import _depth_pass, _merge_pass
 
 
+def symbol_signatures(source):
+    """The signature of each symbol, aligned with ``source.weights``."""
+    return [sig for _, sig, count in source.runs for _ in range(count)]
+
+
+def symbol_lengths(code):
+    """The codeword length of each symbol, aligned with ``code.source.weights``."""
+    return [d for depths in code.run_depths for d, c in depths for _ in range(c)]
+
+
 def test_truncation_sizes():
     src = build_truncated_source(0.5, 1e-9)
     assert 34 <= src.s_max <= 38
@@ -56,25 +66,24 @@ def test_truncation_validation():
 
 def test_source_is_sorted_with_tail_marker():
     src = build_truncated_source(0.8, 1e-6)
-    assert np.all(np.diff(src.weights) <= 0)
-    assert np.count_nonzero(src.signatures == TAIL) == 1
-    mults = Counter(src.signatures.tolist())
+    w = src.weights
+    assert all(a >= b for a, b in zip(w, w[1:]))
+    assert symbol_signatures(src).count(TAIL) == 1
+    mults = Counter(symbol_signatures(src))
     for s in range(src.s_max + 1):
         assert mults[s] == s + 1
 
 
 def test_huffman_textbook_instance():
-    lengths = huffman_lengths([0.4, 0.3, 0.2, 0.1])
-    assert lengths.tolist() == [1, 2, 3, 3]
+    assert huffman_lengths([0.4, 0.3, 0.2, 0.1]) == [1, 2, 3, 3]
 
 
 def test_huffman_uniform_dyadic():
-    lengths = huffman_lengths([1.0] * 16)
-    assert lengths.tolist() == [4] * 16
+    assert huffman_lengths([1.0] * 16) == [4] * 16
 
 
 def test_huffman_edge_cases():
-    assert huffman_lengths([1.0]).tolist() == [0]
+    assert huffman_lengths([1.0]) == [0]
     with pytest.raises(EmptySource):
         huffman_lengths([])
     with pytest.raises(ValueError):
@@ -89,22 +98,20 @@ def test_huffman_kraft_exact():
         n = int(rng.integers(1, 400))
         w = np.sort(rng.random(n) + 1e-3)[::-1]
         lengths = huffman_lengths(w)
-        top = int(lengths.max())
-        assert sum(1 << (top - int(l)) for l in lengths) == 1 << top
+        top = max(lengths)
+        assert sum(1 << (top - l) for l in lengths) == 1 << top
 
 
 def test_huffman_deterministic():
     w = build_truncated_source(0.6, 1e-8).weights
-    a = huffman_lengths(w)
-    b = huffman_lengths(w)
-    assert np.array_equal(a, b)
+    assert huffman_lengths(w) == huffman_lengths(w)
 
 
 def test_huffman_n19_worked_example():
     w = [4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]
     lengths = huffman_lengths(w)
     assert float(np.dot(w, lengths)) == 206.0
-    profile = Counter(lengths.tolist())
+    profile = Counter(lengths)
     plateau = [
         {3: 1, 4: 10, 5: 8},
         {4: 13, 5: 6},
@@ -225,7 +232,7 @@ def _random_weight_vectors(count):
 
 def test_huffman_lengths_match_reference_on_random_vectors():
     for w in _random_weight_vectors(1200):
-        assert np.array_equal(huffman_lengths(w), ref_huffman_lengths(w)), w.tolist()
+        assert huffman_lengths(w) == ref_huffman_lengths(w).tolist(), w.tolist()
 
 
 @pytest.mark.parametrize(
@@ -234,7 +241,7 @@ def test_huffman_lengths_match_reference_on_random_vectors():
      [4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]],
 )
 def test_huffman_lengths_match_reference_on_small_instances(weights):
-    assert np.array_equal(huffman_lengths(weights), ref_huffman_lengths(weights))
+    assert huffman_lengths(weights) == ref_huffman_lengths(weights).tolist()
 
 
 def test_huffman_lengths_are_non_decreasing():
@@ -267,13 +274,15 @@ def test_truncated_huffman_matches_reference(q):
 def test_per_symbol_views_align_with_runs():
     code = truncated_huffman(0.8, 1e-6)
     src = code.source
+    weights, sigs, lens = src.weights, symbol_signatures(src), symbol_lengths(code)
     n = sum(c for _, _, c in src.runs)
-    assert len(src.weights) == len(src.signatures) == len(code.lengths) == n
-    assert float((1.0 - 0.8) ** 2 * np.dot(src.weights, code.lengths)) == pytest.approx(
+    assert len(weights) == len(sigs) == len(lens) == n
+    assert sigs == ref_truncated_source(0.8, 1e-6)[1].tolist()
+    assert float((1.0 - 0.8) ** 2 * np.dot(weights, lens)) == pytest.approx(
         code.avg_len_pair, rel=1e-12
     )
-    for sig, lens in code.lengths_by_signature.items():
-        assert sorted(code.lengths[src.signatures == sig].tolist()) == lens
+    for sig, by_sig in code.lengths_by_signature.items():
+        assert sorted(ln for s, ln in zip(sigs, lens) if s == sig) == by_sig
 
 
 def test_symbol_cap_counts_symbols_not_runs():
