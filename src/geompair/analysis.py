@@ -371,17 +371,6 @@ def best_averages_by_kind(qs, eps: float = 1e-9) -> list[tuple[float, float, flo
     ]
 
 
-def _best_family_direct(q: float) -> CodeFamily:
-    best = None
-    best_len = math.inf
-    for fam in _candidates(q):
-        length = family_avg_len(fam, q, _SELECT_SERIES_EPS)
-        if length < best_len - 1e-12:
-            best, best_len = fam, length
-    assert best is not None
-    return best
-
-
 def adaptive_select(mean: float) -> CodeFamily:
     """Family minimizing the pair average at the plug-in estimate
     q = mean / (1 + mean) of the geometric parameter.
@@ -399,4 +388,10 @@ def adaptive_select(mean: float) -> CodeFamily:
         raise MeanOutOfRange(
             f"mean {mean} is too large: its estimate q = mean / (1 + mean) rounds to 1"
         )
-    return _best_family_direct(q)
+    best = None
+    best_len = math.inf
+    for fam in _candidates(q):
+        length = family_avg_len(fam, q, _SELECT_SERIES_EPS)
+        if length < best_len - 1e-12:
+            best, best_len = fam, length
+    return best

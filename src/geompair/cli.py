@@ -181,7 +181,8 @@ def cmd_decode(args) -> int:
     pad = reader.bits_remaining
     if pad >= 8:
         raise TrailingGarbage(f"{pad} bits beyond final pair, starting at payload bit {end}")
-    if pad and reader.read_bits(pad) != 0:
+    bits, pos, _ = reader.reload_window()
+    if "1" in bits[pos : pos + pad]:
         raise TrailingGarbage(f"nonzero padding bits, starting at payload bit {end}")
     _write_text(args.out, text)
     return 0

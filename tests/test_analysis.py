@@ -275,31 +275,43 @@ def test_adaptive_select_examples():
     assert adaptive_select(0.0).kind == "limit"
 
 
+def _select_excess(mean, cminus):
+    """How far the pair average of ``adaptive_select(mean)`` lies above the
+    least over an explicit family list, independent of ``_candidates``: ck
+    1..64, the best Golomb order and its neighbours, the limit code, and
+    the cminus averages in ``cminus``."""
+    q = mean / (1.0 + mean)
+    lengths = {CodeFamily("ck", k): avg_len_ck(q, k) for k in range(1, 65)}
+    best = _best_golomb_order_loop(q)
+    for k in range(max(1, best - 1), best + 2):
+        lengths[CodeFamily("golomb", k)] = golomb_pair_avg_len(q, k)
+    lengths[CodeFamily("limit")] = avg_len_limit_closed(q)
+    lengths.update(cminus)
+    return lengths[adaptive_select(mean)] - min(lengths.values())
+
+
+CMINUS_ORDERS = [CodeFamily("cminus", k) for k in range(2, 11)]
+
+
 def test_adaptive_select_matches_direct_minimum():
     # log-spaced means over the tabulated range q in [0.02, 0.985], dense
     # enough to land inside the narrow intervals where an intermediate
-    # ck k wins between two points of the selector's q grid
+    # ck k wins between two points of the selector's q grid; cminus is
+    # summed over the means below q = 0.6 at once, and the sparse means of
+    # the brute-force test check it above that
     lo, hi = math.log(0.02 / 0.98), math.log(0.985 / 0.015)
     n = 2400
-    for i in range(n):
-        mean = math.exp(lo + (hi - lo) * (i + 0.5) / n)
+    means = [math.exp(lo + (hi - lo) * (i + 0.5) / n) for i in range(n)]
+    low = [mean / (1.0 + mean) for mean in means if mean / (1.0 + mean) < 0.6]
+    sums = {f: dict(zip(low, avg_lens_by_series(make_codec(f), low, 1e-10))) for f in CMINUS_ORDERS}
+    for mean in means:
         q = mean / (1.0 + mean)
-        chosen = adaptive_select(mean)
-        best = analysis._best_family_direct(q)
-        excess = analysis.family_avg_len(chosen, q, 1e-10) - analysis.family_avg_len(best, q, 1e-10)
-        assert excess <= 1e-6, (mean, chosen.label(), best.label(), excess)
+        cminus = {f: by_q[q] for f, by_q in sums.items()} if q < 0.6 else {}
+        excess = _select_excess(mean, cminus)
+        # the selector sums cminus series to within its own 1e-8
+        assert excess <= 1e-8, (mean, adaptive_select(mean).label(), excess)
     # the defect case: ck k=20 wins only between two grid points
     assert adaptive_select(28.3) == analysis.CodeFamily("ck", 20)
-
-
-def _brute_force_best(q, eps=1e-10):
-    """Minimum over an explicit family list, independent of ``_candidates``."""
-    fams = [analysis.CodeFamily("ck", k) for k in range(1, 65)]
-    fams += [analysis.CodeFamily("cminus", k) for k in range(2, 11)]
-    fams.append(analysis.CodeFamily("limit"))
-    best = _best_golomb_order_loop(q)
-    fams += [analysis.CodeFamily("golomb", k) for k in range(max(1, best - 1), best + 2)]
-    return min(analysis.family_avg_len(f, q, eps) for f in fams)
 
 
 def _ck_crossover_means(k, offsets=(-1e-7, -1e-8, 1e-8, 1e-7)):
@@ -318,10 +330,9 @@ def test_adaptive_select_matches_brute_force_minimum():
         means += _ck_crossover_means(k)
     for mean in means:
         q = mean / (1.0 + mean)
-        chosen = adaptive_select(mean)
-        excess = analysis.family_avg_len(chosen, q, 1e-10) - _brute_force_best(q)
+        excess = _select_excess(mean, {f: analysis.family_avg_len(f, q, 1e-10) for f in CMINUS_ORDERS})
         # the selector sums cminus series to within its own 1e-8
-        assert excess <= 1e-8, (mean, chosen.label(), excess)
+        assert excess <= 1e-8, (mean, adaptive_select(mean).label(), excess)
 
 
 def test_adaptive_select_caps_the_golomb_order_at_the_header_limit():

@@ -12,7 +12,8 @@ import pytest
 
 import geompair
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 PACKAGE = Path(geompair.__file__).resolve().parent
 
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
@@ -89,17 +90,26 @@ def test_readme_lists_the_public_api():
     assert not listed & {name for module, name in REMOVED if module == "geompair"}
 
 
-def _non_stdlib_imports(source: str) -> list[str]:
-    """Top-level names of the absolute imports in ``source`` that are
-    neither in the standard library nor geompair itself."""
+def _absolute_imports(source: str) -> list[str]:
+    """The modules of the absolute imports in ``source``, at any depth."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
+    return names
+
+
+def _non_stdlib_imports(source: str) -> list[str]:
+    """The absolute imports in ``source`` that are neither in the standard
+    library nor geompair itself."""
     allowed = sys.stdlib_module_names | {"geompair"}
-    return [name for name in names if name.partition(".")[0] not in allowed]
+    return [name for name in _absolute_imports(source) if name.partition(".")[0] not in allowed]
+
+
+def _test_module_imports(source: str) -> list[str]:
+    return [name for name in _absolute_imports(source) if name.startswith("test_")]
 
 
 def test_package_imports_only_the_standard_library():
@@ -113,3 +123,16 @@ def test_package_imports_only_the_standard_library():
         "import os\nfrom . import x\nif T:\n    import numpy as np\n"
         "def f():\n    from hypothesis.strategies import integers\n    import geompair.cli\n"
     ) == ["numpy", "hypothesis.strategies"]
+
+
+def test_no_test_module_imports_another():
+    # what tests share lives in helper modules, such as codec_families and child
+    modules = sorted(TESTS.glob("test_*.py"))
+    assert len(modules) >= 15
+    found = {path.name: _test_module_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert not {name: imports for name, imports in found.items() if imports}
+    # the check sees imports inside functions, and only of test_ modules
+    assert _test_module_imports(
+        "import codec_families\nfrom test_batch import geometric_pairs\n"
+        "def f():\n    import test_cli as cli\n    from child import run_child\n"
+    ) == ["test_batch", "test_cli"]

@@ -1,18 +1,15 @@
-"""The codecs' decoders against the reference decoders, and the batch
-encoder against the per-pair one.
+"""The codecs' decoders against the reference decoders.
 
 Each codec has one decoder, its family loop ``_decode_run``: ``decode``
 is one pair of it, and ``decode_many`` reads a stream of short codewords
 through the shared decode table and hands the rest to it.  Both must
 return exactly what a loop of the reference decoders of
-``test_fast_paths`` returns (they read the original codes with the
+``codec_families`` returns (they read the original codes with the
 ``BitReader`` primitives), leave the reader at the same bit, and run off
 the end of a stream at the same pair and start bit, through the table (a
 stream of at most TABLE_BITS bits per pair) and through the family loop;
 ``decode_text`` must print exactly the components that ``decode_many``
-returns, and fail where it fails; ``encode_many`` must emit the bytes of
-the generic ``PairCodec.encode_many``, which writes one ``codeword`` at a
-time.
+returns, and fail where it fails.
 Small ``BitReader`` windows make codewords and table lookups straddle
 window ends, where the family loop reloads its window, and make runs of
 ones longer than a window, which it reads with ``read_unary``.
@@ -23,42 +20,12 @@ import functools
 import random
 
 import pytest
-from codec_families import FAMILIES
-from test_fast_paths import reference
+from codec_families import FAMILIES, geometric_pairs, power_of_two_pairs, reference, table_built
 
-from geompair.basecodes import TABLE_BITS, PairCodec
+from geompair.basecodes import TABLE_BITS
 from geompair.bitio import BitReader, StreamExhausted
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
-
-
-def design_q(family):
-    if family.kind in ("ck", "golomb"):
-        return 2 ** (-1 / family.k)
-    if family.kind == "cminus":
-        return 2.0 ** -family.k
-    return 0.2
-
-
-def geometric_pairs(family, n, seed):
-    rng = random.Random(f"{seed}-{family.kind}-{family.k}")
-    q = design_q(family)
-
-    def geometric():
-        n = 0
-        while rng.random() < q:
-            n += 1
-        return n
-
-    return [(geometric(), geometric()) for _ in range(n)]
-
-
-def extreme_pairs(family):
-    """Zero pairs and signatures near 512 and 4096, in both orders."""
-    pairs = [(0, 0)]
-    for s in (511, 512, 513, 4095, 4096, 4097):
-        pairs += [(0, s), (s, 0), (s // 2, s - s // 2), (s - 1, 1)]
-    return pairs + [(0, 0)]
 
 
 def random_bytes(seed, n):
@@ -127,25 +94,16 @@ def per_pair(decode, data, count):
     return flat, reader.bits_consumed, None
 
 
-def batch(codec, data, count):
+def batch(read, data, count):
+    """What ``read``, a codec's ``decode_many`` or ``decode_text``, returns for
+    ``count`` pairs, as ``per_pair`` does."""
     reader = BitReader(data)
     try:
-        flat = codec.decode_many(reader, count)
+        got = read(reader, count)
     except StreamExhausted as exc:
         assert str(exc) == ends(data, exc.start)
         return None, None, (exc.pair, exc.start)
-    return flat, reader.bits_consumed, None
-
-
-def text_batch(codec, data, count):
-    """``batch`` of ``decode_text``, its text in place of the components."""
-    reader = BitReader(data)
-    try:
-        text = codec.decode_text(reader, count)
-    except StreamExhausted as exc:
-        assert str(exc) == ends(data, exc.start)
-        return None, None, (exc.pair, exc.start)
-    return text, reader.bits_consumed, None
+    return got, reader.bits_consumed, None
 
 
 def assert_same_decode(family, data, count, single=False):
@@ -155,26 +113,24 @@ def assert_same_decode(family, data, count, single=False):
     same pair and start bit where the stream runs out."""
     want = reference_decode(family, data, count)
     codec = make_codec(family)
-    got = batch(codec, data, count)
+    got = batch(codec.decode_many, data, count)
     if want[2] is None:
         assert got == want
     else:
         assert got[2] == want[2]
     flat, end, exhausted = got
     text = None if flat is None else "%d %d\n" * count % tuple(flat)
-    assert text_batch(codec, data, count) == (text, end, exhausted)
+    assert batch(codec.decode_text, data, count) == (text, end, exhausted)
     if single:
         assert per_pair(codec.decode, data, count) == want
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_decode_many_matches_decode_on_encoded_streams(family):
+    # counts short of the stream, and past its end into the padding
     codec = make_codec(family)
-    for pairs in (geometric_pairs(family, 500, "stream"), extreme_pairs(family)):
-        data, nbits = codec.encode_many(pairs)
-        reader = BitReader(data)
-        assert codec.decode_many(reader, len(pairs)) == [x for pair in pairs for x in pair]
-        assert reader.bits_consumed == nbits
+    for pairs in (geometric_pairs(family, 500, "stream"), power_of_two_pairs()):
+        data, _ = codec.encode_many(pairs)
         for count in (0, 1, len(pairs) // 2, len(pairs), len(pairs) + 1, 8 * len(data)):
             assert_same_decode(family, data, count)
 
@@ -192,7 +148,7 @@ def test_decode_many_matches_decode_on_arbitrary_bytes(family):
 def test_decode_many_matches_decode_across_small_windows(monkeypatch, family, window):
     monkeypatch.setattr(BitReader, "WINDOW_BYTES", window)
     codec = make_codec(family)
-    pairs = geometric_pairs(family, 120, window) + extreme_pairs(family)[:5]
+    pairs = geometric_pairs(family, 120, window) + power_of_two_pairs()[:5]
     data, _ = codec.encode_many(pairs)
     assert_same_decode(family, data, len(pairs), single=True)
     assert_same_decode(family, data[: len(data) * 2 // 3], len(pairs), single=True)
@@ -207,23 +163,6 @@ def test_decode_many_matches_decode_across_small_windows(monkeypatch, family, wi
         runs = long_runs(f"{family.label()}-r", 200 if family.kind == "cminus" else 8 * window, 2)
     for cut in (len(runs), len(runs) * 2 // 3, len(runs) // 3):
         assert_same_decode(family, runs[:cut], 8 * cut, single=True)
-
-
-@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
-def test_encode_many_matches_generic_path(family):
-    codec = make_codec(family)
-    rng = random.Random(family.label())
-    cases = [
-        [],
-        geometric_pairs(family, 3000, "encode"),  # crosses the flush threshold
-        extreme_pairs(family),
-        [(0, 20000), (20000, 0), (0, 0), (12345, 6789)],
-        [(rng.randrange(600), rng.randrange(600)) for _ in range(200)],
-    ]
-    for pairs in cases:
-        assert codec.encode_many(pairs) == PairCodec.encode_many(codec, pairs)
-        # any iterable of pairs, e.g. the CLI's zip over the flat integers
-        assert codec.encode_many(iter(pairs)) == PairCodec.encode_many(codec, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +209,6 @@ def test_truncation_at_every_byte_names_the_same_pair_and_bit(tmp_path, capsys, 
 # ---------------------------------------------------------------------------
 # The two branches of decode_many: the shared table and the family loop
 # ---------------------------------------------------------------------------
-
-
-def table_built(codec):
-    return "_decode_table" in vars(codec)
 
 
 def short_stream(family, n, seed):

@@ -1,20 +1,20 @@
 import gc
 import io
-import os
 import random
 import struct
-import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from child import run_child
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geompair
 from geompair import analysis
+from geompair.bitio import BitReader
 from geompair.cli import COMMANDS, HEADER, MAGIC, ParseError, _scan, _tokens, build_parser, main
 from geompair.families import FAMILY_FROM_BYTE, CodeFamily, make_codec
 from geompair.oracle import build_truncated_source, truncated_huffman
@@ -192,17 +192,23 @@ def test_trailing_bytes_name_their_payload_bit(tmp_path, capsys):
     assert err == "geompair: 15 bits beyond final pair, starting at payload bit 17\n"
 
 
-def test_nonzero_padding_names_its_payload_bit(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    src.write_text("2 1 0 0 5 3")
+def test_nonzero_padding_names_its_payload_bit(tmp_path, capsys, monkeypatch):
+    # with 9-byte windows, the streams of 65 bits and more end past the
+    # first window, and the padding check reads a window that starts at
+    # the padding's byte
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", 9)
     enc = tmp_path / "enc.bin"
-    run(capsys, "encode", str(src), "--family", "ck", "--k", "1", "--out", str(enc))
-    blob = enc.read_bytes()
-    enc.write_bytes(blob[:-1] + bytes([blob[-1] | 1]))
-    code, out, err = run(capsys, "decode", str(enc))
-    assert code == 2
-    assert out == ""
-    assert err == "geompair: nonzero padding bits, starting at payload bit 17\n"
+    for nbits in (n for n in range(17, 90) if n % 8):
+        count = (nbits - 2) // 5
+        pairs = [(1, 2)] * count + [(nbits - 5 * count - 2, 0)]  # ck k=1: 5-bit codewords, then the rest
+        payload, written = make_codec(CodeFamily("ck", 1)).encode_many(pairs)
+        assert written == nbits
+        enc.write_bytes(_container(payload, len(pairs), k=1))
+        assert run(capsys, "decode", str(enc)) == (0, "1 2\n" * count + f"{pairs[-1][0]} 0\n", "")
+        for bit in range(-nbits % 8):  # each padding bit set alone
+            enc.write_bytes(_container(payload[:-1] + bytes([payload[-1] | 1 << bit]), len(pairs), k=1))
+            assert run(capsys, "decode", str(enc)) == (
+                2, "", f"geompair: nonzero padding bits, starting at payload bit {nbits}\n")
 
 
 def test_invalid_family_param(tmp_path, capsys):
@@ -237,7 +243,7 @@ def test_encode_of_a_pair_too_large_to_encode_exits_2(tmp_path, family):
     src = tmp_path / "in.txt"
     src.write_text("99999999999999999999 0\n")
     out_path = tmp_path / "out.bin"
-    child = _run_child("-m", "geompair.cli", "encode", str(src), "--family", *family,
+    child = run_child("-m", "geompair.cli", "encode", str(src), "--family", *family,
                        "--out", str(out_path), timeout=20)
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("geompair: a pair's codeword is too long to encode")
@@ -370,7 +376,7 @@ def test_sweep_oracle_column_empty_without_flag(capsys):
 )
 def test_bad_step_and_tol_exit_2_promptly(argv, message):
     # in a child, so that a grid or bisection that never ends fails the test
-    child = _run_child("-m", "geompair.cli", *argv, timeout=10)
+    child = run_child("-m", "geompair.cli", *argv, timeout=10)
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("geompair: ") and message in child.stderr
 
@@ -380,7 +386,7 @@ def test_bad_step_and_tol_exit_2_promptly(argv, message):
                                   ["params", "--k-max", "1000000000"]])
 def test_oversized_tables_exit_2_promptly(argv):
     # in a child, so that a table built row by row fails the test by its timeout
-    child = _run_child("-m", "geompair.cli", *argv, timeout=10)
+    child = run_child("-m", "geompair.cli", *argv, timeout=10)
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("geompair: ") and "more than 1000000 rows" in child.stderr
 
@@ -410,7 +416,7 @@ def test_select_negative_mean_exits_2(capsys):
 def test_select_huge_mean_is_prompt():
     # the Golomb order here is about 6.9e11: a search linear in it takes hours
     start = time.perf_counter()
-    child = _run_child("-m", "geompair.cli", "select", "--mean", "1e12")
+    child = run_child("-m", "geompair.cli", "select", "--mean", "1e12")
     assert time.perf_counter() - start < 5.0
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith("golomb k=")
@@ -672,19 +678,10 @@ def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
     assert "bitstream truncated in pair 2 (0-based), which starts at payload bit 7" in err
 
 
-def _run_child(*args, timeout=120, input=None, text=True):
-    src = str(Path(geompair.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("PYTHONUNBUFFERED", None)  # the standard streams buffered, as a program's are
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          input=input, text=text, timeout=timeout)
-
-
 def test_program_mode_freezes_the_start_up_heap():
     # main() with no argv runs as the program: the heap start-up made is
     # frozen, and the collector stays on for what the command allocates
-    child = _run_child("-c", (
+    child = run_child("-c", (
         "import gc, sys\n"
         "from geompair.cli import main\n"
         "print(gc.get_freeze_count())\n"
@@ -715,7 +712,7 @@ def test_program_mode_flushes_the_standard_streams(tmp_path, capsysbinary, monke
     text = "".join(f"{rng.randrange(1000)} {rng.randrange(1000)}\n" for _ in range(count)).encode()
     assert len(text) > 65536 or len(text) < io.DEFAULT_BUFFER_SIZE
     argv = ["encode", "--family", "ck", "--k", "3"]  # stdin to stdout
-    child = _run_child("-m", "geompair.cli", *argv, input=text, text=False)
+    child = run_child("-m", "geompair.cli", *argv, input=text, text=False)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text), encoding="ascii"))
     code = main(argv)
     container, err = capsysbinary.readouterr()
@@ -723,30 +720,21 @@ def test_program_mode_flushes_the_standard_streams(tmp_path, capsysbinary, monke
     assert code == 0 and err.startswith(f"encoded {count} pairs, ".encode())
     path = tmp_path / "enc.bin"
     path.write_bytes(container)
-    child = _run_child("-m", "geompair.cli", "decode", str(path), text=False)
+    child = run_child("-m", "geompair.cli", "decode", str(path), text=False)
     code = main(["decode", str(path)])
     out, err = capsysbinary.readouterr()
     assert (child.returncode, child.stdout, child.stderr) == (code, out, err) == (0, text, b"")
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    child = _run_child("-c", "import sys, geompair.cli; print('numpy' in sys.modules)")
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "False"
-    child = _run_child("-m", "geompair.cli", "oracle", "--q", "0.5")
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.startswith("4.000000 ±")
-
-
-def test_oracle_paths_leave_numpy_unloaded():
-    child = _run_child("-c", (
+def test_oracle_paths_leave_dataclasses_and_inspect_unloaded():
+    child = run_child("-c", (
         "import sys\n"
         "from geompair.cli import main\n"
         "main(['oracle', '--q', '0.95'])\n"
         "main(['sweep', '--q-lo', '0.9', '--q-hi', '0.95', '--with-oracle', '--out', '-'])\n"
         "from geompair.oracle import oracle_optimal_avg_len\n"
         "print(oracle_optimal_avg_len(0.98, 1e-9))\n"
-        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     ))
     assert child.returncode == 0, child.stderr
     oracle_line, *sweep_lines, value_line, loaded_line = child.stdout.splitlines()
@@ -761,7 +749,7 @@ def test_oracle_paths_leave_numpy_unloaded():
 def test_package_runs_without_numpy():
     # numpy is a test dependency only: with its import blocked, every public
     # name resolves and the oracle and its commands give the same results
-    child = _run_child("-c", (
+    child = run_child("-c", (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "import geompair\n"
@@ -799,7 +787,7 @@ def test_codec_path_leaves_analysis_and_records_machinery_unloaded(tmp_path):
     enc, dec = str(tmp_path / "enc.bin"), str(tmp_path / "dec.txt")
     unloaded = ("dataclasses", "fractions", "geompair.analysis", "geompair.oracle")
     parser_modules = ("argparse", "gettext", "locale")
-    child = _run_child("-c", (
+    child = run_child("-c", (
         "import sys\n"
         "import geompair.cli\n"
         f"print([m for m in {unloaded + parser_modules!r} if m in sys.modules])\n"

@@ -17,11 +17,10 @@ import random
 import sys
 
 import pytest
-from codec_families import FAMILIES
+from child import run_child
+from codec_families import FAMILIES, geometric_pairs, table_built
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_batch import geometric_pairs, table_built
-from test_cli import _run_child
 
 from geompair.basecodes import MISS_SHARE, PROBE_PAIRS, GolombPairCodec
 from geompair.ck_codec import CkCodec
@@ -148,7 +147,7 @@ def test_pair_too_large_among_view_hits_exits_2_as_alone(tmp_path):
     lone.write_text("99999999999999999999 0\n")
     among.write_text(hits_around("99999999999999999999 0"))
     out = str(tmp_path / "out.bin")
-    child = _run_child("-c", (
+    child = run_child("-c", (
         "import contextlib, io\n"
         "from geompair.cli import main\n"
         "for family in (['limit'], ['cminus', '--k', '2'], ['ck', '--k', '3'],\n"
