@@ -1,6 +1,6 @@
 """The code families that the codec tests run over, the reference codecs
-they are checked against, and the corpus of pairs that each family is
-checked on.
+they are checked against, the length model, and the corpus of pairs that
+each family is checked on.
 
 The ``Ref*`` codecs are the package's original ones.  Their encoders
 built every codeword by concatenating ``Codeword`` objects, looked the ck
@@ -14,11 +14,10 @@ every signature from 0.
 
 import functools
 import random
-from collections import namedtuple
 
-from geompair.basecodes import quasi_uniform_shape
+from geompair.basecodes import golomb_length, quasi_uniform_shape
 from geompair.bitio import BitWriter, Codeword
-from geompair.cminus_codec import signature_length_row
+from geompair.cminus_codec import limit_row, signature_length_row
 from geompair.families import CodeFamily
 from geompair.fringe2 import top_code_params, top_code_symbols
 
@@ -28,10 +27,6 @@ FAMILIES = (
     + [CodeFamily("limit")]
     + [CodeFamily("golomb", k) for k in (1, 2, 3, 7)]
 )
-# and more orders, on a smaller corpus
-PROPERTY_FAMILIES = FAMILIES + [CodeFamily("ck", k) for k in (4, 5, 7, 8, 9, 32)] + [
-    CodeFamily("cminus", 5), CodeFamily("cminus", 6), CodeFamily("golomb", 255),
-]
 
 
 def top_codeword(codec, a, b):
@@ -243,6 +238,18 @@ def reference_stream(family, pairs):
     return codewords, writer.getvalue(), writer.bits_written
 
 
+def modelled_length(family, pair):
+    """Codeword length from the family's length model, not from its encoder."""
+    i, j = pair
+    k = family.k
+    if family.kind == "ck":
+        return reference(family).table[i % k, j % k].length + i // k + j // k + 2
+    if family.kind == "golomb":
+        return golomb_length(k, i) + golomb_length(k, j)
+    row = limit_row(i + j) if family.kind == "limit" else signature_length_row(k, i + j)
+    return row.lam if i < row.n_short else row.lam + 1
+
+
 # ---------------------------------------------------------------------------
 # Pairs
 # ---------------------------------------------------------------------------
@@ -299,41 +306,17 @@ def power_of_two_pairs():
 FAR_PAIRS = [(0, 20000), (20000, 0), (0, 0), (12345, 6789), (1, 4096), (4096, 1)]
 
 
-# every pair of these signatures is checked: by the length interface in
-# every family of FAMILIES, and in the limit code also decoded pair by
-# pair, at every block position on both sides of 512, 1024 and 4096
-SIGNATURES = (*range(200), 511, 4095)
-LIMIT_SIGNATURES = (*range(300), *(s + d for s in (511, 1023, 4095) for d in (-1, 0, 1)))
-
-
-def signature_pairs(signatures):
-    return [(i, s - i) for s in signatures for i in range(s + 1)]
-
-
-Corpus = namedtuple("Corpus", "streams signatures decoded_signatures")
-
-
 @functools.cache
 def corpus(family):
-    """What the codec properties of ``family`` run over: streams of pairs
-    (those of every test these properties replace, and every pair of the
-    signatures below 32, which holds each pair of the encode table), the
-    signatures whose lengths are checked, and those whose every pair is
-    decoded pair by pair only: the limit code's, of up to 45 000 bits."""
+    """The streams of pairs that the codec properties of ``family`` run
+    over: those of every test these properties extend, and every pair of
+    the signatures below 32, which holds each pair of the encode table."""
     rng = random.Random(family.label())
-    streams = [signature_pairs(range(32)), [(rng.randrange(600), rng.randrange(600)) for _ in range(200)]]
-    # the wider uniform draws of the roundtrip tests these properties replace
-    if family.kind == "ck" and family.k in (1, 2, 3, 4, 7, 9, 16, 32):
-        rng = random.Random(family.k)
-        streams.append([(rng.randint(0, 10_000), rng.randint(0, 10_000)) for _ in range(400)])
-    elif family.kind == "cminus" and family.k <= 6 or family.kind == "limit":
-        rng = random.Random(4 if family.kind == "limit" else 10 * family.k)
-        streams.append([(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(200)])
-    if family not in FAMILIES:
-        return Corpus(tuple(map(tuple, streams)), (), ())
     mixed = random_pairs(family)
-    streams += [
+    streams = [
         [],
+        [(i, s - i) for s in range(32) for i in range(s + 1)],
+        [(rng.randrange(600), rng.randrange(600)) for _ in range(200)],
         mixed,
         random_pairs(family, 1000),  # crosses the writer's flush threshold
         extreme_pairs(family),
@@ -344,5 +327,4 @@ def corpus(family):
         geometric_pairs(family, 3000, "encode"),
         power_of_two_pairs(),
     ]
-    deep = LIMIT_SIGNATURES if family.kind == "limit" else ()
-    return Corpus(tuple(map(tuple, streams)), SIGNATURES, deep)
+    return tuple(map(tuple, streams))

@@ -1,4 +1,5 @@
-"""The codecs' decoders against the reference decoders.
+"""The codecs' decoders against the reference decoders, and the batch
+encoder against the per-pair one.
 
 Each codec has one decoder, its family loop ``_decode_run``: ``decode``
 is one pair of it, and ``decode_many`` reads a stream of short codewords
@@ -9,7 +10,9 @@ return exactly what a loop of the reference decoders of
 the end of a stream at the same pair and start bit, through the table (a
 stream of at most TABLE_BITS bits per pair) and through the family loop;
 ``decode_text`` must print exactly the components that ``decode_many``
-returns, and fail where it fails.
+returns, and fail where it fails; ``encode_many`` must emit the bytes of
+the generic ``PairCodec.encode_many``, which writes one ``codeword`` at a
+time.
 Small ``BitReader`` windows make codewords and table lookups straddle
 window ends, where the family loop reloads its window, and make runs of
 ones longer than a window, which it reads with ``read_unary``.
@@ -22,7 +25,7 @@ import random
 import pytest
 from codec_families import FAMILIES, geometric_pairs, power_of_two_pairs, reference, table_built
 
-from geompair.basecodes import TABLE_BITS
+from geompair.basecodes import TABLE_BITS, PairCodec
 from geompair.bitio import BitReader, StreamExhausted
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
@@ -163,6 +166,23 @@ def test_decode_many_matches_decode_across_small_windows(monkeypatch, family, wi
         runs = long_runs(f"{family.label()}-r", 200 if family.kind == "cminus" else 8 * window, 2)
     for cut in (len(runs), len(runs) * 2 // 3, len(runs) // 3):
         assert_same_decode(family, runs[:cut], 8 * cut, single=True)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_encode_many_matches_generic_path(family):
+    codec = make_codec(family)
+    rng = random.Random(family.label())
+    cases = [
+        [],
+        geometric_pairs(family, 3000, "encode"),  # crosses the flush threshold
+        power_of_two_pairs(),
+        [(0, 20000), (20000, 0), (0, 0), (12345, 6789)],
+        [(rng.randrange(600), rng.randrange(600)) for _ in range(200)],
+    ]
+    for pairs in cases:
+        assert codec.encode_many(pairs) == PairCodec.encode_many(codec, pairs)
+        # any iterable of pairs, e.g. the CLI's zip over the flat integers
+        assert codec.encode_many(iter(pairs)) == PairCodec.encode_many(codec, pairs)
 
 
 # ---------------------------------------------------------------------------

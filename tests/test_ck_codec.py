@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,19 @@ def test_top_code_parameter_cache_is_bounded():
     assert info.currsize == info.maxsize
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 9, 16, 32])
+def test_roundtrip_random_pairs(k):
+    codec = CkCodec(k)
+    rng = random.Random(k)
+    pairs = [(rng.randint(0, 10_000), rng.randint(0, 10_000)) for _ in range(400)]
+    w = BitWriter()
+    for p in pairs:
+        codec.encode_to(w, p)
+    r = BitReader(w.getvalue())
+    assert [codec.decode(r) for _ in pairs] == pairs
+    assert r.bits_remaining < 8
+
+
 def test_decode_on_truncated_stream():
     codec = CkCodec(3)
     w = BitWriter()
@@ -39,6 +54,17 @@ def test_decode_on_truncated_stream():
     r = BitReader(data)
     with pytest.raises(StreamExhausted):
         codec.decode(r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_kraft_completeness_truncated(k):
+    codec = CkCodec(k)
+    bound = 64 * k
+    lengths = [codec.length_of((i, j)) for i in range(bound) for j in range(bound)]
+    top = max(lengths)
+    # the exact sum, in units of 2^-top
+    total = Fraction(sum(1 << (top - length) for length in lengths), 1 << top)
+    assert 0 < 1 - total < 2 * Fraction(1, 2) ** (bound // k)
 
 
 def test_length_of_matches_encode():

@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -78,6 +80,18 @@ def test_encode_signature1_k2_lengths():
     assert codec.encode((1, 0)).length == 3
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_roundtrip_random_pairs(k):
+    codec = CminusCodec(k)
+    rng = random.Random(10 * k)
+    pairs = [(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(200)]
+    w = BitWriter()
+    for p in pairs:
+        codec.encode_to(w, p)
+    r = BitReader(w.getvalue())
+    assert [codec.decode(r) for _ in pairs] == pairs
+
+
 def test_decode_truncated_stream():
     codec = CminusCodec(3)
     w = BitWriter()
@@ -85,6 +99,19 @@ def test_decode_truncated_stream():
     r = BitReader(w.getvalue()[:10])
     with pytest.raises(StreamExhausted):
         codec.decode(r)
+
+
+def test_lengths_follow_rows():
+    codec = CminusCodec(4)
+    for s in range(40):
+        row = signature_length_row(4, s)
+        lens = Counter(codec.encode((i, s - i)).length for i in range(s + 1))
+        expected = Counter()
+        if row.n_short:
+            expected[row.lam] = row.n_short
+        if row.n_long:
+            expected[row.lam + 1] = row.n_long
+        assert lens == expected
 
 
 def test_codeword_of_a_deep_signature_keeps_no_state():
@@ -145,12 +172,49 @@ def test_limit_encode_examples(pair, bits):
     assert LimitCodec().encode(pair).bits() == bits
 
 
+def test_limit_roundtrip():
+    rng = random.Random(4)
+    pairs = [(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(200)]
+    codec = LimitCodec()
+    w = BitWriter()
+    for p in pairs:
+        codec.encode_to(w, p)
+    r = BitReader(w.getvalue())
+    assert [codec.decode(r) for _ in pairs] == pairs
+
+
+def test_limit_decode_every_pair_of_a_signature():
+    # every block position, at signatures on both sides of each power of two
+    sigs = list(range(300)) + [s + d for s in (511, 1023, 4095) for d in (-1, 0, 1)]
+    pairs = [(i, s - i) for s in sigs for i in range(s + 1)]
+    codec = LimitCodec()
+    w = BitWriter()
+    for p in pairs:
+        codec.encode_to(w, p)
+    r = BitReader(w.getvalue())
+    assert [codec.decode(r) for _ in pairs] == pairs
+    assert r.bits_consumed == w.bits_written
+
+
 def test_limit_decode_exhaustion():
     w = BitWriter()
     LimitCodec().encode_to(w, (40, 40))
     r = BitReader(w.getvalue()[:4])
     with pytest.raises(StreamExhausted):
         LimitCodec().decode(r)
+
+
+def test_limit_distribution_small_signatures():
+    codec = LimitCodec()
+    for s in range(65):
+        row = limit_row(s)
+        lens = Counter(codec.encode((i, s - i)).length for i in range(s + 1))
+        expected = Counter()
+        if row.n_short:
+            expected[row.lam] = row.n_short
+        if row.n_long:
+            expected[row.lam + 1] = row.n_long
+        assert lens == expected
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -173,3 +237,10 @@ def test_limit_signature_lengths_follow_limit_row():
     for s in [*range(5000), 2**70, 2**200 + 12345]:
         _, lam, n_short, n_long = limit_row(s)
         assert codec.signature_lengths(s) == ((lam, n_short), (lam + 1, n_long))
+
+
+def test_limit_codec_facade():
+    codec = LimitCodec()
+    w = BitWriter()
+    codec.encode_to(w, (3, 5))
+    assert codec.decode(BitReader(w.getvalue())) == (3, 5)

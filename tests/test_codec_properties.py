@@ -4,27 +4,24 @@ corpus (``codec_families.corpus``):
 - bytes: the reference stream of each corpus stream equals ``encode`` pair
   by pair, an ``encode_to`` loop, ``encode_many`` of the list and of an
   iterator, ``PairCodec.encode_many`` and ``encode_tokens``, the CLI's route;
-- lengths: each pair's codeword has the length the family's model gives,
-  and ``signature_lengths(s)`` the lengths of the codewords of signature s;
+- lengths: each pair's codeword has the length the family's model gives;
 - roundtrip: per-pair ``decode``, the reference decoder, ``decode_many``
-  and ``decode_text`` give the pairs back and stop at the stream's bit count;
-- Kraft equality: each code is complete.
+  and ``decode_text`` give the pairs back and stop at the stream's bit count.
 
 The families run one at a time, each building its reference streams once.
+Kraft equality is in ``test_kraft``, the length interface
+``signature_lengths`` in ``test_signature_lengths``.
 """
 
-from collections import Counter
-from fractions import Fraction
-
 import pytest
-from codec_families import PROPERTY_FAMILIES, corpus, reference, reference_stream, signature_pairs
+from codec_families import FAMILIES, corpus, modelled_length, reference, reference_stream
 
-from geompair.basecodes import PairCodec, golomb_length
+from geompair.basecodes import PairCodec
 from geompair.bitio import BitReader, BitWriter
-from geompair.cminus_codec import limit_row, signature_length_row, signature_row
 from geompair.families import CodeFamily, make_codec
 
-@pytest.fixture(scope="module", params=PROPERTY_FAMILIES, ids=CodeFamily.label)
+
+@pytest.fixture(scope="module", params=FAMILIES, ids=CodeFamily.label)
 def family(request):
     return request.param
 
@@ -32,7 +29,7 @@ def family(request):
 @pytest.fixture(scope="module")
 def streams(family):
     """Each stream of the corpus with its reference codewords, bytes and bit count."""
-    return [(list(pairs), *reference_stream(family, pairs)) for pairs in corpus(family).streams]
+    return [(list(pairs), *reference_stream(family, pairs)) for pairs in corpus(family)]
 
 
 def test_bytes(family, streams):
@@ -53,30 +50,11 @@ def test_bytes(family, streams):
             assert got == (data, nbits), route
 
 
-def modelled_length(family, pair):
-    """Codeword length from the family's length model, not from its encoder."""
-    i, j = pair
-    k = family.k
-    if family.kind == "ck":
-        return reference(family).table[i % k, j % k].length + i // k + j // k + 2
-    if family.kind == "golomb":
-        return golomb_length(k, i) + golomb_length(k, j)
-    row = limit_row(i + j) if family.kind == "limit" else signature_length_row(k, i + j)
-    return row.lam if i < row.n_short else row.lam + 1
-
-
 def test_lengths(family, streams):
     codec = make_codec(family)
     for pairs, *_ in streams:
         for pair in pairs:
             assert codec.codeword(pair)[1] == modelled_length(family, pair), pair
-    for s in corpus(family).signatures:
-        groups = codec.signature_lengths(s)
-        assert sum(count for _, count in groups) == s + 1, s
-        got = Counter()
-        for length, count in groups:
-            got[length] += count
-        assert +got == Counter(codec.codeword((i, s - i))[1] for i in range(s + 1)), s
 
 
 def decoded(data, read):
@@ -100,37 +78,4 @@ def test_roundtrip(family, streams):
             assert decoded(data, lambda r: [ref.decode(r) for _ in pairs]) == (pairs, nbits)
         assert decoded(data, lambda r: codec.decode_many(r, count)) == (flat, nbits)
         assert decoded(data, lambda r: codec.decode_text(r, count)) == (text, nbits)
-    pairs = signature_pairs(corpus(family).decoded_signatures)
-    data, nbits = codec.encode_many(pairs)
-    assert decoded(data, lambda r: [codec.decode(r) for _ in pairs]) == (pairs, nbits)
 
-
-# ---------------------------------------------------------------------------
-# Kraft equality
-# ---------------------------------------------------------------------------
-
-# ck and golomb send a code on the residue pairs [0, k)^2, then two unary
-# quotients, whose runs of ones sum to 1 on their own: the code is complete
-# when the residue codewords, less their unary zeros, sum to 1.  The
-# canonical cminus and limit codewords of the signatures up to S fill the
-# code space up to the first value of signature S + 1, so they sum to
-# 1 - D_{S+1} / 2^Lambda_{S+1} (signature_row), within 2^-S of 1.
-KRAFT_SIGNATURES = 200
-
-
-def test_kraft_equality(family):
-    codec = make_codec(family)
-    if family.kind in ("ck", "golomb"):
-        k = family.k
-        lengths = [codec.codeword((a, b))[1] - 2 for a in range(k) for b in range(k)]
-        top = max(lengths)
-        assert sum(1 << (top - length) for length in lengths) == 1 << top
-        return
-    total = sum(
-        Fraction(count, 1 << length)
-        for s in range(KRAFT_SIGNATURES + 1)
-        for length, count in codec.signature_lengths(s)
-    )
-    lam, _, _, deficit = signature_row(codec.k, KRAFT_SIGNATURES + 1)
-    assert total == 1 - Fraction(deficit, 1 << lam)
-    assert 0 < 1 - total < Fraction(1, 1 << KRAFT_SIGNATURES)

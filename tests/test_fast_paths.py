@@ -1,18 +1,20 @@
 """The codecs' encoders and decoders against the reference codecs of
-``codec_families`` where the property suite does not reach: the
-truncated streams of every family, the ck top code of every order up to
-64, arbitrary bytes, and the closed-form cminus rows against the
-reference allocation.
+``codec_families``: on the mixed and extreme pairs of every family, on
+truncated streams, on the ck top code of every order up to 64, on
+arbitrary bytes, and the closed-form cminus rows against the reference
+allocation.  ``test_codec_properties`` holds the same encode, length and
+decode properties on each family's whole corpus.
 """
 
 import random
 
 import pytest
-from codec_families import (FAMILIES, RefCminus, RefLimit, canonical_codewords, extreme_pairs,
-                            random_pairs, reference, reference_stream, top_codeword)
+from codec_families import (FAMILIES, FAR_PAIRS, RefCminus, RefLimit, canonical_codewords,
+                            extreme_pairs, modelled_length, random_pairs, reference,
+                            reference_stream, top_codeword)
 
 from geompair.basecodes import PairCodec
-from geompair.bitio import BitReader, Codeword, StreamExhausted
+from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import signature_row
 from geompair.families import CodeFamily, make_codec
@@ -25,6 +27,25 @@ def test_canonical_codewords():
         canonical_codewords([2, 1])
     with pytest.raises(ValueError):
         canonical_codewords([1, 1, 1])
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+@pytest.mark.parametrize("kind", ["random", "extreme"])
+def test_encoders_match_reference(family, kind):
+    pairs = random_pairs(family) if kind == "random" else extreme_pairs(family)
+    codewords, data, nbits = reference_stream(family, pairs)
+    codec = make_codec(family)
+    assert [codec.encode(p) for p in pairs] == codewords
+    assert codec.encode_many(pairs) == (data, nbits)
+    writer = BitWriter()
+    for p in pairs:
+        codec.encode_to(writer, p)
+    assert (writer.getvalue(), writer.bits_written) == (data, nbits)
+    assert type(codec).decode is PairCodec.decode
+    for decode in (codec.decode, reference(family).decode):
+        reader = BitReader(data)
+        assert [decode(reader) for _ in pairs] == pairs
+        assert reader.bits_consumed == nbits
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
@@ -42,6 +63,24 @@ def test_every_truncation_raises(family):
         with pytest.raises(StreamExhausted):
             for _ in stream_pairs:
                 codec.decode(reader)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_emitted_length_equals_modelled_length(family):
+    codec = make_codec(family)
+    for pair in random_pairs(family) + extreme_pairs(family):
+        assert codec.codeword(pair)[1] == modelled_length(family, pair), pair
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_encode_many_override_matches_reference(family):
+    codec = make_codec(family)
+    assert type(codec).encode_many is not PairCodec.encode_many
+    # 1000 pairs cross the writer's flush threshold several times
+    for pairs in (FAR_PAIRS, random_pairs(family, n=1000), FAR_PAIRS + random_pairs(family)):
+        _, data, nbits = reference_stream(family, pairs)
+        assert codec.encode_many(pairs) == (data, nbits)
+        assert codec.encode_many(iter(pairs)) == (data, nbits)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
