@@ -1,6 +1,6 @@
 """The code families that the codec tests run over, the reference codecs
-they are checked against, the length model, and the corpus of pairs that
-each family is checked on.
+they are checked against, the length model, the pair generators, and the
+checks that hold a codec to them on a stream of pairs.
 
 The ``Ref*`` codecs are the package's original ones.  Their encoders
 built every codeword by concatenating ``Codeword`` objects, looked the ck
@@ -15,10 +15,10 @@ every signature from 0.
 import functools
 import random
 
-from geompair.basecodes import golomb_length, quasi_uniform_shape
-from geompair.bitio import BitWriter, Codeword
+from geompair.basecodes import PairCodec, golomb_length, quasi_uniform_shape
+from geompair.bitio import BitReader, BitWriter, Codeword
 from geompair.cminus_codec import limit_row, signature_length_row
-from geompair.families import CodeFamily
+from geompair.families import CodeFamily, make_codec
 from geompair.fringe2 import top_code_params, top_code_symbols
 
 FAMILIES = (
@@ -306,25 +306,73 @@ def power_of_two_pairs():
 FAR_PAIRS = [(0, 20000), (20000, 0), (0, 0), (12345, 6789), (1, 4096), (4096, 1)]
 
 
-@functools.cache
-def corpus(family):
-    """The streams of pairs that the codec properties of ``family`` run
-    over: those of every test these properties extend, and every pair of
-    the signatures below 32, which holds each pair of the encode table."""
-    rng = random.Random(family.label())
-    mixed = random_pairs(family)
-    streams = [
-        [],
-        [(i, s - i) for s in range(32) for i in range(s + 1)],
-        [(rng.randrange(600), rng.randrange(600)) for _ in range(200)],
-        mixed,
-        random_pairs(family, 1000),  # crosses the writer's flush threshold
-        extreme_pairs(family),
-        FAR_PAIRS,
-        FAR_PAIRS[:4],
-        FAR_PAIRS + mixed,
-        geometric_pairs(family, 500, "stream"),
-        geometric_pairs(family, 3000, "encode"),
-        power_of_two_pairs(),
+def every_pair(signatures):
+    return [(i, s - i) for s in signatures for i in range(s + 1)]
+
+
+def long_runs(seed, n, shortest, spread, tail):
+    """n runs of ``shortest`` to ``shortest + spread - 1`` ones, each
+    followed by a zero and ``tail`` random bits, then zeros to a byte."""
+    rng = random.Random(seed)
+    bits = "".join(
+        "1" * (shortest + rng.randrange(spread)) + "0" + format(rng.getrandbits(tail), f"0{tail}b")
+        for _ in range(n)
+    )
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+# ---------------------------------------------------------------------------
+# The checks
+# ---------------------------------------------------------------------------
+
+
+def assert_lengths(family, pairs):
+    """Each pair's codeword has the length of the family's model."""
+    codec = make_codec(family)
+    for pair in pairs:
+        assert codec.codeword(pair)[1] == modelled_length(family, pair), pair
+
+
+def assert_decodes(codec, pairs):
+    """A loop of ``decode`` reads ``pairs`` back from ``encode_many``'s stream, to its last bit."""
+    data, nbits = codec.encode_many(pairs)
+    reader = BitReader(data)
+    assert [codec.decode(reader) for _ in pairs] == pairs
+    assert reader.bits_consumed == nbits
+
+
+def assert_codes(family, pairs):
+    """Every encode route of the codec of ``family``, ``encode_tokens`` (the
+    CLI's) and the generic ``PairCodec.encode_many`` among them, gives the
+    reference stream of ``pairs``; every decode route and the reference
+    decoder read the pairs back from it and stop at its last bit."""
+    codewords, data, nbits = reference_stream(family, pairs)
+    codec = make_codec(family)
+    assert [codec.encode(p) for p in pairs] == codewords
+    writer = BitWriter()
+    for p in pairs:
+        codec.encode_to(writer, p)
+    flat = [x for pair in pairs for x in pair]
+    for route, got in (
+        ("encode_to", (writer.getvalue(), writer.bits_written)),
+        ("encode_many", codec.encode_many(pairs)),
+        ("encode_many of an iterator", codec.encode_many(iter(pairs))),
+        ("PairCodec.encode_many", PairCodec.encode_many(codec, pairs)),
+        ("encode_tokens", codec.encode_tokens(list(map(str, flat)))),
+    ):
+        assert got == (data, nbits), route
+    count = len(pairs)
+    reads = [
+        (lambda r: [codec.decode(r) for _ in pairs], pairs),
+        (lambda r: codec.decode_many(r, count), flat),
+        (lambda r: codec.decode_text(r, count), "%d %d\n" * count % tuple(flat)),
     ]
-    return tuple(map(tuple, streams))
+    # the cminus and limit reference decoders walk every signature from 0
+    # for each pair, so they read only streams of short walks
+    if family.kind in ("ck", "golomb") or sum(flat) + count <= 20_000:
+        reads.append((lambda r: [reference(family).decode(r) for _ in pairs], pairs))
+    for read, want in reads:
+        reader = BitReader(data)
+        assert read(reader) == want
+        assert reader.bits_consumed == nbits

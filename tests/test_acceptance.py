@@ -5,16 +5,13 @@ with ``pytest -s`` or in captured output on failure).  Expected total
 runtime is a few seconds, most of it criterion 7's roundtrips.
 """
 
-import math
 import random
-from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
-import pytest
+from codec_families import assert_decodes, assert_lengths, every_pair
 
-from geompair import analysis
 from geompair.analysis import (
     avg_len_by_series,
     avg_len_ck,
@@ -28,14 +25,13 @@ from geompair.analysis import (
     asymptotic_redundancy,
     redundancy_per_symbol,
 )
-from geompair.bitio import BitReader, BitWriter
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
-    limit_row,
     signature_length_row,
 )
+from geompair.families import CodeFamily
 from geompair.fringe2 import (
     WeightedSource,
     fringe2_optimal_range,
@@ -164,40 +160,17 @@ def test_criterion_07_cminus_structure_and_roundtrips():
             lam_128 = signature_length_row(k, 128).lam
             assert 0 < 1 - kraft <= 130 * Fraction(1, 1 << lam_128)
 
-            codec = CminusCodec(k)
             rng = random.Random(1000 + k)
-            pairs = [
-                (rng.randint(0, 256), rng.randint(0, 256)) for _ in range(10_000)
-            ]
-            writer = BitWriter()
-            for pair in pairs:
-                codec.encode_to(writer, pair)
-            reader = BitReader(writer.getvalue())
-            for pair in pairs:
-                assert codec.decode(reader) == pair
+            pairs = [(rng.randint(0, 256), rng.randint(0, 256)) for _ in range(10_000)]
+            assert_decodes(CminusCodec(k), pairs)
 
 
 def test_criterion_08_limit_code():
     with criterion(8, "limit code: roundtrip, distribution, closed form"):
         rng = random.Random(8)
-        pairs = [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(10_000)]
         limit = LimitCodec()
-        writer = BitWriter()
-        for pair in pairs:
-            limit.encode_to(writer, pair)
-        reader = BitReader(writer.getvalue())
-        for pair in pairs:
-            assert limit.decode(reader) == pair
-
-        for s in range(257):
-            row = limit_row(s)
-            got = Counter(limit.encode((i, s - i)).length for i in range(s + 1))
-            expected = Counter()
-            if row.n_short:
-                expected[row.lam] = row.n_short
-            if row.n_long:
-                expected[row.lam + 1] = row.n_long
-            assert got == expected
+        assert_decodes(limit, [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(10_000)])
+        assert_lengths(CodeFamily("limit"), every_pair(range(257)))
 
         for q in (0.05, 0.1, 0.2, 0.3):
             series = avg_len_by_series(LimitCodec(), q, 1e-10)

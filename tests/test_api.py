@@ -90,26 +90,24 @@ def test_readme_lists_the_public_api():
     assert not listed & {name for module, name in REMOVED if module == "geompair"}
 
 
-def _absolute_imports(source: str) -> list[str]:
-    """The modules of the absolute imports in ``source``, at any depth."""
+def _imports(source: str, unwanted) -> list[str]:
+    """The modules of the absolute imports in ``source``, at any depth,
+    whose top-level name ``unwanted`` accepts."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    return names
+    return [name for name in names if unwanted(name.partition(".")[0])]
 
 
 def _non_stdlib_imports(source: str) -> list[str]:
-    """The absolute imports in ``source`` that are neither in the standard
-    library nor geompair itself."""
-    allowed = sys.stdlib_module_names | {"geompair"}
-    return [name for name in _absolute_imports(source) if name.partition(".")[0] not in allowed]
+    return _imports(source, lambda top: top not in sys.stdlib_module_names | {"geompair"})
 
 
 def _test_module_imports(source: str) -> list[str]:
-    return [name for name in _absolute_imports(source) if name.startswith("test_")]
+    return _imports(source, lambda top: top.startswith("test_"))
 
 
 def test_package_imports_only_the_standard_library():

@@ -23,9 +23,10 @@ import functools
 import random
 
 import pytest
-from codec_families import FAMILIES, geometric_pairs, power_of_two_pairs, reference, table_built
+from codec_families import (FAMILIES, FAR_PAIRS, assert_codes, geometric_pairs, long_runs,
+                            power_of_two_pairs, reference, table_built)
 
-from geompair.basecodes import TABLE_BITS, PairCodec
+from geompair.basecodes import TABLE_BITS
 from geompair.bitio import BitReader, StreamExhausted
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
@@ -38,18 +39,6 @@ def random_bytes(seed, n):
         rng.choice((0xFF, 0xFE, 0x7F, 0x00)) if rng.random() < 0.3 else rng.getrandbits(8)
         for _ in range(n)
     )
-
-
-def long_runs(seed, shortest, n=4):
-    """n runs of ``shortest`` to ``shortest`` + 200 ones, each followed by a
-    zero and 20 random bits."""
-    rng = random.Random(seed)
-    bits = "".join(
-        "1" * (shortest + rng.randrange(200)) + "0" + format(rng.getrandbits(20), "020b")
-        for _ in range(n)
-    )
-    bits += "0" * (-len(bits) % 8)
-    return int(bits, 2).to_bytes(len(bits) // 8, "big")
 
 
 def ends(data, start):
@@ -130,9 +119,10 @@ def assert_same_decode(family, data, count, single=False):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_decode_many_matches_decode_on_encoded_streams(family):
-    # counts short of the stream, and past its end into the padding
     codec = make_codec(family)
     for pairs in (geometric_pairs(family, 500, "stream"), power_of_two_pairs()):
+        assert_codes(family, pairs)
+        # counts short of the stream, and past its end into the padding
         data, _ = codec.encode_many(pairs)
         for count in (0, 1, len(pairs) // 2, len(pairs), len(pairs) + 1, 8 * len(data)):
             assert_same_decode(family, data, count)
@@ -157,32 +147,25 @@ def test_decode_many_matches_decode_across_small_windows(monkeypatch, family, wi
     assert_same_decode(family, data[: len(data) * 2 // 3], len(pairs), single=True)
     arbitrary = random_bytes(f"{family.label()}-w{window}", 120)
     assert_same_decode(family, arbitrary, 8 * len(arbitrary), single=True)
-    # runs of ones longer than the window; the cminus reference keeps the
-    # first values of every signature it passes, numbers of Lambda_s bits,
-    # so at the default window its runs stay a few hundred bits long
+    # runs of ones longer than the window; the cminus reference walks
+    # every signature from 0 for each pair, so at the default window its
+    # runs stay a few hundred bits long
     if window < 64:
-        runs = long_runs(f"{family.label()}-r{window}", 8 * window)
+        runs = long_runs(f"{family.label()}-r{window}", 4, 8 * window, 200, 20)
     else:
-        runs = long_runs(f"{family.label()}-r", 200 if family.kind == "cminus" else 8 * window, 2)
+        shortest = 200 if family.kind == "cminus" else 8 * window
+        runs = long_runs(f"{family.label()}-r", 2, shortest, 200, 20)
     for cut in (len(runs), len(runs) * 2 // 3, len(runs) // 3):
         assert_same_decode(family, runs[:cut], 8 * cut, single=True)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_encode_many_matches_generic_path(family):
-    codec = make_codec(family)
     rng = random.Random(family.label())
-    cases = [
-        [],
-        geometric_pairs(family, 3000, "encode"),  # crosses the flush threshold
-        power_of_two_pairs(),
-        [(0, 20000), (20000, 0), (0, 0), (12345, 6789)],
-        [(rng.randrange(600), rng.randrange(600)) for _ in range(200)],
-    ]
-    for pairs in cases:
-        assert codec.encode_many(pairs) == PairCodec.encode_many(codec, pairs)
-        # any iterable of pairs, e.g. the CLI's zip over the flat integers
-        assert codec.encode_many(iter(pairs)) == PairCodec.encode_many(codec, pairs)
+    assert_codes(family, [])
+    assert_codes(family, geometric_pairs(family, 3000, "encode"))  # crosses the flush threshold
+    assert_codes(family, FAR_PAIRS[:4])
+    assert_codes(family, [(rng.randrange(600), rng.randrange(600)) for _ in range(200)])
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +194,13 @@ def truncation_message(family, payload, cut):
     ids=CodeFamily.label,
 )
 def test_truncation_at_every_byte_names_the_same_pair_and_bit(tmp_path, capsys, family):
-    pairs = geometric_pairs(family, 300, "truncate")
+    assert_cut_messages(tmp_path, capsys, family, geometric_pairs(family, 300, "truncate"))
+
+
+def assert_cut_messages(tmp_path, capsys, family, pairs):
+    """``decode`` of the container of ``pairs`` cut at each byte of its
+    payload prints nothing and exits 2 with the truncation message, or,
+    where the cut holds fewer bits than pairs, with the header's bound."""
     payload, _ = make_codec(family).encode_many(pairs)
     path = tmp_path / "cut.bin"
     header = HEADER.pack(MAGIC, 1, FAMILY_BYTES[family.kind], family.k, len(pairs))
@@ -221,7 +210,7 @@ def test_truncation_at_every_byte_names_the_same_pair_and_bit(tmp_path, capsys, 
         out, err = capsys.readouterr()
         assert out == ""
         if 8 * cut < len(pairs):  # the bound on the pair count rejects it first
-            assert "header claims 300 pairs" in err
+            assert f"header claims {len(pairs)} pairs" in err
         else:
             assert err == truncation_message(family, payload, cut)
 
@@ -295,14 +284,5 @@ def test_truncation_in_the_table_branch_names_the_same_pair_and_bit(monkeypatch,
                                                                     capsys, family):
     monkeypatch.setattr(BitReader, "WINDOW_BYTES", 9)
     pairs = short_stream(family, 100, "truncate")
-    payload, nbits = make_codec(family).encode_many(pairs)
-    assert nbits <= len(pairs) * TABLE_BITS
-    path = tmp_path / "cut.bin"
-    header = HEADER.pack(MAGIC, 1, FAMILY_BYTES[family.kind], family.k, len(pairs))
-    for cut in range(len(payload)):
-        path.write_bytes(header + payload[:cut])
-        assert main(["decode", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        if 8 * cut >= len(pairs):  # past the header's bound on the pair count
-            assert err == truncation_message(family, payload, cut)
+    assert make_codec(family).encode_many(pairs)[1] <= len(pairs) * TABLE_BITS
+    assert_cut_messages(tmp_path, capsys, family, pairs)

@@ -3,11 +3,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from codec_families import assert_codes
 
 from geompair.analysis import avg_len_ck_design, golomb_pair_avg_len
 from geompair.basecodes import golomb_length
-from geompair.bitio import BitReader, BitWriter, StreamExhausted
+from geompair.bitio import BitReader, StreamExhausted
 from geompair.ck_codec import CkCodec
+from geompair.families import CodeFamily
 from geompair.fringe2 import top_code_params
 
 
@@ -35,25 +37,15 @@ def test_top_code_parameter_cache_is_bounded():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 9, 16, 32])
 def test_roundtrip_random_pairs(k):
-    codec = CkCodec(k)
     rng = random.Random(k)
-    pairs = [(rng.randint(0, 10_000), rng.randint(0, 10_000)) for _ in range(400)]
-    w = BitWriter()
-    for p in pairs:
-        codec.encode_to(w, p)
-    r = BitReader(w.getvalue())
-    assert [codec.decode(r) for _ in pairs] == pairs
-    assert r.bits_remaining < 8
+    assert_codes(CodeFamily("ck", k), [(rng.randint(0, 10_000), rng.randint(0, 10_000))
+                                       for _ in range(400)])
 
 
 def test_decode_on_truncated_stream():
-    codec = CkCodec(3)
-    w = BitWriter()
-    codec.encode_to(w, (50, 2))
-    data = w.getvalue()[:2]
-    r = BitReader(data)
+    data, _ = CkCodec(3).encode_many([(50, 2)])
     with pytest.raises(StreamExhausted):
-        codec.decode(r)
+        CkCodec(3).decode(BitReader(data[:2]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])

@@ -1,7 +1,6 @@
 import gc
 import io
 import random
-import struct
 import sys
 import time
 import tracemalloc

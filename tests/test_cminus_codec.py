@@ -1,12 +1,12 @@
 import math
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import pytest
+from codec_families import assert_codes, assert_decodes, assert_lengths, every_pair
 
-from geompair.bitio import BitReader, BitWriter, StreamExhausted
+from geompair.bitio import BitReader, StreamExhausted
 from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
@@ -15,6 +15,7 @@ from geompair.cminus_codec import (
     signature_length_row,
     signature_row,
 )
+from geompair.families import CodeFamily
 
 
 @pytest.mark.parametrize(
@@ -82,36 +83,19 @@ def test_encode_signature1_k2_lengths():
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_roundtrip_random_pairs(k):
-    codec = CminusCodec(k)
     rng = random.Random(10 * k)
-    pairs = [(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(200)]
-    w = BitWriter()
-    for p in pairs:
-        codec.encode_to(w, p)
-    r = BitReader(w.getvalue())
-    assert [codec.decode(r) for _ in pairs] == pairs
+    assert_codes(CodeFamily("cminus", k), [(rng.randint(0, 2000), rng.randint(0, 2000))
+                                           for _ in range(200)])
 
 
 def test_decode_truncated_stream():
-    codec = CminusCodec(3)
-    w = BitWriter()
-    codec.encode_to(w, (60, 60))
-    r = BitReader(w.getvalue()[:10])
+    data, _ = CminusCodec(3).encode_many([(60, 60)])
     with pytest.raises(StreamExhausted):
-        codec.decode(r)
+        CminusCodec(3).decode(BitReader(data[:10]))
 
 
 def test_lengths_follow_rows():
-    codec = CminusCodec(4)
-    for s in range(40):
-        row = signature_length_row(4, s)
-        lens = Counter(codec.encode((i, s - i)).length for i in range(s + 1))
-        expected = Counter()
-        if row.n_short:
-            expected[row.lam] = row.n_short
-        if row.n_long:
-            expected[row.lam + 1] = row.n_long
-        assert lens == expected
+    assert_lengths(CodeFamily("cminus", 4), every_pair(range(40)))
 
 
 def test_codeword_of_a_deep_signature_keeps_no_state():
@@ -174,47 +158,24 @@ def test_limit_encode_examples(pair, bits):
 
 def test_limit_roundtrip():
     rng = random.Random(4)
-    pairs = [(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(200)]
-    codec = LimitCodec()
-    w = BitWriter()
-    for p in pairs:
-        codec.encode_to(w, p)
-    r = BitReader(w.getvalue())
-    assert [codec.decode(r) for _ in pairs] == pairs
+    assert_codes(CodeFamily("limit"), [(rng.randint(0, 2000), rng.randint(0, 2000))
+                                       for _ in range(200)])
 
 
 def test_limit_decode_every_pair_of_a_signature():
     # every block position, at signatures on both sides of each power of two
-    sigs = list(range(300)) + [s + d for s in (511, 1023, 4095) for d in (-1, 0, 1)]
-    pairs = [(i, s - i) for s in sigs for i in range(s + 1)]
-    codec = LimitCodec()
-    w = BitWriter()
-    for p in pairs:
-        codec.encode_to(w, p)
-    r = BitReader(w.getvalue())
-    assert [codec.decode(r) for _ in pairs] == pairs
-    assert r.bits_consumed == w.bits_written
+    signatures = [*range(300), *(s + d for s in (511, 1023, 4095) for d in (-1, 0, 1))]
+    assert_decodes(LimitCodec(), every_pair(signatures))
 
 
 def test_limit_decode_exhaustion():
-    w = BitWriter()
-    LimitCodec().encode_to(w, (40, 40))
-    r = BitReader(w.getvalue()[:4])
+    data, _ = LimitCodec().encode_many([(40, 40)])
     with pytest.raises(StreamExhausted):
-        LimitCodec().decode(r)
+        LimitCodec().decode(BitReader(data[:4]))
 
 
 def test_limit_distribution_small_signatures():
-    codec = LimitCodec()
-    for s in range(65):
-        row = limit_row(s)
-        lens = Counter(codec.encode((i, s - i)).length for i in range(s + 1))
-        expected = Counter()
-        if row.n_short:
-            expected[row.lam] = row.n_short
-        if row.n_long:
-            expected[row.lam + 1] = row.n_long
-        assert lens == expected
+    assert_lengths(CodeFamily("limit"), every_pair(range(65)))
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -240,7 +201,4 @@ def test_limit_signature_lengths_follow_limit_row():
 
 
 def test_limit_codec_facade():
-    codec = LimitCodec()
-    w = BitWriter()
-    codec.encode_to(w, (3, 5))
-    assert codec.decode(BitReader(w.getvalue())) == (3, 5)
+    assert_codes(CodeFamily("limit"), [(3, 5)])

@@ -1,22 +1,22 @@
 """The codecs' encoders and decoders against the reference codecs of
-``codec_families``: on the mixed and extreme pairs of every family, on
-truncated streams, on the ck top code of every order up to 64, on
-arbitrary bytes, and the closed-form cminus rows against the reference
-allocation.  ``test_codec_properties`` holds the same encode, length and
-decode properties on each family's whole corpus.
+``codec_families``: every encode and decode route on the mixed, extreme
+and far pairs of every family, the length model, truncated streams, the
+ck top code of every order up to 64, arbitrary bytes, and the
+closed-form cminus rows against the reference allocation.
 """
 
 import random
 
 import pytest
-from codec_families import (FAMILIES, FAR_PAIRS, RefCminus, RefLimit, canonical_codewords,
-                            extreme_pairs, modelled_length, random_pairs, reference,
+from codec_families import (FAMILIES, FAR_PAIRS, RefCminus, RefLimit, assert_codes,
+                            assert_lengths, canonical_codewords, every_pair, extreme_pairs,
+                            long_runs, power_of_two_pairs, random_pairs, reference,
                             reference_stream, top_codeword)
 
 from geompair.basecodes import PairCodec
-from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
+from geompair.bitio import BitReader, Codeword, StreamExhausted
 from geompair.ck_codec import CkCodec
-from geompair.cminus_codec import signature_row
+from geompair.cminus_codec import LimitCodec, signature_row
 from geompair.families import CodeFamily, make_codec
 
 
@@ -32,20 +32,12 @@ def test_canonical_codewords():
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 @pytest.mark.parametrize("kind", ["random", "extreme"])
 def test_encoders_match_reference(family, kind):
-    pairs = random_pairs(family) if kind == "random" else extreme_pairs(family)
-    codewords, data, nbits = reference_stream(family, pairs)
-    codec = make_codec(family)
-    assert [codec.encode(p) for p in pairs] == codewords
-    assert codec.encode_many(pairs) == (data, nbits)
-    writer = BitWriter()
-    for p in pairs:
-        codec.encode_to(writer, p)
-    assert (writer.getvalue(), writer.bits_written) == (data, nbits)
-    assert type(codec).decode is PairCodec.decode
-    for decode in (codec.decode, reference(family).decode):
-        reader = BitReader(data)
-        assert [decode(reader) for _ in pairs] == pairs
-        assert reader.bits_consumed == nbits
+    assert type(make_codec(family)).decode is PairCodec.decode
+    if kind == "random":
+        assert_codes(family, random_pairs(family))
+        assert_codes(family, every_pair(range(32)))  # each pair of the encode table
+    else:
+        assert_codes(family, extreme_pairs(family))
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
@@ -67,20 +59,16 @@ def test_every_truncation_raises(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_emitted_length_equals_modelled_length(family):
-    codec = make_codec(family)
-    for pair in random_pairs(family) + extreme_pairs(family):
-        assert codec.codeword(pair)[1] == modelled_length(family, pair), pair
+    pairs = random_pairs(family) + extreme_pairs(family) + FAR_PAIRS + power_of_two_pairs()
+    assert_lengths(family, pairs + every_pair(range(64)))
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_encode_many_override_matches_reference(family):
-    codec = make_codec(family)
-    assert type(codec).encode_many is not PairCodec.encode_many
+    assert type(make_codec(family)).encode_many is not PairCodec.encode_many
     # 1000 pairs cross the writer's flush threshold several times
     for pairs in (FAR_PAIRS, random_pairs(family, n=1000), FAR_PAIRS + random_pairs(family)):
-        _, data, nbits = reference_stream(family, pairs)
-        assert codec.encode_many(pairs) == (data, nbits)
-        assert codec.encode_many(iter(pairs)) == (data, nbits)
+        assert_codes(family, pairs)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
@@ -133,23 +121,11 @@ def _arbitrary_bytes(seed, density, n=400):
     return bytes(sum((rng.random() < density) << b for b in range(8)) for _ in range(n))
 
 
-def _long_run_bytes(seed, n=40):
-    """n runs of up to 4000 ones, each followed by a zero and 64 random bits."""
-    rng = random.Random(seed)
-    bits = "".join(
-        "1" * rng.randrange(4000) + "0" + format(rng.getrandbits(64), "064b") for _ in range(n)
-    )
-    bits += "0" * (-len(bits) % 8)
-    return int(bits, 2).to_bytes(len(bits) // 8, "big")
-
-
 @pytest.mark.parametrize("density", [0.5, 0.9, 0.99])
 def test_limit_decode_matches_signature_walk_on_arbitrary_bytes(density):
     # every bit string parses as limit codewords, so any bytes are a stream
     data = _arbitrary_bytes(density, density)
-    assert _decode_all(make_codec(CodeFamily("limit")).decode, data) == _decode_all(
-        RefLimit().decode, data
-    )
+    assert _decode_all(LimitCodec().decode, data) == _decode_all(RefLimit().decode, data)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 11])
@@ -158,7 +134,10 @@ def test_cminus_decode_matches_signature_walk_on_arbitrary_bytes(k, density):
     # the code is complete, so every bit string parses up to its last codeword;
     # runs of ones of up to 4000 bits reach signatures past the codec's memo
     seed = f"cminus-{k}-{density}"
-    data = _long_run_bytes(seed) if density == "long-runs" else _arbitrary_bytes(seed, density)
+    if density == "long-runs":
+        data = long_runs(seed, 40, 0, 4000, 64)
+    else:
+        data = _arbitrary_bytes(seed, density)
     got = _decode_all(make_codec(CodeFamily("cminus", k)).decode, data)
     assert got == _decode_all(RefCminus(k).decode, data)
     assert len(got) > 10
