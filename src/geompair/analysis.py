@@ -14,25 +14,26 @@ from __future__ import annotations
 import math
 
 from .basecodes import quasi_uniform_shape
-from .families import K_MAX, CodeFamily, make_codec
+from .families import K_MAX, CodeFamily, DataError, make_codec
 from .fringe2 import top_code_params
 
 LOG2E = math.log2(math.e)
+SERIES_MAX_SIGNATURES = 5_000_000  # a series not certified past it raises NoConvergence
 
 
-class QOutOfRange(ValueError):
+class QOutOfRange(ValueError, DataError):
     """Parameter q outside the open interval (0, 1)."""
 
 
-class NoConvergence(Exception):
+class NoConvergence(DataError):
     """A series cannot converge for the given parameter."""
 
 
-class MeanOutOfRange(ValueError):
+class MeanOutOfRange(ValueError, DataError):
     """Sample mean that gives no plug-in estimate q in [0, 1)."""
 
 
-class NoSignChange(Exception):
+class NoSignChange(DataError):
     """Bisection bracket does not straddle a sign change."""
 
 
@@ -181,15 +182,15 @@ def avg_lens_by_series(codec, qs, eps: float = 1e-9) -> list[float]:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    qs = tuple(qs)
+    for q in qs:
+        _check_certifies(q, eps)
     lengths = codec.signature_lengths
     groups = lengths(0)
     start = max(4, max(length for length, _ in groups))
     totals = [sum(length * count for length, count in groups)]  # per signature, for every q
     out = []
     for q in qs:
-        if q >= 1.0:
-            raise NoConvergence(f"series diverges for q={q}")
-        _check_q(q)
         scale = (1.0 - q) ** 2
         total = 0.0
         weight = 1.0
@@ -210,9 +211,26 @@ def avg_lens_by_series(codec, qs, eps: float = 1e-9) -> list[float]:
                     if scale * tail < eps:
                         out.append(scale * total)
                         break
-            if s > 5_000_000:
+            if s > SERIES_MAX_SIGNATURES:
                 raise NoConvergence("series truncation did not certify")
     return out
+
+
+def _check_certifies(q: float, eps: float) -> None:
+    """Refuse q if the tail bound misses eps at s = SERIES_MAX_SIGNATURES + 1, the
+    summing loop's last test: where damped < 1 the bound falls as s grows.  The
+    1e-6 margin covers the loop's rounding of q^s; a subnormal q^s is left to it."""
+    if q >= 1.0:
+        raise NoConvergence(f"series diverges for q={q}")
+    _check_q(q)
+    s = SERIES_MAX_SIGNATURES + 1
+    damped = q * math.exp(3.0 / (s + 2))
+    weight = q**s
+    if damped < 1.0 and (weight < 2.0**-1022
+                         or (1.0 - q) ** 2 * weight * (s + 2) ** 3 / (1.0 - damped) < eps * (1 + 1e-6)):
+        return
+    raise NoConvergence(f"the series at q={q} cannot certify eps={eps} within "
+                        f"{SERIES_MAX_SIGNATURES} signatures")
 
 
 def family_avg_len(family: CodeFamily, q: float, eps: float = 1e-9) -> float:
@@ -326,6 +344,8 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
     lo, hi = q_lo, q_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: no tol below their spacing is met
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

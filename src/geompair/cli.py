@@ -19,9 +19,7 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from .bitio import BitReader, StreamExhausted
-from .cminus_codec import signature_length_row
-from .families import (FAMILY_BYTES, FAMILY_FROM_BYTE, K_MAX, CodeFamily, InvalidFamilyParam,
-                       make_codec)
+from .families import FAMILY_BYTES, FAMILY_FROM_BYTE, K_MAX, CodeFamily, DataError, make_codec
 from .fringe2 import top_code_params
 
 # The analysis and oracle modules are imported by the commands that use
@@ -33,10 +31,6 @@ HEADER = struct.Struct("<4sBBHQ")
 
 ORACLE_Q_CAP = 0.95
 MAX_ROWS = 10**6  # rows of a params or lengths table, points of a sweep grid
-
-
-class DataError(Exception):
-    """Bad input data (parse failures, malformed containers)."""
 
 
 class BadMagic(DataError):
@@ -158,10 +152,7 @@ def cmd_decode(args) -> int:
         raise DataError(f"unsupported version {version}")
     if family_byte not in FAMILY_FROM_BYTE:
         raise DataError(f"unknown family byte {family_byte}")
-    try:
-        family = CodeFamily(FAMILY_FROM_BYTE[family_byte], k)
-    except InvalidFamilyParam as exc:
-        raise DataError(str(exc)) from exc
+    family = CodeFamily(FAMILY_FROM_BYTE[family_byte], k)
     payload = memoryview(blob)[HEADER.size :]
     if count > 8 * len(payload):  # every codeword is at least one bit
         raise DataError(
@@ -217,10 +208,11 @@ def cmd_lengths(args) -> int:
     if args.s_min < 0 or args.s_max < args.s_min:
         raise DataError("need 0 <= s-min <= s-max")
     _check_rows("s", args.s_min, args.s_max)
+    codec = make_codec(CodeFamily("cminus", args.k))
     rows = ["   s  base_len  n_at_base  n_at_base+1"]
     for s in range(args.s_min, args.s_max + 1):
-        row = signature_length_row(args.k, s)
-        rows.append(f"{s:4d}  {row.lam:8d}  {row.n_short:9d}  {row.n_long:11d}")
+        (lam, n_short), (_, n_long) = codec.signature_lengths(s)
+        rows.append(f"{s:4d}  {lam:8d}  {n_short:9d}  {n_long:11d}")
     _write_text(args.out, "".join(r + "\n" for r in rows))
     return 0
 
@@ -252,7 +244,7 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 def cmd_sweep(args) -> int:
     from . import analysis
-    from .oracle import SourceTooLarge, oracle_optimal_avg_len
+    from .oracle import oracle_optimal_avg_len
 
     if not (0.0 < args.q_lo <= args.q_hi < 1.0):
         raise DataError("need 0 < q-lo <= q-hi < 1")
@@ -265,10 +257,7 @@ def cmd_sweep(args) -> int:
         ent = analysis.entropy_per_symbol(q)
         opt = ""
         if args.with_oracle and q <= ORACLE_Q_CAP:
-            try:
-                est, _ = oracle_optimal_avg_len(q, args.eps)
-            except SourceTooLarge as exc:
-                raise DataError(str(exc)) from exc
+            est, _ = oracle_optimal_avg_len(q, args.eps)
             opt = f"{analysis.redundancy_per_symbol(est, q):.6f}"
         lines.append(
             f"{q:.6f},{ent:.6f},{opt},"
@@ -282,7 +271,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import DEFAULT_SYMBOL_CAP, SourceTooLarge, oracle_optimal_avg_len
+    from .oracle import DEFAULT_SYMBOL_CAP, oracle_optimal_avg_len
 
     if args.cap is not None and args.cap < 1:
         raise DataError(f"cap must be at least 1 symbol, got {args.cap}")
@@ -291,10 +280,7 @@ def cmd_oracle(args) -> int:
         raise DataError(f"oracle runs are capped at q <= {ORACLE_Q_CAP}")
     _check_unit("eps", args.eps)
     cap = DEFAULT_SYMBOL_CAP if args.cap is None else args.cap
-    try:
-        est, unc = oracle_optimal_avg_len(args.q, args.eps, cap)
-    except SourceTooLarge as exc:
-        raise DataError(str(exc)) from exc
+    est, unc = oracle_optimal_avg_len(args.q, args.eps, cap)
     print(f"{est:.6f} ± {unc:.2e}")
     return 0
 
@@ -321,14 +307,11 @@ def cmd_crossover(args) -> int:
         raise DataError(
             f"model-a and model-b are both {family_a.label()}: one family does not cross itself"
         )
-    try:
-        q_star = analysis.crossover(
-            lambda q: analysis.family_avg_len(family_a, q),
-            lambda q: analysis.family_avg_len(family_b, q),
-            args.q_lo, args.q_hi, args.tol,
-        )
-    except analysis.NoSignChange as exc:
-        raise DataError(str(exc)) from exc
+    q_star = analysis.crossover(
+        lambda q: analysis.family_avg_len(family_a, q),
+        lambda q: analysis.family_avg_len(family_b, q),
+        args.q_lo, args.q_hi, args.tol,
+    )
     print(f"{q_star:.5f}")
     return 0
 
@@ -336,11 +319,7 @@ def cmd_crossover(args) -> int:
 def cmd_select(args) -> int:
     from . import analysis
 
-    try:
-        fam = analysis.adaptive_select(args.mean)
-    except analysis.MeanOutOfRange as exc:
-        raise DataError(str(exc)) from exc
-    print(fam.label())
+    print(analysis.adaptive_select(args.mean).label())
     return 0
 
 
@@ -510,14 +489,7 @@ def main(argv=None) -> int:
             return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (DataError, InvalidFamilyParam, OSError) as exc:
-        print(f"geompair: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        from .analysis import QOutOfRange  # only the analysis commands raise it
-
-        if not isinstance(exc, QOutOfRange):
-            raise
+    except (DataError, OSError) as exc:  # the library's refusals of input are DataErrors
         print(f"geompair: {exc}", file=sys.stderr)
         return 2
 

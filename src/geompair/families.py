@@ -23,7 +23,12 @@ FAMILY_FROM_BYTE = {v: n for n, v in FAMILY_BYTES.items()}
 K_MAX = 0xFFFF  # the header's uint16 k
 
 
-class InvalidFamilyParam(ValueError):
+class DataError(Exception):
+    """Bad outside input, refused: the CLI prints any of these as one
+    ``geompair:`` line and exits 2, so a new refusal needs no CLI change."""
+
+
+class InvalidFamilyParam(ValueError, DataError):
     """Family/parameter combination outside its valid domain."""
 
 

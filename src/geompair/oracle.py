@@ -28,9 +28,10 @@ from functools import cached_property
 from itertools import chain, groupby, repeat
 
 from .analysis import _check_q
+from .families import DataError
 
 
-class SourceTooLarge(Exception):
+class SourceTooLarge(DataError):
     """Truncated alphabet would exceed the configured symbol cap."""
 
 

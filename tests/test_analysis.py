@@ -74,6 +74,8 @@ def test_series_examples():
 def test_series_error_conditions():
     with pytest.raises(NoConvergence):
         avg_len_by_series(LimitCodec(), 1.0, 1e-9)
+    with pytest.raises(NoConvergence, match="q=0.9999999 cannot certify eps=1e-09 within 5000000"):
+        avg_len_by_series(LimitCodec(), 0.9999999, 1e-9)  # refused before any signature is summed
     with pytest.raises(QOutOfRange):
         avg_len_by_series(LimitCodec(), -0.5, 1e-9)
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from codec_families import assert_codes
 
 from geompair.analysis import avg_len_ck_design, golomb_pair_avg_len
 from geompair.basecodes import golomb_length
-from geompair.bitio import BitReader, StreamExhausted
 from geompair.ck_codec import CkCodec
 from geompair.families import CodeFamily
 from geompair.fringe2 import top_code_params
@@ -40,12 +39,6 @@ def test_roundtrip_random_pairs(k):
     rng = random.Random(k)
     assert_codes(CodeFamily("ck", k), [(rng.randint(0, 10_000), rng.randint(0, 10_000))
                                        for _ in range(400)])
-
-
-def test_decode_on_truncated_stream():
-    data, _ = CkCodec(3).encode_many([(50, 2)])
-    with pytest.raises(StreamExhausted):
-        CkCodec(3).decode(BitReader(data[:2]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])

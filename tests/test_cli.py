@@ -15,8 +15,8 @@ import geompair
 from geompair import analysis
 from geompair.bitio import BitReader
 from geompair.cli import COMMANDS, HEADER, MAGIC, ParseError, _scan, _tokens, build_parser, main
-from geompair.families import FAMILY_FROM_BYTE, CodeFamily, make_codec
-from geompair.oracle import build_truncated_source, truncated_huffman
+from geompair.families import FAMILY_FROM_BYTE, CodeFamily, DataError, InvalidFamilyParam, make_codec
+from geompair.oracle import SourceTooLarge, build_truncated_source, truncated_huffman
 
 DATA = Path(__file__).parent / "data"
 
@@ -524,6 +524,62 @@ def test_crossover_rejects_bad_models_and_ranges(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("geompair: ")
+
+
+def test_every_library_refusal_is_a_data_error():
+    refusals = [InvalidFamilyParam, analysis.QOutOfRange, analysis.MeanOutOfRange,
+                analysis.NoSignChange, analysis.NoConvergence, SourceTooLarge]
+    assert all(issubclass(cls, DataError) for cls in refusals)
+    assert all(issubclass(cls, ValueError)
+               for cls in (InvalidFamilyParam, analysis.QOutOfRange, analysis.MeanOutOfRange))
+
+
+@pytest.mark.parametrize("model_a, model_b, q_lo, q_hi, want", [
+    ("limit", "ck2", "0.2", "0.6", "0.44636\n"), ("ck3", "ck4", "0.7", "0.9", "0.81917\n"),
+    ("cminus2", "ck1", "0.25", "0.45", "0.38320\n")])
+def test_crossover_tol_below_the_float_spacing_ends(capsys, model_a, model_b, q_lo, q_hi, want):
+    argv = ["crossover", "--model-a", model_a, "--model-b", model_b, "--q-lo", q_lo, "--q-hi", q_hi]
+    assert run(capsys, *argv) == (0, want, "")  # at the default tol
+    # in a child, so that a bisection that never ends fails the test by its timeout
+    start = time.perf_counter()
+    child = run_child("-m", "geompair.cli", *argv, "--tol", "1e-300", timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (child.returncode, child.stdout, child.stderr) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossover", "--model-a", "cminus2", "--model-b", "ck1", "--q-lo", "0.1", "--q-hi", "0.999999"],
+    ["sweep", "--q-lo", "0.9999999", "--q-hi", "0.9999999"]])
+def test_series_that_cannot_certify_exits_2_promptly(argv):
+    start = time.perf_counter()
+    child = run_child("-m", "geompair.cli", *argv, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("geompair: the series at q=") and child.stderr.count("\n") == 1
+    assert "eps=1e-09" in child.stderr and "5000000 signatures" in child.stderr
+
+
+UNIT = st.floats(min_value=1e-300, max_value=1 - 2**-53)
+CLOSED_FORM_MODELS = st.just("limit") | st.builds("{}{}".format, st.sampled_from(["ck", "golomb"]),
+                                                  st.integers(1, 10**6))
+
+
+@st.composite
+def analysis_argvs(draw):
+    """``select`` with any float mean, or ``crossover`` of two closed-form
+    models on any ordered range with any positive tol."""
+    if draw(st.booleans()):
+        return ["select", f"--mean={draw(st.floats())!r}"]  # so that argparse takes "-1e+16"
+    q_lo, q_hi = sorted(draw(st.lists(UNIT, min_size=2, max_size=2, unique=True)))
+    tol = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return ["crossover", "--model-a", draw(CLOSED_FORM_MODELS), "--model-b", draw(CLOSED_FORM_MODELS),
+            "--q-lo", repr(q_lo), "--q-hi", repr(q_hi), "--tol", repr(tol)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(analysis_argvs())
+def test_analysis_commands_exit_0_or_2(argv):
+    assert main(argv) in (0, 2)
 
 
 def test_usage_errors_exit_1(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from codec_families import assert_codes, assert_decodes, assert_lengths, every_pair
 
-from geompair.bitio import BitReader, StreamExhausted
+from geompair.bitio import BitReader
 from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
@@ -88,12 +88,6 @@ def test_roundtrip_random_pairs(k):
                                            for _ in range(200)])
 
 
-def test_decode_truncated_stream():
-    data, _ = CminusCodec(3).encode_many([(60, 60)])
-    with pytest.raises(StreamExhausted):
-        CminusCodec(3).decode(BitReader(data[:10]))
-
-
 def test_lengths_follow_rows():
     assert_lengths(CodeFamily("cminus", 4), every_pair(range(40)))
 
@@ -166,12 +160,6 @@ def test_limit_decode_every_pair_of_a_signature():
     # every block position, at signatures on both sides of each power of two
     signatures = [*range(300), *(s + d for s in (511, 1023, 4095) for d in (-1, 0, 1))]
     assert_decodes(LimitCodec(), every_pair(signatures))
-
-
-def test_limit_decode_exhaustion():
-    data, _ = LimitCodec().encode_many([(40, 40)])
-    with pytest.raises(StreamExhausted):
-        LimitCodec().decode(BitReader(data[:4]))
 
 
 def test_limit_distribution_small_signatures():
