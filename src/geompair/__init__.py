@@ -7,21 +7,27 @@ redundancy asymptotics, crossovers, adaptive selection) and a
 truncated-Huffman optimality oracle.
 """
 
-from .bitio import BitReader, BitWriter, Codeword, StreamExhausted
-from .basecodes import GolombPairCodec
-from .ck_codec import CkCodec
-from .cminus_codec import CminusCodec, LimitCodec, signature_length_row
-from .families import CodeFamily, make_codec
-from .fringe2 import (
-    fringe2_optimal_range,
-    profile_from,
-    top_code_params,
-    WeightedSource,
-)
-
-# The analysis and oracle names load their modules on first use (PEP 562),
-# so that the codec path (``geompair encode`` / ``decode``) imports neither.
+# Every public name loads its module on first use (PEP 562), so that
+# ``import geompair`` loads no module of the package and a command loads
+# only what it runs: ``decode`` of a cminus container never loads the ck
+# codec or the top-code theory, and the codec path never loads the
+# analysis or the oracle.
 _LAZY = {
+    "BitReader": "bitio",
+    "BitWriter": "bitio",
+    "Codeword": "bitio",
+    "StreamExhausted": "bitio",
+    "GolombPairCodec": "basecodes",
+    "CkCodec": "ck_codec",
+    "CminusCodec": "cminus_codec",
+    "LimitCodec": "cminus_codec",
+    "signature_length_row": "cminus_codec",
+    "CodeFamily": "families",
+    "make_codec": "families",
+    "WeightedSource": "fringe2",
+    "fringe2_optimal_range": "fringe2",
+    "profile_from": "fringe2",
+    "top_code_params": "fringe2",
     "adaptive_select": "analysis",
     "asymptotic_redundancy": "analysis",
     "avg_len_by_series": "analysis",

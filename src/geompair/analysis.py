@@ -211,7 +211,9 @@ def avg_lens_by_series(codec, qs, eps: float = 1e-9) -> list[float]:
                     if scale * tail < eps:
                         out.append(scale * total)
                         break
-            if s > SERIES_MAX_SIGNATURES:
+            # a positive weight that q no longer lowers (a subnormal) stays
+            # put, and the tail bound grows from there on
+            if s > SERIES_MAX_SIGNATURES or 0.0 < weight == weight * q:
                 raise NoConvergence("series truncation did not certify")
     return out
 

@@ -152,6 +152,11 @@ class PairCodec:
                 bits = "".join(codes)
                 nbytes = (len(bits) + 7) >> 3
                 return (int(bits or "0", 2) << (-len(bits) & 7)).to_bytes(nbytes, "big"), len(bits)
+        return self._encode_token_pairs(tokens)
+
+    def _encode_token_pairs(self, tokens: list[str]) -> tuple[bytes, int]:
+        """``encode_tokens`` of a stream that leaves the text route: ``encode_many`` of the
+        tokens' ints.  A codec may override it with a loop over the tokens."""
         values = iter(list(map(int, tokens)))  # converting them in the loop is slower
         return self.encode_many(zip(values, values))
 

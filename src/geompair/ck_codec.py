@@ -11,8 +11,9 @@ uniform 2-bit code on 4 symbols.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 
-from .basecodes import (SMALL_BITS, PairCodec, decode_unary_pairs, reload_pair,
+from .basecodes import (SMALL_BITS, TABLE_BITS, PairCodec, decode_unary_pairs, reload_pair,
                         residue_signature_lengths)
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import top_code_params
@@ -26,7 +27,9 @@ class CkCodec(PairCodec):
     rank of signature t plus a's offset in it, from O(k) lists, not a k^2
     table.  Ranks fill the levels M-1, M, M+1 of the optimal profile in
     order, each level's codewords counting up from its canonical first
-    value.  The state is O(k), so building a codec is cheap for any k.
+    value.  The state is O(k), so building a codec is cheap for any k;
+    the first decode adds a top-code table of at most 2^TABLE_BITS entries
+    where the code's longest top codeword fits in TABLE_BITS bits.
     """
 
     def __init__(self, k: int) -> None:
@@ -128,6 +131,57 @@ class CkCodec(PairCodec):
         writer.write(acc, nacc)
         return writer.getvalue(), writer.bits_written
 
+    def _encode_token_pairs(self, tokens: list[str]) -> tuple[bytes, int]:
+        """``encode_many`` of the pairs of ``tokens``, each distinct token converted
+        once, for this call only, to its residue and the unary code of its quotient:
+        a pair costs two lookups, its top codeword and the packing."""
+        k = self.k
+        parts = {}  # token -> (residue, unary value, unary length)
+        for token in set(tokens):
+            quot, rem = divmod(int(token), k)
+            if quot < 0:
+                raise ValueError("pair components must be >= 0")
+            parts[token] = rem, (2 << quot) - 2, quot + 1
+        base = self._base
+        (rank_1, offset_1, length_1), (rank_2, offset_2, length_2), (_, offset_3, length_3) = (
+            self._encode_levels
+        )
+        writer = BitWriter()
+        flush = writer.flush
+        acc = nacc = 0
+        codes = map(parts.__getitem__, tokens)
+        for (a, unary_u, length_u), (b, unary_v, length_v) in zip(codes, codes):
+            rank = base[a + b] + a
+            if rank < rank_1:
+                value, length = rank + offset_1, length_1
+            elif rank < rank_2:
+                value, length = rank + offset_2, length_2
+            else:
+                value, length = rank + offset_3, length_3
+            length += length_u + length_v
+            acc = (acc << length) | (((value << length_u | unary_u) << length_v) | unary_v)
+            nacc += length
+            if nacc >= FLUSH_BITS:
+                acc, nacc = flush(acc, nacc)
+        writer.write(acc, nacc)
+        return writer.getvalue(), writer.bits_written
+
+    @cached_property
+    def _top_table(self) -> tuple[tuple[int, int, int], ...] | None:
+        """``(a, b, length)`` of the top codeword that opens each left-justified
+        window of the longest top length, or None where that length is over
+        TABLE_BITS: at most 2^TABLE_BITS entries, built on the first decode."""
+        width = self._window_bits
+        if width > TABLE_BITS:
+            return None
+        table = [None] * (1 << width)
+        for a in range(self.k):
+            for b in range(self.k):
+                value, length = self._top_codeword(a, b)
+                shift = width - length
+                table[value << shift : (value + 1) << shift] = [(a, b, length)] * (1 << shift)
+        return tuple(table)
+
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         k = self.k
         if k == 1:  # the void top code
@@ -135,24 +189,33 @@ class CkCodec(PairCodec):
         starts, base, width = self._starts, self._base, self._window_bits
         (limit_1, shift_1, offset_1, length_1), (limit_2, shift_2, offset_2, length_2), (
             _, shift_3, offset_3, length_3) = self._decode_levels
+        top = self._top_table
         bits, pos, nbits = reader.window()
         find = bits.find
         out: list[int] = []
         append = out.append
         for index in range(count):
             while True:
-                # the top codeword's level from a left-justified window of
-                # the longest length; the two unary zeros after a shorter
-                # codeword keep that window inside the pair's codeword
+                # the top codeword from a left-justified window of the
+                # longest length, through the top table or from its level;
+                # the two unary zeros after a shorter codeword keep that
+                # window inside the pair's codeword
                 end = pos + width
                 if end <= nbits:
                     window = int(bits[pos:end], 2)
-                    if window < limit_1:
-                        rank, end = (window >> shift_1) + offset_1, pos + length_1
-                    elif window < limit_2:
-                        rank, end = (window >> shift_2) + offset_2, pos + length_2
+                    if top:
+                        a, b, length = top[window]
+                        end = pos + length
                     else:
-                        rank, end = (window >> shift_3) + offset_3, pos + length_3
+                        if window < limit_1:
+                            rank, end = (window >> shift_1) + offset_1, pos + length_1
+                        elif window < limit_2:
+                            rank, end = (window >> shift_2) + offset_2, pos + length_2
+                        else:
+                            rank, end = (window >> shift_3) + offset_3, pos + length_3
+                        t = bisect_right(starts, rank) - 1
+                        a = rank - base[t]
+                        b = t - a
                     zero_u = find("0", end)
                     zero_v = find("0", zero_u + 1) if zero_u >= 0 else -1
                     if zero_v >= 0:
@@ -163,9 +226,7 @@ class CkCodec(PairCodec):
                 if found:  # the window holds the top codeword
                     u, v = found
                     break
-            t = bisect_right(starts, rank) - 1
-            a = rank - base[t]
             append(a + k * u)
-            append(t - a + k * v)
+            append(b + k * v)
         reader.seek_window(pos)
         return out

@@ -18,12 +18,11 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .bitio import BitReader, StreamExhausted
 from .families import FAMILY_BYTES, FAMILY_FROM_BYTE, K_MAX, CodeFamily, DataError, make_codec
-from .fringe2 import top_code_params
 
-# The analysis and oracle modules are imported by the commands that use
-# them, so that ``encode`` and ``decode`` load only the codecs.
+# Each command imports the modules it uses, so that ``encode`` and
+# ``decode`` load only the codec they run (``make_codec`` imports its
+# module), and a container refused at its header loads none.
 
 MAGIC = b"TDGD"
 VERSION = 1
@@ -159,6 +158,8 @@ def cmd_decode(args) -> int:
             f"header claims {count} pairs, but the {len(payload)} payload bytes "
             f"hold at most {8 * len(payload)} codewords"
         )
+    from .bitio import BitReader, StreamExhausted
+
     codec = make_codec(family)
     reader = BitReader(payload)
     try:
@@ -185,6 +186,8 @@ def _check_rows(name: str, lo: int, hi: int) -> None:
 
 
 def cmd_params(args) -> int:
+    from .fringe2 import top_code_params
+
     if args.k_min < 1 or args.k_max < args.k_min:
         raise DataError("need 1 <= k-min <= k-max")
     _check_rows("k", args.k_min, args.k_max)
@@ -292,7 +295,12 @@ def _family_from_name(name: str) -> CodeFamily:
     kind = name.rstrip("0123456789")
     if kind not in ("ck", "cminus", "golomb") or kind == name:
         raise DataError(f"unknown model {name!r}: use limit, ck<k>, cminus<k> or golomb<k>")
-    return CodeFamily(kind, int(name[len(kind):]))
+    try:
+        k = int(name[len(kind):])
+    except ValueError:  # more digits than the interpreter's int-string limit
+        raise DataError(f"model {kind}<k> has a k of {len(name) - len(kind)} digits, "
+                        f"more than the limit of {sys.get_int_max_str_digits()}") from None
+    return CodeFamily(kind, k)
 
 
 def cmd_crossover(args) -> int:

@@ -11,10 +11,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .basecodes import GolombPairCodec
-from .ck_codec import CkCodec
-from .cminus_codec import CminusCodec, LimitCodec
-
 FAMILY_KINDS = ("ck", "cminus", "limit", "golomb")
 
 # wire identifiers used in the container header
@@ -63,12 +59,17 @@ def make_codec(family: CodeFamily):
 
     Codecs are cached and safe to share: what they code never changes
     after construction, and the memo and tables each builds on first use
-    have a fixed size, not growing with the pairs it codes.
+    have a fixed size, not growing with the pairs it codes.  Only the
+    module of the family's codec is imported.
     """
     if family.kind == "ck":
+        from .ck_codec import CkCodec
+
         return CkCodec(family.k)
-    if family.kind == "cminus":
-        return CminusCodec(family.k)
-    if family.kind == "limit":
-        return LimitCodec()
-    return GolombPairCodec(family.k)
+    if family.kind == "golomb":
+        from .basecodes import GolombPairCodec
+
+        return GolombPairCodec(family.k)
+    from .cminus_codec import CminusCodec, LimitCodec
+
+    return CminusCodec(family.k) if family.kind == "cminus" else LimitCodec()

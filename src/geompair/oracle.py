@@ -35,6 +35,10 @@ class SourceTooLarge(DataError):
     """Truncated alphabet would exceed the configured symbol cap."""
 
 
+class WeightUnderflow(DataError):
+    """Truncation whose smallest weights underflow to 0."""
+
+
 class EmptySource(ValueError):
     """Huffman run on zero symbols."""
 
@@ -82,6 +86,9 @@ def build_truncated_source(
         raise SourceTooLarge(f"truncation at S={s_max} exceeds cap of {cap} symbols")
     runs = [(q**s, s, s + 1) for s in range(s_max + 1)]
     tail = tail_fraction(q, s_max) / (1.0 - q) ** 2
+    if not (runs[-1][0] > 0.0 and tail > 0.0):
+        raise WeightUnderflow(f"truncation at S={s_max} for q={q} and eps={eps} "
+                              "has weights that underflow to 0")
     # weights are already non-increasing; insert the tail keeping order
     pos = bisect.bisect_right(runs, -tail, key=lambda run: -run[0])
     runs.insert(pos, (tail, TAIL, 1))

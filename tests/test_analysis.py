@@ -82,6 +82,22 @@ def test_series_error_conditions():
         avg_len_by_series(LimitCodec(), 0.5, 0.0)
 
 
+class OneBitPerSignature:
+    """A length model with one 1-bit codeword per signature."""
+
+    def signature_lengths(self, s):
+        return ((1, 1),)
+
+
+def test_series_of_subnormal_weights():
+    # q^s is subnormal but still falls where the series certifies (s = 1438,
+    # q^s about 9.6e-320), so it sums; the sum is 1 - q
+    assert abs(avg_len_by_series(OneBitPerSignature(), 0.6, 1e-310) - 0.4) < 1e-15
+    # q^s sticks at a subnormal that q no longer lowers: refused there
+    with pytest.raises(NoConvergence, match="^series truncation did not certify$"):
+        avg_len_by_series(LimitCodec(), 0.8353469542309737, 5e-324)
+
+
 def test_limit_closed_examples():
     assert abs(avg_len_limit_closed(0.25) - 2.2345378) < 1e-6
     assert avg_len_limit_closed(0.5) > 4.0

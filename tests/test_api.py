@@ -1,6 +1,7 @@
-"""The public names of the package: every ``__all__`` name resolves, the
-lazy analysis and oracle ones included, the removed helpers stay gone, and
-README's list of the public API follows ``__all__``."""
+"""The public names of the package: every ``__all__`` name resolves, each
+loading its module on first use, the removed helpers stay gone, and
+README's list of the public API follows ``__all__``; and a command loads
+only the codec modules it runs."""
 
 import ast
 import importlib
@@ -9,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from child import run_child
 
 import geompair
+from geompair.cli import HEADER, MAGIC
+from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -134,3 +138,61 @@ def test_no_test_module_imports_another():
         "import codec_families\nfrom test_batch import geometric_pairs\n"
         "def f():\n    import test_cli as cli\n    from child import run_child\n"
     ) == ["test_batch", "test_cli"]
+
+
+CODEC_MODULES = tuple(f"geompair.{name}"
+                      for name in ("bitio", "basecodes", "ck_codec", "cminus_codec", "fringe2"))
+
+
+def codec_modules_loaded(*argvs):
+    """In a fresh child, the CODEC_MODULES loaded after ``import geompair``,
+    after ``import geompair.cli`` and after each ``main(argv)``, with its exit
+    code; then whether every ``__all__`` name resolves."""
+    child = run_child("-c", (
+        "import sys\n"
+        f"def loaded(): return [m for m in {CODEC_MODULES!r} if m in sys.modules]\n"
+        "import geompair\n"
+        "print(loaded())\n"
+        "import geompair.cli\n"
+        "print(loaded())\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    print(geompair.cli.main(argv), loaded())\n"
+        "print(all(getattr(geompair, name) for name in geompair.__all__))\n"
+    ))
+    assert child.returncode == 0, child.stderr
+    return child.stdout.splitlines()
+
+
+def write_container(path, family, pairs):
+    payload, _ = make_codec(family).encode_many(pairs)
+    path.write_bytes(HEADER.pack(MAGIC, 1, FAMILY_BYTES[family.kind], family.k, len(pairs)) + payload)
+    return str(path)
+
+
+def test_import_and_decode_load_only_the_codec_they_run(tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"NOPE" + bytes(12))
+    cminus = write_container(tmp_path / "cminus.bin", CodeFamily("cminus", 2), [(4, 1), (0, 0)])
+    out = str(tmp_path / "out.txt")
+    assert codec_modules_loaded(["decode", str(bad), "--out", out], ["decode", cminus, "--out", out]) == [
+        "[]",  # import geompair
+        "[]",  # import geompair.cli
+        "2 []",  # a container refused at its header
+        "0 ['geompair.bitio', 'geompair.basecodes', 'geompair.cminus_codec']",
+        "True",
+    ]
+    assert (tmp_path / "out.txt").read_text() == "4 1\n0 0\n"
+
+
+@pytest.mark.parametrize("family, modules", [
+    (["ck", "--k", "3"], "['geompair.bitio', 'geompair.basecodes', 'geompair.ck_codec', 'geompair.fringe2']"),
+    (["limit"], "['geompair.bitio', 'geompair.basecodes', 'geompair.cminus_codec']"),
+    (["golomb", "--k", "3"], "['geompair.bitio', 'geompair.basecodes']"),
+], ids=["ck", "limit", "golomb"])
+def test_encode_and_decode_load_only_their_family_codec(tmp_path, family, modules):
+    src, enc, dec = tmp_path / "in.txt", str(tmp_path / "enc.bin"), str(tmp_path / "dec.txt")
+    src.write_text("4 1 0 0 9 2\n")
+    lines = codec_modules_loaded(["encode", str(src), "--family", *family, "--out", enc],
+                                 ["decode", enc, "--out", dec])
+    assert lines == ["[]", "[]", f"0 {modules}", f"0 {modules}", "True"]
+    assert (tmp_path / "dec.txt").read_text() == "4 1\n0 0\n9 2\n"

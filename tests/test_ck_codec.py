@@ -6,7 +6,8 @@ import pytest
 from codec_families import assert_codes
 
 from geompair.analysis import avg_len_ck_design, golomb_pair_avg_len
-from geompair.basecodes import golomb_length
+from geompair.basecodes import TABLE_BITS, golomb_length
+from geompair.bitio import BitReader
 from geompair.ck_codec import CkCodec
 from geompair.families import CodeFamily
 from geompair.fringe2 import top_code_params
@@ -80,3 +81,43 @@ def test_k2_equivalent_to_golomb_pair():
 def test_beats_symbol_by_symbol_golomb_at_design_point(k):
     q = 2 ** (-1 / k)
     assert golomb_pair_avg_len(q, k) - avg_len_ck_design(k) > 1e-4
+
+
+# every order whose top code decodes through the top table, and the first
+# order past it, which decodes from the level limits
+TOP_TABLE_ORDERS = [k for k in range(1, 64) if CkCodec(k)._window_bits <= TABLE_BITS]
+BOUND_ORDERS = TOP_TABLE_ORDERS + [TOP_TABLE_ORDERS[-1] + 1]
+
+
+def test_top_table_orders_are_a_prefix():
+    # the window width does not fall as k grows, so the orders are 1 to 37
+    widths = [CkCodec(k)._window_bits for k in range(1, 64)]
+    assert widths == sorted(widths)
+    assert TOP_TABLE_ORDERS == list(range(1, len(TOP_TABLE_ORDERS) + 1))
+    assert CkCodec(BOUND_ORDERS[-1])._window_bits == TABLE_BITS + 1
+
+
+@pytest.mark.parametrize("k", BOUND_ORDERS)
+def test_decode_on_both_sides_of_the_top_table_bound(k):
+    codec = CkCodec(k)
+    rng = random.Random(f"bound-{k}")
+    # every residue pair, with short and long quotients
+    pairs = [(a + k * rng.choice((0, 1, 5, 90)), b + k * rng.choice((0, 2, 70)))
+             for a in range(k) for b in range(k)]
+    codec.encode_many(pairs)
+    assert "_top_table" not in vars(codec)  # built by the first decode, not before
+    data, nbits = codec.encode_many(pairs)
+    reader = BitReader(data)
+    assert codec.decode_many(reader, len(pairs)) == [x for pair in pairs for x in pair]
+    assert reader.bits_consumed == nbits
+    width, table = codec._window_bits, vars(codec).get("_top_table", "unbuilt")
+    if k == 1:  # the void top code: two unary codes, no table
+        assert table == "unbuilt"
+    elif width > TABLE_BITS:
+        assert table is None
+    else:
+        # each window holds the top codeword it starts with, at most 2^TABLE_BITS of them
+        assert len(table) == 1 << width <= 1 << TABLE_BITS
+        for window, (a, b, length) in enumerate(table):
+            assert codec._top_codeword(a, b) == (window >> (width - length), length)
+    assert_codes(CodeFamily("ck", k), pairs[:300])

@@ -16,7 +16,7 @@ from geompair import analysis
 from geompair.bitio import BitReader
 from geompair.cli import COMMANDS, HEADER, MAGIC, ParseError, _scan, _tokens, build_parser, main
 from geompair.families import FAMILY_FROM_BYTE, CodeFamily, DataError, InvalidFamilyParam, make_codec
-from geompair.oracle import SourceTooLarge, build_truncated_source, truncated_huffman
+from geompair.oracle import SourceTooLarge, WeightUnderflow, build_truncated_source, truncated_huffman
 
 DATA = Path(__file__).parent / "data"
 
@@ -506,6 +506,20 @@ def test_sweep_oracle_beyond_its_symbol_cap_exits_2(capsys):
     assert "exceeds cap" in err
 
 
+def test_oracle_of_weights_that_underflow_exits_2(capsys):
+    # at eps = 5e-324 the truncation keeps signatures whose weight q^s is 0
+    assert run(capsys, "oracle", "--q", "0.3", "--eps", "5e-324") == (
+        2, "", "geompair: truncation at S=618 for q=0.3 and eps=5e-324 has weights that underflow to 0\n")
+
+
+@pytest.mark.parametrize("option", ["--model-a", "--model-b"])
+@pytest.mark.parametrize("kind", ["ck", "cminus", "golomb"])
+def test_crossover_model_of_more_digits_than_int_takes_exits_2(capsys, option, kind):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "crossover", option, kind + "7" * (limit + 700)) == (
+        2, "", f"geompair: model {kind}<k> has a k of {limit + 700} digits, more than the limit of {limit}\n")
+
+
 def test_crossover_same_family_twice_exits_2(capsys):
     code, out, err = run(capsys, "crossover", "--model-a", "ck3", "--model-b", "ck3")
     assert code == 2
@@ -528,7 +542,7 @@ def test_crossover_rejects_bad_models_and_ranges(capsys, argv):
 
 def test_every_library_refusal_is_a_data_error():
     refusals = [InvalidFamilyParam, analysis.QOutOfRange, analysis.MeanOutOfRange,
-                analysis.NoSignChange, analysis.NoConvergence, SourceTooLarge]
+                analysis.NoSignChange, analysis.NoConvergence, SourceTooLarge, WeightUnderflow]
     assert all(issubclass(cls, DataError) for cls in refusals)
     assert all(issubclass(cls, ValueError)
                for cls in (InvalidFamilyParam, analysis.QOutOfRange, analysis.MeanOutOfRange))
@@ -557,6 +571,17 @@ def test_series_that_cannot_certify_exits_2_promptly(argv):
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("geompair: the series at q=") and child.stderr.count("\n") == 1
     assert "eps=1e-09" in child.stderr and "5000000 signatures" in child.stderr
+
+
+def test_series_whose_weight_stops_falling_exits_2_promptly():
+    # q^s sticks at a subnormal that q no longer lowers, long before the
+    # series' signature limit, and the tail bound never meets eps = 5e-324
+    start = time.perf_counter()
+    child = run_child("-m", "geompair.cli", "sweep", "--q-lo", "0.8353469542309737",
+                      "--q-hi", "0.8353469542309737", "--step", "0.2", "--eps", "5e-324", timeout=30)
+    assert time.perf_counter() - start < 2.0
+    assert (child.returncode, child.stdout, child.stderr) == (
+        2, "", "geompair: series truncation did not certify\n")
 
 
 UNIT = st.floats(min_value=1e-300, max_value=1 - 2**-53)

@@ -2,8 +2,9 @@
 
 Where few pairs miss the token view of the encode table, ``encode``
 codes the pairs from their decimal tokens and never builds an int list
-or calls ``encode_many``; elsewhere it takes the int route through
-``encode_many``.  Either way the container must hold the header and the
+or calls ``encode_many``; elsewhere it takes the int route,
+``_encode_token_pairs``: ``encode_many`` of the tokens' ints, or for ck
+a loop that converts each distinct token once.  Either way the container must hold the header and the
 bytes of ``encode_many`` of the pairs, and every input error must be
 reported as the int route reports it: a non-decimal token, then a token
 too long to convert, then an odd count, each with its 0-based position.
@@ -18,13 +19,12 @@ import sys
 
 import pytest
 from child import run_child
-from codec_families import FAMILIES, geometric_pairs, table_built
+from codec_families import FAMILIES, geometric_pairs, reference_stream, table_built
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geompair.basecodes import MISS_SHARE, PROBE_PAIRS, GolombPairCodec
+from geompair.basecodes import MISS_SHARE, PROBE_PAIRS, PairCodec
 from geompair.ck_codec import CkCodec
-from geompair.cminus_codec import CminusCodec
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
 
@@ -173,45 +173,45 @@ def test_pair_too_large_among_view_hits_exits_2_as_alone(tmp_path):
 
 
 @pytest.fixture
-def encode_many_calls(monkeypatch):
-    """The codecs whose ``encode_many`` is called, as ``"<class> <k>"``."""
+def int_route_calls(monkeypatch):
+    """The codecs that take the int route, ``_encode_token_pairs``, as ``"<class> <k>"``."""
     calls = []
-    for codec_class in (CkCodec, CminusCodec, GolombPairCodec):  # LimitCodec is a CminusCodec
-        original = codec_class.encode_many
+    for codec_class in (CkCodec, PairCodec):  # ck's own route, and every other codec's
+        original = codec_class._encode_token_pairs
 
-        def spy(self, pairs, original=original):
+        def spy(self, tokens, original=original):
             calls.append(f"{type(self).__name__} {getattr(self, 'k', '')}")
-            return original(self, pairs)
+            return original(self, tokens)
 
-        monkeypatch.setattr(codec_class, "encode_many", spy)
+        monkeypatch.setattr(codec_class, "_encode_token_pairs", spy)
     return calls
 
 
 @pytest.mark.parametrize("family", [CodeFamily("ck", 1), CodeFamily("cminus", 2)],
                          ids=CodeFamily.label)
-def test_short_codeword_streams_never_call_encode_many(scratch, encode_many_calls, family):
+def test_short_codeword_streams_never_call_encode_many(scratch, int_route_calls, family):
     pairs = geometric_pairs(family, 2000, "route")
     pairs[700:700] = [(0, 20), (30, 1), (16, 16)]  # misses, filled from codeword
     want = container(family, pairs)
-    encode_many_calls.clear()
+    int_route_calls.clear()
     text = spell(pairs, random.Random(family.label()), 0.01)
     assert encode(scratch, family, text) == (0, want[0],
                                              f"encoded {len(pairs)} pairs, {want[1]} payload bits\n")
-    assert encode_many_calls == []
+    assert int_route_calls == []
 
 
-def test_long_codeword_streams_call_encode_many(scratch, encode_many_calls):
+def test_long_codeword_streams_call_encode_many(scratch, int_route_calls):
     family = CodeFamily("ck", 256)
     rng = random.Random("ck256")
     pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(2000)]
     want = container(family, pairs)[0]
-    encode_many_calls.clear()
+    int_route_calls.clear()
     assert encode(scratch, family, spell(pairs, rng))[:2] == (0, want)
-    assert encode_many_calls == ["CkCodec 256"]
+    assert int_route_calls == ["CkCodec 256"]
 
 
 @pytest.mark.parametrize("where", ["probe", "rest"])
-def test_misses_past_the_gate_call_encode_many(scratch, encode_many_calls, where):
+def test_misses_past_the_gate_call_encode_many(scratch, int_route_calls, where):
     # more misses than the gate allows, within the first PROBE_PAIRS pairs
     # or only after them; and a long codeword among few misses
     family = CodeFamily("ck", 3)
@@ -219,14 +219,79 @@ def test_misses_past_the_gate_call_encode_many(scratch, encode_many_calls, where
     misses = [(20, 1)] * (int(len(hits) * MISS_SHARE) + 40)
     pairs = misses + hits if where == "probe" else hits + misses
     want = container(family, pairs)[0]
-    encode_many_calls.clear()
+    int_route_calls.clear()
     assert encode(scratch, family, spell(pairs, random.Random(where)))[:2] == (0, want)
-    assert encode_many_calls == ["CkCodec 3"]
+    assert int_route_calls == ["CkCodec 3"]
     pairs = hits + [(300, 0)]  # 102 bits, longer than the text route fills
     want = container(family, pairs)[0]
-    encode_many_calls.clear()
+    int_route_calls.clear()
     assert encode(scratch, family, spell(pairs, random.Random(where)))[:2] == (0, want)
-    assert encode_many_calls == ["CkCodec 3"]
+    assert int_route_calls == ["CkCodec 3"]
+
+
+# ---------------------------------------------------------------------------
+# ck's int route: each distinct token converted once
+# ---------------------------------------------------------------------------
+
+CK_ORDERS = (1, 2, 3, 16, 32, 33, 256)
+
+
+@pytest.mark.parametrize("k", CK_ORDERS)
+def test_ck_int_route_gives_the_reference_bytes(scratch, int_route_calls, k):
+    # pairs that miss the token view far more than the gate allows, with
+    # long unary runs, many repeated tokens, and leading zeros on a third
+    family = CodeFamily("ck", k)
+    codec = make_codec(family)
+    rng = random.Random(f"int-route-{k}")
+    spread = 4 * k + 40
+    pairs = [(rng.randrange(spread), rng.randrange(spread)) for _ in range(1500)]
+    pairs[100:100] = [(0, 0), (k - 1, k), (3000 * k, 1), (2, 70 * k + 3), (7, 7)]
+    _, data, nbits = reference_stream(family, pairs)
+    text = spell(pairs, rng, 0.3)
+    tokens = text.split()
+    assert "007" in tokens or "07" in tokens
+    assert codec.encode_tokens(tokens) == codec.encode_many(pairs) == (data, nbits)
+    assert int_route_calls == [f"CkCodec {k}"]
+    assert codec._encode_token_pairs(tokens) == (data, nbits)
+    header = HEADER.pack(MAGIC, 1, FAMILY_BYTES["ck"], k, len(pairs))
+    assert encode(scratch, family, text) == (0, header + data,
+                                             f"encoded {len(pairs)} pairs, {nbits} payload bits\n")
+
+
+@pytest.mark.parametrize("k", CK_ORDERS)
+def test_ck_int_route_refuses_as_encode_many(scratch, k):
+    family = CodeFamily("ck", k)
+    code, blob, err = encode(scratch, family, "20 1 " * 300 + "0 " + "9" * 5000 + "\n")
+    limit = sys.get_int_max_str_digits()
+    assert (code, blob, err) == (
+        2, None, f"geompair: token at position 601 has 5000 digits, more than the limit of {limit}\n")
+    codec = make_codec(family)
+    with pytest.raises(ValueError, match="^pair components must be >= 0$"):
+        codec._encode_token_pairs(["20", "1", "3", "-1"])
+
+
+def test_ck_int_route_refuses_a_pair_too_large_as_encode_many(tmp_path):
+    # in a child, as a codeword of 10^20 bits may be tried before it is refused
+    path = tmp_path / "in.txt"
+    path.write_text("20 1 " * 300 + "99999999999999999999 0\n")
+    out = str(tmp_path / "out.bin")
+    child = run_child("-c", (
+        "import contextlib, io\n"
+        "from geompair.cli import main\n"
+        "from geompair.families import CodeFamily, make_codec\n"
+        f"for k in {CK_ORDERS!r}:\n"
+        "    try:\n"
+        "        make_codec(CodeFamily('ck', k)).encode_many([(10**20 - 1, 0)])\n"
+        "    except (OverflowError, MemoryError) as exc:\n"
+        "        want = f\"geompair: a pair's codeword is too long to encode ({type(exc).__name__})\\n\"\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        f"        code = main(['encode', {str(path)!r}, '--family', 'ck', '--k', str(k), '--out', {out!r}])\n"
+        "    print(code, err.getvalue() == want)\n"
+    ), timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["2 True"] * len(CK_ORDERS)
+    assert not (tmp_path / "out.bin").exists()
 
 
 @pytest.mark.parametrize("family, built", [(CodeFamily("ck", 256), False),
