@@ -9,8 +9,6 @@ Golomb pair) it is used; the remaining families are summed signature by
 signature with a certified geometric tail bound.
 """
 
-from __future__ import annotations
-
 import math
 
 from .basecodes import quasi_uniform_shape

@@ -10,8 +10,6 @@ codewords go to the smaller (more probable) ranks, and ranks are
 0-based.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from itertools import islice
 

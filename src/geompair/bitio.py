@@ -8,8 +8,6 @@ dumps read left to right in transmission order.  The final partial
 byte of a finalized stream is padded with zero bits.
 """
 
-from __future__ import annotations
-
 
 class StreamExhausted(Exception):
     """A read required more bits than the stream holds.

@@ -8,8 +8,6 @@ void and the codec degenerates to two unary codes, for k = 2 to the
 uniform 2-bit code on 4 symbols.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from functools import cached_property
 

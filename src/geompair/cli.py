@@ -9,10 +9,8 @@ consumed as consecutive pairs.
 Exit codes: 0 ok, 1 usage error, 2 data error.
 """
 
-from __future__ import annotations
-
-import gc
 import math
+import os
 import struct
 import sys
 from collections import namedtuple
@@ -74,9 +72,8 @@ def _write_binary(path: str, data: bytes) -> None:
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    else:  # text mode's bytes, without the ascii codec lookup open(encoding=) makes
+        _write_binary(path, text.replace("\n", os.linesep).encode("ascii"))
 
 
 # The ASCII characters that isdecimal passes (not isdigit, which passes
@@ -295,11 +292,15 @@ def _family_from_name(name: str) -> CodeFamily:
     kind = name.rstrip("0123456789")
     if kind not in ("ck", "cminus", "golomb") or kind == name:
         raise DataError(f"unknown model {name!r}: use limit, ck<k>, cminus<k> or golomb<k>")
+    digits = len(name) - len(kind)
     try:
         k = int(name[len(kind):])
     except ValueError:  # more digits than the interpreter's int-string limit
-        raise DataError(f"model {kind}<k> has a k of {len(name) - len(kind)} digits, "
+        raise DataError(f"model {kind}<k> has a k of {digits} digits, "
                         f"more than the limit of {sys.get_int_max_str_digits()}") from None
+    if kind != "cminus" and k + 1 > sys.float_info.max:  # the closed forms take k + 1 as a float
+        raise DataError(f"model {kind}<k> has a k of {digits} digits, "
+                        f"beyond the float range of its closed form")
     return CodeFamily(kind, k)
 
 
@@ -481,14 +482,28 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    if argv is None:  # run as the program: the process ends with this command
-        # Move the start-up heap into the collector's permanent generation, so
-        # that no full collection, the one at interpreter shutdown included,
-        # walks it again.  A caller that passes argv keeps its collector as is.
-        gc.freeze()
-        argv = sys.argv[1:]
-    else:
-        argv = list(argv)
+    """Run one command line and return its exit code: 0 ok, 1 usage error, 2 data error.
+
+    ``main()`` with no argument list runs ``sys.argv`` as the program and
+    does not return: once the command has finished and the standard
+    streams are flushed, it ends the process with ``os._exit``, skipping
+    interpreter teardown and ``atexit`` callbacks.  If a stream is None or
+    closed, or its flush fails, it returns the code instead, and the
+    interpreter's own exit deals with the streams: it reports a failed
+    flush and exits 120.
+    """
+    if argv is not None:
+        return _run(list(argv))
+    code = _run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, ValueError, OSError):  # a stream None or closed, or its flush failed
+        return code
+    os._exit(code)
+
+
+def _run(argv: list[str]) -> int:
     args = _scan(argv)
     if args is None:
         try:

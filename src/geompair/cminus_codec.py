@@ -22,8 +22,6 @@ canonical code at unbounded order, k = inf, where every signature does:
 :class:`LimitCodec` is a :class:`CminusCodec` with that order.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property

@@ -6,8 +6,6 @@ q = 2^(-k)), ``limit`` (the k -> infinity limit of cminus), or
 ``golomb`` with k >= 1 (order-k Golomb code applied to each component).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 

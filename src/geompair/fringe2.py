@@ -15,8 +15,6 @@ weight is an int or Fraction all comparisons are exact; float weights use
 a relative tolerance of 1e-12 for sign decisions.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import lru_cache

@@ -19,8 +19,6 @@ nodes' weights, and the tail's depth; a backward pass over the items it
 took is needed only for the per-run depths, the per-signature lengths.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 from collections import namedtuple

@@ -144,12 +144,17 @@ CODEC_MODULES = tuple(f"geompair.{name}"
                       for name in ("bitio", "basecodes", "ck_codec", "cminus_codec", "fringe2"))
 
 
+COLD_PATH_SPARED = ("__future__", "encodings.ascii")  # modules no command needs
+
+
 def codec_modules_loaded(*argvs):
     """In a fresh child, the CODEC_MODULES loaded after ``import geompair``,
     after ``import geompair.cli`` and after each ``main(argv)``, with its exit
-    code; then whether every ``__all__`` name resolves."""
+    code; then whether every ``__all__`` name resolves.  Checks that none of
+    this loads a COLD_PATH_SPARED module that was not loaded before."""
     child = run_child("-c", (
         "import sys\n"
+        "before = set(sys.modules)\n"
         f"def loaded(): return [m for m in {CODEC_MODULES!r} if m in sys.modules]\n"
         "import geompair\n"
         "print(loaded())\n"
@@ -158,9 +163,12 @@ def codec_modules_loaded(*argvs):
         f"for argv in {list(argvs)!r}:\n"
         "    print(geompair.cli.main(argv), loaded())\n"
         "print(all(getattr(geompair, name) for name in geompair.__all__))\n"
+        f"print([m for m in {COLD_PATH_SPARED!r} if m in sys.modules and m not in before])\n"
     ))
     assert child.returncode == 0, child.stderr
-    return child.stdout.splitlines()
+    *lines, spared = child.stdout.splitlines()
+    assert spared == "[]"
+    return lines
 
 
 def write_container(path, family, pairs):
@@ -196,3 +204,16 @@ def test_encode_and_decode_load_only_their_family_codec(tmp_path, family, module
                                  ["decode", enc, "--out", dec])
     assert lines == ["[]", "[]", f"0 {modules}", f"0 {modules}", "True"]
     assert (tmp_path / "dec.txt").read_text() == "4 1\n0 0\n9 2\n"
+
+
+def test_commands_load_neither_future_nor_the_ascii_codec(tmp_path):
+    src, enc, dec, csv = tmp_path / "in.txt", str(tmp_path / "enc.bin"), tmp_path / "dec.txt", tmp_path / "s.csv"
+    src.write_text("4 1 0 0 9 2\n")
+    lines = codec_modules_loaded(["encode", str(src), "--family", "ck", "--k", "3", "--out", enc],
+                                 ["decode", enc, "--out", str(dec)], ["select", "--mean", "2.5"],
+                                 ["oracle", "--q", "0.9"], ["sweep", "--out", str(csv)])
+    ck = "0 ['geompair.bitio', 'geompair.basecodes', 'geompair.ck_codec', 'geompair.fringe2']"
+    series = ck.replace("ck_codec'", "ck_codec', 'geompair.cminus_codec'")  # sweep sums cminus series
+    assert lines == ["[]", "[]", ck, ck, "ck k=2", ck, "9.408254 ± 3.20e-08", ck, series, "True"]
+    assert dec.read_text() == "4 1\n0 0\n9 2\n"
+    assert csv.read_text() == (Path(__file__).parent / "data" / "sweep_default.csv").read_text()

@@ -1,5 +1,6 @@
 import gc
 import io
+import os
 import random
 import sys
 import time
@@ -586,7 +587,7 @@ def test_series_whose_weight_stops_falling_exits_2_promptly():
 
 UNIT = st.floats(min_value=1e-300, max_value=1 - 2**-53)
 CLOSED_FORM_MODELS = st.just("limit") | st.builds("{}{}".format, st.sampled_from(["ck", "golomb"]),
-                                                  st.integers(1, 10**6))
+                                                  st.integers(1, 10**6) | st.integers(1, 10**400))
 
 
 @st.composite
@@ -605,6 +606,25 @@ def analysis_argvs(draw):
 @given(analysis_argvs())
 def test_analysis_commands_exit_0_or_2(argv):
     assert main(argv) in (0, 2)
+
+
+@pytest.mark.parametrize("position", ["--model-a", "--model-b"])
+@pytest.mark.parametrize("kind", ["ck", "golomb"])
+def test_crossover_refuses_an_order_beyond_the_float_range(capsys, kind, position):
+    # the closed forms of both kinds take k + 1 as a float
+    other = "--model-b" if position == "--model-a" else "--model-a"
+    code, out, err = run(capsys, "crossover", position, kind + "7" * 400, other, "limit")
+    assert (code, out, err) == (
+        2, "", f"geompair: model {kind}<k> has a k of 400 digits, beyond the float range of its closed form\n")
+
+
+def test_crossover_takes_every_order_within_the_float_range(capsys):
+    largest = int(sys.float_info.max) - 1
+    for kind in ("ck", "golomb"):
+        code, out, err = run(capsys, "crossover", "--model-a", f"{kind}{largest}", "--q-lo", "0.01")
+        assert (code, out, err) == (2, "", "geompair: no sign change on [0.01, 0.45]\n")
+        code, out, err = run(capsys, "crossover", "--model-a", f"{kind}{largest + 1}")
+        assert code == 2 and "beyond the float range" in err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -758,19 +778,31 @@ def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
     assert "bitstream truncated in pair 2 (0-based), which starts at payload bit 7" in err
 
 
-def test_program_mode_freezes_the_start_up_heap():
-    # main() with no argv runs as the program: the heap start-up made is
-    # frozen, and the collector stays on for what the command allocates
+@pytest.mark.parametrize("argv, code, last_err", [
+    (["params", "--k-max", "400"], 0, None),
+    (["oracle", "--q", "0.99"], 2, "geompair: oracle runs are capped at q <= 0.95"),
+    (["encode", "--family", "bogus"], 1, "geompair encode: error: argument --family: invalid choice: "),
+], ids=["ok", "data-error", "usage-error"])
+def test_program_mode_ends_the_process_at_its_last_flush(argv, code, last_err):
+    # main() with no argv runs as the program: once the streams are flushed
+    # the process ends with the command's code, so neither an atexit
+    # callback nor the statement after main() runs
     child = run_child("-c", (
-        "import gc, sys\n"
+        "import atexit, sys\n"
         "from geompair.cli import main\n"
-        "print(gc.get_freeze_count())\n"
-        "sys.argv = ['geompair', 'select', '--mean', '1.0']\n"
-        "code = main()\n"
-        "print(code, gc.get_freeze_count() > 0, gc.isenabled())\n"
+        "atexit.register(print, 'atexit callback ran')\n"
+        f"sys.argv = ['geompair', *{argv!r}]\n"
+        "main()\n"
+        "print('main returned')\n"
     ))
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["0", "ck k=1", "0 True True"]
+    assert child.returncode == code, child.stderr
+    rows = child.stdout.splitlines()
+    if code == 0:  # 400 lines, more than the stdout buffer holds
+        assert child.stderr == ""
+        assert rows[0].split() == ["k", "M", "j", "r", "sigma", "c", "profile"]
+        assert [row.split()[0] for row in rows[1:]] == [str(k) for k in range(2, 401)]
+    else:
+        assert rows == [] and child.stderr.splitlines()[-1].startswith(last_err)
 
 
 def test_library_calls_leave_the_collector_as_it_was(tmp_path, capsys):
@@ -804,6 +836,82 @@ def test_program_mode_flushes_the_standard_streams(tmp_path, capsysbinary, monke
     code = main(["decode", str(path)])
     out, err = capsysbinary.readouterr()
     assert (child.returncode, child.stdout, child.stderr) == (code, out, err) == (0, text, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--mean", "2.5"], ["oracle", "--q", "0.9"], ["params"],
+    ["encode", "--family", "bogus"], ["crossover", "--q-lo", "0.5", "--q-hi", "0.4"]],
+    ids=["select", "oracle", "params", "usage-error", "data-error"])
+def test_program_mode_output_matches_main(capsysbinary, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+    child = run_child("-m", "geompair.cli", *argv, text=False)
+    code = main(argv)
+    out, err = capsysbinary.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+
+def test_program_mode_runs_with_stdout_closed(tmp_path):
+    # with file descriptor 1 closed, sys.stdout is None: print writes
+    # nothing; then, as with a closed sys.stdout, the interpreter's own
+    # exit ends the process
+    child = run_child("-c", (
+        "import os, sys\n"
+        "os.close(1)\n"
+        "os.execv(sys.executable, [sys.executable, '-m', 'geompair.cli', 'select', '--mean', '2.5'])\n"
+    ))
+    assert (child.returncode, child.stderr) == (0, "")
+    src, enc = tmp_path / "in.txt", tmp_path / "enc.bin"
+    src.write_text("4 1 0 0 9 2\n")
+    child = run_child("-c", (
+        "import sys\n"
+        "from geompair.cli import main\n"
+        "sys.stdout.close()\n"
+        f"sys.argv = ['geompair', 'encode', {str(src)!r}, '--family', 'ck', '--out', {str(enc)!r}]\n"
+        "main()\n"
+    ))
+    assert (child.returncode, child.stderr) == (0, "encoded 3 pairs, 22 payload bits\n")
+    assert enc.read_bytes()[:4] == MAGIC
+
+
+@pytest.fixture(params=["dev-full", "closed-pipe"])
+def failing_stdout(request):
+    """A stdout every write to fails, and the error text of the failure."""
+    if request.param == "dev-full":
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            yield full, "[Errno 28] No space left on device"
+        return
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        yield write_end, "[Errno 32] Broken pipe"
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--q", "0.9"], ["params"]])
+def test_program_mode_leaves_a_failed_last_flush_to_the_interpreter(failing_stdout, argv):
+    # output smaller than the stdout buffer fails only at the last flush,
+    # which the interpreter's own exit reports, with exit status 120
+    stdout, error = failing_stdout
+    child = run_child("-m", "geompair.cli", *argv, stdout=stdout)
+    assert child.returncode == 120
+    assert child.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert child.stderr.endswith(f"Error: {error}\n") and child.stderr.count("\n") == 2
+
+
+def test_program_mode_reports_a_failed_write_as_a_data_error(tmp_path, capsys, failing_stdout):
+    # output larger than the stdout buffer fails in the command's own write
+    stdout, error = failing_stdout
+    rng = random.Random(20)
+    src, enc = tmp_path / "in.txt", tmp_path / "enc.bin"
+    src.write_text("".join(f"{rng.randrange(8)} {rng.randrange(8)}\n" for _ in range(40_000)))
+    assert main(["encode", str(src), "--family", "ck", "--k", "3", "--out", str(enc)]) == 0
+    capsys.readouterr()
+    for argv in (["encode", str(src), "--family", "ck", "--k", "1"], ["decode", str(enc)]):
+        child = run_child("-m", "geompair.cli", *argv, stdout=stdout)
+        assert (child.returncode, child.stderr) == (2, f"geompair: {error}\n"), argv
 
 
 def test_oracle_paths_leave_dataclasses_and_inspect_unloaded():
