@@ -60,33 +60,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitReader",
-    "BitWriter",
-    "CkCodec",
-    "CminusCodec",
-    "CodeFamily",
-    "Codeword",
-    "GolombPairCodec",
-    "LimitCodec",
-    "StreamExhausted",
-    "WeightedSource",
-    "adaptive_select",
-    "asymptotic_redundancy",
-    "avg_len_by_series",
-    "avg_len_ck",
-    "avg_len_limit_closed",
-    "best_golomb_order",
-    "build_truncated_source",
-    "crossover",
-    "entropy_per_symbol",
-    "fringe2_optimal_range",
-    "huffman_lengths",
-    "make_codec",
-    "max_gap",
-    "oracle_optimal_avg_len",
-    "profile_from",
-    "signature_length_row",
-    "top_code_params",
-    "two_level_check",
-]
+__all__ = sorted(_LAZY)

@@ -12,15 +12,11 @@ signature with a certified geometric tail bound.
 import math
 
 from .basecodes import quasi_uniform_shape
-from .families import K_MAX, CodeFamily, DataError, make_codec
+from .families import K_MAX, CodeFamily, DataError, QOutOfRange, _check_q, make_codec
 from .fringe2 import top_code_params
 
 LOG2E = math.log2(math.e)
 SERIES_MAX_SIGNATURES = 5_000_000  # a series not certified past it raises NoConvergence
-
-
-class QOutOfRange(ValueError, DataError):
-    """Parameter q outside the open interval (0, 1)."""
 
 
 class NoConvergence(DataError):
@@ -33,11 +29,6 @@ class MeanOutOfRange(ValueError, DataError):
 
 class NoSignChange(DataError):
     """Bisection bracket does not straddle a sign change."""
-
-
-def _check_q(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise QOutOfRange(f"q={q} outside (0, 1)")
 
 
 def entropy_per_symbol(q: float) -> float:
@@ -324,17 +315,21 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
 
     ``avg_a`` and ``avg_b`` map q to bits per pair; their difference must
     change sign exactly once on [q_lo, q_hi].  A zero at one end is that
-    crossing; zeros at both ends are not a single crossing.
+    crossing; curves that agree at both ends, to within rounding, do not
+    make a single crossing.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def f(q: float) -> float:
-        return avg_a(q) - avg_b(q)
+    def f(q: float) -> tuple[float, bool]:
+        # the gap, and whether it is rounding: closed forms of one code (golomb1 and ck1,
+        # golomb2 and ck2) differ by up to about 1.2 eps / (1 - q) of their value
+        a, b = avg_a(q), avg_b(q)
+        return a - b, abs(a - b) * (1.0 - q) <= 16 * 2.0**-52 * min(abs(a), abs(b))
 
-    fa, fb = f(q_lo), f(q_hi)
-    if fa == 0.0 and fb == 0.0:
-        raise NoSignChange(f"the curves are equal at both ends of [{q_lo}, {q_hi}]")
+    (fa, agree_lo), (fb, agree_hi) = f(q_lo), f(q_hi)
+    if agree_lo and agree_hi:
+        raise NoSignChange(f"no crossing on [{q_lo}, {q_hi}]: the curves agree at both ends")
     if fa == 0.0:
         return q_lo
     if fb == 0.0:
@@ -346,7 +341,7 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: no tol below their spacing is met
             break
-        fm = f(mid)
+        fm = f(mid)[0]
         if fm == 0.0:
             return mid
         if (fm > 0) == (fa > 0):

@@ -85,15 +85,16 @@ PROBE_PAIRS = 512
 class PairCodec:
     """Coding paths shared by every pair codec.
 
-    A codec implements ``codeword(pair) -> (value, length)``, its single
-    encoder, ``_decode_run(reader, count)``, its single decoder, and
-    ``signature_lengths(s)``: for s >= 0, the lengths of the s + 1
-    codewords of the pairs (i, s - i), as ``((length, count), ...)``
+    A codec implements ``codeword(pair) -> (value, length)``, its
+    per-pair encoder, which :meth:`encode` and :meth:`encode_to` wrap;
+    ``encode_many(pairs) -> (stream, bits)``, the zero-padded stream of
+    all pairs' codewords and its payload bit count, from a loop that
+    inlines its code and takes the codewords of small pairs from
+    :attr:`_encode_table`; ``_decode_run(reader, count)``, its single
+    decoder; and ``signature_lengths(s)``: for s >= 0, the lengths of the
+    s + 1 codewords of the pairs (i, s - i), as ``((length, count), ...)``
     groups whose counts sum to s + 1 (a count may be 0), the one source of
-    lengths for the analysis.  The public encoders below wrap
-    ``codeword``.  The concrete codecs override ``encode_many`` with a
-    loop that inlines their code and emits the same bits, taking the
-    codewords of small pairs from :attr:`_encode_table`.
+    lengths for the analysis.
 
     ``_decode_run`` returns the next ``count`` pairs' components, flat
     (``[i0, j0, i1, j1, ...]``), and leaves the reader after them.  It
@@ -120,15 +121,6 @@ class PairCodec:
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return tuple(self._decode_run(reader, 1))
-
-    def encode_many(self, pairs) -> tuple[bytes, int]:
-        """Zero-padded stream of all pairs' codewords and its payload bit count."""
-        writer = BitWriter()
-        write = writer.write
-        codeword = self.codeword
-        for pair in pairs:
-            write(*codeword(pair))
-        return writer.getvalue(), writer.bits_written
 
     def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``, an even count of decimal strings: the

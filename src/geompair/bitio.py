@@ -27,10 +27,9 @@ class Codeword:
 
     Leading zeros are significant, e.g. ``Codeword(1, 3)`` is the string
     ``001``.  ``length`` 0 denotes the empty codeword.  ``value`` may be an
-    arbitrarily large int, so a single Codeword can carry logically
-    unbounded codewords; fixed-width transports can split it into
-    fragments of at most 64 bits and concatenation restores it.
-    Codewords are immutable, compare and hash by ``(value, length)``.
+    arbitrarily large int, so a single Codeword carries a codeword of any
+    length, whole; ``+`` concatenates two.  Codewords are immutable,
+    compare and hash by ``(value, length)``.
     """
 
     __slots__ = ("value", "length")

@@ -30,18 +30,6 @@ ORACLE_Q_CAP = 0.95
 MAX_ROWS = 10**6  # rows of a params or lengths table, points of a sweep grid
 
 
-class BadMagic(DataError):
-    pass
-
-
-class TrailingGarbage(DataError):
-    pass
-
-
-class OddSymbolCount(DataError):
-    pass
-
-
 class ParseError(DataError):
     pass
 
@@ -103,7 +91,7 @@ def _parse_values(tokens: list[str]) -> list[int]:
         raise ParseError(f"token at position {offset} has {len(tokens[offset])} digits, "
                          f"more than the limit of {limit}") from None
     if len(values) % 2:
-        raise OddSymbolCount(f"{len(values)} integers do not form pairs")
+        raise DataError(f"{len(values)} integers do not form pairs")
     return values
 
 
@@ -140,10 +128,10 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     blob = _read_binary(args.input)
     if len(blob) < HEADER.size:
-        raise BadMagic("file shorter than header")
+        raise DataError("file shorter than header")
     magic, version, family_byte, k, count = HEADER.unpack_from(blob)
     if magic != MAGIC:
-        raise BadMagic(f"bad magic {magic!r}")
+        raise DataError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DataError(f"unsupported version {version}")
     if family_byte not in FAMILY_FROM_BYTE:
@@ -169,10 +157,10 @@ def cmd_decode(args) -> int:
     end = reader.bits_consumed
     pad = reader.bits_remaining
     if pad >= 8:
-        raise TrailingGarbage(f"{pad} bits beyond final pair, starting at payload bit {end}")
+        raise DataError(f"{pad} bits beyond final pair, starting at payload bit {end}")
     bits, pos, _ = reader.reload_window()
     if "1" in bits[pos : pos + pad]:
-        raise TrailingGarbage(f"nonzero padding bits, starting at payload bit {end}")
+        raise DataError(f"nonzero padding bits, starting at payload bit {end}")
     _write_text(args.out, text)
     return 0
 
@@ -250,22 +238,21 @@ def cmd_sweep(args) -> int:
         raise DataError("need 0 < q-lo <= q-hi < 1")
     _check_positive("step", args.step)
     _check_unit("eps", args.eps)
-    lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     grid = _grid(args.q_lo, args.q_hi, args.step)
+    for name, bound, point in (("q-lo", args.q_lo, grid[0]), ("q-hi", args.q_hi, grid[-1])):
+        if not 0.0 < point < 1.0:  # the grid rounds its points to 12 decimals
+            raise DataError(f"{name} {bound} gives the grid point {point} at 12 decimals, "
+                            "outside (0, 1)")
+    lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     best = analysis.best_averages_by_kind(grid, args.eps)
-    for q, (golomb, ck, cminus, limit) in zip(grid, best):
+    for q, averages in zip(grid, best):  # golomb, ck, cminus, limit
         ent = analysis.entropy_per_symbol(q)
         opt = ""
         if args.with_oracle and q <= ORACLE_Q_CAP:
             est, _ = oracle_optimal_avg_len(q, args.eps)
             opt = f"{analysis.redundancy_per_symbol(est, q):.6f}"
-        lines.append(
-            f"{q:.6f},{ent:.6f},{opt},"
-            f"{analysis.redundancy_per_symbol(golomb, q):.6f},"
-            f"{analysis.redundancy_per_symbol(ck, q):.6f},"
-            f"{analysis.redundancy_per_symbol(cminus, q):.6f},"
-            f"{analysis.redundancy_per_symbol(limit, q):.6f}"
-        )
+        reds = [f"{analysis.redundancy_per_symbol(avg, q):.6f}" for avg in averages]
+        lines.append(",".join([f"{q:.6f}", f"{ent:.6f}", opt, *reds]))
     _write_text(args.out, "".join(line + "\n" for line in lines))
     return 0
 

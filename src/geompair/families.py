@@ -9,10 +9,9 @@ q = 2^(-k)), ``limit`` (the k -> infinity limit of cminus), or
 from collections import namedtuple
 from functools import lru_cache
 
-FAMILY_KINDS = ("ck", "cminus", "limit", "golomb")
-
 # wire identifiers used in the container header
 FAMILY_BYTES = {"ck": 1, "cminus": 2, "limit": 3, "golomb": 4}
+FAMILY_KINDS = tuple(FAMILY_BYTES)
 FAMILY_FROM_BYTE = {v: n for n, v in FAMILY_BYTES.items()}
 K_MAX = 0xFFFF  # the header's uint16 k
 
@@ -24,6 +23,15 @@ class DataError(Exception):
 
 class InvalidFamilyParam(ValueError, DataError):
     """Family/parameter combination outside its valid domain."""
+
+
+class QOutOfRange(ValueError, DataError):
+    """Parameter q outside the open interval (0, 1)."""
+
+
+def _check_q(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise QOutOfRange(f"q={q} outside (0, 1)")
 
 
 class CodeFamily(namedtuple("CodeFamily", "kind k")):

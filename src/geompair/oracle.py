@@ -25,8 +25,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import chain, groupby, repeat
 
-from .analysis import _check_q
-from .families import DataError
+from .families import DataError, _check_q
 
 
 class SourceTooLarge(DataError):

@@ -15,7 +15,7 @@ every signature from 0.
 import functools
 import random
 
-from geompair.basecodes import PairCodec, golomb_length, quasi_uniform_shape
+from geompair.basecodes import golomb_length, quasi_uniform_shape
 from geompair.bitio import BitReader, BitWriter, Codeword
 from geompair.cminus_codec import limit_row, signature_length_row
 from geompair.families import CodeFamily, make_codec
@@ -344,8 +344,8 @@ def assert_decodes(codec, pairs):
 
 def assert_codes(family, pairs):
     """Every encode route of the codec of ``family``, ``encode_tokens`` (the
-    CLI's) and the generic ``PairCodec.encode_many`` among them, gives the
-    reference stream of ``pairs``; every decode route and the reference
+    CLI's) and ``encode_to`` (one ``codeword`` at a time) among them, gives
+    the reference stream of ``pairs``; every decode route and the reference
     decoder read the pairs back from it and stop at its last bit."""
     codewords, data, nbits = reference_stream(family, pairs)
     codec = make_codec(family)
@@ -358,7 +358,6 @@ def assert_codes(family, pairs):
         ("encode_to", (writer.getvalue(), writer.bits_written)),
         ("encode_many", codec.encode_many(pairs)),
         ("encode_many of an iterator", codec.encode_many(iter(pairs))),
-        ("PairCodec.encode_many", PairCodec.encode_many(codec, pairs)),
         ("encode_tokens", codec.encode_tokens(list(map(str, flat)))),
     ):
         assert got == (data, nbits), route

@@ -146,6 +146,7 @@ def test_criterion_07_cminus_structure_and_roundtrips():
             kraft = Fraction(0)
             for s in range(513):
                 row = signature_length_row(k, s)
+                assert row.n_short >= 0 and row.n_long >= 0
                 assert row.n_short + row.n_long == s + 1
                 lens = []
                 if row.n_short:
@@ -157,6 +158,7 @@ def test_criterion_07_cminus_structure_and_roundtrips():
                 if s <= 128:
                     kraft += row.n_short * Fraction(1, 1 << row.lam)
                     kraft += row.n_long * Fraction(1, 1 << (row.lam + 1))
+                    assert kraft < 1
             lam_128 = signature_length_row(k, 128).lam
             assert 0 < 1 - kraft <= 130 * Fraction(1, 1 << lam_128)
 

@@ -1,7 +1,8 @@
 """The public names of the package: every ``__all__`` name resolves, each
-loading its module on first use, the removed helpers stay gone, and
-README's list of the public API follows ``__all__``; and a command loads
-only the codec modules it runs."""
+loading its module on first use, the removed helpers stay gone, README's
+list of the public API follows ``__all__``, and every module-level
+definition is named somewhere; and a command loads only the modules it
+runs."""
 
 import ast
 import importlib
@@ -140,28 +141,84 @@ def test_no_test_module_imports_another():
     ) == ["test_batch", "test_cli"]
 
 
-CODEC_MODULES = tuple(f"geompair.{name}"
-                      for name in ("bitio", "basecodes", "ck_codec", "cminus_codec", "fringe2"))
+def _definitions(tree) -> list[str]:
+    """The module-level functions and classes of ``tree`` and the methods of its
+    classes, as ``name`` or ``Class.method``, dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{sub.name}" for sub in node.body if isinstance(sub, ast.FunctionDef)]
+    return [name for name in names if not re.fullmatch(r"__\w+__", name.rpartition(".")[2])]
+
+
+def _named(tree) -> set[str]:
+    """Every name that ``tree`` uses: names, attributes, imported names, and
+    strings that are identifiers (``_LAZY``'s keys, ``getattr``'s names)."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            named.add(node.value)
+    return named
+
+
+# methods that a base class outside the package calls: namedtuple's _replace calls _make
+OVERRIDES = {"CodeFamily._make"}
+
+
+def test_no_module_level_code_that_nothing_names():
+    # every module-level function, class and method of the package is named
+    # besides its own definition, in the package, the tests or the benchmark
+    named, defined = set(), []
+    for directory in (PACKAGE, TESTS, TESTS.parent / "bench"):
+        for path in sorted(directory.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            named |= _named(tree)
+            defined += _definitions(tree) if directory == PACKAGE else []
+    assert len(defined) >= 100
+    assert {name for name in defined if name.rpartition(".")[2] not in named} == OVERRIDES
+    # the check sees a definition named only by its own def, and no dunder
+    tree = ast.parse("class A:\n    def __init__(self): pass\n    def f(self): return g\n"
+                     "def g(): pass\ndef h(): pass\nx = {'A': 1}\n")
+    assert [name for name in _definitions(tree) if name.rpartition(".")[2] not in _named(tree)] == [
+        "A.f", "h"]
+
+
+# the modules that a command loads only if it runs them
+ON_DEMAND = tuple(f"geompair.{name}" for name in
+                  ("bitio", "basecodes", "ck_codec", "cminus_codec", "fringe2", "analysis"))
 
 
 COLD_PATH_SPARED = ("__future__", "encodings.ascii")  # modules no command needs
 
 
-def codec_modules_loaded(*argvs):
-    """In a fresh child, the CODEC_MODULES loaded after ``import geompair``,
-    after ``import geompair.cli`` and after each ``main(argv)``, with its exit
-    code; then whether every ``__all__`` name resolves.  Checks that none of
-    this loads a COLD_PATH_SPARED module that was not loaded before."""
+def modules_loaded(*steps):
+    """In a fresh child, the ON_DEMAND modules loaded after ``import geompair``,
+    after ``import geompair.cli`` and after each step: an argv run by ``main``,
+    with its exit code, or a statement; then whether every ``__all__`` name
+    resolves.  Checks that none of this loads a COLD_PATH_SPARED module that
+    was not loaded before."""
     child = run_child("-c", (
         "import sys\n"
         "before = set(sys.modules)\n"
-        f"def loaded(): return [m for m in {CODEC_MODULES!r} if m in sys.modules]\n"
+        f"def loaded(): return [m for m in {ON_DEMAND!r} if m in sys.modules]\n"
         "import geompair\n"
         "print(loaded())\n"
         "import geompair.cli\n"
         "print(loaded())\n"
-        f"for argv in {list(argvs)!r}:\n"
-        "    print(geompair.cli.main(argv), loaded())\n"
+        f"for step in {list(steps)!r}:\n"
+        "    if isinstance(step, str):\n"
+        "        exec(step)\n"
+        "        print(loaded())\n"
+        "    else:\n"
+        "        print(geompair.cli.main(step), loaded())\n"
         "print(all(getattr(geompair, name) for name in geompair.__all__))\n"
         f"print([m for m in {COLD_PATH_SPARED!r} if m in sys.modules and m not in before])\n"
     ))
@@ -182,7 +239,7 @@ def test_import_and_decode_load_only_the_codec_they_run(tmp_path):
     bad.write_bytes(b"NOPE" + bytes(12))
     cminus = write_container(tmp_path / "cminus.bin", CodeFamily("cminus", 2), [(4, 1), (0, 0)])
     out = str(tmp_path / "out.txt")
-    assert codec_modules_loaded(["decode", str(bad), "--out", out], ["decode", cminus, "--out", out]) == [
+    assert modules_loaded(["decode", str(bad), "--out", out], ["decode", cminus, "--out", out]) == [
         "[]",  # import geompair
         "[]",  # import geompair.cli
         "2 []",  # a container refused at its header
@@ -200,7 +257,7 @@ def test_import_and_decode_load_only_the_codec_they_run(tmp_path):
 def test_encode_and_decode_load_only_their_family_codec(tmp_path, family, modules):
     src, enc, dec = tmp_path / "in.txt", str(tmp_path / "enc.bin"), str(tmp_path / "dec.txt")
     src.write_text("4 1 0 0 9 2\n")
-    lines = codec_modules_loaded(["encode", str(src), "--family", *family, "--out", enc],
+    lines = modules_loaded(["encode", str(src), "--family", *family, "--out", enc],
                                  ["decode", enc, "--out", dec])
     assert lines == ["[]", "[]", f"0 {modules}", f"0 {modules}", "True"]
     assert (tmp_path / "dec.txt").read_text() == "4 1\n0 0\n9 2\n"
@@ -209,11 +266,20 @@ def test_encode_and_decode_load_only_their_family_codec(tmp_path, family, module
 def test_commands_load_neither_future_nor_the_ascii_codec(tmp_path):
     src, enc, dec, csv = tmp_path / "in.txt", str(tmp_path / "enc.bin"), tmp_path / "dec.txt", tmp_path / "s.csv"
     src.write_text("4 1 0 0 9 2\n")
-    lines = codec_modules_loaded(["encode", str(src), "--family", "ck", "--k", "3", "--out", enc],
+    lines = modules_loaded(["encode", str(src), "--family", "ck", "--k", "3", "--out", enc],
                                  ["decode", enc, "--out", str(dec)], ["select", "--mean", "2.5"],
                                  ["oracle", "--q", "0.9"], ["sweep", "--out", str(csv)])
     ck = "0 ['geompair.bitio', 'geompair.basecodes', 'geompair.ck_codec', 'geompair.fringe2']"
-    series = ck.replace("ck_codec'", "ck_codec', 'geompair.cminus_codec'")  # sweep sums cminus series
-    assert lines == ["[]", "[]", ck, ck, "ck k=2", ck, "9.408254 ± 3.20e-08", ck, series, "True"]
+    analysis = ck.replace("fringe2'", "fringe2', 'geompair.analysis'")
+    series = analysis.replace("ck_codec'", "ck_codec', 'geompair.cminus_codec'")  # sweep sums cminus series
+    assert lines == ["[]", "[]", ck, ck, "ck k=2", analysis, "9.408254 ± 3.20e-08", analysis, series, "True"]
     assert dec.read_text() == "4 1\n0 0\n9 2\n"
     assert csv.read_text() == (Path(__file__).parent / "data" / "sweep_default.csv").read_text()
+
+
+@pytest.mark.parametrize("step, lines", [
+    ("from geompair.oracle import oracle_optimal_avg_len", ["[]"]),
+    (["oracle", "--q", "0.9"], ["9.408254 ± 3.20e-08", "0 []"])], ids=["import", "command"])
+def test_oracle_loads_neither_the_analysis_nor_a_codec(step, lines):
+    # the oracle takes its q check from families, where DataError is
+    assert modules_loaded(step) == ["[]", "[]", *lines, "True"]

@@ -11,8 +11,7 @@ the end of a stream at the same pair and start bit, through the table (a
 stream of at most TABLE_BITS bits per pair) and through the family loop;
 ``decode_text`` must print exactly the components that ``decode_many``
 returns, and fail where it fails; ``encode_many`` must emit the bytes of
-the generic ``PairCodec.encode_many``, which writes one ``codeword`` at a
-time.
+``encode_to``, which writes one ``codeword`` at a time.
 Small ``BitReader`` windows make codewords and table lookups straddle
 window ends, where the family loop reloads its window, and make runs of
 ones longer than a window, which it reads with ``read_unary``.

@@ -362,6 +362,16 @@ def test_sweep_oracle_column_empty_without_flag(capsys):
     assert out.splitlines()[1].split(",")[2] == ""
 
 
+@pytest.mark.parametrize("q_lo, q_hi, message", [
+    ("1e-13", "0.05", "q-lo 1e-13 gives the grid point 0.0"),
+    ("0.9999999999999", "0.9999999999999", "q-lo 0.9999999999999 gives the grid point 1.0"),
+    ("0.5", "0.9999999999999", "q-hi 0.9999999999999 gives the grid point 1.0")])
+def test_sweep_bound_that_the_grid_rounds_out_of_range_exits_2(capsys, q_lo, q_hi, message):
+    # the grid rounds its points to 12 decimals; the refusal names the bound given
+    code, out, err = run(capsys, "sweep", "--q-lo", q_lo, "--q-hi", q_hi, "--step", "0.4999999999999")
+    assert (code, out, err) == (2, "", f"geompair: {message} at 12 decimals, outside (0, 1)\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["sweep", "--q-lo", "0.5", "--q-hi", "0.5", "--step", "nan"], "step must be positive and finite"),
@@ -526,6 +536,17 @@ def test_crossover_same_family_twice_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "both ck k=3" in err
+
+
+@pytest.mark.parametrize("model_a, model_b, q_lo, q_hi", [
+    ("golomb1", "ck1", "0.25", "0.45"), ("golomb1", "ck1", "0.3", "0.9"), ("ck1", "golomb1", "0.1", "0.2"),
+    ("golomb2", "ck2", "0.25", "0.45"), ("golomb2", "ck2", "0.1", "0.3")])
+def test_crossover_of_curves_equal_to_within_rounding_exits_2(capsys, model_a, model_b, q_lo, q_hi):
+    # golomb1 and ck1 are both two unary codes, and golomb2 and ck2 have the same
+    # lengths: their closed forms differ by rounding alone, which crosses nothing
+    assert run(capsys, "crossover", "--model-a", model_a, "--model-b", model_b,
+               "--q-lo", q_lo, "--q-hi", q_hi) == (
+        2, "", f"geompair: no crossing on [{q_lo}, {q_hi}]: the curves agree at both ends\n")
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from codec_families import (FAMILIES, FAR_PAIRS, RefCminus, RefLimit, assert_cod
                             reference_stream, top_codeword)
 
 from geompair.basecodes import PairCodec
-from geompair.bitio import BitReader, Codeword, StreamExhausted
+from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import LimitCodec, signature_row
 from geompair.families import CodeFamily, make_codec
@@ -65,7 +65,6 @@ def test_emitted_length_equals_modelled_length(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_encode_many_override_matches_reference(family):
-    assert type(make_codec(family)).encode_many is not PairCodec.encode_many
     # 1000 pairs cross the writer's flush threshold several times
     for pairs in (FAR_PAIRS, random_pairs(family, n=1000), FAR_PAIRS + random_pairs(family)):
         assert_codes(family, pairs)
@@ -77,8 +76,6 @@ def test_encode_many_rejects_negative_components(family, bad):
     codec = make_codec(family)
     with pytest.raises(ValueError):
         codec.encode_many([(1, 1), bad])
-    with pytest.raises(ValueError):
-        PairCodec.encode_many(codec, [(1, 1), bad])
 
 
 def test_encode_many_rejects_unfit_values():
@@ -87,7 +84,9 @@ def test_encode_many_rejects_unfit_values():
             return 4, 2
 
     with pytest.raises(ValueError):
-        Broken().encode_many([(0, 0)])
+        Broken().encode_tokens(["0", "0"])
+    with pytest.raises(ValueError):
+        Broken().encode_to(BitWriter(), (0, 0))
 
 
 @pytest.mark.parametrize("k", list(range(1, 65)) + [256])
