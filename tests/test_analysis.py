@@ -45,6 +45,10 @@ def test_avg_len_ck_examples():
         avg_len_ck(1.0, 3)
 
 
+def test_zero_redundancy_at_half():
+    assert abs(0.5 * avg_len_ck(0.5, 1) - entropy_per_symbol(0.5)) < 1e-12
+
+
 @pytest.mark.parametrize("k", range(1, 65))
 def test_design_specialization_consistent(k):
     q = 2 ** (-1 / k)

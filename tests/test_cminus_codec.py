@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from codec_families import assert_codes, assert_decodes, assert_lengths, every_pair
@@ -37,6 +38,30 @@ def test_row_rejects_bad_args():
         signature_length_row(1, 0)
     with pytest.raises(ValueError):
         signature_length_row(3, -1)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_counts_and_monotonicity(k):
+    prev_longest = 0
+    for s in range(513):
+        row = signature_length_row(k, s)
+        assert row.n_short >= 0 and row.n_long >= 0
+        assert row.n_short + row.n_long == s + 1
+        lens = [row.lam] * (row.n_short > 0) + [row.lam + 1] * (row.n_long > 0)
+        assert min(lens) >= prev_longest
+        prev_longest = max(lens)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_partial_kraft_sums(k):
+    kraft = Fraction(0)
+    for s in range(129):
+        row = signature_length_row(k, s)
+        kraft += row.n_short * Fraction(1, 1 << row.lam)
+        kraft += row.n_long * Fraction(1, 1 << (row.lam + 1))
+        assert kraft < 1
+    lam_last = signature_length_row(k, 128).lam
+    assert 1 - kraft <= 130 * Fraction(1, 1 << lam_last)
 
 
 @pytest.mark.parametrize(
