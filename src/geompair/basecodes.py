@@ -1,6 +1,6 @@
 """The coding paths shared by every pair codec, and the Golomb pair codec.
 
-:class:`PairCodec` holds the public encoders and decoders and the two
+:class:`PairCodec` holds the public encoders and decoders and the three
 coding tables that every codec shares.  :class:`GolombPairCodec` is the
 only implementation of the Golomb code of order k (order 1 is unary): it
 sends the k-ary remainder through the quasi-uniform code on N = k
@@ -85,13 +85,14 @@ PROBE_PAIRS = 512
 class PairCodec:
     """Coding paths shared by every pair codec.
 
-    A codec implements ``codeword(pair) -> (value, length)``, its
-    per-pair encoder, which :meth:`encode` and :meth:`encode_to` wrap;
-    ``encode_many(pairs) -> (stream, bits)``, the zero-padded stream of
-    all pairs' codewords and its payload bit count, from a loop that
-    inlines its code and takes the codewords of small pairs from
-    :attr:`_encode_table`; ``_decode_run(reader, count)``, its single
-    decoder; and ``signature_lengths(s)``: for s >= 0, the lengths of the
+    A codec builds ``_coder(i, j) -> (value, length)``, its one per-pair
+    encoder, once, with its state in local variables; :meth:`codeword`,
+    :meth:`encode`, :meth:`encode_to` and :meth:`encode_many` wrap it.
+    ``encode_many(pairs) -> (stream, bits)``, the zero-padded stream of all
+    pairs' codewords and its payload bit count, takes the codewords of small
+    pairs from :attr:`_encode_table` and calls ``_coder`` for the rest.  A
+    codec also implements ``_decode_run(reader, count)``, its single
+    decoder, and ``signature_lengths(s)``: for s >= 0, the lengths of the
     s + 1 codewords of the pairs (i, s - i), as ``((length, count), ...)``
     groups whose counts sum to s + 1 (a count may be 0), the one source of
     lengths for the analysis.
@@ -105,19 +106,39 @@ class PairCodec:
     index of the pair that ran off the end in ``pair`` and its start bit
     in ``start``.  :meth:`decode` is one pair of it; :meth:`decode_many`
     and :meth:`decode_text` read a stream of short codewords through
-    :attr:`_decode_table` and hand the rest to it.  Both tables are built
-    from ``codeword`` on first use and never change, so a codec stays
+    :attr:`_decode_table` and hand the rest to it.  The tables are built
+    from ``_coder`` on first use and never change, so a codec stays
     immutable and shareable.
     """
 
     def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
-        raise NotImplementedError
+        return self._coder(*pair)
 
     def encode(self, pair: tuple[int, int]) -> Codeword:
-        return Codeword(*self.codeword(pair))
+        return Codeword(*self._coder(*pair))
 
     def encode_to(self, writer: BitWriter, pair: tuple[int, int]) -> None:
-        writer.write(*self.codeword(pair))
+        writer.write(*self._coder(*pair))
+
+    def encode_many(self, pairs) -> tuple[bytes, int]:
+        coder = self._coder
+        small = self._encode_table
+        writer = BitWriter()
+        flush = writer.flush
+        acc = nacc = 0
+        for i, j in pairs:
+            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
+                value, length = small[i << SMALL_BITS | j]
+            else:
+                value, length = coder(i, j)
+                if value >> length:
+                    raise ValueError(f"value {value} does not fit in {length} bits")
+            acc = (acc << length) | value
+            nacc += length
+            if nacc >= FLUSH_BITS:
+                acc, nacc = flush(acc, nacc)
+        writer.write(acc, nacc)
+        return writer.getvalue(), writer.bits_written
 
     def decode(self, reader: BitReader) -> tuple[int, int]:
         return tuple(self._decode_run(reader, 1))
@@ -134,7 +155,7 @@ class PairCodec:
             n = -1
             for _ in range(codes.count(None)):
                 n = codes.index(None, n + 1)
-                value, length = self.codeword((int(tokens[2 * n]), int(tokens[2 * n + 1])))
+                value, length = self._coder(int(tokens[2 * n]), int(tokens[2 * n + 1]))
                 if length > MISS_BITS or value >> length:
                     break
                 codes[n] = format(value, f"0{length}b")
@@ -152,12 +173,12 @@ class PairCodec:
 
     @cached_property
     def _encode_table(self) -> tuple[tuple[int, int], ...]:
-        """``codeword((i, j))`` at index ``i << SMALL_BITS | j``, for
+        """``_coder(i, j)`` at index ``i << SMALL_BITS | j``, for
         0 <= i, j < 2^SMALL_BITS, each checked to fit its length."""
         table = []
         for i in range(1 << SMALL_BITS):
             for j in range(1 << SMALL_BITS):
-                value, length = self.codeword((i, j))
+                value, length = self._coder(i, j)
                 if value >> length:
                     raise ValueError(f"value {value} does not fit in {length} bits")
                 table.append((value, length))
@@ -176,7 +197,7 @@ class PairCodec:
         ``(components, bits, pairs, text)``, ``text`` as ``decode_text`` prints
         them and ``pairs`` 0 where no codeword of at most TABLE_BITS bits opens it.
 
-        Built from ``codeword`` over the signatures whose shortest codeword
+        Built from ``_coder`` over the signatures whose shortest codeword
         has at most TABLE_BITS bits; in every family the shortest length
         of a signature does not fall as the signature grows.  The code is
         prefix-free, so the windows that one codeword prefixes hold no
@@ -186,7 +207,7 @@ class PairCodec:
         s = 0
         while min(length for length, count in self.signature_lengths(s) if count) <= TABLE_BITS:
             for i in range(s + 1):
-                value, length = self.codeword((i, s - i))
+                value, length = self._coder(i, s - i)
                 if length <= TABLE_BITS:
                     codewords.append((i, s - i, value, length))
             s += 1
@@ -261,6 +282,8 @@ def residue_signature_lengths(k: int, s: int, residue_length) -> tuple[tuple[int
     sum to (s - a - b) / k, so the (s - a) // k + 1 pairs of that residue
     share one length.
     """
+    if s < 0:
+        raise ValueError("signature must be >= 0")
     groups = []
     for a in range(min(k, s + 1)):
         b = (s - a) % k
@@ -299,64 +322,27 @@ class GolombPairCodec(PairCodec):
         if k < 1:
             raise ValueError("Golomb order must be >= 1")
         self.k = k
+        m, short_count = quasi_uniform_shape(k)
 
-    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
-        m, short_count = quasi_uniform_shape(self.k)
-        value = length = 0
-        for n in pair:
-            if n < 0:
+        def coder(i: int, j: int) -> tuple[int, int]:
+            if i < 0 or j < 0:
                 raise ValueError("Golomb argument must be >= 0")
-            quot, rem = divmod(n, self.k)
-            # the quasi-uniform remainder, m - 1 bits below short_count and
+            quot_i, rem_i = divmod(i, k)
+            quot_j, rem_j = divmod(j, k)
+            # each quasi-uniform remainder, m - 1 bits below short_count and
             # m bits of rem + short_count above, then quot ones and a zero
-            short = rem < short_count
-            part = (((rem if short else rem + short_count) + 1) << (quot + 1)) - 2
-            value = (value << (m - short + quot + 1)) | part
-            length += m - short + quot + 1
-        return value, length
+            short_i, short_j = rem_i < short_count, rem_j < short_count
+            value_i = (((rem_i if short_i else rem_i + short_count) + 1) << (quot_i + 1)) - 2
+            value_j = (((rem_j if short_j else rem_j + short_count) + 1) << (quot_j + 1)) - 2
+            length_j = m - short_j + quot_j + 1
+            return (value_i << length_j) | value_j, m - short_i + quot_i + 1 + length_j
+
+        self._coder = coder
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
         m, short_count = quasi_uniform_shape(self.k)
         return residue_signature_lengths(
             self.k, s, lambda a, b: 2 * m - (a < short_count) - (b < short_count))
-
-    def encode_many(self, pairs) -> tuple[bytes, int]:
-        k = self.k
-        m, short_count = quasi_uniform_shape(k)
-        small = self._encode_table
-        writer = BitWriter()
-        flush = writer.flush
-        acc = nacc = 0
-        for i, j in pairs:
-            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
-                value, length = small[i << SMALL_BITS | j]
-            else:
-                if i < 0 or j < 0:
-                    raise ValueError("Golomb argument must be >= 0")
-                quot_i, rem_i = divmod(i, k)
-                quot_j, rem_j = divmod(j, k)
-                # quasi-uniform remainder, then the quotient's ones and zero
-                if rem_i < short_count:
-                    value_i, length_i = rem_i, m - 1
-                else:
-                    value_i, length_i = rem_i + short_count, m
-                if rem_j < short_count:
-                    value_j, length_j = rem_j, m - 1
-                else:
-                    value_j, length_j = rem_j + short_count, m
-                value_i = ((value_i + 1) << (quot_i + 1)) - 2
-                value_j = ((value_j + 1) << (quot_j + 1)) - 2
-                length_j += quot_j + 1
-                value = (value_i << length_j) | value_j
-                length = length_i + quot_i + 1 + length_j
-                if value >> length:
-                    raise ValueError(f"value {value} does not fit in {length} bits")
-            acc = (acc << length) | value
-            nacc += length
-            if nacc >= FLUSH_BITS:
-                acc, nacc = flush(acc, nacc)
-        writer.write(acc, nacc)
-        return writer.getvalue(), writer.bits_written
 
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         # the components one after the other, each remainder from an m-bit

@@ -11,7 +11,7 @@ uniform 2-bit code on 4 symbols.
 from bisect import bisect_right
 from functools import cached_property
 
-from .basecodes import (SMALL_BITS, TABLE_BITS, PairCodec, decode_unary_pairs, reload_pair,
+from .basecodes import (TABLE_BITS, PairCodec, decode_unary_pairs, reload_pair,
                         residue_signature_lengths)
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import top_code_params
@@ -66,68 +66,35 @@ class CkCodec(PairCodec):
              first_rank - first_value, length)
             for length, first_value, first_rank, count in levels
         )
-
-    def _top_codeword(self, a: int, b: int) -> tuple[int, int]:
-        """Top codeword of the residue pair (a, b) as ``(value, length)``;
-        the last level's rank limit is k^2, above every residue pair's rank."""
-        rank = self._base[a + b] + a
-        for limit, offset, length in self._encode_levels:
-            if rank < limit:
-                return rank + offset, length
-
-    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
-        i, j = pair
-        if i < 0 or j < 0:
-            raise ValueError("pair components must be >= 0")
-        u, a = divmod(i, self.k)
-        v, b = divmod(j, self.k)
-        value, length = self._top_codeword(a, b)
-        # append u ones and a zero, then v ones and a zero
-        value = ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2
-        return value, length + u + v + 2
-
-    def length_of(self, pair: tuple[int, int]) -> int:
-        return self.codeword(pair)[1]
-
-    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
-        return residue_signature_lengths(self.k, s, lambda a, b: self._top_codeword(a, b)[1])
-
-    def encode_many(self, pairs) -> tuple[bytes, int]:
-        k = self.k
         base = self._base
         (rank_1, offset_1, length_1), (rank_2, offset_2, length_2), (_, offset_3, length_3) = (
             self._encode_levels
         )
-        small = self._encode_table
-        writer = BitWriter()
-        flush = writer.flush
-        acc = nacc = 0
-        for i, j in pairs:
-            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
-                value, length = small[i << SMALL_BITS | j]
+
+        def coder(i: int, j: int) -> tuple[int, int]:
+            if i < 0 or j < 0:
+                raise ValueError("pair components must be >= 0")
+            u, a = divmod(i, k)
+            v, b = divmod(j, k)
+            # the top codeword of (a, b), from the level of its rank
+            rank = base[a + b] + a
+            if rank < rank_1:
+                value, length = rank + offset_1, length_1
+            elif rank < rank_2:
+                value, length = rank + offset_2, length_2
             else:
-                if i < 0 or j < 0:
-                    raise ValueError("pair components must be >= 0")
-                u, a = divmod(i, k)
-                v, b = divmod(j, k)
-                rank = base[a + b] + a
-                if rank < rank_1:
-                    value, length = rank + offset_1, length_1
-                elif rank < rank_2:
-                    value, length = rank + offset_2, length_2
-                else:
-                    value, length = rank + offset_3, length_3
-                # append u ones and a zero, then v ones and a zero
-                value = ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2
-                length += u + v + 2
-                if value >> length:
-                    raise ValueError(f"value {value} does not fit in {length} bits")
-            acc = (acc << length) | value
-            nacc += length
-            if nacc >= FLUSH_BITS:
-                acc, nacc = flush(acc, nacc)
-        writer.write(acc, nacc)
-        return writer.getvalue(), writer.bits_written
+                value, length = rank + offset_3, length_3
+            # append u ones and a zero, then v ones and a zero
+            return ((((value + 1) << (u + 1)) - 1) << (v + 1)) - 2, length + u + v + 2
+
+        self._coder = coder
+
+    def length_of(self, pair: tuple[int, int]) -> int:
+        return self._coder(*pair)[1]
+
+    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
+        # for a, b < k the codeword of (a, b) is its top codeword and two unary zeros
+        return residue_signature_lengths(self.k, s, lambda a, b: self._coder(a, b)[1] - 2)
 
     def _encode_token_pairs(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``, each distinct token converted
@@ -175,7 +142,8 @@ class CkCodec(PairCodec):
         table = [None] * (1 << width)
         for a in range(self.k):
             for b in range(self.k):
-                value, length = self._top_codeword(a, b)
+                value, length = self._coder(a, b)  # the top codeword and two unary zeros
+                value, length = value >> 2, length - 2
                 shift = width - length
                 table[value << shift : (value + 1) << shift] = [(a, b, length)] * (1 << shift)
         return tuple(table)

@@ -26,8 +26,8 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .basecodes import SMALL_BITS, PairCodec, exhausted, reload_pair
-from .bitio import FLUSH_BITS, BitReader, BitWriter
+from .basecodes import PairCodec, exhausted, reload_pair
+from .bitio import BitReader
 
 
 class SignatureLengthRow(namedtuple("SignatureLengthRow", "s lam n_short n_long")):
@@ -137,6 +137,27 @@ class CminusCodec(PairCodec):
         if k < 2:
             raise ValueError("k must be >= 2")
         self.k = k
+        rows = ()  # self._rows, bound on first use
+
+        def coder(i: int, j: int) -> tuple[int, int]:
+            nonlocal rows
+            if i < 0 or j < 0:
+                raise ValueError("pair components must be >= 0")
+            s = i + j
+            if s < _MEMO_SIGNATURES:
+                try:
+                    lam, n_short, _, deficit = rows[s]
+                except IndexError:  # the first use; the try costs nothing after it
+                    rows = self._rows
+                    lam, n_short, _, deficit = rows[s]
+            else:
+                lam, n_short, _, deficit = signature_row(k, s)
+            first_short = (1 << lam) - deficit
+            if i < n_short:
+                return first_short + i, lam
+            return ((first_short + n_short) << 1) + (i - n_short), lam + 1
+
+        self._coder = coder
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -152,54 +173,10 @@ class CminusCodec(PairCodec):
         return tuple(run_signature)
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
+        if s < 0:
+            raise ValueError("signature must be >= 0")
         lam, n_short, n_long, _ = signature_row(self.k, s)
         return (lam, n_short), (lam + 1, n_long)
-
-    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
-        i, j = pair
-        if i < 0 or j < 0:
-            raise ValueError("pair components must be >= 0")
-        s = i + j
-        if s < _MEMO_SIGNATURES:
-            lam, n_short, _, deficit = self._rows[s]
-        else:
-            lam, n_short, _, deficit = signature_row(self.k, s)
-        first_short = (1 << lam) - deficit
-        if i < n_short:
-            return first_short + i, lam
-        return ((first_short + n_short) << 1) + (i - n_short), lam + 1
-
-    def encode_many(self, pairs) -> tuple[bytes, int]:
-        k = self.k
-        rows = self._rows
-        small = self._encode_table
-        writer = BitWriter()
-        flush = writer.flush
-        acc = nacc = 0
-        for i, j in pairs:
-            if not (i | j) >> SMALL_BITS:  # both in [0, 2^SMALL_BITS)
-                value, length = small[i << SMALL_BITS | j]
-            else:
-                if i < 0 or j < 0:
-                    raise ValueError("pair components must be >= 0")
-                s = i + j
-                if s < _MEMO_SIGNATURES:
-                    lam, n_short, _, deficit = rows[s]
-                else:
-                    lam, n_short, _, deficit = signature_row(k, s)
-                first_short = (1 << lam) - deficit
-                if i < n_short:
-                    value, length = first_short + i, lam
-                else:
-                    value, length = ((first_short + n_short) << 1) + (i - n_short), lam + 1
-                if value >> length:
-                    raise ValueError(f"value {value} does not fit in {length} bits")
-            acc = (acc << length) | value
-            nacc += length
-            if nacc >= FLUSH_BITS:
-                acc, nacc = flush(acc, nacc)
-        writer.write(acc, nacc)
-        return writer.getvalue(), writer.bits_written
 
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         # The code is complete and infinite, so no codeword is all ones: the

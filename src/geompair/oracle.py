@@ -98,10 +98,11 @@ def _merge_pass(runs: list[tuple[float, int]], tail: int = -1) -> tuple[list, fl
     ``runs`` lists (weight, count >= 1) in non-increasing weight order,
     with at least one run.  Leaves are taken in increasing weight order,
     merged nodes queue up in creation order, a leaf wins a tie, and a
-    merged weight is the float sum of its children.  Returns the taken
-    items, which fix the tree; sum(weight * depth), as the ``math.fsum``
-    of the merged (internal) nodes' weights; and the depth of the leaf
-    of count-1 run ``tail`` (0 if none is given).
+    merged weight is the sum of its children.  Returns the taken items,
+    which fix the tree; sum(weight * depth), as the sum of the merged
+    (internal) nodes' weights, by ``math.fsum`` if a weight is a float
+    and exact otherwise; and the depth of the leaf of count-1 run
+    ``tail`` (0 if none is given).
     """
     prev = math.inf
     for weight, _ in runs:
@@ -122,7 +123,7 @@ def _merge_pass(runs: list[tuple[float, int]], tail: int = -1) -> tuple[list, fl
     size = head = first = 0  # queue length, next run to take, its first node id
     taken = []  # a leaf run's index into leaves, or ~count for a merged run
     pending = 0.0  # weight of a taken item still waiting for its sibling
-    total = []  # weight * count of the merged nodes made, for fsum
+    total = []  # weight * count of the merged nodes made
     holder, depth = n, 0  # once the tail is taken: node it hangs under (>= first), depth
     li = nodes = 0
     next_leaf = leaves[0][0]
@@ -167,7 +168,8 @@ def _merge_pass(runs: list[tuple[float, int]], tail: int = -1) -> tuple[list, fl
                 size += 1
             nodes += pairs
         pending = weight if count & 1 else 0.0
-    return taken, math.fsum(total), depth
+    exact = not any(isinstance(weight, float) for weight, _ in runs)
+    return taken, sum(total) if exact else math.fsum(total), depth
 
 
 def _depth_pass(runs: list[tuple[float, int]], taken: list[int]) -> list[list[tuple[int, int]]]:

@@ -38,7 +38,7 @@ from geompair.fringe2 import (
     profile_average_length,
     top_code_params,
 )
-from geompair.oracle import max_gap, truncated_huffman, two_level_check
+from geompair.oracle import _depth_pass, _merge_pass, max_gap, truncated_huffman, two_level_check
 
 
 @contextmanager
@@ -56,6 +56,9 @@ def oracle_at(q, eps=1e-9):
     return truncated_huffman(q, eps)
 
 
+SERIES_EPS = 1e-10  # the absolute error of every series average compared below
+
+
 def rival_avg_lens(q):
     """Average pair lengths at q of the implemented families the oracle
     must not lose to."""
@@ -65,7 +68,7 @@ def rival_avg_lens(q):
     rivals += [golomb_pair_avg_len(q, k) for k in sorted(golomb_orders)]
     rivals.append(avg_len_limit_closed(q))
     rivals += [
-        avg_len_by_series(CminusCodec(k), q, 1e-10) for k in range(2, 7)
+        avg_len_by_series(CminusCodec(k), q, SERIES_EPS) for k in range(2, 7)
     ]
     return rivals
 
@@ -118,18 +121,19 @@ def test_criterion_05_optimality_vs_oracle():
         design_points = []
         for k in range(2, 7):
             q = 2 ** (-1 / k)
-            est = oracle_at(q).avg_len_pair
-            assert abs(est - avg_len_ck_design(k)) <= 1e-3
+            code = oracle_at(q)
+            assert abs(code.avg_len_pair - avg_len_ck_design(k)) <= code.uncertainty
             design_points.append(q)
         for k in (2, 3, 4):
             q = 2.0**-k
-            est = oracle_at(q).avg_len_pair
-            series = avg_len_by_series(CminusCodec(k), q, 1e-10)
-            assert abs(est - series) <= 1e-3
+            code = oracle_at(q)
+            series = avg_len_by_series(CminusCodec(k), q, SERIES_EPS)
+            assert abs(code.avg_len_pair - series) <= code.uncertainty + SERIES_EPS
             design_points.append(q)
         # the oracle is a minimum: no implemented family does better
         for q in design_points:
-            assert oracle_at(q).avg_len_pair <= min(rival_avg_lens(q)) + 1e-3
+            code = oracle_at(q)
+            assert code.avg_len_pair <= min(rival_avg_lens(q)) + code.uncertainty + SERIES_EPS
 
 
 def test_criterion_06_golomb_pair_strictly_suboptimal():
@@ -248,11 +252,42 @@ def test_criterion_13_huffman_ground_truth_above_095():
             q = 2 ** (-1 / k)
             code = oracle_at(q)
             est = code.avg_len_pair
-            assert abs(est - avg_len_ck_design(k)) <= 1e-3
-            assert est <= min(rival_avg_lens(q)) + 1e-3
+            assert abs(est - avg_len_ck_design(k)) <= code.uncertainty
+            assert est <= min(rival_avg_lens(q)) + code.uncertainty + SERIES_EPS
             red = 0.5 * est - entropy_per_symbol(q)
             assert lo - 1e-5 <= red <= hi + 1e-5, (k, red)
             s_checked = code.source.s_max // 2
             ok, witnesses = two_level_check(code.lengths_by_signature, s_checked)
             assert ok, witnesses
             assert max_gap(code.lengths_by_signature, s_checked) == 0
+
+
+def _exact_design_source(k, s_max):
+    """Integer (weight, count) runs of the pair source at q = 1/b, b = 2^k,
+    truncated at signature S = ``s_max``, and the index of its tail run: the
+    float source's weights times b^(S+4) (1 - q)^2, with the tail after every
+    run of at least its weight, as ``build_truncated_source`` places it."""
+    b = 1 << k
+    runs = [(b ** (s_max + 2 - s) * (b - 1) ** 2, s + 1) for s in range(s_max + 1)]
+    tail = ((s_max + 1) * (b - 1) + b) * b**2
+    at = sum(1 for weight, _ in runs if weight >= tail)
+    runs.insert(at, (tail, 1))
+    return runs, at
+
+
+def test_criterion_14_exact_cminus_design_point_optimality():
+    with criterion(14, "exact Huffman lengths equal cminus's at q = 2^-k"):
+        for k in range(2, 9):
+            codec = CminusCodec(k)
+            for s_max in (40, 80, 160):
+                runs, tail = _exact_design_source(k, s_max)
+                taken, total, tail_depth = _merge_pass(runs, tail)
+                run_depths = _depth_pass(runs, taken)
+                assert isinstance(total, int)
+                assert total == sum(weight * depth * count for (weight, _), depths in
+                                    zip(runs, run_depths) for depth, count in depths)
+                assert run_depths[tail] == [(tail_depth, 1)]
+                depths = run_depths[:tail] + run_depths[tail + 1:]  # by signature
+                for s in range(s_max // 2 + 1):
+                    want = [(length, count) for length, count in codec.signature_lengths(s) if count]
+                    assert depths[s] == want, (k, s_max, s)

@@ -1,8 +1,8 @@
 """The public names of the package: every ``__all__`` name resolves, each
 loading its module on first use, the removed helpers stay gone, README's
-list of the public API follows ``__all__``, and every module-level
-definition is named somewhere; and a command loads only the modules it
-runs."""
+list of the public API follows ``__all__``, every module-level
+definition is named somewhere, and only ``PairCodec`` defines the
+encoders; and a command loads only the modules it runs."""
 
 import ast
 import importlib
@@ -53,6 +53,7 @@ REMOVED = [
     ("geompair.cminus_codec", "SignatureLengthRow.total_pairs"),
     ("geompair.bitio", "Codeword.fragments"),
     ("geompair.bitio", "BitWriter.write_codeword"),
+    ("geompair.ck_codec", "CkCodec._top_codeword"),
     ("geompair.fringe2", "CompactProfile.n_upper"),
     ("geompair.fringe2", "CompactProfile.n_mid"),
     ("geompair.fringe2", "CompactProfile.n_lower"),
@@ -167,6 +168,18 @@ def _named(tree) -> set[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             named.add(node.value)
     return named
+
+
+def test_only_pair_codec_defines_the_encoders():
+    # a codec states its code once, as the _coder it builds; PairCodec wraps
+    # it in codeword and in the one encode_many loop
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [(node.name, sub.name) for sub in node.body
+                          if isinstance(sub, ast.FunctionDef) and sub.name in ("codeword", "encode_many")]
+    assert found == [("PairCodec", "codeword"), ("PairCodec", "encode_many")]
 
 
 # methods that a base class outside the package calls: namedtuple's _replace calls _make

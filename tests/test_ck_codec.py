@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from codec_families import assert_codes
+from codec_families import assert_codes, top_codeword
 
 from geompair.analysis import avg_len_ck_design, golomb_pair_avg_len
 from geompair.basecodes import TABLE_BITS, golomb_length
@@ -119,5 +119,5 @@ def test_decode_on_both_sides_of_the_top_table_bound(k):
         # each window holds the top codeword it starts with, at most 2^TABLE_BITS of them
         assert len(table) == 1 << width <= 1 << TABLE_BITS
         for window, (a, b, length) in enumerate(table):
-            assert codec._top_codeword(a, b) == (window >> (width - length), length)
+            assert top_codeword(codec, a, b) == (window >> (width - length), length)
     assert_codes(CodeFamily("ck", k), pairs[:300])

@@ -13,7 +13,7 @@ from codec_families import (FAMILIES, FAR_PAIRS, RefCminus, RefLimit, assert_cod
                             long_runs, power_of_two_pairs, random_pairs, reference,
                             reference_stream, top_codeword)
 
-from geompair.basecodes import PairCodec
+from geompair.basecodes import SMALL_BITS, PairCodec
 from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import LimitCodec, signature_row
@@ -79,14 +79,22 @@ def test_encode_many_rejects_negative_components(family, bad):
 
 
 def test_encode_many_rejects_unfit_values():
-    class Broken(PairCodec):
-        def codeword(self, pair):
-            return 4, 2
+    # the encode table's check refuses an unfit small pair, and the shared
+    # encode_many loop and the token route's miss check refuse the others
+    for small_fit in (False, True):
+        class Broken(PairCodec):
+            def _coder(self, i, j):
+                return (0, 1) if small_fit and not (i | j) >> SMALL_BITS else (4, 2)
 
-    with pytest.raises(ValueError):
-        Broken().encode_tokens(["0", "0"])
-    with pytest.raises(ValueError):
-        Broken().encode_to(BitWriter(), (0, 0))
+        if small_fit:
+            assert Broken().encode_many([(0, 0)]) == (b"\x00", 1)
+        for pairs in ([(0, 0), (99, 0)], iter([(0, 0), (99, 0)])):
+            with pytest.raises(ValueError, match="does not fit"):
+                Broken().encode_many(pairs)
+        with pytest.raises(ValueError, match="does not fit"):
+            Broken().encode_tokens(["0", "0", "99", "0"])
+        with pytest.raises(ValueError):
+            Broken().encode_to(BitWriter(), (99, 0))
 
 
 @pytest.mark.parametrize("k", list(range(1, 65)) + [256])

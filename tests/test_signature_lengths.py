@@ -1,5 +1,6 @@
 """``signature_lengths(s)``, the per-signature length interface of every
-codec, against the lengths of the codewords it describes."""
+codec, against the lengths of the codewords it describes, and its refusal
+of a negative signature."""
 
 from collections import Counter
 
@@ -22,3 +23,11 @@ def test_signature_lengths_are_the_codeword_lengths(family):
         for length, count in groups:
             got[length] += count
         assert +got == want, s
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_negative_signature_is_refused(family):
+    codec = make_codec(family)
+    for s in (-1, -2, -5, -(2**70)):
+        with pytest.raises(ValueError, match="signature must be >= 0"):
+            codec.signature_lengths(s)
