@@ -169,7 +169,7 @@ def avg_lens_by_series(codec, qs, eps: float = 1e-9) -> list[float]:
     reaches it, and every q sums the totals in the same order as a call
     of its own, so the results are the same floats.
     """
-    if eps <= 0:
+    if not eps > 0:  # nan too
         raise ValueError("eps must be positive")
     qs = tuple(qs)
     for q in qs:
@@ -318,7 +318,7 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
     crossing; curves that agree at both ends, to within rounding, do not
     make a single crossing.
     """
-    if tol <= 0:
+    if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
 
     def f(q: float) -> tuple[float, bool]:

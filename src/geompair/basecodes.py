@@ -273,21 +273,23 @@ class PairCodec:
         return out
 
 
-def residue_signature_lengths(k: int, s: int, residue_length) -> tuple[tuple[int, int], ...]:
-    """``signature_lengths(s)`` of a pair code that sends the residues
-    (a, b) = (i mod k, j mod k) in ``residue_length(a, b)`` bits and both
-    quotients in unary (ck and Golomb).
+def residue_signature_lengths(codec: PairCodec, s: int) -> tuple[tuple[int, int], ...]:
+    """``signature_lengths(s)`` of a pair code of order ``codec.k`` that sends
+    the residues (a, b) = (i mod k, j mod k), then both quotients in unary
+    (ck and Golomb): the method of both codecs.
 
-    Within one residue a of i, b = (s - a) mod k is fixed and the quotients
-    sum to (s - a - b) / k, so the (s - a) // k + 1 pairs of that residue
-    share one length.
+    For a, b < k the coder's length is the residues' codeword and two unary
+    zeros.  Within one residue a of i, b = (s - a) mod k is fixed and the
+    quotients sum to (s - a - b) / k, so the (s - a) // k + 1 pairs of that
+    residue share one length.
     """
     if s < 0:
         raise ValueError("signature must be >= 0")
+    k, coder = codec.k, codec._coder
     groups = []
     for a in range(min(k, s + 1)):
         b = (s - a) % k
-        groups.append((residue_length(a, b) + (s - a - b) // k + 2, (s - a) // k + 1))
+        groups.append((coder(a, b)[1] + (s - a - b) // k, (s - a) // k + 1))
     return tuple(groups)
 
 
@@ -339,10 +341,7 @@ class GolombPairCodec(PairCodec):
 
         self._coder = coder
 
-    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
-        m, short_count = quasi_uniform_shape(self.k)
-        return residue_signature_lengths(
-            self.k, s, lambda a, b: 2 * m - (a < short_count) - (b < short_count))
+    signature_lengths = residue_signature_lengths
 
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         # the components one after the other, each remainder from an m-bit

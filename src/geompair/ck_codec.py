@@ -92,9 +92,7 @@ class CkCodec(PairCodec):
     def length_of(self, pair: tuple[int, int]) -> int:
         return self._coder(*pair)[1]
 
-    def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
-        # for a, b < k the codeword of (a, b) is its top codeword and two unary zeros
-        return residue_signature_lengths(self.k, s, lambda a, b: self._coder(a, b)[1] - 2)
+    signature_lengths = residue_signature_lengths
 
     def _encode_token_pairs(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``, each distinct token converted

@@ -109,10 +109,6 @@ def _lowest_signature(k: int, u: int) -> int:
     return max((1 << i) - 1, -(-(u + (2 << i)) // (i + 1)) - 2)
 
 
-class LeavesWindow(Exception):
-    """The decode loop met a codeword that may leave its reader's window string."""
-
-
 # signatures whose rows a codec computes once, on its first encode or decode:
 # nearly every pair at the design points falls below it, and the memo halves
 # the cost of coding those pairs (cminus k=2 at q = 1/4, 40k pairs, CPython
@@ -164,13 +160,16 @@ class CminusCodec(PairCodec):
         return tuple(signature_row(self.k, s) for s in range(_MEMO_SIGNATURES))
 
     @cached_property
-    def _run_signature(self) -> tuple[int, ...]:
-        """The lowest signature s with Lambda_s >= u, for each run of u ones
-        up to the memo's last Lambda."""
-        run_signature: list[int] = []
-        for s, (lam, _, _, _) in enumerate(self._rows):
-            run_signature += [s] * (lam + 1 - len(run_signature))
-        return tuple(run_signature)
+    def _run_starts(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """``(s, Lambda_s, n_short, n_long, v)`` for each run of u ones up to the
+        memo's last Lambda: s is the lowest signature with Lambda_s >= u, and
+        v = 2 (D_s - n_short) - 2^(Lambda_s - u + 1) is the v of
+        :meth:`_decode_run` before the Lambda_s - u bits after the run's zero."""
+        starts: list[tuple[int, int, int, int, int]] = []
+        for s, (lam, n_short, n_long, deficit) in enumerate(self._rows):
+            starts += [(s, lam, n_short, n_long, 2 * (deficit - n_short) - (2 << (lam - u)))
+                       for u in range(len(starts), lam + 1)]
+        return tuple(starts)
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
         if s < 0:
@@ -183,18 +182,21 @@ class CminusCodec(PairCodec):
         # leading run of u ones ends inside the codeword, which therefore has
         # more than u bits and belongs to a signature s with Lambda_s >= u
         # (Moffat & Turpin's canonical decoding: the leading bits give the
-        # length class, no table is walked).  rel tracks the window value
-        # minus the current block's first value; it starts below D_s and
-        # only a few signatures past s can still hold the codeword.  Each
-        # read takes one step Lambda_s - Lambda_(s-1) <= log2(s) + 2 and one
-        # bit more, the bit that tells a short codeword from a long one;
-        # past the stream's last bit it is the window's closing '1', and a
-        # long codeword that takes it runs off the end.  The bits after the
-        # run, at most log2(s) + 3, fit in a window loaded at its zero.
+        # length class, no table is walked).  _run_starts gives the lowest
+        # such s and v, the value of the pair's first Lambda_s + 1 bits less
+        # the first long codeword of s, but for the Lambda_s - u bits after
+        # the run's zero.  Below 0, v is a short codeword of s, below n_long a
+        # long one; otherwise the codeword lies past s, and the walk moves to
+        # s + 1, where v takes the next Lambda_(s+1) - Lambda_s <= log2(s) + 2
+        # bits.  Only a few signatures past the first can still hold the
+        # codeword.  Past the stream's last bit the window has a closing '1':
+        # a short codeword does not depend on the bit after it, and a long one
+        # that takes it runs off the end.  The bits after the run, at most
+        # log2(s) + 3, fit in a window loaded at its zero.
         k = self.k
         rows = self._rows
-        run_signature = self._run_signature
-        runs = len(run_signature)
+        starts = self._run_starts
+        runs = len(starts)
         bits, pos, nbits = reader.window()
         ahead = len(bits)
         find = bits.find
@@ -205,72 +207,48 @@ class CminusCodec(PairCodec):
             zero = find("0", pos)
             u = zero - pos
             while True:
-                try:
-                    if zero < 0:
-                        raise LeavesWindow
+                if zero >= 0:
                     if u < runs:
-                        s = run_signature[u]
-                        lam, n_short, n_long, deficit = rows[s]
+                        s, lam, n_short, n_long, v = starts[u]
                     else:
                         s = _lowest_signature(k, u)
                         lam, n_short, n_long, deficit = signature_row(k, s)
-                    end = zero + 1
-                    i = None
-                    if u == lam:
-                        # the run's zero is bit Lambda + 1: a long codeword of s, or later
-                        rel = (deficit - 1 - n_short) << 1
-                    else:
-                        need = lam - u - 1  # the Lambda-bit window is u ones, a zero, need bits
-                        end += need + 1
-                        if end > ahead:
-                            raise LeavesWindow
-                        window = int(bits[zero + 1 : end], 2)
-                        rel = deficit - (2 << need) + (window >> 1)
-                        if rel < n_short:
-                            i, end = rel, end - 1
-                        else:
-                            rel = ((rel - n_short) << 1) | (window & 1)
-                    if i is None:
-                        # rel is now relative to s's long block, at Lambda_s + 1
-                        # bits; reading that bit when n_long = 0 is safe because
-                        # Lambda grows by at least 1
-                        while rel >= n_long:
-                            rel -= n_long
-                            length = lam + 1
+                        v = 2 * (deficit - n_short) - (2 << (lam - u))
+                    end = zero + 1 + lam - u
+                    if end <= ahead:
+                        if lam > u:
+                            v += int(bits[zero + 1 : end], 2)
+                        while v >= n_long:
+                            v -= n_long
+                            length = lam
                             s += 1
-                            if s < _MEMO_SIGNATURES:
-                                lam, n_short, n_long, _ = rows[s]
-                            else:
-                                lam, n_short, n_long, _ = signature_row(k, s)
-                            step = lam - length
-                            start, end = end, end + step + 1
+                            lam, n_short, n_long, _ = (
+                                rows[s] if s < _MEMO_SIGNATURES else signature_row(k, s))
+                            start, end = end, end + lam - length
                             if end > ahead:
-                                raise LeavesWindow
-                            window = int(bits[start:end], 2)
-                            rel = (rel << step) | (window >> 1)
-                            if rel < n_short:
-                                i, end = rel, end - 1
                                 break
-                            rel = ((rel - n_short) << 1) | (window & 1)
+                            v = (v << (lam - length)) + int(bits[start:end], 2) - 2 * n_short
                         else:
-                            i = n_short + rel
-                            if end > nbits:
-                                raise LeavesWindow
-                    break
-                except LeavesWindow:
-                    if long_index == index:  # the window after the run holds the stream's end
-                        raise exhausted(reader, index, first) from None
-                    (bits, pos, nbits), found = reload_pair(reader, pos, index, 0, 1)
-                    if found:  # the rest from a window loaded at the run's zero
-                        (u,), long_index = found, index
-                        first = reader.bits_consumed - u - 1
-                        reader.seek_window(pos - 1)
-                        bits, zero, nbits = reader.reload_window()
-                    else:
-                        zero = bits.find("0", pos)
-                        u = zero - pos
-                    ahead = len(bits)
-                    find = bits.find
+                            if v < 0:
+                                i, end = n_short + (v >> 1), end - 1
+                                break
+                            if end <= nbits:
+                                i = n_short + v
+                                break
+                # the codeword may leave the window string
+                if long_index == index:  # the window after the run holds the stream's end
+                    raise exhausted(reader, index, first)
+                (bits, pos, nbits), found = reload_pair(reader, pos, index, 0, 1)
+                if found:  # the rest from a window loaded at the run's zero
+                    (u,), long_index = found, index
+                    first = reader.bits_consumed - u - 1
+                    reader.seek_window(pos - 1)
+                    bits, zero, nbits = reader.reload_window()
+                else:
+                    zero = bits.find("0", pos)
+                    u = zero - pos
+                ahead = len(bits)
+                find = bits.find
             append(i)
             append(s - i)
             pos = end

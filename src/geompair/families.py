@@ -6,6 +6,7 @@ q = 2^(-k)), ``limit`` (the k -> infinity limit of cminus), or
 ``golomb`` with k >= 1 (order-k Golomb code applied to each component).
 """
 
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -42,6 +43,10 @@ class CodeFamily(namedtuple("CodeFamily", "kind k")):
     def __new__(cls, kind: str, k: int = 0) -> "CodeFamily":
         if kind not in FAMILY_KINDS:
             raise InvalidFamilyParam(f"unknown family {kind!r}")
+        try:
+            k = operator.index(k)  # a plain int, from an int or a numpy integer
+        except TypeError:
+            raise InvalidFamilyParam(f"{kind} requires an integer k, got {k!r}") from None
         lo = {"ck": 1, "cminus": 2, "limit": 0, "golomb": 1}[kind]
         if kind == "limit":
             if k != 0:

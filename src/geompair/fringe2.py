@@ -37,9 +37,9 @@ class WeightedSource:
         ws = list(weights)
         if not ws:
             raise ValueError("source must have at least one weight")
-        if any(w <= 0 for w in ws):
+        if not all(w > 0 for w in ws):  # nan too
             raise ValueError("weights must be positive")
-        if any(ws[i] < ws[i + 1] for i in range(len(ws) - 1)):
+        if not all(ws[i] >= ws[i + 1] for i in range(len(ws) - 1)):
             raise ValueError("weights must be non-increasing")
         self.weights = tuple(ws)
         self.n = len(ws)

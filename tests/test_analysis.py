@@ -82,6 +82,15 @@ def test_series_error_conditions():
         avg_len_by_series(LimitCodec(), 0.5, 0.0)
 
 
+def test_series_refuses_a_nan_eps():
+    # nan passed eps <= 0, and q^(S+1) underflowing certified the q: the
+    # sum ran to SERIES_MAX_SIGNATURES before it raised NoConvergence
+    with pytest.raises(ValueError, match="eps must be positive"):
+        avg_len_by_series(CminusCodec(2), 0.3, eps=float("nan"))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        avg_lens_by_series(GolombPairCodec(3), (0.3, 0.5), float("nan"))
+
+
 class OneBitPerSignature:
     """A length model with one 1-bit codeword per signature."""
 
@@ -259,6 +268,12 @@ def test_crossover_rejects_curves_equal_at_both_ends():
         crossover(lambda q: avg_len_ck(q, 3), lambda q: avg_len_ck(q, 3), 0.25, 0.45, 1e-6)
     with pytest.raises(NoSignChange):
         crossover(lambda q: 1.0, lambda q: 1.0, 0.2, 0.4, 1e-5)
+
+
+def test_crossover_refuses_a_nan_tol():
+    # nan passed tol <= 0, and hi - lo > nan stopped the bisection at once
+    with pytest.raises(ValueError, match="tol must be positive"):
+        crossover(lambda q: avg_len_ck(q, 1), lambda q: avg_len_ck(q, 2), 0.3, 0.9, float("nan"))
 
 
 def test_crossover_zero_at_one_end_returns_that_end():

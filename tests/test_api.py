@@ -51,6 +51,8 @@ REMOVED = [
     ("geompair.cminus_codec", "limit_decode"),
     ("geompair.cminus_codec", "limit_codeword"),
     ("geompair.cminus_codec", "SignatureLengthRow.total_pairs"),
+    ("geompair.cminus_codec", "LeavesWindow"),
+    ("geompair.cminus_codec", "CminusCodec._run_signature"),
     ("geompair.bitio", "Codeword.fragments"),
     ("geompair.bitio", "BitWriter.write_codeword"),
     ("geompair.ck_codec", "CkCodec._top_codeword"),

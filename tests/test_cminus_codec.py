@@ -10,6 +10,7 @@ from geompair.bitio import BitReader
 from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
+    _MEMO_SIGNATURES,
     _lowest_signature,
     limit_row,
     signature_length_row,
@@ -123,6 +124,21 @@ def test_lowest_signature_matches_a_scan_of_the_rows(k):
         while signature_row(k, s)[0] < u:
             s += 1
         assert _lowest_signature(k, u) == s
+
+
+@pytest.mark.parametrize("k", [*range(2, 9), 20, math.inf])
+def test_run_starts_hold_the_lowest_signature_and_its_row(k):
+    # the decoder's first step for a run of u ones, up to the memo's last
+    # Lambda: the lowest signature s with Lambda_s >= u, its row, and v,
+    # the Lambda_s + 1 bits of u ones, a zero and Lambda_s - u zeros less
+    # the first long codeword of s, 2 (2^Lambda_s - D_s + n_short)
+    starts = CminusCodec(k)._run_starts
+    assert len(starts) == signature_row(k, _MEMO_SIGNATURES - 1)[0] + 1
+    for u, (s, lam, n_short, n_long, v) in enumerate(starts):
+        assert s == _lowest_signature(k, u)
+        row_lam, row_short, row_long, deficit = signature_row(k, s)
+        assert (lam, n_short, n_long) == (row_lam, row_short, row_long)
+        assert v == (((1 << u) - 1) << (lam - u + 1)) - 2 * ((1 << lam) - deficit + n_short)
 
 
 @pytest.mark.parametrize("k", [2, 4, 11, 20, math.inf])

@@ -94,6 +94,15 @@ def test_optimal_range_n19():
         assert profile_average_length(SRC19, sigma, c) == Fraction(206, 49)
 
 
+def test_weighted_source_refuses_nan_weights():
+    nan = float("nan")
+    for weights in ([2.0, nan, 1.0], [nan], [nan, 1.0], [2.0, nan]):
+        with pytest.raises(ValueError):
+            WeightedSource(weights)
+    with pytest.raises(ValueError, match="non-increasing"):
+        WeightedSource([1.0, 2.0])
+
+
 def test_optimal_range_uniform_dyadic():
     src = WeightedSource([1] * 8)
     lo_s, lo_c, hi_s, hi_c = fringe2_optimal_range(src)

@@ -2,6 +2,7 @@
 hashing, repr and immutability, as the frozen dataclasses they replace
 had them."""
 
+import numpy as np
 import pytest
 
 from geompair.bitio import Codeword
@@ -76,6 +77,12 @@ def test_code_family_checks_its_parameter():
         CodeFamily("bogus", 1)
     with pytest.raises(InvalidFamilyParam):
         CodeFamily("ck", 3)._replace(k=0)
+    for kind, k in (("ck", 2.5), ("golomb", 3.0), ("cminus", float("nan")),
+                    ("limit", 0.0), ("ck", "3"), ("ck", None)):
+        with pytest.raises(InvalidFamilyParam):
+            CodeFamily(kind, k)
+    stored = CodeFamily("ck", np.int64(3)).k
+    assert stored == 3 and type(stored) is int
     assert CodeFamily("ck", 3)._replace(k=5) == CodeFamily("ck", 5)
     assert CodeFamily("limit") == CodeFamily("limit", 0)
     assert CodeFamily("cminus", 2).label() == "cminus k=2"
