@@ -320,6 +320,8 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
     """
     if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
+    if not q_lo < q_hi:  # nan too
+        raise ValueError(f"need q_lo < q_hi, got [{q_lo}, {q_hi}]")
 
     def f(q: float) -> tuple[float, bool]:
         # the gap, and whether it is rounding: closed forms of one code (golomb1 and ck1,

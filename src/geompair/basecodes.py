@@ -82,6 +82,13 @@ MISS_BITS = 64
 PROBE_PAIRS = 512
 
 
+def window_keys(width: int) -> list[str]:
+    """The 2^width windows of ``width`` bits as ``'0'``/``'1'`` strings in numeric
+    order, ``[""]`` for width 0, each ``bin(2^width + n)`` less its ``0b1``: the
+    keys of a decode table, which a loop indexes with the window string's slice."""
+    return [bin(n)[3:] for n in range(1 << width, 2 << width)]
+
+
 class PairCodec:
     """Coding paths shared by every pair codec.
 
@@ -192,10 +199,10 @@ class PairCodec:
                 for n, (value, length) in enumerate(self._encode_table)}
 
     @cached_property
-    def _decode_table(self) -> tuple[tuple[tuple[int, ...], int, int, str], ...]:
-        """For each TABLE_BITS-bit window, the whole pairs it starts with:
-        ``(components, bits, pairs, text)``, ``text`` as ``decode_text`` prints
-        them and ``pairs`` 0 where no codeword of at most TABLE_BITS bits opens it.
+    def _decode_table(self) -> dict[str, tuple[tuple[int, ...], int, int, str]]:
+        """For each TABLE_BITS-bit window, keyed by its string, the whole pairs it
+        starts with: ``(components, bits, pairs, text)``, ``text`` as ``decode_text``
+        prints them and ``pairs`` 0 where no codeword of at most TABLE_BITS bits opens it.
 
         Built from ``_coder`` over the signatures whose shortest codeword
         has at most TABLE_BITS bits; in every family the shortest length
@@ -226,7 +233,7 @@ class PairCodec:
                         for components, bits, pairs, text in rows[shift]
                     ]
             rows.append(row)
-        return tuple(rows[TABLE_BITS])
+        return dict(zip(window_keys(TABLE_BITS), rows[TABLE_BITS]))
 
     def decode_many(self, reader: BitReader, count: int) -> list[int]:
         """The next ``count`` pairs' components, flat, as ``_decode_run`` returns or raises them."""
@@ -254,7 +261,7 @@ class PairCodec:
         while left:
             end = pos + width
             if end <= nbits:
-                slot = table[int(bits[pos:end], 2)]
+                slot = table[bits[pos:end]]
                 if 0 < slot[2] <= left:
                     add(slot[field])
                     pos += slot[1]
@@ -293,30 +300,6 @@ def residue_signature_lengths(codec: PairCodec, s: int) -> tuple[tuple[int, int]
     return tuple(groups)
 
 
-def decode_unary_pairs(reader: BitReader, count: int) -> list[int]:
-    """``_decode_run`` of two bare unary codes per pair (ck and Golomb k = 1)."""
-    bits, pos, _ = reader.window()
-    find = bits.find
-    out: list[int] = []
-    append = out.append
-    for index in range(count):
-        while True:
-            zero_i = find("0", pos)
-            zero_j = find("0", zero_i + 1) if zero_i >= 0 else -1
-            if zero_j >= 0:
-                append(zero_i - pos)
-                append(zero_j - zero_i - 1)
-                pos = zero_j + 1
-                break
-            (bits, pos, _), found = reload_pair(reader, pos, index, 0, 2)
-            find = bits.find
-            if found:
-                out += found
-                break
-    reader.seek_window(pos)
-    return out
-
-
 class GolombPairCodec(PairCodec):
     """Pair codec applying the order-k Golomb code to each component."""
 
@@ -347,12 +330,10 @@ class GolombPairCodec(PairCodec):
         # the components one after the other, each remainder from an m-bit
         # window, which the unary zero after it keeps inside the codeword:
         # its first m - 1 bits tell a short remainder codeword from a long
-        # one.  The second component of a pair starts golomb_length(k, i)
-        # bits into it.
+        # one; for k = 1, m is 0 and no bit is read.  The second component
+        # of a pair starts golomb_length(k, i) bits into it.
         k = self.k
         m, short_count = quasi_uniform_shape(k)
-        if m == 0:
-            return decode_unary_pairs(reader, count)
         bits, pos, nbits = reader.window()
         find = bits.find
         out: list[int] = []
@@ -361,7 +342,7 @@ class GolombPairCodec(PairCodec):
             while True:
                 end = pos + m
                 if end <= nbits:
-                    window = int(bits[pos:end], 2)
+                    window = int(bits[pos:end], 2) if m else 0
                     if window >> 1 < short_count:
                         rem, end = window >> 1, end - 1
                     else:

@@ -11,8 +11,7 @@ uniform 2-bit code on 4 symbols.
 from bisect import bisect_right
 from functools import cached_property
 
-from .basecodes import (TABLE_BITS, PairCodec, decode_unary_pairs, reload_pair,
-                        residue_signature_lengths)
+from .basecodes import TABLE_BITS, PairCodec, reload_pair, residue_signature_lengths, window_keys
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import top_code_params
 
@@ -130,10 +129,11 @@ class CkCodec(PairCodec):
         return writer.getvalue(), writer.bits_written
 
     @cached_property
-    def _top_table(self) -> tuple[tuple[int, int, int], ...] | None:
+    def _top_table(self) -> dict[str, tuple[int, int, int]] | None:
         """``(a, b, length)`` of the top codeword that opens each left-justified
-        window of the longest top length, or None where that length is over
-        TABLE_BITS: at most 2^TABLE_BITS entries, built on the first decode."""
+        window of the longest top length, keyed by the window's string, or None
+        where that length is over TABLE_BITS: at most 2^TABLE_BITS entries, built
+        on the first decode.  For k = 1 the one window is ``""``, the void codeword."""
         width = self._window_bits
         if width > TABLE_BITS:
             return None
@@ -144,12 +144,10 @@ class CkCodec(PairCodec):
                 value, length = value >> 2, length - 2
                 shift = width - length
                 table[value << shift : (value + 1) << shift] = [(a, b, length)] * (1 << shift)
-        return tuple(table)
+        return dict(zip(window_keys(width), table))
 
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         k = self.k
-        if k == 1:  # the void top code
-            return decode_unary_pairs(reader, count)
         starts, base, width = self._starts, self._base, self._window_bits
         (limit_1, shift_1, offset_1, length_1), (limit_2, shift_2, offset_2, length_2), (
             _, shift_3, offset_3, length_3) = self._decode_levels
@@ -166,11 +164,11 @@ class CkCodec(PairCodec):
                 # window inside the pair's codeword
                 end = pos + width
                 if end <= nbits:
-                    window = int(bits[pos:end], 2)
                     if top:
-                        a, b, length = top[window]
+                        a, b, length = top[bits[pos:end]]
                         end = pos + length
                     else:
+                        window = int(bits[pos:end], 2)
                         if window < limit_1:
                             rank, end = (window >> shift_1) + offset_1, pos + length_1
                         elif window < limit_2:

@@ -276,6 +276,14 @@ def test_crossover_refuses_a_nan_tol():
         crossover(lambda q: avg_len_ck(q, 1), lambda q: avg_len_ck(q, 2), 0.3, 0.9, float("nan"))
 
 
+@pytest.mark.parametrize("q_lo, q_hi", [(0.9, 0.3), (float("nan"), 0.9), (0.3, float("nan")),
+                                         (0.5, 0.5)])
+def test_crossover_refuses_a_reversed_or_nan_bracket(q_lo, q_hi):
+    # a reversed bracket returned its midpoint unbisected, and a nan end returned nan
+    with pytest.raises(ValueError, match="need q_lo < q_hi"):
+        crossover(lambda q: avg_len_ck(q, 1), lambda q: avg_len_ck(q, 2), q_lo, q_hi)
+
+
 def test_crossover_zero_at_one_end_returns_that_end():
     assert crossover(lambda q: q, lambda q: 0.3, 0.3, 0.5, 1e-6) == 0.3
     assert crossover(lambda q: q, lambda q: 0.5, 0.3, 0.5, 1e-6) == 0.5

@@ -47,6 +47,7 @@ REMOVED = [
     ("geompair.basecodes", "golomb_codeword"),
     ("geompair.basecodes", "quasi_uniform_codeword"),
     ("geompair.basecodes", "RankOutOfRange"),
+    ("geompair.basecodes", "decode_unary_pairs"),
     ("geompair.cminus_codec", "limit_encode"),
     ("geompair.cminus_codec", "limit_decode"),
     ("geompair.cminus_codec", "limit_codeword"),

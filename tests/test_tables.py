@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from codec_families import FAMILIES
 
-from geompair.basecodes import SMALL_BITS, TABLE_BITS, GolombPairCodec
+from geompair.basecodes import SMALL_BITS, TABLE_BITS, GolombPairCodec, window_keys
 from geompair.bitio import BitReader, StreamExhausted
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import CminusCodec, LimitCodec
@@ -40,13 +40,22 @@ def run_in_window(codec, window):
     return tuple(components), used, len(components) // 2
 
 
+def test_window_keys_list_the_windows_in_numeric_order():
+    assert window_keys(0) == [""]
+    for width in range(1, 13):
+        keys = window_keys(width)
+        assert len(keys) == 1 << width
+        for n, key in enumerate(keys):
+            assert key == format(n, f"0{width}b")
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
 def test_every_decode_slot_matches_the_family_loop(family):
     codec = make_codec(family)
     table = codec._decode_table
     assert len(table) == 1 << TABLE_BITS
-    for window, (components, bits, pairs, text) in enumerate(table):
-        assert (components, bits, pairs) == run_in_window(codec, window), window
+    for window, (components, bits, pairs, text) in table.items():
+        assert (components, bits, pairs) == run_in_window(codec, int(window, 2)), window
         assert text == "%d %d\n" * pairs % components, window
 
 
