@@ -10,7 +10,7 @@ codewords go to the smaller (more probable) ranks, and ranks are
 0-based.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword, StreamExhausted
@@ -34,8 +34,13 @@ def golomb_length(k: int, i: int) -> int:
 
 
 def exhausted(reader: BitReader, index: int, start: int) -> StreamExhausted:
-    """The StreamExhausted of pair ``index``, which starts at stream bit ``start``."""
+    """The StreamExhausted of pair ``index``, which starts at stream bit ``start``;
+    the reader is moved back to that start."""
     left = reader.bits_consumed + reader.bits_remaining - start
+    pos = reader.window()[1] + start - reader.bits_consumed
+    reader.seek_window(pos)
+    if pos < 0:  # the pair starts before the window
+        reader.reload_window()
     exc = StreamExhausted(f"the payload holds only {left} of its bits")
     exc.pair, exc.start = index, start
     return exc
@@ -82,11 +87,22 @@ MISS_BITS = 64
 PROBE_PAIRS = 512
 
 
+@cache
 def window_keys(width: int) -> list[str]:
     """The 2^width windows of ``width`` bits as ``'0'``/``'1'`` strings in numeric
-    order, ``[""]`` for width 0, each ``bin(2^width + n)`` less its ``0b1``: the
-    keys of a decode table, which a loop indexes with the window string's slice."""
-    return [bin(n)[3:] for n in range(1 << width, 2 << width)]
+    order, ``[""]`` for width 0: the keys of a decode table, which a loop indexes
+    with the window string's slice.  Each key is a high half and a low half joined,
+    the halves ``bin(2^w + n)`` less its ``0b1``.  The list is built once per
+    width and shared, so a caller must not change it."""
+    if width < 8:
+        return [bin(n)[3:] for n in range(1 << width, 2 << width)]
+    low = window_keys(width >> 1)
+    return [high + end for high in window_keys(width - (width >> 1)) for end in low]
+
+
+def pack_bits(bits: str) -> tuple[bytes, int]:
+    """The zero-padded bytes of the ``'0'``/``'1'`` string ``bits`` and its bit count."""
+    return (int(bits or "0", 2) << (-len(bits) & 7)).to_bytes((len(bits) + 7) >> 3, "big"), len(bits)
 
 
 class PairCodec:
@@ -167,9 +183,7 @@ class PairCodec:
                     break
                 codes[n] = format(value, f"0{length}b")
             else:
-                bits = "".join(codes)
-                nbytes = (len(bits) + 7) >> 3
-                return (int(bits or "0", 2) << (-len(bits) & 7)).to_bytes(nbytes, "big"), len(bits)
+                return pack_bits("".join(codes))
         return self._encode_token_pairs(tokens)
 
     def _encode_token_pairs(self, tokens: list[str]) -> tuple[bytes, int]:
@@ -199,73 +213,88 @@ class PairCodec:
                 for n, (value, length) in enumerate(self._encode_table)}
 
     @cached_property
-    def _decode_table(self) -> dict[str, tuple[tuple[int, ...], int, int, str]]:
+    def _decode_table(self) -> dict[str, tuple[int, int, str]]:
         """For each TABLE_BITS-bit window, keyed by its string, the whole pairs it
-        starts with: ``(components, bits, pairs, text)``, ``text`` as ``decode_text``
-        prints them and ``pairs`` 0 where no codeword of at most TABLE_BITS bits opens it.
+        starts with: ``(bits, pairs, text)``, ``text`` as ``decode_text`` prints them
+        and ``pairs`` 0 where no codeword of at most TABLE_BITS bits opens it.
 
-        Built from ``_coder`` over the signatures whose shortest codeword
-        has at most TABLE_BITS bits; in every family the shortest length
-        of a signature does not fall as the signature grows.  The code is
-        prefix-free, so the windows that one codeword prefixes hold no
-        other codeword at their start.
+        Built from ``_coder`` over the signatures up to the first with no
+        codeword of at most TABLE_BITS bits; in every family the shortest
+        length of a signature does not fall as the signature grows.  One
+        depth-first walk goes over the chains of whole codewords that fit
+        a window: a chain's slot fills the windows it prefixes, and each
+        chain one codeword longer then overwrites its own part of them.
+        The code is prefix-free, so the windows that a chain prefixes
+        start with no other chain but its own extensions.
         """
-        codewords = []  # (i, j, value, length), at most TABLE_BITS bits
-        s = 0
-        while min(length for length, count in self.signature_lengths(s) if count) <= TABLE_BITS:
+        codewords = []  # (length, value, text), at most TABLE_BITS bits
+        s, fits = 0, True
+        while fits:
+            fits = False
             for i in range(s + 1):
                 value, length = self._coder(i, s - i)
                 if length <= TABLE_BITS:
-                    codewords.append((i, s - i, value, length))
+                    codewords.append((length, value, "%d %d\n" % (i, s - i)))
+                    fits = True
             s += 1
-        # rows[n][w]: the slot of the pairs that the n-bit window w holds
-        # whole, one codeword at a time from its left end; a codeword of
-        # length L fills the windows it prefixes from row n - L
-        rows = [[((), 0, 0, "")]]
-        for n in range(1, TABLE_BITS + 1):
-            row = [((), 0, 0, "")] * (1 << n)
-            for i, j, value, length in codewords:
-                if length <= n:
-                    shift = n - length
-                    line = "%d %d\n" % (i, j)
-                    row[value << shift : (value + 1) << shift] = [
-                        ((i, j) + components, length + bits, pairs + 1, line + text)
-                        for components, bits, pairs, text in rows[shift]
-                    ]
-            rows.append(row)
-        return dict(zip(window_keys(TABLE_BITS), rows[TABLE_BITS]))
+        codewords.sort()
+        shortest = codewords[0][0] if codewords else 0
+        table = [(0, 0, "")] * (1 << TABLE_BITS)
+        chains = [(0, 0, 0, "")]  # (value, bits, pairs, text) of each chain to extend
+        while chains:
+            value, bits, pairs, text = chains.pop()
+            room, pairs = TABLE_BITS - bits, pairs + 1
+            for length, tail, line in codewords:
+                shift = room - length
+                if shift < 0:
+                    break
+                chain = value << length | tail
+                slot = TABLE_BITS - shift, pairs, text + line
+                if shift:
+                    table[chain << shift : (chain + 1) << shift] = [slot] * (1 << shift)
+                    if shift >= shortest:  # room for one more codeword
+                        chains.append((chain, *slot))
+                else:  # the chain fills a whole window
+                    table[chain] = slot
+        return dict(zip(window_keys(TABLE_BITS), table))
+
+    def _table_path(self, reader: BitReader, count: int) -> bool:
+        """Whether the next ``count`` pairs average at most TABLE_BITS bits, as the
+        stream's length tells: the decode table reads them, else ``_decode_run``."""
+        return 0 < count and reader.bits_remaining <= count * TABLE_BITS
 
     def decode_many(self, reader: BitReader, count: int) -> list[int]:
-        """The next ``count`` pairs' components, flat, as ``_decode_run`` returns or raises them."""
-        return self._read(reader, count, 0)
+        """The next ``count`` pairs' components, flat, as ``_decode_run`` returns or
+        raises them: on the table path, the text of :meth:`decode_text` as ints."""
+        if self._table_path(reader, count):
+            return list(map(int, self._read(reader, count).split()))
+        return self._decode_run(reader, count)
 
     def decode_text(self, reader: BitReader, count: int) -> str:
         """``decode_many`` printed as ``"i j\\n"`` lines, from the text of each table slot."""
-        return "".join(self._read(reader, count, 3))
+        if self._table_path(reader, count):
+            return self._read(reader, count)
+        return "%d %d\n" * count % tuple(self._decode_run(reader, count))
 
-    def _read(self, reader: BitReader, count: int, field: int) -> list:
-        """``decode_many`` (``field`` 0) or the parts of ``decode_text`` (3).  A stream
-        of at most TABLE_BITS bits per pair, as its length and ``count`` tell, is read
-        one lookup per window; ``_decode_run`` takes a pair where a window opens with a
-        longer codeword, reaches past the window string or holds too many pairs."""
-        if not count or reader.bits_remaining > count * TABLE_BITS:
-            values = self._decode_run(reader, count)
-            return ["%d %d\n" * count % tuple(values)] if field else values
+    def _read(self, reader: BitReader, count: int) -> str:
+        """``decode_text`` on the table path: one lookup per window, and ``_decode_run``
+        for a pair where a window opens with a longer codeword, reaches past the window
+        string or holds too many pairs."""
         table = self._decode_table
         decode_run = self._decode_run
         width = TABLE_BITS
         bits, pos, nbits = reader.window()
-        out: list = []
-        add = out.append if field else out.extend
+        out: list[str] = []
+        add = out.append
         left = count
         while left:
             end = pos + width
             if end <= nbits:
-                slot = table[bits[pos:end]]
-                if 0 < slot[2] <= left:
-                    add(slot[field])
-                    pos += slot[1]
-                    left -= slot[2]
+                used, pairs, text = table[bits[pos:end]]
+                if 0 < pairs <= left:
+                    add(text)
+                    pos += used
+                    left -= pairs
                     continue
             reader.seek_window(pos)
             try:
@@ -273,11 +302,11 @@ class PairCodec:
             except StreamExhausted as exc:
                 exc.pair += count - left
                 raise
-            add("%d %d\n" % tuple(pair) if field else pair)
+            add("%d %d\n" % tuple(pair))
             left -= 1
             bits, pos, nbits = reader.window()
         reader.seek_window(pos)
-        return out
+        return "".join(out)
 
 
 def residue_signature_lengths(codec: PairCodec, s: int) -> tuple[tuple[int, int], ...]:
@@ -325,6 +354,26 @@ class GolombPairCodec(PairCodec):
         self._coder = coder
 
     signature_lengths = residue_signature_lengths
+
+    def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
+        """``encode_many`` of the pairs of ``tokens``: each distinct token's codeword
+        string, its quasi-uniform remainder and unary quotient, built once for this
+        call, joined and packed by one ``int(bits, 2)``.  A stream with a token of over
+        MISS_BITS bits takes the int route instead."""
+        if len(tokens) & 1:  # the pairs end before the last token
+            tokens = tokens[:-1]
+        coder, k = self._coder, self.k
+        zero = coder(0, 0)[1] >> 1  # the codeword of 0, which coder(n, 0) ends with
+        codewords = {}
+        for token in set(tokens):
+            n = int(token)
+            if n // k >= MISS_BITS:
+                return self._encode_token_pairs(tokens)
+            value, length = coder(n, 0)
+            if length - zero > MISS_BITS:
+                return self._encode_token_pairs(tokens)
+            codewords[token] = format(value >> zero, f"0{length - zero}b")
+        return pack_bits("".join(map(codewords.__getitem__, tokens)))
 
     def _decode_run(self, reader: BitReader, count: int) -> list[int]:
         # the components one after the other, each remainder from an m-bit

@@ -57,6 +57,7 @@ REMOVED = [
     ("geompair.bitio", "Codeword.fragments"),
     ("geompair.bitio", "BitWriter.write_codeword"),
     ("geompair.ck_codec", "CkCodec._top_codeword"),
+    ("geompair.ck_codec", "CkCodec._starts"),
     ("geompair.fringe2", "CompactProfile.n_upper"),
     ("geompair.fringe2", "CompactProfile.n_mid"),
     ("geompair.fringe2", "CompactProfile.n_lower"),

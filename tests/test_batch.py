@@ -167,6 +167,31 @@ def test_encode_many_matches_generic_path(family):
     assert_codes(family, [(rng.randrange(600), rng.randrange(600)) for _ in range(200)])
 
 
+@pytest.mark.parametrize("family", FAMILIES, ids=CodeFamily.label)
+def test_a_pair_that_runs_off_the_end_leaves_the_reader_at_its_start(monkeypatch, family):
+    # 3000 short random streams, and runs of ones longer than a 9-byte
+    # window, which the family loops read with read_unary, cut at thirds
+    codec = make_codec(family)
+    rng = random.Random(f"reader-{family.label()}")
+    streams = [random_bytes(rng.random(), rng.randint(1, 8)) for _ in range(3000)]
+    runs = long_runs(f"reader-{family.label()}", 4, 72, 200, 20)
+    streams += [runs[:cut] for cut in (len(runs), len(runs) * 2 // 3, len(runs) // 3)]
+    monkeypatch.setattr(BitReader, "WINDOW_BYTES", 9)
+
+    def decode_all(reader, count):
+        for _ in range(count):
+            codec.decode(reader)
+
+    for data in streams:
+        for read in (decode_all, codec.decode_many, codec.decode_text):
+            reader, start = BitReader(data), None
+            try:  # more pairs than the stream holds
+                read(reader, 8 * len(data) + 1)
+            except StreamExhausted as exc:
+                start = exc.start
+            assert reader.bits_consumed == start, (read.__name__, data)
+
+
 # ---------------------------------------------------------------------------
 # CLI truncation messages
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import bisect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -111,14 +112,83 @@ def test_decode_on_both_sides_of_the_top_table_bound(k):
     assert codec.decode_many(reader, len(pairs)) == [x for pair in pairs for x in pair]
     assert reader.bits_consumed == nbits
     width, table = codec._window_bits, vars(codec).get("_top_table", "unbuilt")
-    if k == 1:  # the void top code: one empty window, which opens every pair
-        assert table == {"": (0, 0, 0)}
-    elif width > TABLE_BITS:
+    if width > TABLE_BITS:
         assert table is None
     else:
-        # each window holds the top codeword it starts with, at most 2^TABLE_BITS of them
-        assert len(table) == 1 << width <= 1 << TABLE_BITS
+        # each TABLE_BITS-bit window holds the whole pair it starts with, or else
+        # the top codeword it starts with, as the loop without a top table reads
+        # them from the window and zeros after it
+        assert len(table) == 1 << TABLE_BITS and width <= TABLE_BITS
+        plain = CkCodec(k)
+        vars(plain)["_top_table"] = None
         for window, (a, b, length) in table.items():
-            assert len(window) == width
-            assert top_codeword(codec, a, b) == (int(window, 2) >> (width - length), length)
+            assert len(window) == TABLE_BITS
+            reader = BitReader(int(window + "0" * 13, 2).to_bytes(3, "big"))
+            pair = plain._decode_run(reader, 1)
+            if length > 0:
+                assert (pair, reader.bits_consumed) == ([a, b], length), window
+            else:
+                assert reader.bits_consumed > TABLE_BITS, window
+                assert (pair[0] % k, pair[1] % k) == (a, b), window
+                assert top_codeword(codec, a, b) == (int(window, 2) >> (TABLE_BITS + length),
+                                                     -length)
+        if k == 1:  # the void top code opens every window that holds no whole pair
+            assert {slot for slot in table.values() if slot[2] <= 0} == {(0, 0, 0)}
     assert_codes(CodeFamily("ck", k), pairs[:300])
+
+
+def reference_starts(k):
+    """The first rank of each signature t = a + b of the residue pairs, t = 0..2k-2."""
+    starts, rank = [], 0
+    for t in range(2 * k - 1):
+        starts.append(rank)
+        rank += min(t, k - 1) - max(0, t - k + 1) + 1
+    return starts
+
+
+def assert_pairs_decode(k, pairs):
+    """The loop without a top table, which finds the signature of a rank in
+    closed form, reads ``pairs`` back from their codewords."""
+    codec = CkCodec(k)
+    vars(codec)["_top_table"] = None  # the level path for every k
+    data, nbits = codec.encode_many(pairs)
+    reader = BitReader(data)
+    assert codec._decode_run(reader, len(pairs)) == [x for pair in pairs for x in pair]
+    assert reader.bits_consumed == nbits
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_signature_of_every_rank_in_closed_form(k):
+    # the residue pair of each rank, from bisecting the signature starts
+    starts = reference_starts(k)
+    pairs = []
+    for rank in range(k * k):
+        t = bisect.bisect_right(starts, rank) - 1
+        a = max(0, t - k + 1) + rank - starts[t]
+        pairs.append((a, t - a))
+    assert_pairs_decode(k, pairs)
+
+
+@pytest.mark.parametrize("k", [65, 255, 256, 693, 1000, 65535])
+def test_signature_of_the_boundary_ranks_in_closed_form(k):
+    # the rank before the first of each signature t >= 1, the last pair of
+    # t - 1, and that first rank, the pair of t with the lowest a
+    pairs = []
+    for t in range(1, 2 * k - 1):
+        high, low = min(t - 1, k - 1), max(0, t - k + 1)
+        pairs += [(high, t - 1 - high), (low, t - low)]
+    assert_pairs_decode(k, pairs)
+
+
+@pytest.mark.parametrize("k", range(1, 39))
+def test_top_strings_are_the_top_codewords(k):
+    codec = CkCodec(k)
+    strings = codec._top_strings
+    if codec._window_bits > TABLE_BITS:
+        assert k == 38 and strings is None
+        return
+    assert len(strings) == k * k <= 1 << TABLE_BITS
+    for a in range(k):
+        for b in range(k):
+            value, length = top_codeword(codec, a, b)
+            assert strings[a * k + b] == (format(value, f"0{length}b") if length else ""), (a, b)

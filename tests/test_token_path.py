@@ -4,7 +4,10 @@ Where few pairs miss the token view of the encode table, ``encode``
 codes the pairs from their decimal tokens and never builds an int list
 or calls ``encode_many``; elsewhere it takes the int route,
 ``_encode_token_pairs``: ``encode_many`` of the tokens' ints, or for ck
-a loop that converts each distinct token once.  Either way the container must hold the header and the
+a loop that converts each distinct token once, joining strings where the
+top code fits TABLE_BITS bits.  Golomb joins each distinct token's
+codeword string, and takes the int route only for a token of over
+MISS_BITS bits.  Either way the container must hold the header and the
 bytes of ``encode_many`` of the pairs, and every input error must be
 reported as the int route reports it: a non-decimal token, then a token
 too long to convert, then an odd count, each with its 0-based position.
@@ -14,6 +17,7 @@ long codewords never builds that table.
 
 import contextlib
 import io
+import math
 import random
 import sys
 
@@ -23,7 +27,10 @@ from codec_families import FAMILIES, geometric_pairs, reference_stream, table_bu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geompair.basecodes import MISS_SHARE, PROBE_PAIRS, PairCodec
+from geompair import ck_codec
+from geompair.basecodes import (MISS_BITS, MISS_SHARE, PROBE_PAIRS, GolombPairCodec, PairCodec,
+                                golomb_length, quasi_uniform_shape)
+from geompair.bitio import BitWriter
 from geompair.ck_codec import CkCodec
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
@@ -122,7 +129,8 @@ def hits_around(token, before=100, after=100):
 
 
 @pytest.mark.parametrize("family", [CodeFamily("ck", 1), CodeFamily("ck", 3),
-                                    CodeFamily("cminus", 2), CodeFamily("limit")],
+                                    CodeFamily("cminus", 2), CodeFamily("limit"),
+                                    CodeFamily("golomb", 3)],
                          ids=CodeFamily.label)
 @pytest.mark.parametrize("text, message", [
     # a 5000-digit second component, past the int-string limit of 4300
@@ -292,6 +300,76 @@ def test_ck_int_route_refuses_a_pair_too_large_as_encode_many(tmp_path):
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == ["2 True"] * len(CK_ORDERS)
     assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 16, 32, 37, 38))
+@pytest.mark.parametrize("quot", (MISS_BITS - 1, MISS_BITS))
+def test_ck_string_route_up_to_the_top_table_bound(monkeypatch, k, quot):
+    # the strings where the top code fits TABLE_BITS (k <= 37) and no unary
+    # code is longer than MISS_BITS bits, a quotient of MISS_BITS - 1 at most;
+    # elsewhere the int loop, which writes through a BitWriter
+    writers = []
+
+    class Writer(BitWriter):
+        def __init__(self):
+            super().__init__()
+            writers.append(self)
+
+    monkeypatch.setattr(ck_codec, "BitWriter", Writer)
+    family = CodeFamily("ck", k)
+    codec = make_codec(family)
+    rng = random.Random(f"strings-{k}-{quot}")
+    pairs = [(rng.randrange(4 * k), rng.randrange(4 * k)) for _ in range(800)]
+    pairs[300:300] = [(0, 0), (k - 1, k), (quot * k + k - 1, 1), (2, quot * k)]
+    _, data, nbits = reference_stream(family, pairs)
+    tokens = spell(pairs, rng, 0.3).split()
+    assert any(len(token) > 1 and token[0] == "0" for token in tokens)
+    assert codec._encode_token_pairs(tokens) == (data, nbits)
+    assert bool(writers) == (k > 37 or quot >= MISS_BITS)
+
+
+# ---------------------------------------------------------------------------
+# Golomb's per-token route
+# ---------------------------------------------------------------------------
+
+GOLOMB_ORDERS = (1, 2, 3, 7, 64, 65535)
+
+
+def golomb_pairs(k, n, rng):
+    """n pairs drawn geometric at the design q = 2^(-1/k), by inversion."""
+    scale = k / math.log(2)  # 1 / log(1 / q)
+    return [tuple(int(scale * -math.log(1 - rng.random())) for _ in range(2)) for _ in range(n)]
+
+
+def golomb_component(k, length):
+    """A component whose order-k Golomb codeword has ``length`` bits: a
+    quotient and the last remainder, which takes the long m-bit codeword."""
+    m, _ = quasi_uniform_shape(k)
+    n = (length - m) * k - 1
+    assert golomb_length(k, n) == length
+    return n
+
+
+@pytest.mark.parametrize("k", GOLOMB_ORDERS)
+def test_golomb_per_token_route_gives_the_bytes_of_encode_many(int_route_calls, k):
+    family = CodeFamily("golomb", k)
+    codec = make_codec(family)
+    rng = random.Random(f"golomb-{k}")
+    design = golomb_pairs(k, 600, rng)
+    wide = [(rng.randrange(40 * k), rng.randrange(40 * k)) for _ in range(300)]
+    exact, over = golomb_component(k, MISS_BITS), golomb_component(k, MISS_BITS + 1)
+    for pairs, int_route in ((design, False), (wide, False), (design + [(exact, 0)] + wide, False),
+                             (design + [(exact, over)], True), ([(over, exact)], True), ([], False)):
+        tokens = spell(pairs, rng, 0.3).split()
+        if pairs:  # and "007", the spelling of a component with leading zeros
+            pairs, tokens = pairs + [(7, 0)], tokens + ["007", "0"]
+        int_route_calls.clear()
+        assert codec.encode_tokens(tokens) == codec.encode_many(pairs)
+        assert int_route_calls == [f"GolombPairCodec {k}"] * int_route
+    _, data, nbits = reference_stream(family, design + [(exact, 0)])
+    assert codec.encode_tokens(spell(design + [(exact, 0)], rng, 0.3).split()) == (data, nbits)
+    with pytest.raises(ValueError, match="^Golomb argument must be >= 0$"):
+        codec.encode_tokens(["20", "1", "3", "-1"])
 
 
 @pytest.mark.parametrize("family, built", [(CodeFamily("ck", 256), False),
