@@ -24,8 +24,6 @@ _LAZY = {
     "signature_length_row": "cminus_codec",
     "CodeFamily": "families",
     "make_codec": "families",
-    "WeightedSource": "fringe2",
-    "fringe2_optimal_range": "fringe2",
     "profile_from": "fringe2",
     "top_code_params": "fringe2",
     "adaptive_select": "analysis",
@@ -38,9 +36,7 @@ _LAZY = {
     "entropy_per_symbol": "analysis",
     "build_truncated_source": "oracle",
     "huffman_lengths": "oracle",
-    "max_gap": "oracle",
     "oracle_optimal_avg_len": "oracle",
-    "two_level_check": "oracle",
 }
 
 

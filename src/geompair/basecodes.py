@@ -127,9 +127,9 @@ class PairCodec:
     the runs of ones of a pair longer than a window with ``read_unary``.
     If the stream ends first, the :class:`StreamExhausted` carries the
     index of the pair that ran off the end in ``pair`` and its start bit
-    in ``start``.  :meth:`decode` is one pair of it; :meth:`decode_many`
-    and :meth:`decode_text` read a stream of short codewords through
-    :attr:`_decode_table` and hand the rest to it.  The tables are built
+    in ``start``.  :meth:`decode` is one pair of it; :meth:`decode_text`,
+    the batch decoder, reads a stream of short codewords through
+    :attr:`_decode_table` and hands the rest to it.  The tables are built
     from ``_coder`` on first use and never change, so a codec stays
     immutable and shareable.
     """
@@ -258,21 +258,11 @@ class PairCodec:
                     table[chain] = slot
         return dict(zip(window_keys(TABLE_BITS), table))
 
-    def _table_path(self, reader: BitReader, count: int) -> bool:
-        """Whether the next ``count`` pairs average at most TABLE_BITS bits, as the
-        stream's length tells: the decode table reads them, else ``_decode_run``."""
-        return 0 < count and reader.bits_remaining <= count * TABLE_BITS
-
-    def decode_many(self, reader: BitReader, count: int) -> list[int]:
-        """The next ``count`` pairs' components, flat, as ``_decode_run`` returns or
-        raises them: on the table path, the text of :meth:`decode_text` as ints."""
-        if self._table_path(reader, count):
-            return list(map(int, self._read(reader, count).split()))
-        return self._decode_run(reader, count)
-
     def decode_text(self, reader: BitReader, count: int) -> str:
-        """``decode_many`` printed as ``"i j\\n"`` lines, from the text of each table slot."""
-        if self._table_path(reader, count):
+        """The next ``count`` pairs printed as ``"i j\\n"`` lines: the components that
+        ``_decode_run`` returns or the error it raises.  Where the pairs average at most
+        TABLE_BITS bits, as the stream's length tells, the decode table reads them."""
+        if 0 < count and reader.bits_remaining <= count * TABLE_BITS:
             return self._read(reader, count)
         return "%d %d\n" * count % tuple(self._decode_run(reader, count))
 

@@ -12,7 +12,7 @@ byte of a finalized stream is padded with zero bits.
 class StreamExhausted(Exception):
     """A read required more bits than the stream holds.
 
-    When a codec's ``decode`` or ``decode_many`` raises it, ``pair`` is the
+    When a codec's ``decode`` or ``decode_text`` raises it, ``pair`` is the
     0-based index of the pair that ran off the end (0 for ``decode``) and
     ``start`` the stream bit where that pair starts, and the message gives
     the bits left from there; both are None for a single read.

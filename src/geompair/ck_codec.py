@@ -20,11 +20,10 @@ from .fringe2 import top_code_params
 class CkCodec(PairCodec):
     """Immutable pair codec for parameter k; shareable across streams.
 
-    Residue pairs rank by signature t = a + b, ties by a (the order of
-    :func:`geompair.fringe2.top_code_symbols`): rank(a, b) is the first
-    rank of signature t plus a's offset in it, from an O(k) list, not a
-    k^2 table, and the decoder finds the signature of a rank in closed
-    form.  Ranks fill the levels M-1, M, M+1 of the optimal profile in
+    Residue pairs rank by signature t = a + b, ties broken by a: rank(a, b)
+    is the first rank of signature t plus a's offset in it, from an O(k)
+    list, not a k^2 table, and the decoder finds the signature of a rank
+    in closed form.  Ranks fill the levels M-1, M, M+1 of the optimal profile in
     order, each level's codewords counting up from its canonical first
     value.  The state is O(k), so building a codec is cheap for any k.
     Where the code's longest top codeword fits in TABLE_BITS bits (k <= 37),

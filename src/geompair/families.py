@@ -65,8 +65,8 @@ class CodeFamily(namedtuple("CodeFamily", "kind k")):
 
 @lru_cache(maxsize=32)  # bounded: k comes from container headers
 def make_codec(family: CodeFamily):
-    """Pair codec (encode / encode_to / encode_many / decode / decode_many)
-    for the family.
+    """Pair codec (encode / encode_to / encode_many / encode_tokens / decode /
+    decode_text) for the family.
 
     Codecs are cached and safe to share: what they code never changes
     after construction, and the memo and tables each builds on first use

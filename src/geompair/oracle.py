@@ -5,8 +5,8 @@ discarded probability mass is below a requested fraction; the discarded
 part enters as one virtual tail symbol carrying the whole remaining
 weight.  An exact Huffman run on this finite source gives a near-optimal
 average length (the tail perturbs it by roughly eps times the tail
-depth) and a code tree whose shallow region is structurally faithful,
-which the two-level and gap checks exploit.
+depth) and a code tree whose shallow region is structurally faithful:
+the tests check its two-level and gap structure.
 
 The truncated source has only S + 2 distinct weights: the s + 1 symbols
 of signature s each weigh q^s, and the tail is one more symbol.  The
@@ -272,39 +272,3 @@ def oracle_optimal_avg_len(
     _, _, _, avg, uncertainty, _ = _merge_source(q, eps, cap)
     return avg, uncertainty
 
-
-def two_level_check(
-    lengths_by_signature: dict[int, list[int]], s_max_checked: int
-) -> tuple[bool, list[int]]:
-    """Verify every signature's codeword lengths span <= 2 consecutive
-    levels; returns (ok, offending signatures)."""
-    witnesses = []
-    for s in range(s_max_checked + 1):
-        lens = lengths_by_signature.get(s)
-        if not lens:
-            continue
-        if max(lens) - min(lens) > 1:
-            witnesses.append(s)
-    return not witnesses, witnesses
-
-
-def max_gap(lengths_by_signature: dict[int, list[int]], s_max_checked: int) -> int:
-    """Largest run of leaf-free levels between consecutive signatures.
-
-    Measured on the upper half of the checked region (the structural
-    statements hold for all sufficiently large signatures, and small
-    signatures of a truncated code may be atypical).
-    """
-    gap = 0
-    for s in range(s_max_checked // 2, s_max_checked):
-        cur = lengths_by_signature.get(s)
-        nxt = lengths_by_signature.get(s + 1)
-        if not cur or not nxt:
-            continue
-        gap = max(gap, min(nxt) - max(cur) - 1)
-    return gap
-
-
-def gap_bound(q: float) -> int:
-    """floor(log2(1/q)): asymptotic cap on gap sizes in an optimal tree."""
-    return int(math.floor(math.log2(1.0 / q)))

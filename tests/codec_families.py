@@ -15,11 +15,13 @@ every signature from 0.
 import functools
 import random
 
+from reference_theory import top_code_symbols
+
 from geompair.basecodes import golomb_length, quasi_uniform_shape
 from geompair.bitio import BitReader, BitWriter, Codeword
 from geompair.cminus_codec import limit_row, signature_length_row
 from geompair.families import CodeFamily, make_codec
-from geompair.fringe2 import top_code_params, top_code_symbols
+from geompair.fringe2 import top_code_params
 
 FAMILIES = (
     [CodeFamily("ck", k) for k in (1, 2, 3, 16, 255, 256)]
@@ -364,7 +366,7 @@ def assert_codes(family, pairs):
     count = len(pairs)
     reads = [
         (lambda r: [codec.decode(r) for _ in pairs], pairs),
-        (lambda r: codec.decode_many(r, count), flat),
+        (lambda r: codec._decode_run(r, count), flat),
         (lambda r: codec.decode_text(r, count), "%d %d\n" * count % tuple(flat)),
     ]
     # the cminus and limit reference decoders walk every signature from 0

@@ -11,6 +11,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from codec_families import assert_decodes, assert_lengths, every_pair
+from reference_theory import (
+    WeightedSource,
+    fringe2_optimal_range,
+    max_gap,
+    profile_average_length,
+    two_level_check,
+)
 
 from geompair.analysis import (
     avg_len_by_series,
@@ -32,13 +39,8 @@ from geompair.cminus_codec import (
     signature_length_row,
 )
 from geompair.families import CodeFamily
-from geompair.fringe2 import (
-    WeightedSource,
-    fringe2_optimal_range,
-    profile_average_length,
-    top_code_params,
-)
-from geompair.oracle import _depth_pass, _merge_pass, max_gap, truncated_huffman, two_level_check
+from geompair.fringe2 import top_code_params
+from geompair.oracle import _depth_pass, _merge_pass, truncated_huffman
 
 
 @contextmanager

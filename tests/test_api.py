@@ -22,9 +22,10 @@ README = TESTS.parent / "README.md"
 PACKAGE = Path(geompair.__file__).resolve().parent
 
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
-# ``encode_to``, ``codeword``, ``decode``, ``decode_many`` and
-# ``signature_lengths`` replace them, and ``CkCodec`` and
-# ``GolombPairCodec`` are the only implementations of their codes
+# ``encode_to``, ``codeword``, ``decode``, ``decode_text`` and
+# ``signature_lengths`` replace them, ``CkCodec`` and ``GolombPairCodec``
+# are the only implementations of their codes, and the fringe-2 search and
+# the checks of oracle trees are test reference code (reference_theory)
 REMOVED = [
     ("geompair", "unary_encode"),
     ("geompair", "limit_decode"),
@@ -35,6 +36,10 @@ REMOVED = [
     ("geompair", "golomb_encode"),
     ("geompair", "limit_encode"),
     ("geompair", "top_code_table"),
+    ("geompair", "WeightedSource"),
+    ("geompair", "fringe2_optimal_range"),
+    ("geompair", "two_level_check"),
+    ("geompair", "max_gap"),
     ("geompair.basecodes", "unary_encode"),
     ("geompair.basecodes", "read_unary"),
     ("geompair.basecodes", "quasi_uniform_encode"),
@@ -48,6 +53,8 @@ REMOVED = [
     ("geompair.basecodes", "quasi_uniform_codeword"),
     ("geompair.basecodes", "RankOutOfRange"),
     ("geompair.basecodes", "decode_unary_pairs"),
+    ("geompair.basecodes", "PairCodec.decode_many"),
+    ("geompair.basecodes", "PairCodec._table_path"),
     ("geompair.cminus_codec", "limit_encode"),
     ("geompair.cminus_codec", "limit_decode"),
     ("geompair.cminus_codec", "limit_codeword"),
@@ -63,12 +70,27 @@ REMOVED = [
     ("geompair.fringe2", "CompactProfile.n_lower"),
     ("geompair.fringe2", "top_code_table"),
     ("geompair.fringe2", "TopCode"),
+    ("geompair.fringe2", "WeightedSource"),
+    ("geompair.fringe2", "NotFourUniform"),
+    ("geompair.fringe2", "delta_sc"),
+    ("geompair.fringe2", "_sign"),
+    ("geompair.fringe2", "SIGN_RTOL"),
+    ("geompair.fringe2", "tree_chain"),
+    ("geompair.fringe2", "trees_equivalent"),
+    ("geompair.fringe2", "fringe2_optimal_range"),
+    ("geompair.fringe2", "optimal_trees"),
+    ("geompair.fringe2", "profile_average_length"),
+    ("geompair.fringe2", "top_source_weights"),
+    ("geompair.fringe2", "top_code_symbols"),
     ("geompair.analysis", "CminusLengthModel"),
     ("geompair.analysis", "LimitLengthModel"),
     ("geompair.analysis", "GolombPairLengthModel"),
     ("geompair.analysis", "CkLengthModel"),
     ("geompair.oracle", "TruncatedSource.signatures"),
     ("geompair.oracle", "OracleCode.lengths"),
+    ("geompair.oracle", "two_level_check"),
+    ("geompair.oracle", "max_gap"),
+    ("geompair.oracle", "gap_bound"),
 ]
 
 
@@ -184,6 +206,23 @@ def test_only_pair_codec_defines_the_encoders():
                 found += [(node.name, sub.name) for sub in node.body
                           if isinstance(sub, ast.FunctionDef) and sub.name in ("codeword", "encode_many")]
     assert found == [("PairCodec", "codeword"), ("PairCodec", "encode_many")]
+
+
+def test_theory_modules_define_only_what_the_program_names():
+    # the fringe-2 search and the checks of oracle trees serve only the
+    # tests, so they live in reference_theory: every module-level function
+    # and class of fringe2 and oracle is named in the package or the
+    # benchmark, besides its own definition and its key in _LAZY
+    named, defined = set(), []
+    for directory in (PACKAGE, TESTS.parent / "bench"):
+        for path in sorted(directory.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            lazy_keys = set(geompair._LAZY) if path == PACKAGE / "__init__.py" else set()
+            named |= _named(tree) - lazy_keys
+            if path.parent == PACKAGE and path.stem in ("fringe2", "oracle"):
+                defined += [name for name in _definitions(tree) if "." not in name]
+    assert len(defined) >= 20
+    assert not [name for name in defined if name not in named]
 
 
 # methods that a base class outside the package calls: namedtuple's _replace calls _make

@@ -2,15 +2,16 @@
 encoder against the per-pair one.
 
 Each codec has one decoder, its family loop ``_decode_run``: ``decode``
-is one pair of it, and ``decode_many`` reads a stream of short codewords
-through the shared decode table and hands the rest to it.  Both must
+is one pair of it, and ``decode_text``, the batch decoder, reads a stream
+of short codewords through the shared decode table and hands the rest to
+it.  ``_decode_run`` over many pairs, and ``decode`` pair by pair, must
 return exactly what a loop of the reference decoders of
 ``codec_families`` returns (they read the original codes with the
 ``BitReader`` primitives), leave the reader at the same bit, and run off
-the end of a stream at the same pair and start bit, through the table (a
-stream of at most TABLE_BITS bits per pair) and through the family loop;
-``decode_text`` must print exactly the components that ``decode_many``
-returns, and fail where it fails; ``encode_many`` must emit the bytes of
+the end of a stream at the same pair and start bit; ``decode_text`` must
+print exactly the components that ``_decode_run`` returns, and fail where
+it fails, through the table (a stream of at most TABLE_BITS bits per
+pair) and through the family loop; ``encode_many`` must emit the bytes of
 ``encode_to``, which writes one ``codeword`` at a time.
 Small ``BitReader`` windows make codewords and table lookups straddle
 window ends, where the family loop reloads its window, and make runs of
@@ -86,7 +87,7 @@ def per_pair(decode, data, count):
 
 
 def batch(read, data, count):
-    """What ``read``, a codec's ``decode_many`` or ``decode_text``, returns for
+    """What ``read``, a codec's ``_decode_run`` or ``decode_text``, returns for
     ``count`` pairs, as ``per_pair`` does."""
     reader = BitReader(data)
     try:
@@ -98,13 +99,13 @@ def batch(read, data, count):
 
 
 def assert_same_decode(family, data, count, single=False):
-    """``decode_many``, and with ``single`` a loop of the codec's ``decode``,
+    """``_decode_run``, and with ``single`` a loop of the codec's ``decode``,
     against a loop of the reference decoder; and ``decode_text`` against
-    ``decode_many``: the text of its components, the same end bit and the
+    ``_decode_run``: the text of its components, the same end bit and the
     same pair and start bit where the stream runs out."""
     want = reference_decode(family, data, count)
     codec = make_codec(family)
-    got = batch(codec.decode_many, data, count)
+    got = batch(codec._decode_run, data, count)
     if want[2] is None:
         assert got == want
     else:
@@ -183,7 +184,7 @@ def test_a_pair_that_runs_off_the_end_leaves_the_reader_at_its_start(monkeypatch
             codec.decode(reader)
 
     for data in streams:
-        for read in (decode_all, codec.decode_many, codec.decode_text):
+        for read in (decode_all, codec._decode_run, codec.decode_text):
             reader, start = BitReader(data), None
             try:  # more pairs than the stream holds
                 read(reader, 8 * len(data) + 1)
@@ -240,7 +241,7 @@ def assert_cut_messages(tmp_path, capsys, family, pairs):
 
 
 # ---------------------------------------------------------------------------
-# The two branches of decode_many: the shared table and the family loop
+# The two branches of decode_text: the shared table and the family loop
 # ---------------------------------------------------------------------------
 
 

@@ -957,14 +957,16 @@ def test_oracle_paths_leave_dataclasses_and_inspect_unloaded():
 
 def test_package_runs_without_numpy():
     # numpy is a test dependency only: with its import blocked, every public
-    # name resolves and the oracle and its commands give the same results
+    # name resolves and the oracle and its commands give the same results,
+    # and its trees pass the reference checks of their structure
     child = run_child("-c", (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "import geompair\n"
         "print(all(getattr(geompair, name) for name in geompair.__all__))\n"
-        "from geompair.oracle import (build_truncated_source, huffman_lengths, max_gap,\n"
-        "                             truncated_huffman, two_level_check)\n"
+        "from geompair.oracle import build_truncated_source, huffman_lengths, truncated_huffman\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from reference_theory import max_gap, two_level_check\n"
         "print(huffman_lengths([4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]))\n"
         "weights = build_truncated_source(0.98, 1e-9).weights\n"
         "print(len(weights), weights[0], weights[-1])\n"
@@ -1009,9 +1011,9 @@ def test_codec_path_leaves_analysis_and_records_machinery_unloaded(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
         "    code = geompair.cli.main(['--help'])\n"
         "print(code, text.getvalue().startswith('usage: geompair [-h]'), 'argparse' in sys.modules)\n"
-        "from geompair import adaptive_select, oracle_optimal_avg_len, WeightedSource\n"
+        "from geompair import adaptive_select, oracle_optimal_avg_len, profile_from\n"
         "print(adaptive_select(1.0).label(), oracle_optimal_avg_len(0.5, 1e-9)[0] > 3.99)\n"
-        "print(WeightedSource([4, 2, 1]).exact)\n"
+        "print(profile_from(1, 4, 19).leaves == (1, 10, 8))\n"
     ))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == ["[]", "[]", "ck k=2", "[]", "0 True True", "ck k=1 True", "True"]

@@ -3,26 +3,23 @@ from fractions import Fraction
 
 import pytest
 from codec_families import top_codeword
-
-from geompair.analysis import avg_len_ck_design
-from geompair.bitio import Codeword
-from geompair.ck_codec import CkCodec
-from geompair.fringe2 import (
-    COutOfRange,
+from reference_theory import (
     NotFourUniform,
     WeightedSource,
-    c_bounds,
     delta_sc,
     fringe2_optimal_range,
     optimal_trees,
     profile_average_length,
-    profile_from,
-    top_code_params,
     top_code_symbols,
     top_source_weights,
     tree_chain,
     trees_equivalent,
 )
+
+from geompair.analysis import avg_len_ck_design
+from geompair.bitio import Codeword
+from geompair.ck_codec import CkCodec
+from geompair.fringe2 import COutOfRange, c_bounds, profile_from, top_code_params
 from geompair.oracle import huffman_lengths
 
 # N = 19 worked example: 49 times the probabilities, exact integers

@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from reference_theory import gap_bound, max_gap, two_level_check
 
 from geompair.analysis import avg_len_by_series, avg_len_ck_design
 from geompair.cminus_codec import CminusCodec
@@ -21,13 +22,10 @@ from geompair.oracle import (
     TAIL,
     DEFAULT_SYMBOL_CAP,
     build_truncated_source,
-    gap_bound,
     huffman_lengths,
-    max_gap,
     oracle_optimal_avg_len,
     tail_fraction,
     truncated_huffman,
-    two_level_check,
 )
 from geompair.oracle import _depth_pass, _merge_pass
 
