@@ -11,7 +11,6 @@ codewords go to the smaller (more probable) ranks, and ranks are
 """
 
 from functools import cache, cached_property
-from itertools import islice
 
 from .bitio import FLUSH_BITS, BitReader, BitWriter, Codeword, StreamExhausted
 
@@ -80,11 +79,8 @@ TABLE_BITS = 11
 # pairs with both components below 2^SMALL_BITS take their codeword from
 # the encode table, 4^SMALL_BITS entries
 SMALL_BITS = 4
-# encode_tokens codes a stream as text if at most MISS_SHARE of its pairs (and of its
-# first PROBE_PAIRS) miss the token view, none in over MISS_BITS bits (see CHANGES.md)
-MISS_SHARE = 1 / 8
+# the longest codeword that encode_tokens builds as a string, a byte per bit
 MISS_BITS = 64
-PROBE_PAIRS = 512
 
 
 @cache
@@ -103,6 +99,10 @@ def window_keys(width: int) -> list[str]:
 def pack_bits(bits: str) -> tuple[bytes, int]:
     """The zero-padded bytes of the ``'0'``/``'1'`` string ``bits`` and its bit count."""
     return (int(bits or "0", 2) << (-len(bits) & 7)).to_bytes((len(bits) + 7) >> 3, "big"), len(bits)
+
+
+class _LongCodeword(Exception):
+    """A codeword of over MISS_BITS bits, or one that does not fit its length."""
 
 
 class PairCodec:
@@ -168,27 +168,15 @@ class PairCodec:
 
     def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``, an even count of decimal strings: the
-        codeword strings of :attr:`_token_table` and its misses, packed by one ``int(bits, 2)``."""
-        pairs, codes = iter(tokens), []
-        for stop in (PROBE_PAIRS, None):
-            codes += map(self._token_table.get, islice(zip(pairs, pairs), stop))
-            if codes.count(None) > len(codes) * MISS_SHARE:
-                break
-        else:
-            n = -1
-            for _ in range(codes.count(None)):
-                n = codes.index(None, n + 1)
-                value, length = self._coder(int(tokens[2 * n]), int(tokens[2 * n + 1]))
-                if length > MISS_BITS or value >> length:
-                    break
-                codes[n] = format(value, f"0{length}b")
-            else:
-                return pack_bits("".join(codes))
-        return self._encode_token_pairs(tokens)
+        codeword strings of :attr:`_token_table`, packed by one ``int(bits, 2)``."""
+        pairs = iter(tokens)
+        try:
+            return pack_bits("".join(map(self._token_table.__getitem__, zip(pairs, pairs))))
+        except _LongCodeword:
+            return self._encode_token_pairs(tokens)
 
     def _encode_token_pairs(self, tokens: list[str]) -> tuple[bytes, int]:
-        """``encode_tokens`` of a stream that leaves the text route: ``encode_many`` of the
-        tokens' ints.  A codec may override it with a loop over the tokens."""
+        """``encode_tokens`` past MISS_BITS: ``encode_many`` of the tokens' ints."""
         values = iter(list(map(int, tokens)))  # converting them in the loop is slower
         return self.encode_many(zip(values, values))
 
@@ -208,9 +196,18 @@ class PairCodec:
     @cached_property
     def _token_table(self) -> dict[tuple[str, str], str]:
         """:attr:`_encode_table` as ``{("3", "0"): "0101...", ...}``."""
+        coder = self._coder
+
+        class TokenView(dict):  # codes a pair that it does not hold on lookup, and keeps none
+            def __missing__(self, pair: tuple[str, str]) -> str:
+                value, length = coder(int(pair[0]), int(pair[1]))
+                if length > MISS_BITS or value >> length:
+                    raise _LongCodeword
+                return format(value, f"0{length}b")
+
         side = 1 << SMALL_BITS
-        return {(str(n // side), str(n % side)): format(value, f"0{length}b")
-                for n, (value, length) in enumerate(self._encode_table)}
+        return TokenView({(str(n // side), str(n % side)): format(value, f"0{length}b")
+                          for n, (value, length) in enumerate(self._encode_table)})
 
     @cached_property
     def _decode_table(self) -> dict[str, tuple[int, int, str]]:
@@ -349,7 +346,7 @@ class GolombPairCodec(PairCodec):
         """``encode_many`` of the pairs of ``tokens``: each distinct token's codeword
         string, its quasi-uniform remainder and unary quotient, built once for this
         call, joined and packed by one ``int(bits, 2)``.  A stream with a token of over
-        MISS_BITS bits takes the int route instead."""
+        MISS_BITS bits takes the int fallback instead."""
         if len(tokens) & 1:  # the pairs end before the last token
             tokens = tokens[:-1]
         coder, k = self._coder, self.k

@@ -11,8 +11,8 @@ uniform 2-bit code on 4 symbols.
 from functools import cached_property
 from math import isqrt
 
-from .basecodes import (MISS_BITS, TABLE_BITS, PairCodec, pack_bits, reload_pair,
-                        residue_signature_lengths, window_keys)
+from .basecodes import (MISS_BITS, TABLE_BITS, GolombPairCodec, PairCodec, pack_bits,
+                        reload_pair, residue_signature_lengths, window_keys)
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import top_code_params
 
@@ -28,7 +28,7 @@ class CkCodec(PairCodec):
     value.  The state is O(k), so building a codec is cheap for any k.
     Where the code's longest top codeword fits in TABLE_BITS bits (k <= 37),
     the first decode adds a top table of 2^TABLE_BITS entries, and the
-    first int-route encode the k^2 <= 2^TABLE_BITS top codeword strings.
+    first ``encode_tokens`` the k^2 <= 2^TABLE_BITS top codeword strings.
     """
 
     def __init__(self, k: int) -> None:
@@ -95,7 +95,7 @@ class CkCodec(PairCodec):
 
     signature_lengths = residue_signature_lengths
 
-    def _encode_token_pairs(self, tokens: list[str]) -> tuple[bytes, int]:
+    def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``, each distinct token converted
         once, for this call only, to its residue and the unary code of its quotient.
         Where the top code fits TABLE_BITS bits and no unary code is longer than
@@ -103,6 +103,8 @@ class CkCodec(PairCodec):
         and the two unary codes, and the stream is packed by one ``int(bits, 2)``;
         otherwise a pair costs its top codeword's rank arithmetic and the packing."""
         k = self.k
+        if k == 1:  # the order-1 Golomb code, bit for bit
+            return GolombPairCodec.encode_tokens(self, tokens)
         top = self._top_strings
         if top is not None:
             strings = {}  # token -> (residue * k, residue, unary string)

@@ -55,6 +55,8 @@ REMOVED = [
     ("geompair.basecodes", "decode_unary_pairs"),
     ("geompair.basecodes", "PairCodec.decode_many"),
     ("geompair.basecodes", "PairCodec._table_path"),
+    ("geompair.basecodes", "PROBE_PAIRS"),
+    ("geompair.basecodes", "MISS_SHARE"),
     ("geompair.cminus_codec", "limit_encode"),
     ("geompair.cminus_codec", "limit_decode"),
     ("geompair.cminus_codec", "limit_codeword"),

@@ -1,18 +1,19 @@
 """``encode`` from the input tokens and ``decode`` to text.
 
-Where few pairs miss the token view of the encode table, ``encode``
-codes the pairs from their decimal tokens and never builds an int list
-or calls ``encode_many``; elsewhere it takes the int route,
-``_encode_token_pairs``: ``encode_many`` of the tokens' ints, or for ck
-a loop that converts each distinct token once, joining strings where the
-top code fits TABLE_BITS bits.  Golomb joins each distinct token's
-codeword string, and takes the int route only for a token of over
-MISS_BITS bits.  Either way the container must hold the header and the
+``encode`` codes the pairs from their decimal tokens, one route per
+family.  cminus and limit join the codeword strings of the token view of
+the encode table, which codes a pair it does not hold on lookup.  Golomb
+joins each distinct token's codeword string.  ck converts each distinct
+token once, joining strings where the top code fits TABLE_BITS bits and
+looping over the ranks otherwise; ck1, which is golomb1 bit for bit,
+takes Golomb's route.  Only a codeword of over MISS_BITS bits sends
+cminus, limit, Golomb and ck1 to the int fallback, ``encode_many`` of
+the tokens' ints.  Either way the container must hold the header and the
 bytes of ``encode_many`` of the pairs, and every input error must be
-reported as the int route reports it: a non-decimal token, then a token
-too long to convert, then an odd count, each with its 0-based position.
-``decode`` prints the text of the decode table's slots, and a stream of
-long codewords never builds that table.
+reported as ``encode_many`` of the ints reports it: a non-decimal token,
+then a token too long to convert, then an odd count, each with its
+0-based position.  ``decode`` prints the text of the decode table's
+slots, and a stream of long codewords never builds that table.
 """
 
 import contextlib
@@ -24,14 +25,12 @@ import sys
 import pytest
 from child import run_child
 from codec_families import FAMILIES, geometric_pairs, reference_stream, table_built
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geompair import ck_codec
-from geompair.basecodes import (MISS_BITS, MISS_SHARE, PROBE_PAIRS, GolombPairCodec, PairCodec,
-                                golomb_length, quasi_uniform_shape)
+from geompair.basecodes import MISS_BITS, PairCodec, golomb_length, quasi_uniform_shape
 from geompair.bitio import BitWriter
-from geompair.ck_codec import CkCodec
 from geompair.cli import HEADER, MAGIC, main
 from geompair.families import FAMILY_BYTES, CodeFamily, make_codec
 
@@ -85,19 +84,30 @@ LARGE = st.one_of(st.tuples(st.integers(0, 300), st.integers(16, 300)),
 
 @st.composite
 def streams(draw):
-    """A family and pairs whose share of view misses is none, at most
-    the gate's, or above it, shuffled."""
+    """A family and pairs of which none, a few or most miss the token
+    view, shuffled."""
     family = draw(st.sampled_from(FAMILIES))
     hits = draw(st.lists(SMALL, max_size=60))
-    gate = int(len(hits) * MISS_SHARE)
-    count = draw(st.sampled_from((0, 1, 2)))
-    misses = draw(st.lists(LARGE, min_size=(0, min(1, gate), gate + 1)[count],
-                           max_size=(0, gate, gate + 20)[count]))
-    return family, draw(st.permutations(hits + misses))
+    none, few, most = (0, 0), (1, max(1, len(hits) // 8)), (len(hits) + 1, len(hits) + 20)
+    low, high = draw(st.sampled_from((none, few, most)))
+    return family, draw(st.permutations(hits + draw(st.lists(LARGE, min_size=low, max_size=high))))
+
+
+def drifted(family, q, n=400):
+    """``family`` and n pairs drawn geometric at q, far above its design q, by inversion."""
+    rng = random.Random(f"drifted-{family.label()}-{q}")
+    scale = 1 / math.log(q)
+    return family, [tuple(int(scale * math.log(1 - rng.random())) for _ in range(2))
+                    for _ in range(n)]
 
 
 @settings(max_examples=120, deadline=None)
 @given(streams(), st.randoms(use_true_random=False), st.sampled_from((0.0, 0.3)))
+# streams drawn far above the family's design q: misses of the token view
+# that it codes itself, and codewords of over MISS_BITS bits
+@example(drifted(CodeFamily("cminus", 2), 0.75), random.Random(1), 0.3)
+@example(drifted(CodeFamily("limit"), 0.5), random.Random(2), 0.0)
+@example(drifted(CodeFamily("cminus", 4), 0.85), random.Random(3), 0.3)
 def test_encode_gives_the_bytes_of_encode_many(scratch, stream, rng, zeros):
     family, pairs = stream
     code, blob, err = encode(scratch, family, spell(pairs, rng, zeros))
@@ -135,7 +145,7 @@ def hits_around(token, before=100, after=100):
 @pytest.mark.parametrize("text, message", [
     # a 5000-digit second component, past the int-string limit of 4300
     (hits_around("0 " + "9" * 5000), "token at position 201 has 5000 digits"),
-    # an odd count reports the long token first, as the int route does
+    # an odd count reports the long token first, as encode_many of the ints does
     (hits_around("9" * 5000), "token at position 200 has 5000 digits"),
     (hits_around("0 x"), "token 'x' at position 201 is not a nonnegative integer"),
     (hits_around("5"), "401 integers do not form pairs"),
@@ -176,22 +186,21 @@ def test_pair_too_large_among_view_hits_exits_2_as_alone(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The route on each side of the gates
+# Which streams reach the int fallback, encode_many
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def int_route_calls(monkeypatch):
-    """The codecs that take the int route, ``_encode_token_pairs``, as ``"<class> <k>"``."""
+    """The codecs that call ``encode_many``, as ``"<class> <k>"``."""
     calls = []
-    for codec_class in (CkCodec, PairCodec):  # ck's own route, and every other codec's
-        original = codec_class._encode_token_pairs
+    original = PairCodec.encode_many
 
-        def spy(self, tokens, original=original):
-            calls.append(f"{type(self).__name__} {getattr(self, 'k', '')}")
-            return original(self, tokens)
+    def spy(self, pairs):
+        calls.append(f"{type(self).__name__} {getattr(self, 'k', '')}")
+        return original(self, pairs)
 
-        monkeypatch.setattr(codec_class, "_encode_token_pairs", spy)
+    monkeypatch.setattr(PairCodec, "encode_many", spy)
     return calls
 
 
@@ -209,36 +218,50 @@ def test_short_codeword_streams_never_call_encode_many(scratch, int_route_calls,
 
 
 def test_long_codeword_streams_call_encode_many(scratch, int_route_calls):
-    family = CodeFamily("ck", 256)
-    rng = random.Random("ck256")
-    pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(2000)]
-    want = container(family, pairs)[0]
-    int_route_calls.clear()
-    assert encode(scratch, family, spell(pairs, rng))[:2] == (0, want)
-    assert int_route_calls == ["CkCodec 256"]
+    # one codeword of over MISS_BITS bits among short ones sends cminus,
+    # limit, Golomb and ck1 to encode_many; ck of k >= 2 codes it in its own loop
+    rng = random.Random("long")
+    for family, calls in ((CodeFamily("cminus", 2), ["CminusCodec 2"]),
+                          (CodeFamily("limit"), ["LimitCodec inf"]),
+                          (CodeFamily("golomb", 3), ["GolombPairCodec 3"]),
+                          (CodeFamily("ck", 1), ["CkCodec 1"]),
+                          (CodeFamily("ck", 3), []), (CodeFamily("ck", 256), [])):
+        pairs = geometric_pairs(family, 1000, "long")
+        pairs[rng.randrange(1000):0] = [(300 * family.k, 0) if family.kind == "ck" else (300, 0)]
+        want = container(family, pairs)[0]
+        int_route_calls.clear()
+        assert encode(scratch, family, spell(pairs, rng))[:2] == (0, want), family
+        assert int_route_calls == calls, family
 
 
-@pytest.mark.parametrize("where", ["probe", "rest"])
-def test_misses_past_the_gate_call_encode_many(scratch, int_route_calls, where):
-    # more misses than the gate allows, within the first PROBE_PAIRS pairs
-    # or only after them; and a long codeword among few misses
-    family = CodeFamily("ck", 3)
-    hits = [(1, 2)] * (2 * PROBE_PAIRS)
-    misses = [(20, 1)] * (int(len(hits) * MISS_SHARE) + 40)
-    pairs = misses + hits if where == "probe" else hits + misses
-    want = container(family, pairs)[0]
-    int_route_calls.clear()
-    assert encode(scratch, family, spell(pairs, random.Random(where)))[:2] == (0, want)
-    assert int_route_calls == ["CkCodec 3"]
-    pairs = hits + [(300, 0)]  # 102 bits, longer than the text route fills
-    want = container(family, pairs)[0]
-    int_route_calls.clear()
-    assert encode(scratch, family, spell(pairs, random.Random(where)))[:2] == (0, want)
-    assert int_route_calls == ["CkCodec 3"]
+@pytest.mark.parametrize("family", [CodeFamily("cminus", 2), CodeFamily("limit")],
+                         ids=CodeFamily.label)
+def test_view_misses_call_encode_many_only_past_miss_bits(int_route_calls, family):
+    # every pair misses the token view, a component of 16 or more, and its
+    # codeword fits MISS_BITS bits: cminus2 up to signature 32, limit up to 17
+    codec = make_codec(family)
+    top = 32 if family.kind == "cminus" else 17
+    rng = random.Random(f"misses-{family.label()}")
+    pairs = []
+    for _ in range(1500):
+        i = rng.randint(16, top)
+        j = rng.randint(0, top - i)
+        pairs.append((i, j) if rng.random() < 0.5 else (j, i))
+    assert max(codec.codeword(pair)[1] for pair in pairs) == MISS_BITS
+    tokens = spell(pairs, rng, 0.3).split()
+    _, data, nbits = reference_stream(family, pairs)
+    assert codec.encode_tokens(tokens) == (data, nbits)
+    assert int_route_calls == []
+    # and the same stream ended by the one codeword of over MISS_BITS bits
+    last = (0, top + 1)
+    assert codec.codeword(last)[1] > MISS_BITS
+    _, data, nbits = reference_stream(family, pairs + [last])
+    assert codec.encode_tokens(tokens + list(map(str, last))) == (data, nbits)
+    assert int_route_calls == [f"{type(codec).__name__} {codec.k}"]
 
 
 # ---------------------------------------------------------------------------
-# ck's int route: each distinct token converted once
+# ck's route: each distinct token converted once
 # ---------------------------------------------------------------------------
 
 CK_ORDERS = (1, 2, 3, 16, 32, 33, 256)
@@ -246,8 +269,9 @@ CK_ORDERS = (1, 2, 3, 16, 32, 33, 256)
 
 @pytest.mark.parametrize("k", CK_ORDERS)
 def test_ck_int_route_gives_the_reference_bytes(scratch, int_route_calls, k):
-    # pairs that miss the token view far more than the gate allows, with
-    # long unary runs, many repeated tokens, and leading zeros on a third
+    # pairs that mostly miss the token view, with long unary runs, many
+    # repeated tokens, and leading zeros on a third; only ck1, which takes
+    # Golomb's route, hands a unary run of over MISS_BITS bits to encode_many
     family = CodeFamily("ck", k)
     codec = make_codec(family)
     rng = random.Random(f"int-route-{k}")
@@ -258,9 +282,10 @@ def test_ck_int_route_gives_the_reference_bytes(scratch, int_route_calls, k):
     text = spell(pairs, rng, 0.3)
     tokens = text.split()
     assert "007" in tokens or "07" in tokens
-    assert codec.encode_tokens(tokens) == codec.encode_many(pairs) == (data, nbits)
-    assert int_route_calls == [f"CkCodec {k}"]
-    assert codec._encode_token_pairs(tokens) == (data, nbits)
+    assert codec.encode_many(pairs) == (data, nbits)
+    int_route_calls.clear()
+    assert codec.encode_tokens(tokens) == (data, nbits)
+    assert int_route_calls == ["CkCodec 1"] * (k == 1)
     header = HEADER.pack(MAGIC, 1, FAMILY_BYTES["ck"], k, len(pairs))
     assert encode(scratch, family, text) == (0, header + data,
                                              f"encoded {len(pairs)} pairs, {nbits} payload bits\n")
@@ -275,7 +300,7 @@ def test_ck_int_route_refuses_as_encode_many(scratch, k):
         2, None, f"geompair: token at position 601 has 5000 digits, more than the limit of {limit}\n")
     codec = make_codec(family)
     with pytest.raises(ValueError, match="^pair components must be >= 0$"):
-        codec._encode_token_pairs(["20", "1", "3", "-1"])
+        codec.encode_tokens(["20", "1", "3", "-1"])
 
 
 def test_ck_int_route_refuses_a_pair_too_large_as_encode_many(tmp_path):
@@ -304,10 +329,11 @@ def test_ck_int_route_refuses_a_pair_too_large_as_encode_many(tmp_path):
 
 @pytest.mark.parametrize("k", (1, 2, 3, 16, 32, 37, 38))
 @pytest.mark.parametrize("quot", (MISS_BITS - 1, MISS_BITS))
-def test_ck_string_route_up_to_the_top_table_bound(monkeypatch, k, quot):
+def test_ck_string_route_up_to_the_top_table_bound(monkeypatch, int_route_calls, k, quot):
     # the strings where the top code fits TABLE_BITS (k <= 37) and no unary
     # code is longer than MISS_BITS bits, a quotient of MISS_BITS - 1 at most;
-    # elsewhere the int loop, which writes through a BitWriter
+    # elsewhere the rank loop, which writes through a BitWriter.  ck1 takes
+    # Golomb's route, whose fallback past MISS_BITS is encode_many
     writers = []
 
     class Writer(BitWriter):
@@ -324,8 +350,9 @@ def test_ck_string_route_up_to_the_top_table_bound(monkeypatch, k, quot):
     _, data, nbits = reference_stream(family, pairs)
     tokens = spell(pairs, rng, 0.3).split()
     assert any(len(token) > 1 and token[0] == "0" for token in tokens)
-    assert codec._encode_token_pairs(tokens) == (data, nbits)
-    assert bool(writers) == (k > 37 or quot >= MISS_BITS)
+    assert codec.encode_tokens(tokens) == (data, nbits)
+    assert bool(writers) == (k > 1 and (k > 37 or quot >= MISS_BITS))
+    assert int_route_calls == ["CkCodec 1"] * (k == 1 and quot >= MISS_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +390,39 @@ def test_golomb_per_token_route_gives_the_bytes_of_encode_many(int_route_calls, 
         tokens = spell(pairs, rng, 0.3).split()
         if pairs:  # and "007", the spelling of a component with leading zeros
             pairs, tokens = pairs + [(7, 0)], tokens + ["007", "0"]
+        want = codec.encode_many(pairs)
         int_route_calls.clear()
-        assert codec.encode_tokens(tokens) == codec.encode_many(pairs)
+        assert codec.encode_tokens(tokens) == want
         assert int_route_calls == [f"GolombPairCodec {k}"] * int_route
     _, data, nbits = reference_stream(family, design + [(exact, 0)])
     assert codec.encode_tokens(spell(design + [(exact, 0)], rng, 0.3).split()) == (data, nbits)
     with pytest.raises(ValueError, match="^Golomb argument must be >= 0$"):
         codec.encode_tokens(["20", "1", "3", "-1"])
+
+
+# a quotient of MISS_BITS or more sends ck1 and golomb1 to encode_many
+UNARY = st.tuples(st.integers(0, 2 * MISS_BITS), st.integers(0, 2 * MISS_BITS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(SMALL, UNARY), max_size=40), st.randoms(use_true_random=False),
+       st.sampled_from((0.0, 0.3)), st.booleans())
+def test_ck1_codes_tokens_as_golomb1(pairs, rng, zeros, negative):
+    # ck1 and golomb1 are the same code bit for bit, and ck1 takes Golomb's
+    # route: view hits, unary runs past MISS_BITS and leading zeros give
+    # encode_many's bytes, and a negative token still raises ck's own error
+    ck1, golomb1 = make_codec(CodeFamily("ck", 1)), make_codec(CodeFamily("golomb", 1))
+    tokens = spell(pairs, rng, zeros).split()
+    if negative and tokens:
+        tokens[rng.randrange(len(tokens))] = f"-{rng.randint(1, 2 * MISS_BITS)}"
+        with pytest.raises(ValueError, match="^pair components must be >= 0$"):
+            ck1.encode_tokens(tokens)
+        with pytest.raises(ValueError, match="^Golomb argument must be >= 0$"):
+            golomb1.encode_tokens(tokens)
+        return
+    want = ck1.encode_many(pairs)
+    assert ck1.encode_tokens(tokens) == golomb1.encode_tokens(tokens) == want
+    assert golomb1.encode_many(pairs) == want
 
 
 @pytest.mark.parametrize("family, built", [(CodeFamily("ck", 256), False),
@@ -383,22 +436,3 @@ def test_decode_builds_the_decode_table_only_for_short_codewords(scratch, family
     assert main(["decode", str(scratch / "stream.bin"), "--out", str(decoded)]) == 0
     assert decoded.read_text() == "".join(f"{i} {j}\n" for i, j in pairs)
     assert table_built(make_codec(family)) == built
-
-
-def test_a_probe_of_misses_skips_the_rest_of_the_view(scratch, monkeypatch):
-    # a stream of long codewords looks up only its first PROBE_PAIRS pairs
-    family = CodeFamily("ck", 256)
-    codec = make_codec(family)
-    lookups = []
-
-    class View(dict):
-        def get(self, key):
-            lookups.append(key)
-            return dict.get(self, key)
-
-    monkeypatch.setitem(vars(codec), "_token_table", View(codec._token_table))
-    rng = random.Random("probe")
-    pairs = [(rng.randrange(16, 256), rng.randrange(256)) for _ in range(3 * PROBE_PAIRS)]
-    want = container(family, pairs)[0]
-    assert encode(scratch, family, spell(pairs, rng))[:2] == (0, want)
-    assert len(lookups) == PROBE_PAIRS
