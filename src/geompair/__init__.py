@@ -3,8 +3,8 @@
 Encoders and decoders for the optimal pair codes at the design points
 q = 2^(-1/k) and q = 2^(-k), the limit code for q -> 0, and Golomb
 baselines, together with analysis tools (entropy, average lengths,
-redundancy asymptotics, crossovers, adaptive selection) and a
-truncated-Huffman optimality oracle.
+crossovers, adaptive selection) and a truncated-Huffman optimality
+oracle.  The q -> 1 asymptotics are test reference code, not package API.
 """
 
 # Every public name loads its module on first use (PEP 562), so that
@@ -27,7 +27,6 @@ _LAZY = {
     "profile_from": "fringe2",
     "top_code_params": "fringe2",
     "adaptive_select": "analysis",
-    "asymptotic_redundancy": "analysis",
     "avg_len_by_series": "analysis",
     "avg_len_ck": "analysis",
     "avg_len_limit_closed": "analysis",

@@ -1,4 +1,4 @@
-"""Average lengths, redundancy, asymptotics, and code selection.
+"""Average lengths, redundancy, crossovers, and code selection.
 
 All averages are in bits per *pair*; redundancy figures are per integer
 symbol, i.e. half the pair average minus the per-symbol entropy
@@ -6,7 +6,8 @@ H(q) = h(q) / (1 - q) with h the binary entropy function.
 
 Where a closed form exists (the design-point family, the limit code, the
 Golomb pair) it is used; the remaining families are summed signature by
-signature with a certified geometric tail bound.
+signature with a certified geometric tail bound.  No command runs the
+design-point shortcut or the q -> 1 asymptotics: they are test code.
 """
 
 import math
@@ -15,7 +16,6 @@ from .basecodes import quasi_uniform_shape
 from .families import K_MAX, CodeFamily, DataError, QOutOfRange, _check_q, make_codec
 from .fringe2 import top_code_params
 
-LOG2E = math.log2(math.e)
 SERIES_MAX_SIGNATURES = 5_000_000  # a series not certified past it raises NoConvergence
 
 
@@ -65,22 +65,6 @@ def avg_len_ck(q: float, k: int) -> float:
         + (1.0 - q) ** 2 * (q**k * (2 * r + d) - r)
     )
     return p.M + 1 + q**j * v / (1.0 - q**k) ** 2
-
-
-def avg_len_ck_design(k: int) -> float:
-    """avg_len_ck at the code's own design point q = 2^(-1/k).
-
-    Simplifies (q^k = 1/2 makes the r terms cancel) to
-    M + 1 + 2 q^j (1 + (1-q)(qk + (2-q)j) + (1-q)^2 (1 + D)).
-    """
-    p = top_code_params(k)
-    q = 2.0 ** (-1.0 / k)
-    vstar = (
-        1.0
-        + (1.0 - q) * (q * k + (2.0 - q) * p.j)
-        + (1.0 - q) ** 2 * (1.0 + p.delta_j)
-    )
-    return p.M + 1 + 2.0 * q**p.j * vstar
 
 
 def avg_len_limit_closed(q: float) -> float:
@@ -234,75 +218,6 @@ def family_avg_len(family: CodeFamily, q: float, eps: float = 1e-9) -> float:
     if family.kind == "golomb":
         return golomb_pair_avg_len(q, family.k)
     return avg_len_by_series(make_codec(family), q, eps)
-
-
-# ---------------------------------------------------------------------------
-# Asymptotics of the design-point family as q -> 1
-# ---------------------------------------------------------------------------
-
-
-def _level_ratio(k: int) -> float:
-    """2^M / k^2 for the order-k top code; sweeps (3/4, 3/2) as k grows."""
-    return (1 << top_code_params(k).M) / (k * k)
-
-
-def oscillation_redundancy(lam: float) -> float:
-    """Limiting per-symbol redundancy as a function of the level ratio:
-    (1 + log lam)/2 + 2^(1 - 2 sqrt(lam - 1/2)) (1 + 2 sqrt(lam - 1/2)/log e)
-    - log(e log e).
-    """
-    root = math.sqrt(lam - 0.5)
-    return (
-        0.5 * (1.0 + math.log2(lam))
-        + 2.0 ** (1.0 - 2.0 * root) * (1.0 + 2.0 * root / LOG2E)
-        - math.log2(math.e * LOG2E)
-    )
-
-
-def asymptotic_redundancy(k: int) -> float:
-    """oscillation_redundancy evaluated at the order-k level ratio."""
-    if k < 3:
-        raise ValueError("asymptotic form is defined for k >= 3")
-    return oscillation_redundancy(_level_ratio(k))
-
-
-def _golden_extremum(f, lo: float, hi: float, sign: float, iters: int = 120):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def oscillation_extremes(lo: float = 0.75, hi: float = 1.5) -> tuple[float, float]:
-    """(min, max) of oscillation_redundancy over the level-ratio interval."""
-    xs = [lo + (hi - lo) * i / 2000 for i in range(2001)]
-    ys = [oscillation_redundancy(x) for x in xs]
-    lo_i = min(range(len(ys)), key=ys.__getitem__)
-    hi_i = max(range(len(ys)), key=ys.__getitem__)
-
-    def refine(i: int, sign: float) -> float:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, len(xs) - 1)]
-        if a == b:
-            return ys[i]
-        return _golden_extremum(oscillation_redundancy, a, b, sign)[1]
-
-    return (
-        min(ys[lo_i], refine(lo_i, 1.0)),
-        max(ys[hi_i], refine(hi_i, -1.0)),
-    )
 
 
 # ---------------------------------------------------------------------------

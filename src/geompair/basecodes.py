@@ -167,8 +167,19 @@ class PairCodec:
         return tuple(self._decode_run(reader, 1))
 
     def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
-        """``encode_many`` of the pairs of ``tokens``, an even count of decimal strings: the
-        codeword strings of :attr:`_token_table`, packed by one ``int(bits, 2)``."""
+        """``encode_many`` of the pairs of ``tokens``, an even count of decimal strings.  Of
+        its bad tokens, negative or too long to convert, it reports the first in stream
+        order, whatever order ``_encode_tokens`` converts them in."""
+        try:
+            return self._encode_tokens(tokens)
+        except ValueError:
+            for token in tokens:
+                if int(token) < 0:
+                    self._coder(int(token), 0)
+            raise
+
+    def _encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
+        """The codeword strings of :attr:`_token_table`, packed by one ``int(bits, 2)``."""
         pairs = iter(tokens)
         try:
             return pack_bits("".join(map(self._token_table.__getitem__, zip(pairs, pairs))))
@@ -342,7 +353,7 @@ class GolombPairCodec(PairCodec):
 
     signature_lengths = residue_signature_lengths
 
-    def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
+    def _encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``: each distinct token's codeword
         string, its quasi-uniform remainder and unary quotient, built once for this
         call, joined and packed by one ``int(bits, 2)``.  A stream with a token of over

@@ -95,7 +95,7 @@ class CkCodec(PairCodec):
 
     signature_lengths = residue_signature_lengths
 
-    def encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
+    def _encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``, each distinct token converted
         once, for this call only, to its residue and the unary code of its quotient.
         Where the top code fits TABLE_BITS bits and no unary code is longer than
@@ -104,7 +104,7 @@ class CkCodec(PairCodec):
         otherwise a pair costs its top codeword's rank arithmetic and the packing."""
         k = self.k
         if k == 1:  # the order-1 Golomb code, bit for bit
-            return GolombPairCodec.encode_tokens(self, tokens)
+            return GolombPairCodec._encode_tokens(self, tokens)
         top = self._top_strings
         if top is not None:
             strings = {}  # token -> (residue * k, residue, unary string)

@@ -81,18 +81,17 @@ def _tokens(text: str) -> list[str]:
     return tokens
 
 
-def _parse_values(tokens: list[str]) -> list[int]:
-    """The integers of the checked ``tokens``, flat: ``[i0, j0, i1, j1, ...]``."""
+def _check_values(tokens: list[str]) -> None:
+    """Refuse the checked ``tokens`` for one too long to convert to an int, else for an odd count."""
     try:
-        values = list(map(int, tokens))
+        list(map(int, tokens))
     except ValueError:  # a token of more digits than the interpreter's int-string limit
         limit = sys.get_int_max_str_digits()
         offset = next(n for n, token in enumerate(tokens) if len(token) > limit)
         raise ParseError(f"token at position {offset} has {len(tokens[offset])} digits, "
                          f"more than the limit of {limit}") from None
-    if len(values) % 2:
-        raise DataError(f"{len(values)} integers do not form pairs")
-    return values
+    if len(tokens) % 2:
+        raise DataError(f"{len(tokens)} integers do not form pairs")
 
 
 def _family_from_args(args) -> CodeFamily:
@@ -107,18 +106,15 @@ def cmd_encode(args) -> int:
     codec = make_codec(family)
     tokens = _tokens(_read_text(args.input))
     count = len(tokens) // 2
-    values = _parse_values(tokens) if args.verbose or len(tokens) % 2 else None
+    if len(tokens) % 2:
+        _check_values(tokens)
     try:
         payload, nbits = codec.encode_tokens(tokens)
     except (ValueError, OverflowError, MemoryError) as exc:  # a bad token, or too many bits
-        _parse_values(tokens)  # a token too long to convert is reported first, as ever
+        _check_values(tokens)  # a token too long to convert is reported first, as ever
         if isinstance(exc, ValueError):
             raise
         raise DataError(f"a pair's codeword is too long to encode ({type(exc).__name__})") from exc
-    if args.verbose:
-        for pair in zip(values[0::2], values[1::2]):
-            cw = codec.encode(pair)
-            print(f"pair {pair} -> {cw.bits()} ({cw.length} bits)", file=sys.stderr)
     header = HEADER.pack(MAGIC, VERSION, FAMILY_BYTES[family.kind], family.k, count)
     _write_binary(args.out, header + payload)
     print(f"encoded {count} pairs, {nbits} payload bits", file=sys.stderr)
@@ -345,7 +341,6 @@ COMMANDS = {
         Option("--family", required=True, choices=tuple(FAMILY_BYTES)),
         Option("--k", int),
         _OUT,
-        Option("--verbose", bool, False, help="per-pair diagnostics on stderr"),
     )),
     "decode": Command(cmd_decode, "decode a container file to integer pairs", (
         Option("input", default="-"),

@@ -1,6 +1,7 @@
 """The theory that the tests check the package's closed forms and oracle
-against: the fringe-<=2 search over 4-uniform sources and the structural
-checks of oracle trees.
+against: the fringe-<=2 search over 4-uniform sources, the structural
+checks of oracle trees, and the design-point family at its own design
+points and as q -> 1.
 
 The search is after Gallager and Van Voorhis, "Optimal source codes for
 geometrically distributed integer alphabets" (IEEE Trans. IT, 1975).  A
@@ -20,14 +21,22 @@ a relative tolerance of ``SIGN_RTOL`` for sign decisions.
 :func:`two_level_check`, :func:`max_gap` and :func:`gap_bound` state the
 structure of optimal trees that criteria 12 and 13 check on the oracle's
 Huffman codes.
+
+:func:`avg_len_ck_design` is ``geompair.analysis.avg_len_ck`` simplified
+at q = 2^(-1/k).  :func:`oscillation_redundancy` is the paper's limit of
+the order-k code's per-symbol redundancy as q -> 1 (arXiv:1102.2413), a
+function of the level ratio 2^M / k^2; :func:`asymptotic_redundancy`
+evaluates it at order k, and :func:`oscillation_extremes` bounds it to
+the band [0.014159, 0.014583] that criterion 10 checks.
 """
 
 import math
 from fractions import Fraction
 
-from geompair.fringe2 import COutOfRange, _ceil_log2, c_bounds, profile_from
+from geompair.fringe2 import COutOfRange, _ceil_log2, c_bounds, profile_from, top_code_params
 
 SIGN_RTOL = 1e-12
+LOG2E = math.log2(math.e)
 
 
 class NotFourUniform(ValueError):
@@ -249,3 +258,88 @@ def max_gap(lengths_by_signature: dict[int, list[int]], s_max_checked: int) -> i
 def gap_bound(q: float) -> int:
     """floor(log2(1/q)): asymptotic cap on gap sizes in an optimal tree."""
     return int(math.floor(math.log2(1.0 / q)))
+
+
+# ---------------------------------------------------------------------------
+# The design-point family at its design points, and as q -> 1
+# ---------------------------------------------------------------------------
+
+
+def avg_len_ck_design(k: int) -> float:
+    """avg_len_ck at the code's own design point q = 2^(-1/k).
+
+    Simplifies (q^k = 1/2 makes the r terms cancel) to
+    M + 1 + 2 q^j (1 + (1-q)(qk + (2-q)j) + (1-q)^2 (1 + D)).
+    """
+    p = top_code_params(k)
+    q = 2.0 ** (-1.0 / k)
+    vstar = (
+        1.0
+        + (1.0 - q) * (q * k + (2.0 - q) * p.j)
+        + (1.0 - q) ** 2 * (1.0 + p.delta_j)
+    )
+    return p.M + 1 + 2.0 * q**p.j * vstar
+
+
+def _level_ratio(k: int) -> float:
+    """2^M / k^2 for the order-k top code; sweeps (3/4, 3/2) as k grows."""
+    return (1 << top_code_params(k).M) / (k * k)
+
+
+def oscillation_redundancy(lam: float) -> float:
+    """Limiting per-symbol redundancy as a function of the level ratio:
+    (1 + log lam)/2 + 2^(1 - 2 sqrt(lam - 1/2)) (1 + 2 sqrt(lam - 1/2)/log e)
+    - log(e log e).
+    """
+    root = math.sqrt(lam - 0.5)
+    return (
+        0.5 * (1.0 + math.log2(lam))
+        + 2.0 ** (1.0 - 2.0 * root) * (1.0 + 2.0 * root / LOG2E)
+        - math.log2(math.e * LOG2E)
+    )
+
+
+def asymptotic_redundancy(k: int) -> float:
+    """oscillation_redundancy evaluated at the order-k level ratio."""
+    if k < 3:
+        raise ValueError("asymptotic form is defined for k >= 3")
+    return oscillation_redundancy(_level_ratio(k))
+
+
+def _golden_extremum(f, lo: float, hi: float, sign: float, iters: int = 120):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = sign * f(c), sign * f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = sign * f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = sign * f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def oscillation_extremes(lo: float = 0.75, hi: float = 1.5) -> tuple[float, float]:
+    """(min, max) of oscillation_redundancy over the level-ratio interval."""
+    xs = [lo + (hi - lo) * i / 2000 for i in range(2001)]
+    ys = [oscillation_redundancy(x) for x in xs]
+    lo_i = min(range(len(ys)), key=ys.__getitem__)
+    hi_i = max(range(len(ys)), key=ys.__getitem__)
+
+    def refine(i: int, sign: float) -> float:
+        a = xs[max(i - 1, 0)]
+        b = xs[min(i + 1, len(xs) - 1)]
+        if a == b:
+            return ys[i]
+        return _golden_extremum(oscillation_redundancy, a, b, sign)[1]
+
+    return (
+        min(ys[lo_i], refine(lo_i, 1.0)),
+        max(ys[hi_i], refine(hi_i, -1.0)),
+    )

@@ -13,8 +13,11 @@ from functools import lru_cache
 from codec_families import assert_decodes, assert_lengths, every_pair
 from reference_theory import (
     WeightedSource,
+    asymptotic_redundancy,
+    avg_len_ck_design,
     fringe2_optimal_range,
     max_gap,
+    oscillation_extremes,
     profile_average_length,
     two_level_check,
 )
@@ -22,14 +25,11 @@ from reference_theory import (
 from geompair.analysis import (
     avg_len_by_series,
     avg_len_ck,
-    avg_len_ck_design,
     avg_len_limit_closed,
     best_golomb_order,
     crossover,
     entropy_per_symbol,
     golomb_pair_avg_len,
-    oscillation_extremes,
-    asymptotic_redundancy,
     redundancy_per_symbol,
 )
 from geompair.ck_codec import CkCodec

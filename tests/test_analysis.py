@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from reference_theory import asymptotic_redundancy, avg_len_ck_design, oscillation_extremes
 
 from geompair import analysis
 from geompair.basecodes import GolombPairCodec, golomb_length
@@ -12,17 +13,14 @@ from geompair.analysis import (
     NoSignChange,
     QOutOfRange,
     adaptive_select,
-    asymptotic_redundancy,
     avg_len_by_series,
     avg_lens_by_series,
     avg_len_ck,
-    avg_len_ck_design,
     avg_len_limit_closed,
     best_golomb_order,
     crossover,
     entropy_per_symbol,
     golomb_pair_avg_len,
-    oscillation_extremes,
     redundancy_per_symbol,
 )
 

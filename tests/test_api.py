@@ -1,7 +1,8 @@
 """The public names of the package: every ``__all__`` name resolves, each
 loading its module on first use, the removed helpers stay gone, README's
 list of the public API follows ``__all__``, every module-level
-definition is named somewhere, and only ``PairCodec`` defines the
+definition is named somewhere, each module-level function and class by
+the package or the benchmark, and only ``PairCodec`` defines the
 encoders; and a command loads only the modules it runs."""
 
 import ast
@@ -24,8 +25,9 @@ PACKAGE = Path(geompair.__file__).resolve().parent
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
 # ``encode_to``, ``codeword``, ``decode``, ``decode_text`` and
 # ``signature_lengths`` replace them, ``CkCodec`` and ``GolombPairCodec``
-# are the only implementations of their codes, and the fringe-2 search and
-# the checks of oracle trees are test reference code (reference_theory)
+# are the only implementations of their codes, and the fringe-2 search, the
+# checks of oracle trees, the design-point shortcut and the q -> 1
+# asymptotics are test reference code (reference_theory)
 REMOVED = [
     ("geompair", "unary_encode"),
     ("geompair", "limit_decode"),
@@ -40,6 +42,7 @@ REMOVED = [
     ("geompair", "fringe2_optimal_range"),
     ("geompair", "two_level_check"),
     ("geompair", "max_gap"),
+    ("geompair", "asymptotic_redundancy"),
     ("geompair.basecodes", "unary_encode"),
     ("geompair.basecodes", "read_unary"),
     ("geompair.basecodes", "quasi_uniform_encode"),
@@ -88,6 +91,13 @@ REMOVED = [
     ("geompair.analysis", "LimitLengthModel"),
     ("geompair.analysis", "GolombPairLengthModel"),
     ("geompair.analysis", "CkLengthModel"),
+    ("geompair.analysis", "avg_len_ck_design"),
+    ("geompair.analysis", "LOG2E"),
+    ("geompair.analysis", "_level_ratio"),
+    ("geompair.analysis", "oscillation_redundancy"),
+    ("geompair.analysis", "asymptotic_redundancy"),
+    ("geompair.analysis", "_golden_extremum"),
+    ("geompair.analysis", "oscillation_extremes"),
     ("geompair.oracle", "TruncatedSource.signatures"),
     ("geompair.oracle", "OracleCode.lengths"),
     ("geompair.oracle", "two_level_check"),
@@ -210,21 +220,31 @@ def test_only_pair_codec_defines_the_encoders():
     assert found == [("PairCodec", "codeword"), ("PairCodec", "encode_many")]
 
 
+def _unnamed_by_the_program(modules, others, lazy=()) -> list[str]:
+    """The module-level functions and classes of ``modules``, a dict of
+    module name to tree, that no tree of ``modules`` or ``others`` names
+    besides its own definition; the ``__init__`` tree's names leave out
+    ``lazy``, the keys of its ``_LAZY``."""
+    named = set()
+    for name, tree in [*modules.items(), *(("", tree) for tree in others)]:
+        named |= _named(tree) - (set(lazy) if name == "__init__" else set())
+    return [name for tree in modules.values() for name in _definitions(tree)
+            if "." not in name and name not in named]
+
+
 def test_theory_modules_define_only_what_the_program_names():
-    # the fringe-2 search and the checks of oracle trees serve only the
-    # tests, so they live in reference_theory: every module-level function
-    # and class of fringe2 and oracle is named in the package or the
+    # theory that serves only the tests, such as the fringe-2 search and the
+    # q -> 1 asymptotics, lives in reference_theory: every module-level
+    # function and class of the package is named in the package or the
     # benchmark, besides its own definition and its key in _LAZY
-    named, defined = set(), []
-    for directory in (PACKAGE, TESTS.parent / "bench"):
-        for path in sorted(directory.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            lazy_keys = set(geompair._LAZY) if path == PACKAGE / "__init__.py" else set()
-            named |= _named(tree) - lazy_keys
-            if path.parent == PACKAGE and path.stem in ("fringe2", "oracle"):
-                defined += [name for name in _definitions(tree) if "." not in name]
-    assert len(defined) >= 20
-    assert not [name for name in defined if name not in named]
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((TESTS.parent / "bench").glob("*.py"))]
+    assert len(package) >= 10 and sum(len(_definitions(tree)) for tree in package.values()) >= 100
+    assert _unnamed_by_the_program(package, bench, geompair._LAZY) == []
+    # the check sees a function named only by its own def or its _LAZY key
+    toy = {"__init__": ast.parse("_LAZY = {'f': 'm', 'g': 'm'}\ndef h(): return K\n"),
+           "m": ast.parse("def f(): pass\ndef g(): pass\nclass K: pass\n")}
+    assert _unnamed_by_the_program(toy, [ast.parse("from m import g\n")], {"f", "g"}) == ["h", "f"]
 
 
 # methods that a base class outside the package calls: namedtuple's _replace calls _make

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 from codec_families import assert_codes, top_codeword
+from reference_theory import avg_len_ck_design
 
-from geompair.analysis import avg_len_ck_design, golomb_pair_avg_len
+from geompair.analysis import golomb_pair_avg_len
 from geompair.basecodes import TABLE_BITS, golomb_length
 from geompair.bitio import BitReader
 from geompair.ck_codec import CkCodec

