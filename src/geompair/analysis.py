@@ -269,13 +269,21 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
 
 
 # candidate parameter ranges scanned by the selector
-_SELECT_CK_MAX = 64
 _SELECT_CMINUS_MAX = 10
 _SELECT_SERIES_EPS = 1e-8
 
 
+def _ck_orders(q: float) -> range:
+    """The ck orders beside k* = -1/log2 q, the order whose design point is q:
+    floor(k*) - 1 to ceil(k*) + 1, clipped to [1, K_MAX], or K_MAX alone past
+    K_MAX + 1.  The least ck pair average lies within 1 of k* (the tests check
+    this against a wide scan), so two orders each side hold it."""
+    k_star = -1.0 / math.log2(q)
+    return range(min(max(1, math.floor(k_star) - 1), K_MAX), min(math.ceil(k_star) + 1, K_MAX) + 1)
+
+
 def _candidates(q: float) -> list[CodeFamily]:
-    cands = [CodeFamily("ck", k) for k in range(1, _SELECT_CK_MAX + 1)]
+    cands = [CodeFamily("ck", k) for k in _ck_orders(q)]
     if q < 0.55:  # the q = 2^(-k) family is hopeless above its range
         cands += [CodeFamily("cminus", k) for k in range(2, _SELECT_CMINUS_MAX + 1)]
         cands.append(CodeFamily("limit"))
@@ -288,15 +296,15 @@ def _candidates(q: float) -> list[CodeFamily]:
 def best_averages_by_kind(qs, eps: float = 1e-9) -> list[tuple[float, float, float, float]]:
     """``(golomb, ck, cminus, limit)`` pair averages at each q of ``qs``:
     the best Golomb order (uncapped), the least over the ck and cminus
-    orders that the selector scans, and the limit code.  Each cminus order
-    is summed over all of ``qs`` at once, each signature's lengths once."""
+    orders that the selector scans at q, and the limit code.  Each cminus
+    order is summed over all of ``qs`` at once, each signature's lengths once."""
     cminus_by_order = [
         avg_lens_by_series(make_codec(CodeFamily("cminus", k)), qs, eps)
         for k in range(2, _SELECT_CMINUS_MAX + 1)
     ]
     return [
         (golomb_pair_avg_len(q, best_golomb_order(q)),
-         min(avg_len_ck(q, k) for k in range(1, _SELECT_CK_MAX + 1)),
+         min(avg_len_ck(q, k) for k in _ck_orders(q)),
          min(lens[index] for lens in cminus_by_order),
          avg_len_limit_closed(q))
         for index, q in enumerate(qs)
@@ -309,7 +317,7 @@ def adaptive_select(mean: float) -> CodeFamily:
 
     One exact scan of the candidate families at that q, for every mean;
     mean 0 selects the limit code.  Every family it returns can be encoded:
-    from mean 94547.24 on, the Golomb candidate is capped at order K_MAX.
+    its ck and Golomb candidates are capped at order K_MAX.
     """
     if not 0 <= mean < math.inf:  # also rejects nan
         raise MeanOutOfRange(f"mean must be finite and >= 0, got {mean}")

@@ -109,8 +109,8 @@ class PairCodec:
     """Coding paths shared by every pair codec.
 
     A codec builds ``_coder(i, j) -> (value, length)``, its one per-pair
-    encoder, once, with its state in local variables; :meth:`codeword`,
-    :meth:`encode`, :meth:`encode_to` and :meth:`encode_many` wrap it.
+    encoder, once, with its state in local variables; :meth:`encode`,
+    :meth:`encode_to` and :meth:`encode_many` wrap it.
     ``encode_many(pairs) -> (stream, bits)``, the zero-padded stream of all
     pairs' codewords and its payload bit count, takes the codewords of small
     pairs from :attr:`_encode_table` and calls ``_coder`` for the rest.  A
@@ -133,9 +133,6 @@ class PairCodec:
     from ``_coder`` on first use and never change, so a codec stays
     immutable and shareable.
     """
-
-    def codeword(self, pair: tuple[int, int]) -> tuple[int, int]:
-        return self._coder(*pair)
 
     def encode(self, pair: tuple[int, int]) -> Codeword:
         return Codeword(*self._coder(*pair))

@@ -69,10 +69,6 @@ class Codeword:
     def __len__(self) -> int:
         return self.length
 
-    def bits(self) -> str:
-        """The codeword as a ``'01'`` string (empty for length 0)."""
-        return format(self.value, "0{}b".format(self.length)) if self.length else ""
-
 
 # pending bits gathered before the writer flushes them to its buffer: a
 # larger accumulator makes every shift dearer, a smaller one flushes more

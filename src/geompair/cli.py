@@ -448,8 +448,16 @@ def build_parser():
             print(f"{self.prog}: error: {message}", file=sys.stderr)
             raise SystemExit(1)
 
+    class CommandParser(Parser):
+        def parse_known_args(self, args=None, namespace=None):
+            # a command's unknown arguments get its usage, not the program's
+            args, extra = super().parse_known_args(args, namespace)
+            if extra:
+                self.error(f"unrecognized arguments: {' '.join(extra)}")
+            return args, extra
+
     parser = Parser(prog="geompair", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
     for name, command in COMMANDS.items():
         cmd = sub.add_parser(name, help=command.help)
         for opt in command.options:

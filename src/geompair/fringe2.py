@@ -84,8 +84,8 @@ def _delta_poly(k: int, big_m: int, x: int) -> int:
 
 
 # bounded because k comes from container headers (up to 65535, about 600
-# bytes of records each); 128 holds the 64 ck orders that select and sweep
-# evaluate at every q
+# bytes of records each); select and sweep evaluate the at most 4 ck orders
+# beside k* = -1/log2 q at each q, and a sweep's neighbouring q share them
 @lru_cache(maxsize=128)
 def top_code_params(k: int) -> TopCodeParams:
     """Optimal fringe-<=2 parameters for the k x k geometric top source.

@@ -22,7 +22,6 @@ took is needed only for the per-run depths, the per-signature lengths.
 import bisect
 import math
 from collections import namedtuple
-from functools import cached_property
 from itertools import chain, groupby, repeat
 
 from .families import DataError, _check_q
@@ -233,21 +232,13 @@ class OracleCode:
     """A Huffman run on a truncated source, as depth counts per run.
 
     ``run_depths[i]`` lists (depth, count) for ``source.runs[i]`` in
-    increasing depth.  ``lengths_by_signature`` (sorted lengths per
-    signature, the tail under -1) expands them symbol by symbol.
+    increasing depth.
     """
 
     def __init__(self, source: TruncatedSource, run_depths: list[list[tuple[int, int]]],
                  avg_len_pair: float, uncertainty: float, tail_depth: int) -> None:
         self.source, self.run_depths = source, run_depths
         self.avg_len_pair, self.uncertainty, self.tail_depth = avg_len_pair, uncertainty, tail_depth
-
-    @cached_property
-    def lengths_by_signature(self) -> dict[int, list[int]]:
-        return {
-            sig: [d for d, c in depths for _ in range(c)]
-            for (_, sig, _), depths in zip(self.source.runs, self.run_depths)
-        }
 
 
 def _merge_source(q: float, eps: float, cap: int):

@@ -31,10 +31,21 @@ FAMILIES = (
 )
 
 
+def codeword(codec, pair):
+    """The codec's codeword of ``pair`` as ``(value, length)``."""
+    word = codec.encode(pair)
+    return word.value, word.length
+
+
+def bit_string(value, length):
+    """The codeword ``(value, length)`` as a ``'01'`` string, empty for length 0."""
+    return format(value, f"0{length}b") if length else ""
+
+
 def top_codeword(codec, a, b):
     """Top codeword of the residue pair (a, b) of a ``CkCodec``, as
     ``(value, length)``: the codeword of (a, b) less its two unary zeros."""
-    value, length = codec.codeword((a, b))
+    value, length = codeword(codec, (a, b))
     assert value & 3 == 0
     return value >> 2, length - 2
 
@@ -333,7 +344,7 @@ def assert_lengths(family, pairs):
     """Each pair's codeword has the length of the family's model."""
     codec = make_codec(family)
     for pair in pairs:
-        assert codec.codeword(pair)[1] == modelled_length(family, pair), pair
+        assert codeword(codec, pair)[1] == modelled_length(family, pair), pair
 
 
 def assert_decodes(codec, pairs):
@@ -346,7 +357,7 @@ def assert_decodes(codec, pairs):
 
 def assert_codes(family, pairs):
     """Every encode route of the codec of ``family``, ``encode_tokens`` (the
-    CLI's) and ``encode_to`` (one ``codeword`` at a time) among them, gives
+    CLI's) and ``encode_to`` (one codeword at a time) among them, gives
     the reference stream of ``pairs``; every decode route and the reference
     decoder read the pairs back from it and stop at its last bit."""
     codewords, data, nbits = reference_stream(family, pairs)

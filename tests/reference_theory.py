@@ -20,7 +20,7 @@ a relative tolerance of ``SIGN_RTOL`` for sign decisions.
 
 :func:`two_level_check`, :func:`max_gap` and :func:`gap_bound` state the
 structure of optimal trees that criteria 12 and 13 check on the oracle's
-Huffman codes.
+Huffman codes, whose lengths :func:`lengths_by_signature` gathers.
 
 :func:`avg_len_ck_design` is ``geompair.analysis.avg_len_ck`` simplified
 at q = 2^(-1/k).  :func:`oscillation_redundancy` is the paper's limit of
@@ -221,6 +221,15 @@ def top_code_symbols(k: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Structure of oracle trees
 # ---------------------------------------------------------------------------
+
+
+def lengths_by_signature(code) -> dict[int, list[int]]:
+    """The codeword lengths of an oracle code per signature, the tail under -1:
+    its ``run_depths`` expanded symbol by symbol, so each list is sorted."""
+    return {
+        sig: [d for d, c in depths for _ in range(c)]
+        for (_, sig, _), depths in zip(code.source.runs, code.run_depths)
+    }
 
 
 def two_level_check(

@@ -16,6 +16,7 @@ from reference_theory import (
     asymptotic_redundancy,
     avg_len_ck_design,
     fringe2_optimal_range,
+    lengths_by_signature,
     max_gap,
     oscillation_extremes,
     profile_average_length,
@@ -234,13 +235,11 @@ def test_criterion_12_oracle_tree_structure():
     with criterion(12, "two-level and gap structure of oracle trees"):
         for q in (0.3, 0.5, 2 ** (-1 / 3)):
             code = oracle_at(q)
-            ok, witnesses = two_level_check(
-                code.lengths_by_signature, code.source.s_max // 2
-            )
+            ok, witnesses = two_level_check(lengths_by_signature(code), code.source.s_max // 2)
             assert ok, witnesses
         for q in (0.5, 0.6):
             code = oracle_at(q)
-            assert max_gap(code.lengths_by_signature, code.source.s_max // 2) == 0
+            assert max_gap(lengths_by_signature(code), code.source.s_max // 2) == 0
 
 
 def test_criterion_13_huffman_ground_truth_above_095():
@@ -259,9 +258,9 @@ def test_criterion_13_huffman_ground_truth_above_095():
             red = 0.5 * est - entropy_per_symbol(q)
             assert lo - 1e-5 <= red <= hi + 1e-5, (k, red)
             s_checked = code.source.s_max // 2
-            ok, witnesses = two_level_check(code.lengths_by_signature, s_checked)
+            ok, witnesses = two_level_check(lengths_by_signature(code), s_checked)
             assert ok, witnesses
-            assert max_gap(code.lengths_by_signature, s_checked) == 0
+            assert max_gap(lengths_by_signature(code), s_checked) == 0
 
 
 def _exact_design_source(k, s_max):

@@ -314,19 +314,48 @@ def test_adaptive_select_examples():
     assert adaptive_select(0.0).kind == "limit"
 
 
+def _wide_ck_orders(q):
+    """ck orders far past the selector's, independent of ``_ck_orders``: 1 to
+    ceil(4 k*) + 64 with k* = -1/log2 q, and k* - 400 to k* + 400 above
+    mean 2000, each capped at K_MAX."""
+    k_star = -1.0 / math.log2(q)
+    if q / (1.0 - q) > 2000:
+        low = max(1, min(math.floor(k_star), K_MAX) - 400)
+        return range(low, min(math.ceil(k_star) + 400, K_MAX) + 1)
+    return range(1, min(math.ceil(4 * k_star) + 64, K_MAX) + 1)
+
+
 def _select_excess(mean, cminus):
     """How far the pair average of ``adaptive_select(mean)`` lies above the
-    least over an explicit family list, independent of ``_candidates``: ck
-    1..64, the best Golomb order and its neighbours, the limit code, and
-    the cminus averages in ``cminus``."""
+    least over an explicit family list of encodable orders, independent of
+    ``_candidates``: the wide ck scan, the best Golomb order and its
+    neighbours up to K_MAX, the limit code, and the cminus averages in
+    ``cminus``."""
     q = mean / (1.0 + mean)
-    lengths = {CodeFamily("ck", k): avg_len_ck(q, k) for k in range(1, 65)}
+    lengths = {CodeFamily("ck", k): avg_len_ck(q, k) for k in _wide_ck_orders(q)}
     best = _best_golomb_order_loop(q)
-    for k in range(max(1, best - 1), best + 2):
+    for k in range(max(1, min(best, K_MAX) - 1), min(best + 1, K_MAX) + 1):
         lengths[CodeFamily("golomb", k)] = golomb_pair_avg_len(q, k)
     lengths[CodeFamily("limit")] = avg_len_limit_closed(q)
     lengths.update(cminus)
     return lengths[adaptive_select(mean)] - min(lengths.values())
+
+
+def test_ck_orders_hold_the_least_ck_average():
+    # means 10^(e/16) from 1e-4 to 1e5: the orders beside k* hold the least
+    # average of the wide scan, as the same float, and past k* = K_MAX + 1
+    # they are K_MAX alone, the best encodable order of a unimodal average
+    for e in range(-64, 81):
+        q = 10 ** (e / 16) / (1.0 + 10 ** (e / 16))
+        orders = analysis._ck_orders(q)
+        assert 1 <= orders[0] and orders[-1] <= K_MAX and len(orders) <= 4, (e, orders)
+        least = min(avg_len_ck(q, k) for k in _wide_ck_orders(q))
+        assert min(avg_len_ck(q, k) for k in orders) == least, (e, orders)
+    assert analysis._ck_orders(1e5 / (1.0 + 1e5)) == range(K_MAX, K_MAX + 1)
+    assert analysis._ck_orders(2 ** (-1 / (K_MAX + 1.5))) == range(K_MAX, K_MAX + 1)
+    assert analysis._ck_orders(2 ** (-1 / (K_MAX + 0.5))) == range(K_MAX - 1, K_MAX + 1)
+    assert analysis._ck_orders(0.5) == range(1, 3)
+    assert analysis._ck_orders(1e-300) == range(1, 3)
 
 
 CMINUS_ORDERS = [CodeFamily("cminus", k) for k in range(2, 11)]
@@ -372,15 +401,28 @@ def test_adaptive_select_matches_brute_force_minimum():
         excess = _select_excess(mean, {f: analysis.family_avg_len(f, q, 1e-10) for f in CMINUS_ORDERS})
         # the selector sums cminus series to within its own 1e-8
         assert excess <= 1e-8, (mean, adaptive_select(mean).label(), excess)
+    # past q-hat 0.9999 no cminus series is in the list: at mean 1e4 each sums
+    # for most of a second, from about mean 94547 none certifies within
+    # SERIES_MAX_SIGNATURES, and at mean 999 cminus2 already takes 3996 bits
+    # per pair and cminus10 18996, against ck's 22.8
+    for mean in (1e4, 94_547.0, 1e5):
+        excess = _select_excess(mean, {})
+        assert excess <= 1e-12, (mean, adaptive_select(mean).label(), excess)
 
 
 def test_adaptive_select_caps_the_golomb_order_at_the_header_limit():
     # from mean 94547.24 on the best Golomb order exceeds K_MAX; the Golomb
     # pair average is unimodal in the order, so the order-K_MAX code is the
-    # best one that a container can hold, and it beats every ck order there
+    # best one that a container can hold.  ck, capped at K_MAX too, beats it
+    # at mean 1e5 (36.1384 against 36.1602 bits per pair), and loses to it
+    # from mean 1e6 on (63.6038 against 63.5289 there)
     assert best_golomb_order(94_547.0 / 94_548.0) == K_MAX
     assert best_golomb_order(94_547.3 / 94_548.3) == K_MAX + 1
-    for mean in (1e5, 1e6, 1e8, 1e12):
+    q = 1e5 / (1.0 + 1e5)
+    assert round(avg_len_ck(q, K_MAX), 4) == 36.1384
+    assert round(golomb_pair_avg_len(q, K_MAX), 4) == 36.1602
+    assert adaptive_select(1e5) == CodeFamily("ck", K_MAX)
+    for mean in (1e6, 1e8, 1e12):
         assert adaptive_select(mean) == CodeFamily("golomb", K_MAX), mean
 
 

@@ -100,6 +100,9 @@ REMOVED = [
     ("geompair.analysis", "oscillation_extremes"),
     ("geompair.oracle", "TruncatedSource.signatures"),
     ("geompair.oracle", "OracleCode.lengths"),
+    ("geompair.oracle", "OracleCode.lengths_by_signature"),
+    ("geompair.bitio", "Codeword.bits"),
+    ("geompair.basecodes", "PairCodec.codeword"),
     ("geompair.oracle", "two_level_check"),
     ("geompair.oracle", "max_gap"),
     ("geompair.oracle", "gap_bound"),
@@ -210,14 +213,14 @@ def _named(tree) -> set[str]:
 
 def test_only_pair_codec_defines_the_encoders():
     # a codec states its code once, as the _coder it builds; PairCodec wraps
-    # it in codeword and in the one encode_many loop
+    # it in the one encode_many loop, and no class defines a codeword method
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
                 found += [(node.name, sub.name) for sub in node.body
                           if isinstance(sub, ast.FunctionDef) and sub.name in ("codeword", "encode_many")]
-    assert found == [("PairCodec", "codeword"), ("PairCodec", "encode_many")]
+    assert found == [("PairCodec", "encode_many")]
 
 
 def _unnamed_by_the_program(modules, others, lazy=()) -> list[str]:

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from codec_families import bit_string, codeword
+
 from geompair.basecodes import GolombPairCodec, golomb_length
 from geompair.bitio import BitReader, BitWriter, Codeword
 
@@ -9,7 +11,7 @@ def golomb_codeword(k, i):
     """Order-k Golomb codeword of i as ``(value, length)``: the pair
     codec's codeword of (i, 0) less the codeword of 0, which is
     golomb_length(k, 0) zeros."""
-    value, length = GolombPairCodec(k).codeword((i, 0))
+    value, length = codeword(GolombPairCodec(k), (i, 0))
     zeros = golomb_length(k, 0)
     assert value & ((1 << zeros) - 1) == 0
     return value >> zeros, length - zeros
@@ -25,8 +27,8 @@ def quasi_uniform_codeword(n, rank):
 
 def test_unary_examples():
     # the order-1 Golomb code is the unary code
-    assert Codeword(*golomb_codeword(1, 0)).bits() == "0"
-    assert Codeword(*golomb_codeword(1, 3)).bits() == "1110"
+    assert bit_string(*golomb_codeword(1, 0)) == "0"
+    assert bit_string(*golomb_codeword(1, 3)) == "1110"
     cw = Codeword(*golomb_codeword(1, 10))
     assert cw.length == 11 and cw.value == 2**11 - 2
 
@@ -44,7 +46,7 @@ def test_unary_examples():
     ],
 )
 def test_quasi_uniform_examples(n, rank, bits):
-    assert Codeword(*quasi_uniform_codeword(n, rank)).bits() == bits
+    assert bit_string(*quasi_uniform_codeword(n, rank)) == bits
 
 
 @pytest.mark.parametrize("n", list(range(1, 600)) + [1023, 1024, 4095, 4096])
@@ -52,7 +54,7 @@ def test_quasi_uniform_kraft_exact(n):
     codec = GolombPairCodec(n)
     zeros = golomb_length(n, 0)
     # (r, 0) takes the quasi-uniform codeword of r, its quotient's zero and 0's codeword
-    lens = [codec.codeword((r, 0))[1] - 1 - zeros for r in range(n)]
+    lens = [codeword(codec, (r, 0))[1] - 1 - zeros for r in range(n)]
     assert lens == [golomb_length(n, r) - 1 for r in range(n)]
     top = max(lens)
     assert sum(1 << (top - ln) for ln in lens) == 1 << top
@@ -85,7 +87,7 @@ def test_quasi_uniform_roundtrip(n):
     ],
 )
 def test_golomb_examples(k, i, bits):
-    assert Codeword(*golomb_codeword(k, i)).bits() == bits
+    assert bit_string(*golomb_codeword(k, i)) == bits
 
 
 @given(st.integers(1, 64), st.integers(0, 100_000))
@@ -111,7 +113,7 @@ def test_golomb_length_rejects_negative_arguments(i):
         with pytest.raises(ValueError, match="Golomb argument must be >= 0"):
             golomb_length(k, i)
         with pytest.raises(ValueError, match="Golomb argument must be >= 0"):
-            GolombPairCodec(k).codeword((0, i))
+            codeword(GolombPairCodec(k), (0, i))
 
 
 def test_read_unary():
@@ -131,6 +133,4 @@ def test_golomb_pair_codec_roundtrip():
         codec.encode_to(w, p)
     r = BitReader(w.getvalue())
     assert [codec.decode(r) for _ in pairs] == pairs
-    assert codec.encode((7, 2)).bits() == (
-        Codeword(*golomb_codeword(3, 7)) + Codeword(*golomb_codeword(3, 2))
-    ).bits()
+    assert codec.encode((7, 2)) == Codeword(*golomb_codeword(3, 7)) + Codeword(*golomb_codeword(3, 2))

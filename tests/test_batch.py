@@ -12,7 +12,7 @@ the end of a stream at the same pair and start bit; ``decode_text`` must
 print exactly the components that ``_decode_run`` returns, and fail where
 it fails, through the table (a stream of at most TABLE_BITS bits per
 pair) and through the family loop; ``encode_many`` must emit the bytes of
-``encode_to``, which writes one ``codeword`` at a time.
+``encode_to``, which writes one codeword at a time.
 Small ``BitReader`` windows make codewords and table lookups straddle
 window ends, where the family loop reloads its window, and make runs of
 ones longer than a window, which it reads with ``read_unary``.
@@ -23,7 +23,7 @@ import functools
 import random
 
 import pytest
-from codec_families import (FAMILIES, FAR_PAIRS, assert_codes, geometric_pairs, long_runs,
+from codec_families import (FAMILIES, FAR_PAIRS, assert_codes, codeword, geometric_pairs, long_runs,
                             power_of_two_pairs, reference, table_built)
 
 from geompair.basecodes import TABLE_BITS
@@ -250,7 +250,7 @@ def short_stream(family, n, seed):
     pairs at the design q with their longer codewords dropped, and two
     long ones in the middle, so that lookups both hit and miss."""
     codec = make_codec(family)
-    pairs = [p for p in geometric_pairs(family, n, seed) if codec.codeword(p)[1] <= TABLE_BITS]
+    pairs = [p for p in geometric_pairs(family, n, seed) if codeword(codec, p)[1] <= TABLE_BITS]
     pairs[n // 3 : n // 3] = [(0, 40), (9, 0)]
     return pairs
 

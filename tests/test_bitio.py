@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from codec_families import bit_string
 from hypothesis import given, strategies as st
 
 from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
@@ -68,8 +69,8 @@ def test_codeword_validation():
 def test_codeword_concat_and_bits():
     cw = Codeword(0b10, 2) + Codeword(0b1, 3)
     assert cw == Codeword(0b10001, 5)
-    assert cw.bits() == "10001"
-    assert Codeword(0, 0).bits() == ""
+    assert bit_string(cw.value, cw.length) == "10001"
+    assert Codeword(0, 0) + cw == cw + Codeword(0, 0) == cw
 
 
 @given(

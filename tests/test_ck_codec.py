@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from codec_families import assert_codes, top_codeword
+from codec_families import assert_codes, bit_string, codeword, top_codeword
 from reference_theory import avg_len_ck_design
 
 from geompair.analysis import golomb_pair_avg_len
@@ -24,7 +24,7 @@ from geompair.fringe2 import top_code_params
     ],
 )
 def test_encode_examples(k, pair, bits):
-    assert CkCodec(k).encode(pair).bits() == bits
+    assert bit_string(*codeword(CkCodec(k), pair)) == bits
 
 
 def test_top_code_parameter_cache_is_bounded():
@@ -61,7 +61,7 @@ def test_length_of_matches_encode():
         assert codec.length_of(pair) == codec.encode(pair).length
     codec = CkCodec(3)
     for pair in [(-1, 0), (0, -4), (-3, -3)]:
-        for method in (codec.length_of, codec.codeword):
+        for method in (codec.length_of, codec.encode):
             with pytest.raises(ValueError, match="pair components must be >= 0"):
                 method(pair)
 

@@ -11,6 +11,7 @@ import pytest
 from child import run_child
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_theory import lengths_by_signature
 
 import geompair
 from geompair import analysis
@@ -267,11 +268,15 @@ def test_encode_of_a_token_of_thousands_of_digits_exits_2(tmp_path, capsys, digi
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("mean", ["1e5", "1e6"])
+# above mean 94547 the best ck and Golomb orders pass the header's k limit,
+# and select picks the better of the two capped at it
+SELECT_AT_THE_CAP = {"1e5": "ck k=65535\n", "1e6": "golomb k=65535\n"}
+
+
+@pytest.mark.parametrize("mean", SELECT_AT_THE_CAP)
 def test_select_names_a_family_that_encode_accepts(tmp_path, capsys, mean):
-    # above mean 94547.24 the best Golomb order passes the header's k limit
     code, out, _ = run(capsys, "select", "--mean", mean)
-    assert (code, out) == (0, "golomb k=65535\n")
+    assert (code, out) == (0, SELECT_AT_THE_CAP[mean])
     family = analysis.adaptive_select(float(mean))
     src = tmp_path / "in.txt"
     src.write_text("1 2 100000 0\n")
@@ -964,12 +969,12 @@ def test_package_runs_without_numpy():
         "print(all(getattr(geompair, name) for name in geompair.__all__))\n"
         "from geompair.oracle import build_truncated_source, huffman_lengths, truncated_huffman\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-        "from reference_theory import max_gap, two_level_check\n"
+        "from reference_theory import lengths_by_signature, max_gap, two_level_check\n"
         "print(huffman_lengths([4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1]))\n"
         "weights = build_truncated_source(0.98, 1e-9).weights\n"
         "print(len(weights), weights[0], weights[-1])\n"
         "code = truncated_huffman(0.9, 1e-9)\n"
-        "by_sig, half = code.lengths_by_signature, code.source.s_max // 2\n"
+        "by_sig, half = lengths_by_signature(code), code.source.s_max // 2\n"
         "print(by_sig)\n"
         "print(two_level_check(by_sig, half), max_gap(by_sig, half))\n"
         "from geompair.cli import main\n"
@@ -982,7 +987,7 @@ def test_package_runs_without_numpy():
     source = build_truncated_source(0.98, 1e-9)
     assert weights == f"702706 1.0 {source.weights[-1]}"
     code = truncated_huffman(0.9, 1e-9)
-    assert by_sig == str(code.lengths_by_signature)
+    assert by_sig == str(lengths_by_signature(code))
     assert checks == "(True, []) 0"
     # as printed with numpy installed
     assert cli_lines[0] == "11.484262 ± 3.20e-08"
@@ -1091,6 +1096,22 @@ def test_canonical_spellings_parse_without_argparse(argv):
 ])
 def test_other_spellings_go_to_argparse(argv):
     assert _scan(argv) is None
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["select", "--mean", "3", "extra"], "geompair select"),
+    (["decode", "a", "b"], "geompair decode"),
+    (["--bogus", "select", "--mean", "3"], "geompair"),
+])
+def test_unrecognized_arguments_get_their_parser_usage(capsys, monkeypatch, argv, prog):
+    # those after a command get the command's usage; those before it, the program's
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: {prog} [-h]"), err
+    extra = [token for token in argv if token in ("extra", "b", "--bogus")]
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: {' '.join(extra)}\n"), err
 
 
 def test_lazy_package_names():

@@ -36,7 +36,7 @@ CONTAINERS = {
     "golomb3": ["--family", "golomb", "--k", "3"],
 }
 
-SELECT_MEANS = ["0.01", "0.3", "1.0", "4.0", "25.0", "1000.0"]
+SELECT_MEANS = ["0.01", "0.3", "1.0", "4.0", "25.0", "100.0", "1000.0", "100000.0"]
 
 
 def run(capsys, *argv):

@@ -4,9 +4,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from codec_families import assert_codes, assert_decodes, assert_lengths, every_pair
+from codec_families import assert_codes, assert_decodes, assert_lengths, bit_string, codeword, every_pair
 
-from geompair.bitio import BitReader
+from geompair.bitio import BitReader, Codeword
 from geompair.cminus_codec import (
     CminusCodec,
     LimitCodec,
@@ -73,7 +73,7 @@ def test_partial_kraft_sums(k):
     ],
 )
 def test_encode_examples(k, pair, bits):
-    assert CminusCodec(k).encode(pair).bits() == bits
+    assert bit_string(*codeword(CminusCodec(k), pair)) == bits
 
 
 def test_encode_signature1_k2_lengths():
@@ -100,7 +100,7 @@ def test_codeword_of_a_deep_signature_keeps_no_state():
     before = dict(vars(codec))
     tracemalloc.start()
     try:
-        value, length = codec.codeword((0, 20000))
+        value, length = codeword(codec, (0, 20000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -150,7 +150,7 @@ def test_decode_of_a_long_run_reencodes_to_its_bits(k):
     codec = CminusCodec(k)
     reader = BitReader(data)
     pair = codec.decode(reader)
-    value, length = codec.codeword(pair)
+    value, length = codeword(codec, pair)
     assert length == reader.bits_consumed
     assert value == int.from_bytes(data, "big") >> (8 * len(data) - length)
 
@@ -163,7 +163,7 @@ def test_decode_of_a_long_run_reencodes_to_its_bits(k):
     [((0, 0), "0"), ((0, 1), "10"), ((1, 0), "110")],
 )
 def test_limit_encode_examples(pair, bits):
-    assert LimitCodec().encode(pair).bits() == bits
+    assert bit_string(*codeword(LimitCodec(), pair)) == bits
 
 
 def test_limit_roundtrip():
@@ -193,7 +193,7 @@ def test_limit_agrees_with_cminus_on_initial_regime(k):
     codec, limit = CminusCodec(k), LimitCodec()
     signatures = sorted({*range(min(last, 510) + 1), last})
     pairs = [(i, s - i) for s in signatures for i in range(s + 1)]
-    assert all(map(tuple.__eq__, map(codec.codeword, pairs), map(limit.codeword, pairs)))
+    assert all(map(Codeword.__eq__, map(codec.encode, pairs), map(limit.encode, pairs)))
 
 
 def test_limit_signature_lengths_follow_limit_row():

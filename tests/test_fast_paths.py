@@ -9,9 +9,9 @@ import random
 
 import pytest
 from codec_families import (FAMILIES, FAR_PAIRS, RefCminus, RefLimit, assert_codes,
-                            assert_lengths, canonical_codewords, every_pair, extreme_pairs,
-                            long_runs, power_of_two_pairs, random_pairs, reference,
-                            reference_stream, top_codeword)
+                            assert_lengths, bit_string, canonical_codewords, codeword,
+                            every_pair, extreme_pairs, long_runs, power_of_two_pairs,
+                            random_pairs, reference, reference_stream, top_codeword)
 
 from geompair.basecodes import SMALL_BITS, PairCodec
 from geompair.bitio import BitReader, BitWriter, Codeword, StreamExhausted
@@ -22,7 +22,7 @@ from geompair.families import CodeFamily, make_codec
 
 def test_canonical_codewords():
     cws = canonical_codewords([1, 2, 3, 3])
-    assert [c.bits() for c in cws] == ["0", "10", "110", "111"]
+    assert [bit_string(c.value, c.length) for c in cws] == ["0", "10", "110", "111"]
     with pytest.raises(ValueError):
         canonical_codewords([2, 1])
     with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ def test_cminus_closed_form_rows_match_allocation_table(k):
         first_long = 2 * (first_short + n_short)
         if n_short:
             assert ref.row(s)[3] == deficit
-            assert codec.codeword((0, s)) == (first_short, lam)
+            assert codeword(codec, (0, s)) == (first_short, lam)
         if n_long:
             assert ref.row(s)[4] == (2 << lam) - first_long
-            assert codec.codeword((n_short, s - n_short)) == (first_long, lam + 1)
+            assert codeword(codec, (n_short, s - n_short)) == (first_long, lam + 1)

@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from codec_families import top_codeword
+from codec_families import bit_string, top_codeword
 from reference_theory import (
     NotFourUniform,
     WeightedSource,
@@ -213,8 +213,8 @@ def test_huffman_agrees_with_top_code(k):
 
 def test_top_code_table_k3_examples():
     codec = CkCodec(3)
-    assert Codeword(*top_codeword(codec, 0, 0)).bits() == "000"
-    assert Codeword(*top_codeword(codec, 2, 2)).bits() == "1111"
-    assert Codeword(*top_codeword(codec, 1, 1)).bits() == "100"
+    assert bit_string(*top_codeword(codec, 0, 0)) == "000"
+    assert bit_string(*top_codeword(codec, 2, 2)) == "1111"
+    assert bit_string(*top_codeword(codec, 1, 1)) == "100"
     # symbols are ordered by signature, then lexicographically
     assert top_code_symbols(3)[:4] == [(0, 0), (0, 1), (1, 0), (0, 2)]

@@ -15,7 +15,7 @@ below 2^-S that vanishes as S grows.
 from fractions import Fraction
 
 import pytest
-from codec_families import FAMILIES
+from codec_families import FAMILIES, codeword
 
 from geompair.cminus_codec import signature_row
 from geompair.families import CodeFamily, make_codec
@@ -32,7 +32,7 @@ def test_kraft_equality(family):
     codec = make_codec(family)
     if family.kind in ("ck", "golomb"):
         k = family.k
-        lengths = [codec.codeword((a, b))[1] - 2 for a in range(k) for b in range(k)]
+        lengths = [codeword(codec, (a, b))[1] - 2 for a in range(k) for b in range(k)]
         top = max(lengths)
         assert sum(1 << (top - length) for length in lengths) == 1 << top
         return

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference_theory import avg_len_ck_design, gap_bound, max_gap, two_level_check
+from reference_theory import avg_len_ck_design, gap_bound, lengths_by_signature, max_gap, two_level_check
 
 from geompair.analysis import avg_len_by_series
 from geompair.cminus_codec import CminusCodec
@@ -135,7 +135,7 @@ def test_oracle_matches_design_families(k):
 
 def test_two_level_check_passes_on_oracle_output():
     code = truncated_huffman(0.5, 1e-9)
-    ok, witnesses = two_level_check(code.lengths_by_signature, code.source.s_max // 2)
+    ok, witnesses = two_level_check(lengths_by_signature(code), code.source.s_max // 2)
     assert ok and not witnesses
 
 
@@ -148,9 +148,9 @@ def test_two_level_check_negative_control():
 def test_max_gap_examples():
     for q, expected in [(0.5, 0), (0.6, 0)]:
         code = truncated_huffman(q, 1e-9)
-        assert max_gap(code.lengths_by_signature, code.source.s_max // 2) == expected
+        assert max_gap(lengths_by_signature(code), code.source.s_max // 2) == expected
     code = truncated_huffman(0.25, 1e-9)
-    g = max_gap(code.lengths_by_signature, code.source.s_max // 2)
+    g = max_gap(lengths_by_signature(code), code.source.s_max // 2)
     assert g <= gap_bound(0.25) == 2
 
 
@@ -261,9 +261,10 @@ def test_truncated_huffman_matches_reference(q):
     ref_avg = float((1.0 - q) ** 2 * np.dot(weights, lengths))
 
     code = truncated_huffman(q, eps)
-    assert code.lengths_by_signature.keys() == ref_by_sig.keys()
+    by_sig = lengths_by_signature(code)
+    assert by_sig.keys() == ref_by_sig.keys()
     for sig, lens in ref_by_sig.items():
-        assert Counter(code.lengths_by_signature[sig]) == Counter(lens), sig
+        assert Counter(by_sig[sig]) == Counter(lens), sig
     assert code.tail_depth == ref_tail_depth
     assert code.uncertainty == eps * (ref_tail_depth + 2)
     assert math.isclose(code.avg_len_pair, ref_avg, rel_tol=1e-12, abs_tol=0.0)
@@ -279,7 +280,7 @@ def test_per_symbol_views_align_with_runs():
     assert float((1.0 - 0.8) ** 2 * np.dot(weights, lens)) == pytest.approx(
         code.avg_len_pair, rel=1e-12
     )
-    for sig, by_sig in code.lengths_by_signature.items():
+    for sig, by_sig in lengths_by_signature(code).items():
         assert sorted(ln for s, ln in zip(sigs, lens) if s == sig) == by_sig
 
 

@@ -5,7 +5,7 @@ of a negative signature."""
 from collections import Counter
 
 import pytest
-from codec_families import FAMILIES
+from codec_families import FAMILIES, codeword
 
 from geompair.families import CodeFamily, make_codec
 
@@ -18,7 +18,7 @@ def test_signature_lengths_are_the_codeword_lengths(family):
     for s in SIGNATURES:
         groups = codec.signature_lengths(s)
         assert sum(count for _, count in groups) == s + 1, s
-        want = Counter(codec.codeword((i, s - i))[1] for i in range(s + 1))
+        want = Counter(codeword(codec, (i, s - i))[1] for i in range(s + 1))
         got = Counter()
         for length, count in groups:
             got[length] += count

@@ -3,7 +3,7 @@
 Every slot of the decode table must hold exactly the pairs that the
 family's ``_decode_run`` reads whole from the same TABLE_BITS-bit window,
 with their text as ``decode_text`` prints it, and every encode-table
-entry must be the codec's ``codeword``.  Both tables have a fixed size
+entry must be the codec's codeword of its pair.  Both tables have a fixed size
 for any k, so a hostile header's k cannot make them large or slow.
 """
 
@@ -11,7 +11,7 @@ import time
 import tracemalloc
 
 import pytest
-from codec_families import FAMILIES
+from codec_families import FAMILIES, codeword
 
 from geompair.basecodes import SMALL_BITS, TABLE_BITS, GolombPairCodec, window_keys
 from geompair.bitio import BitReader, StreamExhausted
@@ -65,7 +65,7 @@ def test_every_encode_entry_is_the_codeword(family):
     codec = make_codec(family)
     side = 1 << SMALL_BITS
     assert codec._encode_table == tuple(
-        codec.codeword((i, j)) for i in range(side) for j in range(side)
+        codeword(codec, (i, j)) for i in range(side) for j in range(side)
     )
 
 
