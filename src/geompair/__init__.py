@@ -27,9 +27,8 @@ _LAZY = {
     "profile_from": "fringe2",
     "top_code_params": "fringe2",
     "adaptive_select": "analysis",
-    "avg_len_by_series": "analysis",
     "avg_len_ck": "analysis",
-    "avg_len_limit_closed": "analysis",
+    "avg_len_cminus": "analysis",
     "best_golomb_order": "analysis",
     "crossover": "analysis",
     "entropy_per_symbol": "analysis",

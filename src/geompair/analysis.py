@@ -4,23 +4,17 @@ All averages are in bits per *pair*; redundancy figures are per integer
 symbol, i.e. half the pair average minus the per-symbol entropy
 H(q) = h(q) / (1 - q) with h the binary entropy function.
 
-Where a closed form exists (the design-point family, the limit code, the
-Golomb pair) it is used; the remaining families are summed signature by
-signature with a certified geometric tail bound.  No command runs the
-design-point shortcut or the q -> 1 asymptotics: they are test code.
+Every family's average is a closed form: the ck code, the Golomb pair,
+and the cminus code, whose order k = inf is the limit code.  No command
+runs the signature-by-signature series, the design-point shortcut or the
+q -> 1 asymptotics: they are test code.
 """
 
 import math
 
 from .basecodes import quasi_uniform_shape
-from .families import K_MAX, CodeFamily, DataError, QOutOfRange, _check_q, make_codec
+from .families import K_MAX, CodeFamily, DataError, QOutOfRange, _check_q
 from .fringe2 import top_code_params
-
-SERIES_MAX_SIGNATURES = 5_000_000  # a series not certified past it raises NoConvergence
-
-
-class NoConvergence(DataError):
-    """A series cannot converge for the given parameter."""
 
 
 class MeanOutOfRange(ValueError, DataError):
@@ -67,23 +61,50 @@ def avg_len_ck(q: float, k: int) -> float:
     return p.M + 1 + q**j * v / (1.0 - q**k) ** 2
 
 
-def avg_len_limit_closed(q: float) -> float:
-    """Average pair length of the limit code:
-    1 + (1/(1-q)) * sum over t >= 0 of q^(2^t) (2^t (1 - q) + 2).
+def avg_len_cminus(q: float, k) -> float:
+    """Average pair length of the order-k cminus code, k >= 2, or of the
+    limit code at k = math.inf:
 
-    The tail is doubly exponential; terms are accumulated until they fall
-    below 1e-18, well past the 1e-15 mark for any q bounded away from 1.
+    1 + q(3 - q)/(1 - q) + sum over t = 1..k-2 of q^(2^t) (2^t + 2/(1 - q))
+      + q^a (2^(k-1) q + 2q^2/(1 - q) - (1 - q) + P),  a = 2^(k-1) - 1.
+
+    The average is (1-q)^2 times the sum over s of q^s ((s+1) Lambda_s +
+    n_long(s)), with the rows of :func:`geompair.cminus_codec.signature_row`.
+    Lambda_s + 1 is the sum of s + 2 - 2^t over t < k with 2^t - 1 <= s,
+    in both regimes: the periodic one continues the line of the initial
+    regime's last class.  On the initial class s = 2^i - 1 + j, n_long is
+    2j + 1.  From signature a on, it depends only on the phase
+    j = (s - a) mod N, N = 2^k - 1: it is 2j + 1, plus 1 at j = 2^(k-1) - 2
+    and at j = N - 1, less N from j = 2^(k-1) - 1 on.  So the periodic
+    regime sums over one period, in
+    P = (1-q)^2 / (1 - q^N) * sum over j < N of q^j n_long(j),
+    a linear-geometric sum.  Gathered by t, the initial regime gives the
+    first line, and the t = k - 1 term with the boundary at a gives the
+    rest of the second.
+
+    The t-sum stops once a term falls below 1e-18 of the total: the terms
+    after it, and the periodic regime, fall doubly exponentially in t.  So
+    any k costs at most about 64 terms, and 2^k is built only for a k that
+    the sum reaches.
     """
     _check_q(q)
-    acc = 0.0
-    t = 0
-    while True:
-        term = q ** (1 << t) * ((1 << t) * (1.0 - q) + 2.0)
-        acc += term
+    p = 1.0 - q
+    total = 1.0 + q * (3.0 - q) / p
+    t = 1
+    while t <= k - 2:
+        term = q ** (1 << t) * ((1 << t) + 2.0 / p)
+        total += term
+        if term < 1e-18 * total:
+            return total
         t += 1
-        if term < 1e-18 or t > 100:  # t ~ 60 suffices even for q near 1
-            break
-    return 1.0 + acc / (1.0 - q)
+    half = 1 << (k - 1)
+    full = 2 * half - 1
+    q_full = q**full
+    jump = half * q + 2.0 * q * q / p - p
+    phases = (1.0 + q - 2.0 * full * p * q_full / (1.0 - q_full)
+              + p / (1.0 - q_full) * (p * (q ** (half - 2) + q ** (full - 1))
+                                      - full * q ** (half - 1) * (1.0 - q**half)))
+    return total + q ** (half - 1) * (jump + phases)
 
 
 def golomb_pair_avg_len(q: float, k: int) -> float:
@@ -123,101 +144,17 @@ def best_golomb_order(q: float) -> int:
     return k
 
 
-# ---------------------------------------------------------------------------
-# The certified series evaluator
-# ---------------------------------------------------------------------------
-
-
-def avg_len_by_series(codec, q: float, eps: float = 1e-9) -> float:
-    """(1-q)^2 * sum over s of q^s * (total code length of signature s),
-    summed from ``codec.signature_lengths`` and truncated once a certified
-    tail bound drops below eps.
-
-    The bound needs every codeword of signature s to be at most (s+2)^2
-    bits long from s = S0 = max(4, L0) on, L0 the longest codeword of
-    signature 0.  cminus and limit meet Lambda_s + 1 <= (s+2)^2 from
-    s = 0.  ck and golomb meet (longest at s) <= L0 + s + 2, since their
-    residue codes span at most 2 bits beyond the length at residue (0, 0)
-    and the quotients add at most s unary bits; L0 + s + 2 <= 2s + 2
-    for s >= L0.  A signature total is then below (s+2)^3, so the tail
-    beyond S is at most q^S (S+2)^3 / (1 - q e^(3/(S+2))) signature-weight
-    units.  The returned value has absolute error < eps.
-    """
-    return avg_lens_by_series(codec, (q,), eps)[0]
-
-
-def avg_lens_by_series(codec, qs, eps: float = 1e-9) -> list[float]:
-    """:func:`avg_len_by_series` at each q of ``qs``, in order.
-
-    Each signature's total length is computed once, for the first q that
-    reaches it, and every q sums the totals in the same order as a call
-    of its own, so the results are the same floats.
-    """
-    if not eps > 0:  # nan too
-        raise ValueError("eps must be positive")
-    qs = tuple(qs)
-    for q in qs:
-        _check_certifies(q, eps)
-    lengths = codec.signature_lengths
-    groups = lengths(0)
-    start = max(4, max(length for length, _ in groups))
-    totals = [sum(length * count for length, count in groups)]  # per signature, for every q
-    out = []
-    for q in qs:
-        scale = (1.0 - q) ** 2
-        total = 0.0
-        weight = 1.0
-        s = 0
-        while True:
-            if s == len(totals):
-                signature_total = sum(length * count for length, count in lengths(s))
-                if s >= start and signature_total > (s + 2) ** 3:
-                    raise AssertionError("codec lengths outgrow the series tail bound")
-                totals.append(signature_total)
-            total += weight * totals[s]
-            s += 1
-            weight *= q
-            if s >= start:
-                damped = q * math.exp(3.0 / (s + 2))
-                if damped < 1.0:
-                    tail = weight * (s + 2) ** 3 / (1.0 - damped)
-                    if scale * tail < eps:
-                        out.append(scale * total)
-                        break
-            # a positive weight that q no longer lowers (a subnormal) stays
-            # put, and the tail bound grows from there on
-            if s > SERIES_MAX_SIGNATURES or 0.0 < weight == weight * q:
-                raise NoConvergence("series truncation did not certify")
-    return out
-
-
-def _check_certifies(q: float, eps: float) -> None:
-    """Refuse q if the tail bound misses eps at s = SERIES_MAX_SIGNATURES + 1, the
-    summing loop's last test: where damped < 1 the bound falls as s grows.  The
-    1e-6 margin covers the loop's rounding of q^s; a subnormal q^s is left to it."""
-    if q >= 1.0:
-        raise NoConvergence(f"series diverges for q={q}")
-    _check_q(q)
-    s = SERIES_MAX_SIGNATURES + 1
-    damped = q * math.exp(3.0 / (s + 2))
-    weight = q**s
-    if damped < 1.0 and (weight < 2.0**-1022
-                         or (1.0 - q) ** 2 * weight * (s + 2) ** 3 / (1.0 - damped) < eps * (1 + 1e-6)):
-        return
-    raise NoConvergence(f"the series at q={q} cannot certify eps={eps} within "
-                        f"{SERIES_MAX_SIGNATURES} signatures")
-
-
 def family_avg_len(family: CodeFamily, q: float, eps: float = 1e-9) -> float:
-    """Average pair length of any implemented family at q (closed form
-    where available, certified series otherwise)."""
+    """Average pair length of any implemented family at q, in closed form.
+
+    No family reads ``eps``: every average is exact to rounding.  It stays
+    for the benchmark's callers, which pass it.
+    """
     if family.kind == "ck":
         return avg_len_ck(q, family.k)
-    if family.kind == "limit":
-        return avg_len_limit_closed(q)
     if family.kind == "golomb":
         return golomb_pair_avg_len(q, family.k)
-    return avg_len_by_series(make_codec(family), q, eps)
+    return avg_len_cminus(q, math.inf if family.kind == "limit" else family.k)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +207,6 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
 
 # candidate parameter ranges scanned by the selector
 _SELECT_CMINUS_MAX = 10
-_SELECT_SERIES_EPS = 1e-8
 
 
 def _ck_orders(q: float) -> range:
@@ -293,21 +229,16 @@ def _candidates(q: float) -> list[CodeFamily]:
     return cands
 
 
-def best_averages_by_kind(qs, eps: float = 1e-9) -> list[tuple[float, float, float, float]]:
+def best_averages_by_kind(qs) -> list[tuple[float, float, float, float]]:
     """``(golomb, ck, cminus, limit)`` pair averages at each q of ``qs``:
     the best Golomb order (uncapped), the least over the ck and cminus
-    orders that the selector scans at q, and the limit code.  Each cminus
-    order is summed over all of ``qs`` at once, each signature's lengths once."""
-    cminus_by_order = [
-        avg_lens_by_series(make_codec(CodeFamily("cminus", k)), qs, eps)
-        for k in range(2, _SELECT_CMINUS_MAX + 1)
-    ]
+    orders that the selector scans at q, and the limit code."""
     return [
         (golomb_pair_avg_len(q, best_golomb_order(q)),
          min(avg_len_ck(q, k) for k in _ck_orders(q)),
-         min(lens[index] for lens in cminus_by_order),
-         avg_len_limit_closed(q))
-        for index, q in enumerate(qs)
+         min(avg_len_cminus(q, k) for k in range(2, _SELECT_CMINUS_MAX + 1)),
+         avg_len_cminus(q, math.inf))
+        for q in qs
     ]
 
 
@@ -331,7 +262,7 @@ def adaptive_select(mean: float) -> CodeFamily:
     best = None
     best_len = math.inf
     for fam in _candidates(q):
-        length = family_avg_len(fam, q, _SELECT_SERIES_EPS)
+        length = family_avg_len(fam, q)
         if length < best_len - 1e-12:
             best, best_len = fam, length
     return best

@@ -115,10 +115,7 @@ class PairCodec:
     pairs' codewords and its payload bit count, takes the codewords of small
     pairs from :attr:`_encode_table` and calls ``_coder`` for the rest.  A
     codec also implements ``_decode_run(reader, count)``, its single
-    decoder, and ``signature_lengths(s)``: for s >= 0, the lengths of the
-    s + 1 codewords of the pairs (i, s - i), as ``((length, count), ...)``
-    groups whose counts sum to s + 1 (a count may be 0), the one source of
-    lengths for the analysis.
+    decoder.
 
     ``_decode_run`` returns the next ``count`` pairs' components, flat
     (``[i0, j0, i1, j1, ...]``), and leaves the reader after them.  It
@@ -304,26 +301,6 @@ class PairCodec:
         return "".join(out)
 
 
-def residue_signature_lengths(codec: PairCodec, s: int) -> tuple[tuple[int, int], ...]:
-    """``signature_lengths(s)`` of a pair code of order ``codec.k`` that sends
-    the residues (a, b) = (i mod k, j mod k), then both quotients in unary
-    (ck and Golomb): the method of both codecs.
-
-    For a, b < k the coder's length is the residues' codeword and two unary
-    zeros.  Within one residue a of i, b = (s - a) mod k is fixed and the
-    quotients sum to (s - a - b) / k, so the (s - a) // k + 1 pairs of that
-    residue share one length.
-    """
-    if s < 0:
-        raise ValueError("signature must be >= 0")
-    k, coder = codec.k, codec._coder
-    groups = []
-    for a in range(min(k, s + 1)):
-        b = (s - a) % k
-        groups.append((coder(a, b)[1] + (s - a - b) // k, (s - a) // k + 1))
-    return tuple(groups)
-
-
 class GolombPairCodec(PairCodec):
     """Pair codec applying the order-k Golomb code to each component."""
 
@@ -347,8 +324,6 @@ class GolombPairCodec(PairCodec):
             return (value_i << length_j) | value_j, m - short_i + quot_i + 1 + length_j
 
         self._coder = coder
-
-    signature_lengths = residue_signature_lengths
 
     def _encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``: each distinct token's codeword

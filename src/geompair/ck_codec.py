@@ -12,7 +12,7 @@ from functools import cached_property
 from math import isqrt
 
 from .basecodes import (MISS_BITS, TABLE_BITS, GolombPairCodec, PairCodec, pack_bits,
-                        reload_pair, residue_signature_lengths, window_keys)
+                        reload_pair, window_keys)
 from .bitio import FLUSH_BITS, BitReader, BitWriter
 from .fringe2 import top_code_params
 
@@ -92,8 +92,6 @@ class CkCodec(PairCodec):
 
     def length_of(self, pair: tuple[int, int]) -> int:
         return self._coder(*pair)[1]
-
-    signature_lengths = residue_signature_lengths
 
     def _encode_tokens(self, tokens: list[str]) -> tuple[bytes, int]:
         """``encode_many`` of the pairs of ``tokens``, each distinct token converted

@@ -240,7 +240,7 @@ def cmd_sweep(args) -> int:
             raise DataError(f"{name} {bound} gives the grid point {point} at 12 decimals, "
                             "outside (0, 1)")
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
-    best = analysis.best_averages_by_kind(grid, args.eps)
+    best = analysis.best_averages_by_kind(grid)
     for q, averages in zip(grid, best):  # golomb, ck, cminus, limit
         ent = analysis.entropy_per_symbol(q)
         opt = ""
@@ -281,7 +281,9 @@ def _family_from_name(name: str) -> CodeFamily:
     except ValueError:  # more digits than the interpreter's int-string limit
         raise DataError(f"model {kind}<k> has a k of {digits} digits, "
                         f"more than the limit of {sys.get_int_max_str_digits()}") from None
-    if kind != "cminus" and k + 1 > sys.float_info.max:  # the closed forms take k + 1 as a float
+    # the ck and Golomb closed forms take k + 1 as a float; the cminus one compares k
+    # with its term index as ints, and its terms fall below rounding long before 2^k
+    if kind != "cminus" and k + 1 > sys.float_info.max:
         raise DataError(f"model {kind}<k> has a k of {digits} digits, "
                         f"beyond the float range of its closed form")
     return CodeFamily(kind, k)
@@ -361,7 +363,7 @@ COMMANDS = {
         Option("--q-lo", float, 0.05),
         Option("--q-hi", float, 0.95),
         Option("--step", float, 0.05),
-        Option("--eps", float, 1e-9),
+        Option("--eps", float, 1e-9, help="truncation of the oracle column (--with-oracle)"),
         Option("--with-oracle", bool, False),
         _OUT,
     )),

@@ -125,8 +125,9 @@ class CminusCodec(PairCodec):
     the Kraft deficit D_s gives a signature's first canonical values, so
     nothing is allocated signature by signature.  The rows of the first
     ``_MEMO_SIGNATURES`` signatures are computed once, on first coding use,
-    and never change, so a codec is immutable and shareable.  The analysis
-    sums ``signature_lengths`` without building them.
+    and never change, so a codec is immutable and shareable.
+    :meth:`signature_lengths`, which the ``lengths`` command prints, does
+    not build them.
     """
 
     def __init__(self, k: int) -> None:
@@ -172,6 +173,8 @@ class CminusCodec(PairCodec):
         return tuple(starts)
 
     def signature_lengths(self, s: int) -> tuple[tuple[int, int], ...]:
+        """The lengths of the s + 1 codewords of the pairs (i, s - i), as
+        ``((Lambda_s, n_short), (Lambda_s + 1, n_long))``; a count may be 0."""
         if s < 0:
             raise ValueError("signature must be >= 0")
         lam, n_short, n_long, _ = signature_row(self.k, s)

@@ -28,11 +28,20 @@ the order-k code's per-symbol redundancy as q -> 1 (arXiv:1102.2413), a
 function of the level ratio 2^M / k^2; :func:`asymptotic_redundancy`
 evaluates it at order k, and :func:`oscillation_extremes` bounds it to
 the band [0.014159, 0.014583] that criterion 10 checks.
+
+:func:`avg_len_by_series` sums any codec's average signature by signature,
+to a certified tail bound, from the codec's per-signature lengths
+(:func:`signature_lengths`): the reference that criterion 03 and the tests
+hold ``geompair.analysis``'s closed forms to.  :func:`avg_len_limit_closed`
+is the limit code's average as the t-sum of its classes, the reference for
+``avg_len_cminus`` at k = inf.
 """
 
 import math
 from fractions import Fraction
+from functools import partial
 
+from geompair.families import DataError, _check_q
 from geompair.fringe2 import COutOfRange, _ceil_log2, c_bounds, profile_from, top_code_params
 
 SIGN_RTOL = 1e-12
@@ -352,3 +361,142 @@ def oscillation_extremes(lo: float = 0.75, hi: float = 1.5) -> tuple[float, floa
         min(ys[lo_i], refine(lo_i, 1.0)),
         max(ys[hi_i], refine(hi_i, -1.0)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Averages signature by signature, and the limit code's t-sum
+# ---------------------------------------------------------------------------
+
+SERIES_MAX_SIGNATURES = 5_000_000  # a series not certified past it raises NoConvergence
+
+
+class NoConvergence(DataError):
+    """A series cannot converge for the given parameter."""
+
+
+def residue_signature_lengths(codec, s: int) -> tuple[tuple[int, int], ...]:
+    """``signature_lengths(s)`` of a pair code of order ``codec.k`` that sends
+    the residues (a, b) = (i mod k, j mod k), then both quotients in unary
+    (ck and Golomb).
+
+    For a, b < k the coder's length is the residues' codeword and two unary
+    zeros.  Within one residue a of i, b = (s - a) mod k is fixed and the
+    quotients sum to (s - a - b) / k, so the (s - a) // k + 1 pairs of that
+    residue share one length.
+    """
+    if s < 0:
+        raise ValueError("signature must be >= 0")
+    k, coder = codec.k, codec._coder
+    groups = []
+    for a in range(min(k, s + 1)):
+        b = (s - a) % k
+        groups.append((coder(a, b)[1] + (s - a - b) // k, (s - a) // k + 1))
+    return tuple(groups)
+
+
+def signature_lengths(codec):
+    """``s -> ((length, count), ...)``, the lengths of the s + 1 codewords of
+    the pairs (i, s - i), counts summing to s + 1 (a count may be 0): the
+    codec's own ``signature_lengths`` (cminus and limit), else
+    :func:`residue_signature_lengths` (ck and Golomb)."""
+    method = getattr(codec, "signature_lengths", None)
+    return method if method is not None else partial(residue_signature_lengths, codec)
+
+
+def avg_len_by_series(codec, q: float, eps: float = 1e-9) -> float:
+    """(1-q)^2 * sum over s of q^s * (total code length of signature s),
+    summed from :func:`signature_lengths` and truncated once a certified
+    tail bound drops below eps.
+
+    The bound needs every codeword of signature s to be at most (s+2)^2
+    bits long from s = S0 = max(4, L0) on, L0 the longest codeword of
+    signature 0.  cminus and limit meet Lambda_s + 1 <= (s+2)^2 from
+    s = 0.  ck and golomb meet (longest at s) <= L0 + s + 2, since their
+    residue codes span at most 2 bits beyond the length at residue (0, 0)
+    and the quotients add at most s unary bits; L0 + s + 2 <= 2s + 2
+    for s >= L0.  A signature total is then below (s+2)^3, so the tail
+    beyond S is at most q^S (S+2)^3 / (1 - q e^(3/(S+2))) signature-weight
+    units.  The returned value has absolute error < eps.
+    """
+    return avg_lens_by_series(codec, (q,), eps)[0]
+
+
+def avg_lens_by_series(codec, qs, eps: float = 1e-9) -> list[float]:
+    """:func:`avg_len_by_series` at each q of ``qs``, in order.
+
+    Each signature's total length is computed once, for the first q that
+    reaches it, and every q sums the totals in the same order as a call
+    of its own, so the results are the same floats.
+    """
+    if not eps > 0:  # nan too
+        raise ValueError("eps must be positive")
+    qs = tuple(qs)
+    for q in qs:
+        _check_certifies(q, eps)
+    lengths = signature_lengths(codec)
+    groups = lengths(0)
+    start = max(4, max(length for length, _ in groups))
+    totals = [sum(length * count for length, count in groups)]  # per signature, for every q
+    out = []
+    for q in qs:
+        scale = (1.0 - q) ** 2
+        total = 0.0
+        weight = 1.0
+        s = 0
+        while True:
+            if s == len(totals):
+                signature_total = sum(length * count for length, count in lengths(s))
+                if s >= start and signature_total > (s + 2) ** 3:
+                    raise AssertionError("codec lengths outgrow the series tail bound")
+                totals.append(signature_total)
+            total += weight * totals[s]
+            s += 1
+            weight *= q
+            if s >= start:
+                damped = q * math.exp(3.0 / (s + 2))
+                if damped < 1.0:
+                    tail = weight * (s + 2) ** 3 / (1.0 - damped)
+                    if scale * tail < eps:
+                        out.append(scale * total)
+                        break
+            # a positive weight that q no longer lowers (a subnormal) stays
+            # put, and the tail bound grows from there on
+            if s > SERIES_MAX_SIGNATURES or 0.0 < weight == weight * q:
+                raise NoConvergence("series truncation did not certify")
+    return out
+
+
+def _check_certifies(q: float, eps: float) -> None:
+    """Refuse q if the tail bound misses eps at s = SERIES_MAX_SIGNATURES + 1, the
+    summing loop's last test: where damped < 1 the bound falls as s grows.  The
+    1e-6 margin covers the loop's rounding of q^s; a subnormal q^s is left to it."""
+    if q >= 1.0:
+        raise NoConvergence(f"series diverges for q={q}")
+    _check_q(q)
+    s = SERIES_MAX_SIGNATURES + 1
+    damped = q * math.exp(3.0 / (s + 2))
+    weight = q**s
+    if damped < 1.0 and (weight < 2.0**-1022
+                         or (1.0 - q) ** 2 * weight * (s + 2) ** 3 / (1.0 - damped) < eps * (1 + 1e-6)):
+        return
+    raise NoConvergence(f"the series at q={q} cannot certify eps={eps} within "
+                        f"{SERIES_MAX_SIGNATURES} signatures")
+
+
+def avg_len_limit_closed(q: float) -> float:
+    """Average pair length of the limit code:
+    1 + (1/(1-q)) * sum over t >= 0 of q^(2^t) (2^t (1 - q) + 2).
+
+    The tail is doubly exponential; terms are accumulated until they fall
+    below 1e-18, well past the 1e-15 mark for any q bounded away from 1.
+    """
+    _check_q(q)
+    acc = 0.0
+    t = 0
+    while True:
+        term = q ** (1 << t) * ((1 << t) * (1.0 - q) + 2.0)
+        acc += term
+        t += 1
+        if term < 1e-18 or t > 100:  # t ~ 60 suffices even for q near 1
+            break
+    return 1.0 + acc / (1.0 - q)

@@ -5,6 +5,7 @@ with ``pytest -s`` or in captured output on failure).  Expected total
 runtime is a few seconds, most of it criterion 7's roundtrips.
 """
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -14,7 +15,9 @@ from codec_families import assert_decodes, assert_lengths, every_pair
 from reference_theory import (
     WeightedSource,
     asymptotic_redundancy,
+    avg_len_by_series,
     avg_len_ck_design,
+    avg_len_limit_closed,
     fringe2_optimal_range,
     lengths_by_signature,
     max_gap,
@@ -24,9 +27,8 @@ from reference_theory import (
 )
 
 from geompair.analysis import (
-    avg_len_by_series,
     avg_len_ck,
-    avg_len_limit_closed,
+    avg_len_cminus,
     best_golomb_order,
     crossover,
     entropy_per_symbol,
@@ -59,9 +61,6 @@ def oracle_at(q, eps=1e-9):
     return truncated_huffman(q, eps)
 
 
-SERIES_EPS = 1e-10  # the absolute error of every series average compared below
-
-
 def rival_avg_lens(q):
     """Average pair lengths at q of the implemented families the oracle
     must not lose to."""
@@ -69,10 +68,7 @@ def rival_avg_lens(q):
     golomb_orders = set(range(1, 9)) | {max(1, best - 1), best, best + 1}
     rivals = [avg_len_ck(q, k) for k in range(1, 65)]
     rivals += [golomb_pair_avg_len(q, k) for k in sorted(golomb_orders)]
-    rivals.append(avg_len_limit_closed(q))
-    rivals += [
-        avg_len_by_series(CminusCodec(k), q, SERIES_EPS) for k in range(2, 7)
-    ]
+    rivals += [avg_len_cminus(q, k) for k in (2, 3, 4, 5, 6, math.inf)]
     return rivals
 
 
@@ -112,6 +108,14 @@ def test_criterion_03_closed_form_consistency():
             a = avg_len_ck(2 ** (-1 / k), k)
             b = avg_len_ck_design(k)
             assert abs(a - b) <= 1e-12 * b
+        for codec in [CminusCodec(k) for k in range(2, 11)] + [LimitCodec()]:
+            for q in (0.05, 0.3, 2.0 ** -min(codec.k, 60), 0.6, 0.9):
+                series = avg_len_by_series(codec, q, 1e-10)
+                assert abs(series - avg_len_cminus(q, codec.k)) <= 1e-9
+        for q in (0.05, 0.3, 0.6, 0.9):
+            a = avg_len_cminus(q, math.inf)
+            b = avg_len_limit_closed(q)
+            assert abs(a - b) <= 1e-15 * b
 
 
 def test_criterion_04_zero_redundancy_at_half():
@@ -130,13 +134,12 @@ def test_criterion_05_optimality_vs_oracle():
         for k in (2, 3, 4):
             q = 2.0**-k
             code = oracle_at(q)
-            series = avg_len_by_series(CminusCodec(k), q, SERIES_EPS)
-            assert abs(code.avg_len_pair - series) <= code.uncertainty + SERIES_EPS
+            assert abs(code.avg_len_pair - avg_len_cminus(q, k)) <= code.uncertainty
             design_points.append(q)
         # the oracle is a minimum: no implemented family does better
         for q in design_points:
             code = oracle_at(q)
-            assert code.avg_len_pair <= min(rival_avg_lens(q)) + code.uncertainty + SERIES_EPS
+            assert code.avg_len_pair <= min(rival_avg_lens(q)) + code.uncertainty
 
 
 def test_criterion_06_golomb_pair_strictly_suboptimal():
@@ -183,7 +186,7 @@ def test_criterion_08_limit_code():
 
         for q in (0.05, 0.1, 0.2, 0.3):
             series = avg_len_by_series(LimitCodec(), q, 1e-10)
-            assert abs(series - avg_len_limit_closed(q)) <= 1e-9
+            assert abs(series - avg_len_cminus(q, math.inf)) <= 1e-9
 
         for k in range(3, 9):
             codec = CminusCodec(k)
@@ -196,7 +199,7 @@ def test_criterion_08_limit_code():
 def test_criterion_09_crossover_point():
     with criterion(9, "limit-code / unary-pair crossover"):
         q_star = crossover(
-            avg_len_limit_closed, lambda q: avg_len_ck(q, 1), 0.25, 0.45, 1e-5
+            lambda q: avg_len_cminus(q, math.inf), lambda q: avg_len_ck(q, 1), 0.25, 0.45, 1e-5
         )
         assert abs(q_star - 0.33715) <= 5e-5
 
@@ -220,14 +223,9 @@ def test_criterion_11_redundancy_advantage_snapshot():
                 for k in range(1, 5)
             )
             contenders = [
-                redundancy_per_symbol(
-                    avg_len_by_series(CminusCodec(k), q, 1e-10), q
-                )
-                for k in range(2, 9)
+                redundancy_per_symbol(avg_len_cminus(q, k), q)
+                for k in [*range(2, 9), math.inf]
             ]
-            contenders.append(
-                redundancy_per_symbol(avg_len_limit_closed(q), q)
-            )
             assert golomb / min(contenders) > 10.0
 
 
@@ -254,7 +252,7 @@ def test_criterion_13_huffman_ground_truth_above_095():
             code = oracle_at(q)
             est = code.avg_len_pair
             assert abs(est - avg_len_ck_design(k)) <= code.uncertainty
-            assert est <= min(rival_avg_lens(q)) + code.uncertainty + SERIES_EPS
+            assert est <= min(rival_avg_lens(q)) + code.uncertainty
             red = 0.5 * est - entropy_per_symbol(q)
             assert lo - 1e-5 <= red <= hi + 1e-5, (k, red)
             s_checked = code.source.s_max // 2

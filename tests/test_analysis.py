@@ -1,25 +1,32 @@
 import math
+import time
 
 import pytest
-from reference_theory import asymptotic_redundancy, avg_len_ck_design, oscillation_extremes
+from reference_theory import (
+    NoConvergence,
+    asymptotic_redundancy,
+    avg_len_by_series,
+    avg_len_ck_design,
+    avg_len_limit_closed,
+    avg_lens_by_series,
+    oscillation_extremes,
+)
 
 from geompair import analysis
 from geompair.basecodes import GolombPairCodec, golomb_length
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import CminusCodec, LimitCodec
-from geompair.families import K_MAX, CodeFamily, make_codec
+from geompair.families import K_MAX, CodeFamily, DataError, make_codec
 from geompair.analysis import (
-    NoConvergence,
     NoSignChange,
     QOutOfRange,
     adaptive_select,
-    avg_len_by_series,
-    avg_lens_by_series,
     avg_len_ck,
-    avg_len_limit_closed,
+    avg_len_cminus,
     best_golomb_order,
     crossover,
     entropy_per_symbol,
+    family_avg_len,
     golomb_pair_avg_len,
     redundancy_per_symbol,
 )
@@ -70,6 +77,7 @@ def test_series_examples():
 
 
 def test_series_error_conditions():
+    assert issubclass(NoConvergence, DataError)
     with pytest.raises(NoConvergence):
         avg_len_by_series(LimitCodec(), 1.0, 1e-9)
     with pytest.raises(NoConvergence, match="q=0.9999999 cannot certify eps=1e-09 within 5000000"):
@@ -106,9 +114,50 @@ def test_series_of_subnormal_weights():
 
 
 def test_limit_closed_examples():
-    assert abs(avg_len_limit_closed(0.25) - 2.2345378) < 1e-6
-    assert avg_len_limit_closed(0.5) > 4.0
-    assert abs(avg_len_limit_closed(1e-6) - 1.0) < 1e-4
+    for limit in (avg_len_limit_closed, lambda q: avg_len_cminus(q, math.inf)):
+        assert abs(limit(0.25) - 2.2345378) < 1e-6
+        assert limit(0.5) > 4.0
+        assert abs(limit(1e-6) - 1.0) < 1e-4
+
+
+# below 0.999 a series sums in a fraction of a second, and at 0.999 in about
+# 0.2 s: there it runs for orders whose periodic regime, from signature
+# 2^(k-1) - 1, still weighs, and for 64, where the t-sum stops first
+SERIES_QS = [1e-6, 0.001, 0.05, 0.2, 0.4, 0.5, 0.6, 0.8, 0.9, 0.97, 0.99]
+SERIES_QS_AT_0999 = [2, 3, 5, 8, 11, 13, 14, 15, 64]
+
+
+@pytest.mark.parametrize("k", range(2, 65))
+def test_avg_len_cminus_matches_the_series(k):
+    qs = SERIES_QS + [0.999] * (k in SERIES_QS_AT_0999)
+    for q, series in zip(qs, avg_lens_by_series(CminusCodec(k), qs, 1e-12)):
+        assert abs(avg_len_cminus(q, k) - series) <= 1e-12 * series, q
+
+
+def test_avg_len_cminus_at_inf_matches_the_limit_t_sum():
+    for i in range(1, 1000):
+        q = i / 1000
+        want = avg_len_limit_closed(q)
+        assert abs(avg_len_cminus(q, math.inf) - want) <= 1e-15 * want, q
+
+
+def test_avg_len_cminus_of_a_huge_order_is_the_limit_code():
+    # the t-sum stops where its terms fall below rounding, long before an order of
+    # 10^6 or 10^400 reaches its periodic regime, and so at once near q = 1
+    start = time.perf_counter()
+    for q in (1e-300, 0.1, 0.5, 0.9, 0.99999, 1.0 - 2**-53):
+        limit = avg_len_cminus(q, math.inf)
+        assert avg_len_cminus(q, 10**6) == avg_len_cminus(q, 10**400) == limit, q
+    assert time.perf_counter() - start < 0.1
+    assert avg_len_cminus(0.5, 10**400) == family_avg_len(CodeFamily("limit"), 0.5)
+
+
+def test_avg_len_cminus_refuses_q_outside_the_unit_interval():
+    for q in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(QOutOfRange):
+            avg_len_cminus(q, 3)
+        with pytest.raises(QOutOfRange):
+            avg_len_cminus(q, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -215,9 +264,8 @@ def test_no_family_beats_entropy():
         for k in (1, 2, 3, 5, 8):
             assert avg_len_ck(q, k) >= floor
             assert golomb_pair_avg_len(q, k) >= floor
-        for k in (2, 3, 4):
-            assert avg_len_by_series(CminusCodec(k), q, 1e-9) >= floor
-        assert avg_len_limit_closed(q) >= floor
+        for k in (2, 3, 4, math.inf):
+            assert avg_len_cminus(q, k) >= floor
 
 
 def test_oscillation_extremes():
@@ -244,7 +292,7 @@ def test_asymptotic_matches_actual_at_large_k():
 
 def test_crossover_limit_vs_unary_pair():
     q_star = crossover(
-        avg_len_limit_closed, lambda q: avg_len_ck(q, 1), 0.25, 0.45, 1e-5
+        lambda q: avg_len_cminus(q, math.inf), lambda q: avg_len_ck(q, 1), 0.25, 0.45, 1e-5
     )
     assert abs(q_star - 0.33715) < 5e-5
 
@@ -288,8 +336,8 @@ def test_crossover_zero_at_one_end_returns_that_end():
 
 
 def test_limit_vs_unary_pair_ordering_flips_at_crossover():
-    assert avg_len_limit_closed(0.33) < avg_len_ck(0.33, 1)
-    assert avg_len_limit_closed(0.34) > avg_len_ck(0.34, 1)
+    assert avg_len_cminus(0.33, math.inf) < avg_len_ck(0.33, 1)
+    assert avg_len_cminus(0.34, math.inf) > avg_len_ck(0.34, 1)
 
 
 def test_design_point_beats_best_golomb():
@@ -376,7 +424,7 @@ def test_adaptive_select_matches_direct_minimum():
         q = mean / (1.0 + mean)
         cminus = {f: by_q[q] for f, by_q in sums.items()} if q < 0.6 else {}
         excess = _select_excess(mean, cminus)
-        # the selector sums cminus series to within its own 1e-8
+        # within the reference series' 1e-10 and rounding
         assert excess <= 1e-8, (mean, adaptive_select(mean).label(), excess)
     # the defect case: ck k=20 wins only between two grid points
     assert adaptive_select(28.3) == analysis.CodeFamily("ck", 20)
@@ -398,15 +446,18 @@ def test_adaptive_select_matches_brute_force_minimum():
         means += _ck_crossover_means(k)
     for mean in means:
         q = mean / (1.0 + mean)
-        excess = _select_excess(mean, {f: analysis.family_avg_len(f, q, 1e-10) for f in CMINUS_ORDERS})
-        # the selector sums cminus series to within its own 1e-8
+        series = {f: avg_len_by_series(make_codec(f), q, 1e-10) for f in CMINUS_ORDERS}
+        excess = _select_excess(mean, series)
+        # within the reference series' 1e-10 and rounding
         assert excess <= 1e-8, (mean, adaptive_select(mean).label(), excess)
-    # past q-hat 0.9999 no cminus series is in the list: at mean 1e4 each sums
-    # for most of a second, from about mean 94547 none certifies within
-    # SERIES_MAX_SIGNATURES, and at mean 999 cminus2 already takes 3996 bits
-    # per pair and cminus10 18996, against ck's 22.8
+    # from q-hat 0.9999 on the cminus averages are the closed forms, checked
+    # against the series below: at mean 1e4 each series sums for most of a
+    # second, and from about mean 94547 none certifies within
+    # SERIES_MAX_SIGNATURES.  At mean 999 cminus2 already takes 3996 bits per
+    # pair and cminus10 18996, against ck's 22.8
     for mean in (1e4, 94_547.0, 1e5):
-        excess = _select_excess(mean, {})
+        q = mean / (1.0 + mean)
+        excess = _select_excess(mean, {f: avg_len_cminus(q, f.k) for f in CMINUS_ORDERS})
         assert excess <= 1e-12, (mean, adaptive_select(mean).label(), excess)
 
 
@@ -434,15 +485,12 @@ def test_adaptive_select_below_the_cap_is_uncapped(monkeypatch):
 
 
 def test_adaptive_select_leaves_the_cminus_memo_unbuilt():
-    # the series reads signature_lengths, which does not build the codec's
-    # coding memo; building it for nine orders costs more than a cold select
+    # the selector reads closed forms and builds no codec, so no coding memo:
+    # building it for nine orders costs more than a cold select
     make_codec.cache_clear()
     adaptive_select(0.3)
-    for k in range(2, 11):
-        codec = make_codec(analysis.CodeFamily("cminus", k))
-        assert "_rows" not in vars(codec), k
-    codec.encode((1, 2))
-    assert "_rows" in vars(codec)
+    analysis.best_averages_by_kind([0.05, 0.3, 0.9])
+    assert make_codec.cache_info().currsize == 0
 
 
 def test_adaptive_select_evaluates_each_candidate_once(monkeypatch):
@@ -464,22 +512,3 @@ def test_series_over_many_qs_is_the_series_at_each_q():
     qs = [0.3, 0.05, 0.95, 0.5, 0.3]  # a later q reuses the rows of an earlier one
     for codec in (CminusCodec(2), CminusCodec(7), LimitCodec(), CkCodec(3), GolombPairCodec(3)):
         assert avg_lens_by_series(codec, qs, 1e-9) == [avg_len_by_series(codec, q, 1e-9) for q in qs]
-
-
-def test_sweep_computes_each_cminus_row_once(monkeypatch, capsys):
-    from collections import Counter
-
-    from geompair import cminus_codec
-    from geompair.cli import main
-
-    calls = Counter()
-    signature_row = cminus_codec.signature_row
-
-    def counting(k, s):
-        calls[k, s] += 1
-        return signature_row(k, s)
-
-    monkeypatch.setattr(cminus_codec, "signature_row", counting)
-    assert main(["sweep"]) == 0
-    capsys.readouterr()
-    assert calls and max(calls.values()) == 1

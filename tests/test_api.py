@@ -25,9 +25,11 @@ PACKAGE = Path(geompair.__file__).resolve().parent
 # (module, dotted attribute) of each removed name; the codecs' ``encode``,
 # ``encode_to``, ``codeword``, ``decode``, ``decode_text`` and
 # ``signature_lengths`` replace them, ``CkCodec`` and ``GolombPairCodec``
-# are the only implementations of their codes, and the fringe-2 search, the
-# checks of oracle trees, the design-point shortcut and the q -> 1
-# asymptotics are test reference code (reference_theory)
+# are the only implementations of their codes, ``avg_len_cminus`` gives every
+# cminus and limit average in closed form, and the fringe-2 search, the
+# checks of oracle trees, the design-point shortcut, the q -> 1 asymptotics,
+# the certified series and the ck and Golomb signature lengths it reads are
+# test reference code (reference_theory)
 REMOVED = [
     ("geompair", "unary_encode"),
     ("geompair", "limit_decode"),
@@ -106,6 +108,19 @@ REMOVED = [
     ("geompair.oracle", "two_level_check"),
     ("geompair.oracle", "max_gap"),
     ("geompair.oracle", "gap_bound"),
+    ("geompair", "avg_len_by_series"),
+    ("geompair", "avg_len_limit_closed"),
+    ("geompair.analysis", "avg_len_by_series"),
+    ("geompair.analysis", "avg_lens_by_series"),
+    ("geompair.analysis", "_check_certifies"),
+    ("geompair.analysis", "NoConvergence"),
+    ("geompair.analysis", "SERIES_MAX_SIGNATURES"),
+    ("geompair.analysis", "_SELECT_SERIES_EPS"),
+    ("geompair.analysis", "avg_len_limit_closed"),
+    ("geompair.analysis", "make_codec"),
+    ("geompair.basecodes", "residue_signature_lengths"),
+    ("geompair.basecodes", "GolombPairCodec.signature_lengths"),
+    ("geompair.ck_codec", "CkCodec.signature_lengths"),
 ]
 
 
@@ -352,8 +367,8 @@ def test_commands_load_neither_future_nor_the_ascii_codec(tmp_path):
                                  ["oracle", "--q", "0.9"], ["sweep", "--out", str(csv)])
     ck = "0 ['geompair.bitio', 'geompair.basecodes', 'geompair.ck_codec', 'geompair.fringe2']"
     analysis = ck.replace("fringe2'", "fringe2', 'geompair.analysis'")
-    series = analysis.replace("ck_codec'", "ck_codec', 'geompair.cminus_codec'")  # sweep sums cminus series
-    assert lines == ["[]", "[]", ck, ck, "ck k=2", analysis, "9.408254 ± 3.20e-08", analysis, series, "True"]
+    # every average is a closed form: sweep loads no cminus codec
+    assert lines == ["[]", "[]", ck, ck, "ck k=2", analysis, "9.408254 ± 3.20e-08", analysis, analysis, "True"]
     assert dec.read_text() == "4 1\n0 0\n9 2\n"
     assert csv.read_text() == (Path(__file__).parent / "data" / "sweep_default.csv").read_text()
 

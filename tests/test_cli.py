@@ -21,6 +21,7 @@ from geompair.families import FAMILY_FROM_BYTE, CodeFamily, DataError, InvalidFa
 from geompair.oracle import SourceTooLarge, WeightUnderflow, build_truncated_source, truncated_huffman
 
 DATA = Path(__file__).parent / "data"
+SWEEP_HEADER = "q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"
 
 
 def run(capsys, *argv):
@@ -345,7 +346,7 @@ def test_sweep_csv(capsys):
                        "--step", "0.05", "--with-oracle")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"
+    assert lines[0] == SWEEP_HEADER
     fields = lines[1].split(",")
     assert fields[0] == "0.500000"
     assert fields[1] == "2.000000"
@@ -357,6 +358,15 @@ def test_sweep_default_csv_is_golden(capsys):
     code, out, _ = run(capsys, "sweep")
     assert code == 0
     assert out == (DATA / "sweep_default.csv").read_text()
+
+
+def test_sweep_near_1_csv_is_golden(capsys):
+    # ten rows up to mean 99999, each a closed form in every column
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sweep", "--q-lo", "0.9999", "--q-hi", "0.99999", "--step", "0.00001")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert out == (DATA / "sweep_near1.csv").read_text()
 
 
 def test_sweep_oracle_column_empty_without_flag(capsys):
@@ -479,13 +489,21 @@ def test_crossover_takes_any_family(capsys):
 
 
 def test_crossover_of_a_huge_cminus_order_is_prompt(capsys):
-    # cminus at a huge k codes every small signature as the limit code does;
-    # the series tail bound once started at signature k and never certified
+    # cminus at a huge k codes every small signature as the limit code does, and
+    # avg_len_cminus stops its t-sum long before such a k's periodic regime
     start = time.perf_counter()
     code, out, err = run(capsys, "crossover", "--model-a", "cminus99999999", "--model-b", "ck1")
     assert time.perf_counter() - start < 2.0
     assert code == 0, err
     assert out.strip() == "0.33715"
+    # an order of 4000 digits crosses ck1 where the limit code does, in a child
+    # so that a sum that never ends fails the test by its timeout
+    argv = ["crossover", "--model-b", "ck1", "--q-lo", "0.1", "--q-hi", "0.9"]
+    assert run(capsys, *argv, "--model-a", "limit") == (0, "0.33715\n", "")
+    start = time.perf_counter()
+    child = run_child("-m", "geompair.cli", *argv, "--model-a", "cminus" + "9" * 4000, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (child.returncode, child.stdout, child.stderr) == (0, "0.33715\n", "")
 
 
 @pytest.mark.parametrize(
@@ -567,7 +585,7 @@ def test_crossover_rejects_bad_models_and_ranges(capsys, argv):
 
 def test_every_library_refusal_is_a_data_error():
     refusals = [InvalidFamilyParam, analysis.QOutOfRange, analysis.MeanOutOfRange,
-                analysis.NoSignChange, analysis.NoConvergence, SourceTooLarge, WeightUnderflow]
+                analysis.NoSignChange, SourceTooLarge, WeightUnderflow]
     assert all(issubclass(cls, DataError) for cls in refusals)
     assert all(issubclass(cls, ValueError)
                for cls in (InvalidFamilyParam, analysis.QOutOfRange, analysis.MeanOutOfRange))
@@ -586,38 +604,47 @@ def test_crossover_tol_below_the_float_spacing_ends(capsys, model_a, model_b, q_
     assert (child.returncode, child.stdout, child.stderr) == (0, want, "")
 
 
-@pytest.mark.parametrize("argv", [
-    ["crossover", "--model-a", "cminus2", "--model-b", "ck1", "--q-lo", "0.1", "--q-hi", "0.999999"],
-    ["sweep", "--q-lo", "0.9999999", "--q-hi", "0.9999999"]])
-def test_series_that_cannot_certify_exits_2_promptly(argv):
+@pytest.mark.parametrize("argv, lines", [
+    (["crossover", "--model-a", "cminus2", "--model-b", "ck1", "--q-lo", "0.1", "--q-hi", "0.999999"],
+     ["0.38320"]),
+    (["sweep", "--q-lo", "0.9999999", "--q-hi", "0.9999999"], [SWEEP_HEADER, "1.000000,"])])
+def test_crossover_and_sweep_near_q_1_exit_0_promptly(argv, lines):
+    # every cminus average is a closed form, summed in a few dozen terms at any q
     start = time.perf_counter()
     child = run_child("-m", "geompair.cli", *argv, timeout=10)
     assert time.perf_counter() - start < 2.0
-    assert (child.returncode, child.stdout) == (2, "")
-    assert child.stderr.startswith("geompair: the series at q=") and child.stderr.count("\n") == 1
-    assert "eps=1e-09" in child.stderr and "5000000 signatures" in child.stderr
+    assert (child.returncode, child.stderr) == (0, "")
+    out = child.stdout.splitlines()
+    assert len(out) == len(lines) and all(line.startswith(want) for line, want in zip(out, lines))
 
 
-def test_series_whose_weight_stops_falling_exits_2_promptly():
-    # q^s sticks at a subnormal that q no longer lowers, long before the
-    # series' signature limit, and the tail bound never meets eps = 5e-324
+def test_sweep_with_a_subnormal_eps_exits_0_promptly():
+    # eps feeds only the oracle column, which this sweep leaves out
     start = time.perf_counter()
     child = run_child("-m", "geompair.cli", "sweep", "--q-lo", "0.8353469542309737",
                       "--q-hi", "0.8353469542309737", "--step", "0.2", "--eps", "5e-324", timeout=30)
     assert time.perf_counter() - start < 2.0
-    assert (child.returncode, child.stdout, child.stderr) == (
-        2, "", "geompair: series truncation did not certify\n")
+    assert (child.returncode, child.stderr) == (0, "")
+    header, row = child.stdout.splitlines()
+    assert header == SWEEP_HEADER and row.startswith("0.835347,")
 
 
 UNIT = st.floats(min_value=1e-300, max_value=1 - 2**-53)
-CLOSED_FORM_MODELS = st.just("limit") | st.builds("{}{}".format, st.sampled_from(["ck", "golomb"]),
-                                                  st.integers(1, 10**6) | st.integers(1, 10**400))
+
+
+def orders(lo):
+    return st.integers(lo, 10**6) | st.integers(lo, 10**400)
+
+
+CLOSED_FORM_MODELS = (st.just("limit")
+                      | st.builds("{}{}".format, st.sampled_from(["ck", "golomb"]), orders(1))
+                      | st.builds("cminus{}".format, orders(2)))
 
 
 @st.composite
 def analysis_argvs(draw):
-    """``select`` with any float mean, or ``crossover`` of two closed-form
-    models on any ordered range with any positive tol."""
+    """``select`` with any float mean, or ``crossover`` of any two models
+    on any ordered range with any positive tol."""
     if draw(st.booleans()):
         return ["select", f"--mean={draw(st.floats())!r}"]  # so that argparse takes "-1e+16"
     q_lo, q_hi = sorted(draw(st.lists(UNIT, min_size=2, max_size=2, unique=True)))

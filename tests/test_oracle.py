@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from reference_theory import avg_len_ck_design, gap_bound, lengths_by_signature, max_gap, two_level_check
 
-from geompair.analysis import avg_len_by_series
-from geompair.cminus_codec import CminusCodec
+from geompair.analysis import avg_len_cminus
 from geompair.oracle import (
     EmptySource,
     SourceTooLarge,
@@ -129,8 +128,7 @@ def test_oracle_matches_design_families(k):
     est, _ = oracle_optimal_avg_len(2 ** (-1 / k), 1e-9)
     assert abs(est - avg_len_ck_design(k)) < 1e-3
     est, _ = oracle_optimal_avg_len(2.0**-k, 1e-9)
-    series = avg_len_by_series(CminusCodec(k), 2.0**-k, 1e-10)
-    assert abs(est - series) < 1e-3
+    assert abs(est - avg_len_cminus(2.0**-k, k)) < 1e-3
 
 
 def test_two_level_check_passes_on_oracle_output():
