@@ -205,50 +205,48 @@ def crossover(avg_a, avg_b, q_lo: float, q_hi: float, tol: float = 1e-6) -> floa
     return 0.5 * (lo + hi)
 
 
-# candidate parameter ranges scanned by the selector
-_SELECT_CMINUS_MAX = 10
-
-
-def _ck_orders(q: float) -> range:
-    """The ck orders beside k* = -1/log2 q, the order whose design point is q:
-    floor(k*) - 1 to ceil(k*) + 1, clipped to [1, K_MAX], or K_MAX alone past
-    K_MAX + 1.  The least ck pair average lies within 1 of k* (the tests check
-    this against a wide scan), so two orders each side hold it."""
-    k_star = -1.0 / math.log2(q)
-    return range(min(max(1, math.floor(k_star) - 1), K_MAX), min(math.ceil(k_star) + 1, K_MAX) + 1)
+def _orders(k_star: float, lo: int) -> list[int]:
+    """floor(k*) - 1 to ceil(k*) + 1 clipped to [lo, K_MAX], nearest k* first:
+    the orders beside k*, ck's -1/log2 q or cminus's -log2 q, the order whose
+    design point is q.  Each family's least pair average lies within 1 of its
+    k* (the tests check both against wide scans), so two orders each side hold it."""
+    orders = range(min(max(lo, math.floor(k_star) - 1), K_MAX), min(math.ceil(k_star) + 1, K_MAX) + 1)
+    return sorted(orders, key=lambda k: abs(k - k_star))
 
 
 def _candidates(q: float) -> list[CodeFamily]:
-    cands = [CodeFamily("ck", k) for k in _ck_orders(q)]
-    if q < 0.55:  # the q = 2^(-k) family is hopeless above its range
-        cands += [CodeFamily("cminus", k) for k in range(2, _SELECT_CMINUS_MAX + 1)]
-        cands.append(CodeFamily("limit"))
-    # the Golomb pair average is unimodal in the order, so past the
-    # container's largest k the best encodable order is K_MAX
-    cands.append(CodeFamily("golomb", min(best_golomb_order(q), K_MAX)))
-    return cands
+    """What :func:`adaptive_select` scans at q, in its tie order: the ck and
+    cminus orders floor(k*) - 1 to ceil(k*) + 1 of :func:`_orders`, the limit
+    code, and the best Golomb order capped at K_MAX (its average is unimodal)."""
+    log_q = math.log2(q)
+    return ([CodeFamily("ck", k) for k in _orders(-1.0 / log_q, 1)]
+            + [CodeFamily("cminus", k) for k in _orders(-log_q, 2)]
+            + [CodeFamily("limit"), CodeFamily("golomb", min(best_golomb_order(q), K_MAX))])
 
 
 def best_averages_by_kind(qs) -> list[tuple[float, float, float, float]]:
-    """``(golomb, ck, cminus, limit)`` pair averages at each q of ``qs``:
-    the best Golomb order (uncapped), the least over the ck and cminus
-    orders that the selector scans at q, and the limit code."""
-    return [
-        (golomb_pair_avg_len(q, best_golomb_order(q)),
-         min(avg_len_ck(q, k) for k in _ck_orders(q)),
-         min(avg_len_cminus(q, k) for k in range(2, _SELECT_CMINUS_MAX + 1)),
-         avg_len_cminus(q, math.inf))
-        for q in qs
-    ]
+    """``(golomb, ck, cminus, limit)`` pair averages at each q of ``qs``: the
+    best Golomb order (uncapped), the least over the ck and cminus orders of
+    :func:`_orders` that the selector scans at q, and the limit code."""
+    return [(golomb_pair_avg_len(q, best_golomb_order(q)),
+             min(avg_len_ck(q, k) for k in _orders(-1.0 / math.log2(q), 1)),
+             min(avg_len_cminus(q, k) for k in _orders(-math.log2(q), 2)),
+             avg_len_cminus(q, math.inf)) for q in qs]
+
+
+# the closed forms round by a few ulps of their value, so a candidate whose
+# average is lower by no more than this share of it ties: cminus k and its
+# neighbours at q = 2^(-k), whose true averages differ far below an ulp
+_TIE = 8 * 2.0**-52
 
 
 def adaptive_select(mean: float) -> CodeFamily:
     """Family minimizing the pair average at the plug-in estimate
-    q = mean / (1 + mean) of the geometric parameter.
-
-    One exact scan of the candidate families at that q, for every mean;
-    mean 0 selects the limit code.  Every family it returns can be encoded:
-    its ck and Golomb candidates are capped at order K_MAX.
+    q = mean / (1 + mean), in one exact scan of :func:`_candidates` at q; mean
+    0 selects the limit code.  A later candidate displaces the best only when
+    its average is lower by more than _TIE = 8 * 2^-52 of it, so a float tie
+    goes to the order whose design point is nearest q.  Every family it
+    returns can be encoded: its candidates are capped at order K_MAX.
     """
     if not 0 <= mean < math.inf:  # also rejects nan
         raise MeanOutOfRange(f"mean must be finite and >= 0, got {mean}")
@@ -259,10 +257,9 @@ def adaptive_select(mean: float) -> CodeFamily:
         raise MeanOutOfRange(
             f"mean {mean} is too large: its estimate q = mean / (1 + mean) rounds to 1"
         )
-    best = None
-    best_len = math.inf
+    best, best_len = None, math.inf
     for fam in _candidates(q):
         length = family_avg_len(fam, q)
-        if length < best_len - 1e-12:
+        if length * (1.0 + _TIE) < best_len:
             best, best_len = fam, length
     return best

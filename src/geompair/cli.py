@@ -239,6 +239,9 @@ def cmd_sweep(args) -> int:
         if not 0.0 < point < 1.0:  # the grid rounds its points to 12 decimals
             raise DataError(f"{name} {bound} gives the grid point {point} at 12 decimals, "
                             "outside (0, 1)")
+    # the fewest decimals, 6 to the grid's own 12, that tell every point apart and from 1
+    places = next((p for p in range(6, 12) if len({f"{q:.{p}f}" for q in grid}) == len(grid)
+                   and float(f"{grid[-1]:.{p}f}") < 1.0), 12)
     lines = ["q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"]
     best = analysis.best_averages_by_kind(grid)
     for q, averages in zip(grid, best):  # golomb, ck, cminus, limit
@@ -248,7 +251,7 @@ def cmd_sweep(args) -> int:
             est, _ = oracle_optimal_avg_len(q, args.eps)
             opt = f"{analysis.redundancy_per_symbol(est, q):.6f}"
         reds = [f"{analysis.redundancy_per_symbol(avg, q):.6f}" for avg in averages]
-        lines.append(",".join([f"{q:.6f}", f"{ent:.6f}", opt, *reds]))
+        lines.append(",".join([f"{q:.{places}f}", f"{ent:.6f}", opt, *reds]))
     _write_text(args.out, "".join(line + "\n" for line in lines))
     return 0
 

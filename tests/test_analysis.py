@@ -2,6 +2,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_theory import (
     NoConvergence,
     asymptotic_redundancy,
@@ -16,7 +18,7 @@ from geompair import analysis
 from geompair.basecodes import GolombPairCodec, golomb_length
 from geompair.ck_codec import CkCodec
 from geompair.cminus_codec import CminusCodec, LimitCodec
-from geompair.families import K_MAX, CodeFamily, DataError, make_codec
+from geompair.families import FAMILY_BYTES, K_MAX, CodeFamily, DataError, make_codec
 from geompair.analysis import (
     NoSignChange,
     QOutOfRange,
@@ -373,19 +375,34 @@ def _wide_ck_orders(q):
     return range(1, min(math.ceil(4 * k_star) + 64, K_MAX) + 1)
 
 
-def _select_excess(mean, cminus):
+def _wide_cminus_orders(q):
+    """cminus orders far past the selector's, independent of ``_orders``: 2 to
+    ceil(4 k*) + 64 with k* = -log2 q, capped at K_MAX."""
+    return range(2, min(math.ceil(-4 * math.log2(q)) + 64, K_MAX) + 1)
+
+
+def _ck_orders(q):
+    return analysis._orders(-1.0 / math.log2(q), 1)
+
+
+def _cminus_orders(q):
+    return analysis._orders(-math.log2(q), 2)
+
+
+def _select_excess(mean, series):
     """How far the pair average of ``adaptive_select(mean)`` lies above the
     least over an explicit family list of encodable orders, independent of
-    ``_candidates``: the wide ck scan, the best Golomb order and its
-    neighbours up to K_MAX, the limit code, and the cminus averages in
-    ``cminus``."""
+    ``_candidates``: the wide ck and cminus scans, the best Golomb order and
+    its neighbours up to K_MAX, and the limit code.  ``series`` maps cminus
+    orders to reference sums that replace their closed forms."""
     q = mean / (1.0 + mean)
     lengths = {CodeFamily("ck", k): avg_len_ck(q, k) for k in _wide_ck_orders(q)}
     best = _best_golomb_order_loop(q)
     for k in range(max(1, min(best, K_MAX) - 1), min(best + 1, K_MAX) + 1):
         lengths[CodeFamily("golomb", k)] = golomb_pair_avg_len(q, k)
     lengths[CodeFamily("limit")] = avg_len_limit_closed(q)
-    lengths.update(cminus)
+    lengths.update({CodeFamily("cminus", k): avg_len_cminus(q, k) for k in _wide_cminus_orders(q)})
+    lengths.update(series)
     return lengths[adaptive_select(mean)] - min(lengths.values())
 
 
@@ -395,18 +412,68 @@ def test_ck_orders_hold_the_least_ck_average():
     # they are K_MAX alone, the best encodable order of a unimodal average
     for e in range(-64, 81):
         q = 10 ** (e / 16) / (1.0 + 10 ** (e / 16))
-        orders = analysis._ck_orders(q)
-        assert 1 <= orders[0] and orders[-1] <= K_MAX and len(orders) <= 4, (e, orders)
+        orders = _ck_orders(q)
+        assert 1 <= min(orders) and max(orders) <= K_MAX and len(orders) <= 4, (e, orders)
         least = min(avg_len_ck(q, k) for k in _wide_ck_orders(q))
         assert min(avg_len_ck(q, k) for k in orders) == least, (e, orders)
-    assert analysis._ck_orders(1e5 / (1.0 + 1e5)) == range(K_MAX, K_MAX + 1)
-    assert analysis._ck_orders(2 ** (-1 / (K_MAX + 1.5))) == range(K_MAX, K_MAX + 1)
-    assert analysis._ck_orders(2 ** (-1 / (K_MAX + 0.5))) == range(K_MAX - 1, K_MAX + 1)
-    assert analysis._ck_orders(0.5) == range(1, 3)
-    assert analysis._ck_orders(1e-300) == range(1, 3)
+    assert _ck_orders(1e5 / (1.0 + 1e5)) == [K_MAX]
+    assert _ck_orders(2 ** (-1 / (K_MAX + 1.5))) == [K_MAX]
+    assert _ck_orders(2 ** (-1 / (K_MAX + 0.5))) == [K_MAX, K_MAX - 1]
+    assert _ck_orders(0.5) == [1, 2]
+    assert _ck_orders(1e-300) == [1, 2]
 
 
-CMINUS_ORDERS = [CodeFamily("cminus", k) for k in range(2, 11)]
+def test_cminus_orders_hold_the_least_cminus_average():
+    # means 10^(e/16) from 1e-4 to 1e5, and down to the least positive float:
+    # the orders beside k* = -log2 q hold the least average of the wide scan,
+    # as the same float, nearest k* first
+    for mean in [10 ** (e / 16) for e in range(-64, 81)] + [1e-20, 1e-300, 5e-324]:
+        q = mean / (1.0 + mean)
+        orders = _cminus_orders(q)
+        assert 2 <= min(orders) and max(orders) <= K_MAX and len(orders) <= 4, (mean, orders)
+        least = min(avg_len_cminus(q, k) for k in _wide_cminus_orders(q))
+        assert min(avg_len_cminus(q, k) for k in orders) == least, (mean, orders)
+    assert _cminus_orders(2.0**-7) == [7, 6, 8]
+    assert _cminus_orders(0.3) == [2, 3]
+    assert _cminus_orders(0.5) == [2]
+    assert _cminus_orders(5e-324) == [1074, 1073, 1075]
+
+
+def test_adaptive_select_names_the_paper_code_at_its_design_points():
+    # cminus k is optimal at q = 2^(-k) and ck k at q = 2^(-1/k); at the former
+    # the neighbouring cminus orders tie with it to rounding
+    for k in range(2, 21):
+        q = 2.0**-k
+        assert adaptive_select(q / (1.0 - q)) == CodeFamily("cminus", k), k
+    assert adaptive_select(5e-324) == CodeFamily("cminus", 1074)  # q = 2^-1074
+    for k in [*range(1, 200), 256, 693, 1000, 4096, 65535]:
+        q = 2 ** (-1 / k)
+        assert adaptive_select(q / (1.0 - q)) == CodeFamily("ck", k), k
+
+
+@pytest.mark.parametrize("below, want", [(4, ("cminus", 7)), (16, ("cminus", 6))])
+def test_adaptive_select_keeps_the_nearest_order_within_the_tie_bound(monkeypatch, below, want):
+    # at q = 2^-7 cminus 7 comes before its neighbour cminus 6, and keeps its
+    # place unless cminus 6 is lower by more than _TIE = 8 * 2^-52 of it
+    lengths = {CodeFamily("cminus", 7): 1.0, CodeFamily("cminus", 6): 1.0 - below * 2.0**-52}
+    monkeypatch.setattr(analysis, "family_avg_len", lambda family, q: lengths.get(family, 2.0))
+    assert adaptive_select(2.0**-7 / (1.0 - 2.0**-7)) == CodeFamily(*want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(1e-300), math.log(1e6)).map(math.exp))
+def test_adaptive_select_is_encodable_and_least_within_the_tie_bound(mean):
+    fam = adaptive_select(mean)
+    assert fam.kind in FAMILY_BYTES and (fam.k is None or 1 <= fam.k <= K_MAX)
+    q = mean / (1.0 + mean)
+    length = family_avg_len(fam, q)
+    least = min(family_avg_len(f, q) for f in analysis._candidates(q))
+    assert math.isfinite(length) and length <= least * (1.0 + analysis._TIE), (mean, fam)
+
+
+# every cminus order that select names at the means of the two tests below
+# (cminus 20 at mean 1e-6), and four past it, summed by the reference series
+CMINUS_ORDERS = [CodeFamily("cminus", k) for k in range(2, 25)]
 
 
 def test_adaptive_select_matches_direct_minimum():
@@ -444,10 +511,10 @@ def test_adaptive_select_matches_brute_force_minimum():
     means += [0.1, 0.3, 0.5, 1.0, 3.0, 28.3]
     for k in (1, 2, 5, 10, 19, 20, 33, 63):
         means += _ck_crossover_means(k)
-    for mean in means:
-        q = mean / (1.0 + mean)
-        series = {f: avg_len_by_series(make_codec(f), q, 1e-10) for f in CMINUS_ORDERS}
-        excess = _select_excess(mean, series)
+    qs = [mean / (1.0 + mean) for mean in means]
+    sums = {f: avg_lens_by_series(make_codec(f), qs, 1e-10) for f in CMINUS_ORDERS}
+    for i, mean in enumerate(means):
+        excess = _select_excess(mean, {f: by_q[i] for f, by_q in sums.items()})
         # within the reference series' 1e-10 and rounding
         assert excess <= 1e-8, (mean, adaptive_select(mean).label(), excess)
     # from q-hat 0.9999 on the cminus averages are the closed forms, checked
@@ -456,8 +523,7 @@ def test_adaptive_select_matches_brute_force_minimum():
     # SERIES_MAX_SIGNATURES.  At mean 999 cminus2 already takes 3996 bits per
     # pair and cminus10 18996, against ck's 22.8
     for mean in (1e4, 94_547.0, 1e5):
-        q = mean / (1.0 + mean)
-        excess = _select_excess(mean, {f: avg_len_cminus(q, f.k) for f in CMINUS_ORDERS})
+        excess = _select_excess(mean, {})
         assert excess <= 1e-12, (mean, adaptive_select(mean).label(), excess)
 
 

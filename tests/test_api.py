@@ -121,6 +121,8 @@ REMOVED = [
     ("geompair.basecodes", "residue_signature_lengths"),
     ("geompair.basecodes", "GolombPairCodec.signature_lengths"),
     ("geompair.ck_codec", "CkCodec.signature_lengths"),
+    ("geompair.analysis", "_SELECT_CMINUS_MAX"),
+    ("geompair.analysis", "_ck_orders"),
 ]
 
 

@@ -53,8 +53,8 @@ def test_encode_limit_example(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "family,k",
-    [("ck", 1), ("ck", 3), ("cminus", 2), ("cminus", 4), ("limit", 0), ("golomb", 2)],
+    "family,k",  # cminus 1074 is select's pick at the least positive mean, 5e-324
+    [("ck", 1), ("ck", 3), ("cminus", 2), ("cminus", 4), ("cminus", 1074), ("limit", 0), ("golomb", 2)],
 )
 def test_encode_decode_roundtrip(tmp_path, capsys, family, k):
     tokens = "0 0 7 3 12 0 1 99 40 41 5 5"
@@ -369,6 +369,18 @@ def test_sweep_near_1_csv_is_golden(capsys):
     assert out == (DATA / "sweep_near1.csv").read_text()
 
 
+@pytest.mark.parametrize("argv, labels", [
+    (["--q-lo", "0.9999999", "--q-hi", "0.9999999"], ["0.9999999"]),
+    (["--q-lo", "0.5", "--q-hi", "0.5000005", "--step", "0.0000001"], [f"0.500000{i}" for i in range(6)]),
+    (["--q-lo", "0.3", "--q-hi", "0.300000000003", "--step", "1e-12"], [f"0.30000000000{i}" for i in range(4)]),
+    (["--q-lo", "0.25", "--q-hi", "0.75", "--step", "0.25"], ["0.250000", "0.500000", "0.750000"])])
+def test_sweep_labels_tell_the_grid_points_apart_and_from_1(capsys, argv, labels):
+    # the fewest decimals from 6 that do, up to the 12 that the grid rounds to
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == labels
+
+
 def test_sweep_oracle_column_empty_without_flag(capsys):
     code, out, _ = run(capsys, "sweep", "--q-lo", "0.3", "--q-hi", "0.3", "--step", "0.1")
     assert code == 0
@@ -607,7 +619,7 @@ def test_crossover_tol_below_the_float_spacing_ends(capsys, model_a, model_b, q_
 @pytest.mark.parametrize("argv, lines", [
     (["crossover", "--model-a", "cminus2", "--model-b", "ck1", "--q-lo", "0.1", "--q-hi", "0.999999"],
      ["0.38320"]),
-    (["sweep", "--q-lo", "0.9999999", "--q-hi", "0.9999999"], [SWEEP_HEADER, "1.000000,"])])
+    (["sweep", "--q-lo", "0.9999999", "--q-hi", "0.9999999"], [SWEEP_HEADER, "0.9999999,"])])
 def test_crossover_and_sweep_near_q_1_exit_0_promptly(argv, lines):
     # every cminus average is a closed form, summed in a few dozen terms at any q
     start = time.perf_counter()

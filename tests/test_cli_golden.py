@@ -36,7 +36,9 @@ CONTAINERS = {
     "golomb3": ["--family", "golomb", "--k", "3"],
 }
 
-SELECT_MEANS = ["0.01", "0.3", "1.0", "4.0", "25.0", "100.0", "1000.0", "100000.0"]
+# the last three have q-hat 2^-7, 2^-12 and about 2^-66.4: select names cminus 7, 12 and 66
+SELECT_MEANS = ["0.01", "0.3", "1.0", "4.0", "25.0", "100.0", "1000.0", "100000.0",
+                "0.007874015748031496", "0.0002442002442002442", "1e-20"]
 
 
 def run(capsys, *argv):
