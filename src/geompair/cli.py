@@ -26,7 +26,6 @@ MAGIC = b"TDGD"
 VERSION = 1
 HEADER = struct.Struct("<4sBBHQ")
 
-ORACLE_Q_CAP = 0.95
 MAX_ROWS = 10**6  # rows of a params or lengths table, points of a sweep grid
 
 
@@ -212,16 +211,16 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    end = hi + 1e-12
-    if (end - lo) / step >= MAX_ROWS:  # checked before the grid is built
+    """The points lo + n step at 12 decimals, each above the last and at most hi's."""
+    end = round(hi, 12)
+    # checked before the grid is built: the walk ends past end by half a 12th decimal
+    if (end - lo + 0.5e-12) / step >= MAX_ROWS:
         raise DataError(f"step {step} over [{lo}, {hi}] makes more than {MAX_ROWS} grid points")
     out = []
     n = 0
-    while True:
-        q = lo + n * step
-        if q > end:
-            break
-        out.append(round(q, 12))
+    while (q := round(lo + n * step, 12)) <= end:
+        if not out or q > out[-1]:
+            out.append(q)
         n += 1
     return out
 
@@ -247,7 +246,7 @@ def cmd_sweep(args) -> int:
     for q, averages in zip(grid, best):  # golomb, ck, cminus, limit
         ent = analysis.entropy_per_symbol(q)
         opt = ""
-        if args.with_oracle and q <= ORACLE_Q_CAP:
+        if args.with_oracle:
             est, _ = oracle_optimal_avg_len(q, args.eps)
             opt = f"{analysis.redundancy_per_symbol(est, q):.6f}"
         reds = [f"{analysis.redundancy_per_symbol(avg, q):.6f}" for avg in averages]
@@ -257,15 +256,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import DEFAULT_SYMBOL_CAP, oracle_optimal_avg_len
+    from .oracle import DEFAULT_RUN_CAP, oracle_optimal_avg_len
 
-    if args.cap is not None and args.cap < 1:
-        raise DataError(f"cap must be at least 1 symbol, got {args.cap}")
     _check_unit("q", args.q)
-    if args.q > ORACLE_Q_CAP:
-        raise DataError(f"oracle runs are capped at q <= {ORACLE_Q_CAP}")
     _check_unit("eps", args.eps)
-    cap = DEFAULT_SYMBOL_CAP if args.cap is None else args.cap
+    cap = DEFAULT_RUN_CAP if args.cap is None else args.cap
     est, unc = oracle_optimal_avg_len(args.q, args.eps, cap)
     print(f"{est:.6f} ± {unc:.2e}")
     return 0
@@ -373,7 +368,7 @@ COMMANDS = {
     "oracle": Command(cmd_oracle, "truncated-Huffman optimal-length estimate", (
         Option("--q", float, required=True),
         Option("--eps", float, 1e-9),
-        Option("--cap", int, help="symbol cap (default: the oracle's)"),
+        Option("--cap", int, help="run cap (default: the oracle's)"),
     )),
     "crossover": Command(cmd_crossover, "bisect two families' average lengths", (
         Option("--model-a", default="limit", help=_MODEL_HELP),

@@ -45,8 +45,10 @@ def signature_row(k: int, s: int) -> tuple[int, int, int, int]:
 
     Periodic regime (s >= 2^(k-1) - 1): write
     s = 2^(k-1) - 1 + (2^k - 1) l + j with 0 <= j < 2^k - 1; then
-    Lambda_s = (s+2)k - 2^k and the counts cycle through five phases in
-    j.  In every phase the counts sum to s + 1, one codeword per pair.
+    Lambda_s = (s+2)k - 2^k and n_long depends only on the phase j: it is
+    2j + 1, plus 1 at j = 2^(k-1) - 2 and at j = 2^k - 2, less 2^k - 1
+    from j = 2^(k-1) - 1 on.  In both regimes n_short = s + 1 - n_long,
+    one codeword per pair.
 
     D_s = 2^Lambda_s - A_s is the Kraft deficit at signature s: A_s is the
     first canonical value at length Lambda_s, so the short block starts at
@@ -61,24 +63,15 @@ def signature_row(k: int, s: int) -> tuple[int, int, int, int]:
     if i < k - 1:  # s <= 2^(k-1) - 2, without building 2^(k-1) for a large k
         j = s + 1 - (1 << i)
         lam = (s + 2) * (i + 1) - (1 << (i + 1))
-        return lam, (1 << i) - j - 1, 2 * j + 1, 1 << i
-
-    half = 1 << (k - 1)
-    full = (1 << k) - 1
-    ell, j = divmod(s - (half - 1), full)
-    lam = (s + 2) * k - (full + 1)
-    base = full * ell
-    if j <= half - 3:
-        n_short, n_long = base + half - j - 1, 2 * j + 1
-    elif j == half - 2:
-        n_short, n_long = base, 2 * half - 2
-    elif j <= full - 3:
-        n_short, n_long = base + 3 * half - 2 - j, 2 * j + 2 - 2 * half
-    elif j == full - 2:
-        n_short, n_long = base + half + 1, 2 * half - 4
-    else:  # j == full - 1
-        n_short, n_long = base + half - 1, full
-    return lam, n_short, n_long, (ell << k) + (half if j <= half - 2 else full + 1)
+        n_long, deficit = 2 * j + 1, 1 << i
+    else:
+        half = 1 << (k - 1)
+        full = 2 * half - 1
+        ell, j = divmod(s + 1 - half, full)
+        lam = (s + 2) * k - (full + 1)
+        n_long = 2 * j + 1 + (j == half - 2) + (j == full - 1) - full * (j >= half - 1)
+        deficit = (ell << k) + (half if j <= half - 2 else full + 1)
+    return lam, s + 1 - n_long, n_long, deficit
 
 
 def signature_length_row(k: int, s: int) -> SignatureLengthRow:
@@ -101,11 +94,9 @@ def _lowest_signature(k: int, u: int) -> int:
     slope k on the periodic regime, so inverting it is a ceiling division.
     k may be math.inf, the limit code's order, whose regime is all initial.
     """
-    i = 0
-    while i << (i + 1) < u:
+    i = 0  # i = k - 1 for a u beyond the initial regime's last Lambda, (k - 2) 2^(k-1)
+    while i < k - 1 and i << (i + 1) < u:
         i += 1
-    if i > k - 2:  # u beyond the initial regime's last Lambda, (k - 2) 2^(k-1)
-        return max((1 << (k - 1)) - 1, -(-(u + (1 << k)) // k) - 2)
     return max((1 << i) - 1, -(-(u + (2 << i)) // (i + 1)) - 2)
 
 

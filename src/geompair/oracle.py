@@ -28,7 +28,7 @@ from .families import DataError, _check_q
 
 
 class SourceTooLarge(DataError):
-    """Truncated alphabet would exceed the configured symbol cap."""
+    """Truncated alphabet would need more runs than the configured cap."""
 
 
 class WeightUnderflow(DataError):
@@ -41,7 +41,7 @@ class EmptySource(ValueError):
 
 TAIL = -1  # signature label of the virtual tail symbol
 
-DEFAULT_SYMBOL_CAP = 5_000_000
+DEFAULT_RUN_CAP = 1 << 15  # runs a truncation may keep: S + 2 at signature S, the tail included
 
 
 def tail_fraction(q: float, s_max: int) -> float:
@@ -58,7 +58,7 @@ class TruncatedSource(namedtuple("TruncatedSource", "q s_max runs tail_weight"))
     1/(1-q)^2): signature s is s + 1 symbols of weight q^s, and the tail
     (signature -1, weight ``tail_weight``) is one symbol, placed after
     every run of at least its weight.  ``weights`` expands the runs
-    symbol by symbol.
+    symbol by symbol, (S + 1)(S + 2)/2 + 1 floats.
     """
 
     __slots__ = ()
@@ -69,17 +69,17 @@ class TruncatedSource(namedtuple("TruncatedSource", "q s_max runs tail_weight"))
 
 
 def build_truncated_source(
-    q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP
+    q: float, eps: float, cap: int = DEFAULT_RUN_CAP
 ) -> TruncatedSource:
-    """Smallest truncation whose tail mass fraction is below eps."""
+    """Smallest truncation whose tail mass fraction is below eps, in at most ``cap`` runs."""
     _check_q(q)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
     s_max = 0  # the cap also bounds this loop as q nears 1
-    while (s_max + 1) * (s_max + 2) // 2 <= cap and tail_fraction(q, s_max) >= eps:
+    while s_max + 2 <= cap and tail_fraction(q, s_max) >= eps:
         s_max += 1
-    if (s_max + 1) * (s_max + 2) // 2 > cap:
-        raise SourceTooLarge(f"truncation at S={s_max} exceeds cap of {cap} symbols")
+    if s_max + 2 > cap:
+        raise SourceTooLarge(f"truncation at S={s_max} exceeds cap of {cap} runs")
     runs = [(q**s, s, s + 1) for s in range(s_max + 1)]
     tail = tail_fraction(q, s_max) / (1.0 - q) ** 2
     if not (runs[-1][0] > 0.0 and tail > 0.0):
@@ -251,13 +251,13 @@ def _merge_source(q: float, eps: float, cap: int):
     return src, runs, taken, (1.0 - q) ** 2 * total, eps * (depth + 2), depth
 
 
-def truncated_huffman(q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP) -> OracleCode:
+def truncated_huffman(q: float, eps: float, cap: int = DEFAULT_RUN_CAP) -> OracleCode:
     src, runs, taken, *stats = _merge_source(q, eps, cap)
     return OracleCode(src, _depth_pass(runs, taken), *stats)
 
 
 def oracle_optimal_avg_len(
-    q: float, eps: float, cap: int = DEFAULT_SYMBOL_CAP
+    q: float, eps: float, cap: int = DEFAULT_RUN_CAP
 ) -> tuple[float, float]:
     """Huffman average on the truncated source and its reported uncertainty."""
     _, _, _, avg, uncertainty, _ = _merge_source(q, eps, cap)

@@ -35,6 +35,9 @@ to a certified tail bound, from the codec's per-signature lengths
 hold ``geompair.analysis``'s closed forms to.  :func:`avg_len_limit_closed`
 is the limit code's average as the t-sum of its classes, the reference for
 ``avg_len_cminus`` at k = inf.
+
+:func:`signature_row_by_phases` is the cminus row with its periodic regime
+as five phase branches, the reference for ``signature_row``'s phase rule.
 """
 
 import math
@@ -500,3 +503,36 @@ def avg_len_limit_closed(q: float) -> float:
         if term < 1e-18 or t > 100:  # t ~ 60 suffices even for q near 1
             break
     return 1.0 + acc / (1.0 - q)
+
+
+# ---------------------------------------------------------------------------
+# The cminus rows by phase
+# ---------------------------------------------------------------------------
+
+
+def signature_row_by_phases(k: int, s: int) -> tuple[int, int, int, int]:
+    """``geompair.cminus_codec.signature_row(k, s)`` with the periodic regime's
+    counts written out in its five phases: s = 2^(k-1) - 1 + (2^k - 1) l + j
+    with j below 2^(k-1) - 2, at it, from 2^(k-1) - 1 to 2^k - 4, at 2^k - 3,
+    and at 2^k - 2, each with its own n_short."""
+    i = (s + 1).bit_length() - 1
+    if i < k - 1:
+        j = s + 1 - (1 << i)
+        lam = (s + 2) * (i + 1) - (1 << (i + 1))
+        return lam, (1 << i) - j - 1, 2 * j + 1, 1 << i
+    half = 1 << (k - 1)
+    full = (1 << k) - 1
+    ell, j = divmod(s - (half - 1), full)
+    lam = (s + 2) * k - (full + 1)
+    base = full * ell
+    if j <= half - 3:
+        n_short, n_long = base + half - j - 1, 2 * j + 1
+    elif j == half - 2:
+        n_short, n_long = base, 2 * half - 2
+    elif j <= full - 3:
+        n_short, n_long = base + 3 * half - 2 - j, 2 * j + 2 - 2 * half
+    elif j == full - 2:
+        n_short, n_long = base + half + 1, 2 * half - 4
+    else:  # j == full - 1
+        n_short, n_long = base + half - 1, full
+    return lam, n_short, n_long, (ell << k) + (half if j <= half - 2 else full + 1)

@@ -43,7 +43,8 @@ from geompair.cminus_codec import (
 )
 from geompair.families import CodeFamily
 from geompair.fringe2 import top_code_params
-from geompair.oracle import _depth_pass, _merge_pass, truncated_huffman
+from geompair.oracle import (DEFAULT_RUN_CAP, _depth_pass, _merge_pass, oracle_optimal_avg_len,
+                             truncated_huffman)
 
 
 @contextmanager
@@ -242,23 +243,25 @@ def test_criterion_12_oracle_tree_structure():
 
 def test_criterion_13_huffman_ground_truth_above_095():
     with criterion(13, "Huffman ground truth above q = 0.95"):
-        # ck design points k = 14, 20, 34 (q ~ 0.9517, 0.9659, 0.9798):
-        # the run-length oracle reaches past the CLI's q <= 0.95 cap, so
-        # design-point optimality and the asymptotic redundancy band are
-        # checked against an actual Huffman code, not only the formulas
+        # ck design points k = 14 .. 1024 (q ~ 0.9517 .. 0.99932): design-point
+        # optimality and the asymptotic redundancy band are checked against
+        # an actual Huffman code, not only the formulas
         lo, hi = 0.014159, 0.014583  # criterion 10's oscillation extremes
-        for k in (14, 20, 34):
+        for k in (14, 20, 34, 64, 128, 256, 512, 1024):
             q = 2 ** (-1 / k)
-            code = oracle_at(q)
-            est = code.avg_len_pair
-            assert abs(est - avg_len_ck_design(k)) <= code.uncertainty
-            assert est <= min(rival_avg_lens(q)) + code.uncertainty
+            # k = 1024 truncates at S = 35 366, past the default cap of 2^15 runs
+            cap = 1 << 16 if k == 1024 else DEFAULT_RUN_CAP
+            est, uncertainty = oracle_optimal_avg_len(q, 1e-9, cap)
+            assert abs(est - avg_len_ck_design(k)) <= uncertainty, (k, est - avg_len_ck_design(k))
+            assert est <= min(rival_avg_lens(q)) + uncertainty, k
             red = 0.5 * est - entropy_per_symbol(q)
             assert lo - 1e-5 <= red <= hi + 1e-5, (k, red)
-            s_checked = code.source.s_max // 2
-            ok, witnesses = two_level_check(lengths_by_signature(code), s_checked)
-            assert ok, witnesses
-            assert max_gap(lengths_by_signature(code), s_checked) == 0
+            if k <= 34:  # symbol by symbol: at k = 1024 this would expand about 6e8 symbols
+                code = oracle_at(q)
+                s_checked = code.source.s_max // 2
+                ok, witnesses = two_level_check(lengths_by_signature(code), s_checked)
+                assert ok, witnesses
+                assert max_gap(lengths_by_signature(code), s_checked) == 0
 
 
 def _exact_design_source(k, s_max):

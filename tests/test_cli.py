@@ -18,7 +18,8 @@ from geompair import analysis
 from geompair.bitio import BitReader
 from geompair.cli import COMMANDS, HEADER, MAGIC, ParseError, _scan, _tokens, build_parser, main
 from geompair.families import FAMILY_FROM_BYTE, CodeFamily, DataError, InvalidFamilyParam, make_codec
-from geompair.oracle import SourceTooLarge, WeightUnderflow, build_truncated_source, truncated_huffman
+from geompair.oracle import (SourceTooLarge, WeightUnderflow, build_truncated_source,
+                             oracle_optimal_avg_len, truncated_huffman)
 
 DATA = Path(__file__).parent / "data"
 SWEEP_HEADER = "q,entropy,opt_est,red_golomb_best,red_ck_best,red_cminus_best,red_limit"
@@ -373,9 +374,14 @@ def test_sweep_near_1_csv_is_golden(capsys):
     (["--q-lo", "0.9999999", "--q-hi", "0.9999999"], ["0.9999999"]),
     (["--q-lo", "0.5", "--q-hi", "0.5000005", "--step", "0.0000001"], [f"0.500000{i}" for i in range(6)]),
     (["--q-lo", "0.3", "--q-hi", "0.300000000003", "--step", "1e-12"], [f"0.30000000000{i}" for i in range(4)]),
-    (["--q-lo", "0.25", "--q-hi", "0.75", "--step", "0.25"], ["0.250000", "0.500000", "0.750000"])])
+    (["--q-lo", "0.25", "--q-hi", "0.75", "--step", "0.25"], ["0.250000", "0.500000", "0.750000"]),
+    (["--q-lo", "0.5", "--q-hi", "0.5", "--step", "1e-13"], ["0.500000"]),
+    (["--q-lo", "0.5", "--q-hi", "0.500000000003", "--step", "4e-13"],
+     [f"0.50000000000{i}" for i in range(4)])])
 def test_sweep_labels_tell_the_grid_points_apart_and_from_1(capsys, argv, labels):
-    # the fewest decimals from 6 that do, up to the 12 that the grid rounds to
+    # the fewest decimals from 6 that do, up to the 12 that the grid rounds to;
+    # a step below those 12 walks several points onto one rounded value, each
+    # kept once, and none past q-hi's own rounded value
     code, out, _ = run(capsys, "sweep", *argv)
     assert code == 0
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == labels
@@ -461,18 +467,26 @@ def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--q", "0.5", "--eps", "1e-9")
     assert code == 0
     assert out.startswith("4.000000 ±")
-    code, _, _ = run(capsys, "oracle", "--q", "0.99")
-    assert code == 2
+    # above q = 0.95 too, the library's value
+    assert run(capsys, "oracle", "--q", "0.99") == (0, "16.187434 ± 3.20e-08\n", "")
+    est, unc = oracle_optimal_avg_len(0.99, 1e-9)
+    assert f"{est:.6f} ± {unc:.2e}" == "16.187434 ± 3.20e-08"
+    # q = 0.98 at eps = 1e-9 truncates at S = 1184, in 1186 runs
+    assert run(capsys, "oracle", "--q", "0.98", "--cap", "1186")[:2] == (0, "14.172895 ± 3.20e-08\n")
+    assert run(capsys, "oracle", "--q", "0.98", "--cap", "1185") == (
+        2, "", "geompair: truncation at S=1184 exceeds cap of 1185 runs\n")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_oracle_cap_below_one_symbol_exits_2(capsys, cap):
-    # q = 0.01 at eps = 0.9 keeps one symbol (S = 0): only a cap below 1 is exceeded
-    code, out, err = run(capsys, "oracle", "--q", "0.01", "--eps", "0.9", "--cap", cap)
-    assert code == 2
-    assert out == ""
-    assert err == f"geompair: cap must be at least 1 symbol, got {cap}\n"
-    code, out, _ = run(capsys, "oracle", "--q", "0.01", "--eps", "0.9", "--cap", "1")
+    # q = 0.01 at eps = 0.9 keeps one symbol and the tail (S = 0), in 2 runs:
+    # a cap below 2 is exceeded, a cap below one symbol too
+    for below in (cap, "1"):
+        code, out, err = run(capsys, "oracle", "--q", "0.01", "--eps", "0.9", "--cap", below)
+        assert code == 2
+        assert out == ""
+        assert err == f"geompair: truncation at S=0 exceeds cap of {below} runs\n"
+    code, out, _ = run(capsys, "oracle", "--q", "0.01", "--eps", "0.9", "--cap", "2")
     assert code == 0
     assert out == "1.000000 ± 2.70e+00\n"
 
@@ -534,20 +548,22 @@ def test_eps_outside_unit_interval_exits_2(capsys, argv):
 @pytest.mark.parametrize("q, message", [
     ("0", "q must lie in (0, 1), got 0.0"), ("-1", "q must lie in (0, 1), got -1.0"),
     ("nan", "q must lie in (0, 1), got nan"), ("inf", "q must lie in (0, 1), got inf"),
-    ("1", "q must lie in (0, 1), got 1.0"), ("0.96", "oracle runs are capped at q <= 0.95"),
-    ("0.99", "oracle runs are capped at q <= 0.95"),
+    ("1", "q must lie in (0, 1), got 1.0"),
+    ("0.9999", "truncation at S=32767 exceeds cap of 32768 runs"),
 ])
 def test_oracle_q_outside_its_range_exits_2(capsys, q, message):
     code, out, err = run(capsys, "oracle", "--q", q)
     assert (code, out, err) == (2, "", f"geompair: {message}\n")
 
 
-def test_sweep_oracle_beyond_its_symbol_cap_exits_2(capsys):
-    code, out, err = run(capsys, "sweep", "--with-oracle", "--eps", "1e-300",
-                         "--q-lo", "0.9", "--q-hi", "0.9")
+def test_sweep_oracle_beyond_its_run_cap_exits_2(capsys):
+    # q = 0.9999 truncates past the 2^15 runs of the oracle's cap; the sweep
+    # writes none of its rows, not even the one of q = 0.99, which fits
+    code, out, err = run(capsys, "sweep", "--with-oracle", "--q-lo", "0.99", "--q-hi", "0.9999",
+                         "--step", "0.0099")
     assert code == 2
     assert out == ""
-    assert "exceeds cap" in err
+    assert err == "geompair: truncation at S=32767 exceeds cap of 32768 runs\n"
 
 
 def test_oracle_of_weights_that_underflow_exits_2(capsys):
@@ -843,7 +859,7 @@ def test_truncation_error_names_pair_and_bit(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, code, last_err", [
     (["params", "--k-max", "400"], 0, None),
-    (["oracle", "--q", "0.99"], 2, "geompair: oracle runs are capped at q <= 0.95"),
+    (["oracle", "--q", "0.9999"], 2, "geompair: truncation at S=32767 exceeds cap of 32768 runs"),
     (["encode", "--family", "bogus"], 1, "geompair encode: error: argument --family: invalid choice: "),
 ], ids=["ok", "data-error", "usage-error"])
 def test_program_mode_ends_the_process_at_its_last_flush(argv, code, last_err):

@@ -5,6 +5,8 @@ batch coders replaced the per-pair loops; every command must keep
 printing them byte for byte.  ``pairs200.txt`` is a fixed input of 200
 pairs near the design points of several families, with a few extreme
 ones; its container for each family is ``<family>.bin``.
+``oracle_q099.txt``, the oracle above q = 0.95, was written later, by
+the run-length oracle; CPython 3.10 to 3.13 print it alike.
 
 ``truncated.txt`` holds the stderr of ``decode`` for each container cut
 to half its payload, and for a cminus k = 2 container whose one pair is
@@ -103,6 +105,7 @@ def test_crossover_is_golden(capsys):
 
 def test_oracle_is_golden(capsys):
     assert run(capsys, "oracle", "--q", "0.5")[0] == (DATA / "oracle_q05.txt").read_text()
+    assert run(capsys, "oracle", "--q", "0.99")[0] == (DATA / "oracle_q099.txt").read_text()
 
 
 @pytest.mark.parametrize("command", [None, *COMMANDS])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from codec_families import assert_codes, assert_decodes, assert_lengths, bit_string, codeword, every_pair
+from reference_theory import signature_row_by_phases
 
 from geompair.bitio import BitReader, Codeword
 from geompair.cminus_codec import (
@@ -112,6 +113,16 @@ def test_codeword_of_a_deep_signature_keeps_no_state():
     assert length == row.lam
     reader = BitReader(value.to_bytes(length // 8, "big"))
     assert codec.decode(reader) == (0, 20000)
+
+
+@pytest.mark.parametrize("k", [*range(2, 14), 20, 64, math.inf])
+def test_signature_row_phase_rule_matches_the_five_phase_reference(k):
+    # three periods of the periodic regime for k <= 13, and for the larger
+    # orders their initial regime and its first period where it fits
+    s_max = 20_000 if k > 13 else (1 << (k - 1)) + 3 * (1 << k)
+    signatures = [*range(s_max), *range(2**19 - 8, 2**19 + 8), 2**70, 2**200 + 12345]
+    for s in signatures:
+        assert signature_row(k, s) == signature_row_by_phases(k, s), (k, s)
 
 
 @pytest.mark.parametrize("k", [*range(2, 13), math.inf])

@@ -19,7 +19,7 @@ from geompair.oracle import (
     EmptySource,
     SourceTooLarge,
     TAIL,
-    DEFAULT_SYMBOL_CAP,
+    DEFAULT_RUN_CAP,
     build_truncated_source,
     huffman_lengths,
     oracle_optimal_avg_len,
@@ -58,7 +58,7 @@ def test_truncation_validation():
     with pytest.raises(ValueError):
         build_truncated_source(0.5, 1.0)
     with pytest.raises(SourceTooLarge):
-        build_truncated_source(0.95, 1e-12, cap=10_000)
+        build_truncated_source(0.95, 1e-12, cap=606)  # S = 605 needs 607 runs
 
 
 def test_source_is_sorted_with_tail_marker():
@@ -282,20 +282,31 @@ def test_per_symbol_views_align_with_runs():
         assert sorted(ln for s, ln in zip(sigs, lens) if s == sig) == by_sig
 
 
-def test_symbol_cap_counts_symbols_not_runs():
+def test_run_cap_counts_runs_not_symbols():
     # q = 0.98 at eps = 1e-9 truncates at S = 1184: 702 706 symbols in 1186 runs
-    with pytest.raises(SourceTooLarge):
-        build_truncated_source(0.98, 1e-9, cap=700_000)
-    src = build_truncated_source(0.98, 1e-9, cap=DEFAULT_SYMBOL_CAP)
+    with pytest.raises(SourceTooLarge, match="exceeds cap of 1185 runs"):
+        build_truncated_source(0.98, 1e-9, cap=1185)
+    src = build_truncated_source(0.98, 1e-9, cap=1186)
     assert src.s_max == 1184
     assert len(src.runs) == src.s_max + 2
+    assert len(src.weights) == 702_706
+    assert build_truncated_source(0.98, 1e-9, cap=DEFAULT_RUN_CAP) == src
 
 
-def test_symbol_cap_holds_at_the_smallest_truncation():
-    # q = 0.01 at eps = 0.9 truncates at S = 0: one symbol besides the tail
-    assert build_truncated_source(0.01, 0.9, cap=1).s_max == 0
-    with pytest.raises(SourceTooLarge):
-        build_truncated_source(0.01, 0.9, cap=0)
+def test_run_cap_holds_at_the_smallest_truncation():
+    # q = 0.01 at eps = 0.9 truncates at S = 0: one symbol and the tail, in 2 runs
+    assert build_truncated_source(0.01, 0.9, cap=2).s_max == 0
+    for cap in (1, 0, -1):
+        with pytest.raises(SourceTooLarge):
+            build_truncated_source(0.01, 0.9, cap=cap)
+
+
+def test_default_run_cap_reaches_past_q_099():
+    # q = 0.99926 truncates at S = 32 338, within the cap; q = 0.9999 needs
+    # more runs than it allows, and is refused before any run is built
+    assert build_truncated_source(0.99926, 1e-9).s_max == 32_338
+    with pytest.raises(SourceTooLarge, match=f"exceeds cap of {DEFAULT_RUN_CAP} runs"):
+        oracle_optimal_avg_len(0.9999, 1e-9)
 
 
 def test_oracle_at_q98_is_fast():
